@@ -170,26 +170,56 @@ class SpSampleSet:
 
 
 def _bid_matrix(model, n, rng_or_seed):
-    """k x n matrix of independent bids, one substream per bidder."""
+    """k x n matrix of independent bids, one substream per bidder.
+
+    Stream contract: each call spawns one child stream per bidder, from the
+    Generator (``rng.spawn(k)``) or from ``SeedSequence(seed).spawn(k)``, and
+    fills row j with ``random(n)`` of child j, in bidder order, mapped through
+    that bidder's ``ppf``. Any rewrite must keep this order to keep outputs.
+    """
     if isinstance(rng_or_seed, np.random.Generator):
         streams = rng_or_seed.spawn(model.k)
     else:
         streams = [np.random.default_rng(s)
                    for s in np.random.SeedSequence(rng_or_seed).spawn(model.k)]
-    cols = []
-    for d, rng in zip(model.bid_dists, streams):
-        u = rng.random(n)
-        cols.append(d.ppf(u))
-    return np.vstack(cols)
+    x = np.empty((model.k, n))
+    for row, d, rng in zip(x, model.bid_dists, streams):
+        rng.random(out=row)
+        row[...] = d.ppf(row)
+    return x
+
+
+def _scan_bids(x, second=False):
+    """(top bid, winner in 1..k, second-highest bid or None) of each column.
+
+    One running pass over the k rows of ``x``. A strict ``>`` keeps ties
+    with the lowest index, as ``argmax`` does.
+    """
+    top = x[0].copy()
+    winner = np.ones(x.shape[1], dtype=np.int64)
+    runner = np.full(x.shape[1], -np.inf) if second else None
+    for j in range(1, x.shape[0]):
+        row = x[j]
+        _put(winner, j + 1, row > top)
+        if second:
+            np.maximum(runner, np.minimum(top, row), out=runner)
+        np.maximum(top, row, out=top)
+    return top, winner, runner
+
+
+def _put(a, value, mask):
+    """``a[mask] = value`` as integer arithmetic; a masked write branches on
+    every element and is several times slower on random masks."""
+    step = np.subtract(value, a)
+    step *= mask
+    a += step
 
 
 def simulate_fp(model, n, seed):
     """n draws of (max bid, argmax bidder); ties go to the lowest index."""
     if n < 1:
         raise ValidationError("n must be >= 1")
-    x = _bid_matrix(model, n, seed)
-    z = np.argmax(x, axis=0) + 1
-    y = x[z - 1, np.arange(n)]
+    y, z, _ = _scan_bids(_bid_matrix(model, n, seed))
     return FpSampleSet(y=y, z=z, k=model.k, seed=_seed_int(seed), model_id=model.model_id)
 
 
@@ -197,9 +227,7 @@ def simulate_sp(model, n, seed):
     """n draws of (second-highest bid, argmax bidder)."""
     if n < 1:
         raise ValidationError("n must be >= 1")
-    x = _bid_matrix(model, n, seed)
-    w = np.argmax(x, axis=0) + 1
-    y = np.partition(x, -2, axis=0)[-2]
+    _, w, y = _scan_bids(_bid_matrix(model, n, seed), second=True)
     return SpSampleSet(y=y, w=w, k=model.k, seed=_seed_int(seed), model_id=model.model_id)
 
 
@@ -214,15 +242,9 @@ def fp_partial_winners(model, r, n, rng):
     """
     if not 0.0 <= r <= 1.0:
         raise ValidationError("reserve must lie in [0,1]")
-    x = _bid_matrix(model, n, rng)
-    top = x.max(axis=0)
-    winners = np.where(r >= top, model.k + 1, np.argmax(x, axis=0) + 1)
+    top, winners, _ = _scan_bids(_bid_matrix(model, n, rng))
+    _put(winners, model.k + 1, top <= r)
     return winners
-
-
-def fp_partial_oracle(model, r, rng):
-    """Single reserve-price probe for the first-price partial model."""
-    return int(fp_partial_winners(model, r, 1, rng)[0])
 
 
 def sp_partial_outcomes(model, r, n, rng):
@@ -234,22 +256,18 @@ def sp_partial_outcomes(model, r, n, rng):
     """
     if not 0.0 <= r <= 1.0:
         raise ValidationError("reserve must lie in [0,1]")
-    x = _bid_matrix(model, n, rng)
-    top = x.max(axis=0)
-    second = np.partition(x, -2, axis=0)[-2]
-    winners = np.where(r >= top, model.k + 1, np.argmax(x, axis=0) + 1)
-    q = second <= r
-    return winners, q
-
-
-def sp_partial_oracle(model, r, rng):
-    """Single second-price reserve probe: (winner in 1..k+1, q flag)."""
-    winners, q = sp_partial_outcomes(model, r, 1, rng)
-    return int(winners[0]), bool(q[0])
+    top, winners, second = _scan_bids(_bid_matrix(model, n, rng), second=True)
+    _put(winners, model.k + 1, top <= r)
+    return winners, second <= r
 
 
 def make_fp_partial_oracle(model):
-    """Batch oracle handle ``oracle(r, n, rng) -> winners`` for estimators."""
+    """Batch oracle handle ``oracle(r, n, rng) -> winners`` for estimators.
+
+    Each call spawns one child stream of ``rng`` per bidder and fills the
+    bids in bidder order (the ``_bid_matrix`` contract), so equal ``rng``
+    states give equal winners.
+    """
 
     def oracle(r, n, rng):
         return fp_partial_winners(model, r, n, rng)
@@ -259,7 +277,11 @@ def make_fp_partial_oracle(model):
 
 
 def make_sp_partial_oracle(model):
-    """Batch oracle handle ``oracle(r, n, rng) -> (winners, q)`` for estimators."""
+    """Batch oracle handle ``oracle(r, n, rng) -> (winners, q)`` for estimators.
+
+    Same stream contract as ``make_fp_partial_oracle``: one spawned child
+    stream of ``rng`` per bidder per call, filled in bidder order.
+    """
 
     def oracle(r, n, rng):
         return sp_partial_outcomes(model, r, n, rng)

@@ -17,6 +17,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +32,41 @@ _MONOTONE_TOL = 1e-12
 
 def _as_array(x):
     return np.ascontiguousarray(x, dtype=np.float64)
+
+
+def _levels(q):
+    """Quantile levels as (array of ndim >= 1, scalar flag, min, max).
+
+    One min/max pair serves both the range check, which also rejects NaN,
+    and the callers' test of whether any edge rule can fire.
+    """
+    q = np.asarray(q, dtype=np.float64)
+    qv = np.atleast_1d(q)
+    qmin, qmax = (qv.min(), qv.max()) if qv.size else (np.inf, -np.inf)
+    if not (qmin >= 0.0 and qmax <= 1.0):
+        raise ValidationError("quantile levels must lie in [0,1]")
+    return qv, q.ndim == 0, qmin, qmax
+
+
+def _piece_index(keys, q, side):
+    """``clip(searchsorted(keys, q, side) - 1, 0, len(keys) - 2)``.
+
+    That is the piece [keys[i], keys[i+1]] a level falls in, clipped to the
+    first and the last piece. With at most one piece every level lies in
+    piece 0, and the index is the int 0, so that lookups with it give scalars.
+    """
+    if keys.size <= 2:
+        return 0
+    idx = np.searchsorted(keys, q, side=side)
+    idx -= 1
+    return idx.clip(0, keys.size - 2, out=idx)
+
+
+class _LinearSegments(NamedTuple):
+    """Per-segment slopes of the linear inverse x0 + clip((q - v0) / dv, 0, 1) * dx."""
+
+    dv: np.ndarray
+    dx: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,32 +142,43 @@ class PiecewiseCdf:
 
     def ppf(self, q):
         """Generalized inverse inf{x : F(x) >= q}, vectorized."""
-        q = np.asarray(q, dtype=np.float64)
-        scalar = q.ndim == 0
-        qv = np.atleast_1d(q)
-        if np.any(qv < 0) or np.any(qv > 1):
-            raise ValidationError("quantile levels must lie in [0,1]")
+        qv, scalar, qmin, qmax = _levels(q)
         bp, vals = self.breakpoints, self.values
         if self.interpolation == STEP:
             idx = np.searchsorted(vals, qv, side="left")
-            idx = np.minimum(idx, vals.size - 1)
-            out = bp[idx]
-            # levels above the terminal value have an empty level set; clamp to 1
-            out = np.where(qv > vals[-1] + _MONOTONE_TOL, 1.0, out)
-            out = np.where(qv <= 0.0, 0.0, out)
+            out = bp.take(idx, mode="clip")
         else:
-            idx = np.searchsorted(vals, qv, side="left")
-            idx = np.clip(idx, 0, vals.size - 1)
-            lo = np.maximum(idx - 1, 0)
-            v0, v1 = vals[lo], vals[idx]
-            x0, x1 = bp[lo], bp[idx]
-            dv = v1 - v0
-            t = np.where(dv > 0, (qv - v0) / np.where(dv > 0, dv, 1.0), 0.0)
-            out = np.where(idx == 0, bp[0], x0 + np.clip(t, 0.0, 1.0) * (x1 - x0))
-            out = np.where(qv > vals[-1] + _MONOTONE_TOL, 1.0, out)
-            out = np.where(qv <= vals[0], bp[0] if vals[0] > 0 else 0.0, out)
-            out = np.where(qv <= 0.0, 0.0, out)
+            seg = self._segments
+            lo = _piece_index(vals, qv, "left")
+            out = np.subtract(qv, vals[lo])
+            np.divide(out, seg.dv[lo], out=out)
+            out.clip(0.0, 1.0, out=out)
+            np.multiply(out, seg.dx[lo], out=out)
+            np.add(out, bp[lo], out=out)
+        top = vals[-1] + _MONOTONE_TOL
+        low = vals[0] if self.interpolation == LINEAR else 0.0
+        if qmax > top or qmin <= max(low, 0.0):
+            # levels above the terminal value have an empty level set; clamp to 1
+            out[qv > top] = 1.0
+            if self.interpolation == LINEAR:
+                out[qv <= vals[0]] = bp[0] if vals[0] > 0 else 0.0
+            out[qv <= 0.0] = 0.0
         return float(out[0]) if scalar else out
+
+    @cached_property
+    def _segments(self):
+        """Slopes (dv, dx) of each segment [breakpoints[i], breakpoints[i+1]].
+
+        A flat segment gets dv = 1 and dx = 0, so its inverse is its left
+        end. A single knot gets one flat row with dx = -0.0, which adds -0.0
+        and so returns that breakpoint exactly, even a breakpoint of -0.0.
+        """
+        bp, vals = self.breakpoints, self.values
+        if bp.size == 1:
+            return _LinearSegments(np.ones(1), np.array([-0.0]))
+        dv = np.diff(vals)
+        rising = dv > 0
+        return _LinearSegments(np.where(rising, dv, 1.0), np.where(rising, np.diff(bp), 0.0))
 
     # -- serialization ------------------------------------------------------
 
@@ -173,6 +221,35 @@ SubCdf = PiecewiseCdf
 
 def sub_cdf(breakpoints, values, interpolation=STEP):
     return PiecewiseCdf(breakpoints, values, interpolation, is_full_cdf=False)
+
+
+class _DensityPieces(NamedTuple):
+    """Per-piece constants of the inverse of a piecewise-quadratic CDF."""
+
+    f0: np.ndarray
+    f0sq: np.ndarray
+    slope2: np.ndarray
+    slope: np.ndarray
+    curved: np.ndarray
+    flat_zero: bool  # some flat piece has zero density
+
+
+def _quadratic_root(pieces, rem, idx):
+    """(sqrt(max(f0^2 + 2*s*rem, 0)) - f0) / s on the pieces ``idx``."""
+    t = np.multiply(pieces.slope2[idx], rem)
+    np.add(t, pieces.f0sq[idx], out=t)
+    np.maximum(t, 0.0, out=t)
+    np.sqrt(t, out=t)
+    np.subtract(t, pieces.f0[idx], out=t)
+    return np.divide(t, pieces.slope[idx], out=t)
+
+
+def _linear_root(pieces, rem, idx):
+    """rem / f0 on the pieces ``idx``; a zero-density piece gives inf or nan."""
+    if pieces.flat_zero:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.divide(rem, pieces.f0[idx])
+    return np.divide(rem, pieces.f0[idx])
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,24 +311,37 @@ class BoundedDensityModel:
         return float(out[0]) if scalar else out
 
     def ppf(self, q):
-        q = np.asarray(q, dtype=np.float64)
-        scalar = q.ndim == 0
-        qv = np.atleast_1d(q)
-        if np.any(qv < 0) or np.any(qv > 1):
-            raise ValidationError("quantile levels must lie in [0,1]")
-        idx = np.clip(np.searchsorted(self._cum, qv, side="right") - 1, 0, self.knots.size - 2)
-        x0 = self.knots[idx]
-        f0 = self.density[idx]
-        slope = (self.density[idx + 1] - f0) / (self.knots[idx + 1] - x0)
-        rem = qv - self._cum[idx]
-        # solve 0.5*s*t^2 + f0*t = rem for t on the piece
-        disc = np.maximum(f0 * f0 + 2.0 * slope * rem, 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_quad = (np.sqrt(disc) - f0) / slope
-            t_lin = rem / f0
-        t = np.where(np.abs(slope) > 1e-14, t_quad, t_lin)
-        out = np.clip(x0 + t, 0.0, 1.0)
+        qv, scalar, _, _ = _levels(q)
+        pieces = self._pieces
+        idx = _piece_index(self._cum, qv, "right")
+        # solve 0.5*s*t^2 + f0*t = rem for t on the piece: a curved piece takes
+        # the quadratic root, a flat one (|s| <= 1e-14) the linear solution
+        rem = np.subtract(qv, self._cum[idx])
+        if pieces.curved.all():
+            t = _quadratic_root(pieces, rem, idx)
+        elif not pieces.curved.any():
+            t = _linear_root(pieces, rem, idx)
+        else:
+            on_curve = pieces.curved[idx]
+            on_line = ~on_curve
+            t = np.empty_like(rem)
+            t[on_curve] = _quadratic_root(pieces, rem[on_curve], idx[on_curve])
+            t[on_line] = _linear_root(pieces, rem[on_line], idx[on_line])
+        np.add(t, self.knots[idx], out=t)
+        out = t.clip(0.0, 1.0, out=t)
         return float(out[0]) if scalar else out
+
+    @cached_property
+    def _pieces(self):
+        """Per-piece constants of the inverse CDF."""
+        kn, de = self.knots, self.density
+        f0 = de[:-1]
+        slope = (de[1:] - f0) / (kn[1:] - kn[:-1])
+        curved = np.abs(slope) > 1e-14
+        return _DensityPieces(
+            f0=f0, f0sq=f0 * f0, slope2=2.0 * slope, slope=slope, curved=curved,
+            flat_zero=bool(np.any(f0[~curved] == 0.0)),
+        )
 
     def to_cdf(self, n_grid=4097):
         """A piecewise-linear PiecewiseCdf approximation on a fine grid."""

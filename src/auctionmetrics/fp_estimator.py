@@ -234,6 +234,15 @@ class _OracleBudget:
         return oracle(r, n, rng)
 
 
+def _win_frequencies(winners, k):
+    """Share of probes won by each index 0..k+1 (bidders 1..k, reserve k+1).
+
+    One ``bincount`` per probe; the counts are exact integers, so
+    ``count / n`` equals ``(winners == i).mean()`` bit for bit.
+    """
+    return np.bincount(winners, minlength=k + 2) / winners.size
+
+
 def noisy_quantile_search(estimate, target, T, eps1, lo=0.0, hi=1.0):
     """Bisection against a noisy monotone function.
 
@@ -281,19 +290,18 @@ def fp_partial_estimate(oracle, k, p, gamma, eps, delta=0.05, lipschitz_L=1.0,
     levels = np.arange(gamma, 1.0, delta_grid)
     levels = np.unique(np.append(levels, 1.0))
 
-    base_winners = budget.draw(oracle, 0.0, n_base, rng)
-    base_freq = np.array([(base_winners == i).mean() for i in range(1, k + 1)])
+    base_freq = _win_frequencies(budget.draw(oracle, 0.0, n_base, rng), k)
 
     def h_at(x):
-        return float((budget.draw(oracle, x, n_search, rng) == k + 1).mean())
+        return float(_win_frequencies(budget.draw(oracle, x, n_search, rng), k)[k + 1])
 
     vhat = np.array([noisy_quantile_search(h_at, u, T, eps1) for u in levels])
 
     cdfs = []
     for i in range(1, k + 1):
         def hi_at(x, i=i):
-            winners = budget.draw(oracle, x, n_search, rng)
-            return float(base_freq[i - 1] - (winners == i).mean())
+            freq = _win_frequencies(budget.draw(oracle, x, n_search, rng), k)
+            return float(base_freq[i] - freq[i])
 
         what = np.array([noisy_quantile_search(hi_at, u, T, eps1) for u in levels])
         xs = np.unique(np.concatenate([vhat, what]))
@@ -304,9 +312,9 @@ def fp_partial_estimate(oracle, k, p, gamma, eps, delta=0.05, lipschitz_L=1.0,
         h_vals = np.empty(xs.size)
         hi_vals = np.empty(xs.size)
         for s, x in enumerate(xs):
-            winners = budget.draw(oracle, float(x), n_point, rng)
-            h_vals[s] = (winners == k + 1).mean()
-            hi_vals[s] = base_freq[i - 1] - (winners == i).mean()
+            freq = _win_frequencies(budget.draw(oracle, float(x), n_point, rng), k)
+            h_vals[s] = freq[k + 1]
+            hi_vals[s] = base_freq[i] - freq[i]
         hi_vals = np.maximum.accumulate(hi_vals)  # monotone repair of the sub-CDF
 
         increments = np.diff(hi_vals)

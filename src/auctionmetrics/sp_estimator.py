@@ -535,10 +535,9 @@ def sp_partial_pointwise(oracle, x, n, rng=None, k=None):
         rng = np.random.default_rng(0)
     k = k if k is not None else oracle.k
     winners, q = oracle(x, n, rng)
-    means = np.array([
-        float(np.mean(((winners == j) & q) | ((winners == k + 1) & q)))
-        for j in range(1, k + 1)
-    ])
+    # Z_j counts bidder j's reserve-bound wins plus the reserve's own wins
+    bound = np.bincount(winners[q], minlength=k + 2)
+    means = (bound[1:k + 1] + bound[k + 1]) / winners.size
     if np.any(means <= 0.0):
         raise EstimationError(
             f"degenerate probe at reserve {x:.6g}: some win frequency is zero",

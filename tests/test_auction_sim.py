@@ -5,6 +5,7 @@ from auctionmetrics.auction_sim import (
     AuctionModel,
     FpSampleSet,
     SpSampleSet,
+    _bid_matrix,
     equilibrium_residual,
     fp_partial_winners,
     lower_bound_fixture,
@@ -17,6 +18,8 @@ from auctionmetrics.auction_sim import (
     symmetric_equilibrium_bid,
 )
 from auctionmetrics.dist_core import (
+    LINEAR,
+    STEP,
     BoundedDensityModel,
     PiecewiseCdf,
     dkw_band,
@@ -145,6 +148,63 @@ def test_sp_partial_reserve_win_implies_flag():
     rng = np.random.default_rng(5)
     winners, q = sp_partial_outcomes(m, 0.5, 20000, rng)
     assert np.all(q[winners == 3])
+
+
+def atom_model(k):
+    # step CDFs with atoms at 0.2, 0.5 and 0.8: ties between bidders are
+    # common, and a reserve of 0.5 sits exactly on an atom
+    atoms = PiecewiseCdf([0.2, 0.5, 0.8], [0.3, 0.7, 1.0], interpolation=STEP)
+    other = PiecewiseCdf([0.0, 0.5, 1.0], [0.0, 0.6, 1.0], interpolation=LINEAR)
+    dens = BoundedDensityModel(knots=[0.0, 1.0], density=[0.75, 1.25],
+                               alpha_lo=0.5, eta_hi=2.0)
+    return AuctionModel(bid_dists=([atoms, atoms, other, dens] * 2)[:k])
+
+
+def reference_outcomes(x, r):
+    """Naive max/argmax/partition reading of a bid matrix."""
+    k = x.shape[0]
+    top = x.max(axis=0)
+    winners = np.where(r >= top, k + 1, np.argmax(x, axis=0) + 1)
+    second = np.partition(x, -2, axis=0)[-2]
+    return top, winners, second
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_winner_scan_matches_naive_reference(k):
+    m = atom_model(k)
+    n, r = 5000, 0.5
+    x = _bid_matrix(m, n, np.random.default_rng(k))
+    top, ref_winners, second = reference_outcomes(x, r)
+    # the cases the scan must get right do occur in this sample
+    assert np.any(second == top)  # a tie for the top bid
+    assert np.any(top == r)  # the reserve ties the top bid
+    winners = fp_partial_winners(m, r, n, np.random.default_rng(k))
+    assert winners.dtype == ref_winners.dtype
+    np.testing.assert_array_equal(winners, ref_winners)
+    winners, q = sp_partial_outcomes(m, r, n, np.random.default_rng(k))
+    np.testing.assert_array_equal(winners, ref_winners)
+    np.testing.assert_array_equal(q, second <= r)
+    x = _bid_matrix(m, n, 17)
+    top, _, second = reference_outcomes(x, 0.0)
+    fp, sp = simulate_fp(m, n, 17), simulate_sp(m, n, 17)
+    assert fp.y.tobytes() == top.tobytes()
+    assert sp.y.tobytes() == second.tobytes()
+    np.testing.assert_array_equal(fp.z, np.argmax(x, axis=0) + 1)
+    np.testing.assert_array_equal(sp.w, fp.z)
+
+
+def test_bid_matrix_stream_contract():
+    # one child stream per bidder per call, spawned from the generator (or
+    # from SeedSequence(seed)) and filled in bidder order
+    m = atom_model(3)
+    x = _bid_matrix(m, 700, np.random.default_rng(4))
+    streams = np.random.default_rng(4).spawn(3)
+    ref = np.vstack([d.ppf(s.random(700)) for d, s in zip(m.bid_dists, streams)])
+    assert x.tobytes() == ref.tobytes()
+    seeds = np.random.SeedSequence(8).spawn(3)
+    ref = np.vstack([d.ppf(np.random.default_rng(s).random(700))
+                     for d, s in zip(m.bid_dists, seeds)])
+    assert _bid_matrix(m, 700, 8).tobytes() == ref.tobytes()
 
 
 def test_oracle_handles_expose_k():

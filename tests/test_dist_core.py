@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +150,165 @@ def test_ppf_is_generalized_inverse(seed, q):
 def test_ppf_rejects_levels_outside_unit_interval():
     with pytest.raises(ValidationError):
         uniform_cdf().ppf(1.5)
+
+
+@pytest.mark.parametrize("dist", [
+    # a NaN level used to come back as nan, or as 1.0 when values[0] > 0
+    PiecewiseCdf([0.0, 0.5, 1.0], [0.2, 0.6, 1.0], interpolation=LINEAR),
+    staircase([0.2, 0.5, 0.8], [0.1, 0.4, 1.0]),
+    BoundedDensityModel(knots=[0.0, 1.0], density=[0.5, 1.5], alpha_lo=0.5, eta_hi=2.0),
+], ids=["linear", "step", "density"])
+def test_ppf_rejects_nan_levels(dist):
+    for q in (math.nan, [math.nan], [0.3, math.nan, 0.7]):
+        with pytest.raises(ValidationError, match=r"\[0,1\]"):
+            dist.ppf(q)
+
+
+def test_ppf_accepts_an_empty_level_array():
+    density = BoundedDensityModel(knots=[0.0, 1.0], density=[0.5, 1.5],
+                                  alpha_lo=0.5, eta_hi=2.0)
+    for dist in (uniform_cdf(), staircase([0.5], [1.0]), density):
+        assert dist.ppf(np.array([])).shape == (0,)
+
+
+# Reference copies of the quantile functions as they were before the
+# single-pass kernel; the kernel must reproduce them bit for bit.
+
+
+def reference_linear_ppf(F, q):
+    qv = np.atleast_1d(np.asarray(q, dtype=np.float64))
+    bp, vals = F.breakpoints, F.values
+    idx = np.searchsorted(vals, qv, side="left")
+    idx = np.clip(idx, 0, vals.size - 1)
+    lo = np.maximum(idx - 1, 0)
+    v0, v1 = vals[lo], vals[idx]
+    x0, x1 = bp[lo], bp[idx]
+    dv = v1 - v0
+    t = np.where(dv > 0, (qv - v0) / np.where(dv > 0, dv, 1.0), 0.0)
+    out = np.where(idx == 0, bp[0], x0 + np.clip(t, 0.0, 1.0) * (x1 - x0))
+    out = np.where(qv > vals[-1] + 1e-12, 1.0, out)
+    out = np.where(qv <= vals[0], bp[0] if vals[0] > 0 else 0.0, out)
+    return np.where(qv <= 0.0, 0.0, out)
+
+
+def reference_density_ppf(d, q):
+    qv = np.atleast_1d(np.asarray(q, dtype=np.float64))
+    idx = np.clip(np.searchsorted(d._cum, qv, side="right") - 1, 0, d.knots.size - 2)
+    x0 = d.knots[idx]
+    f0 = d.density[idx]
+    slope = (d.density[idx + 1] - f0) / (d.knots[idx + 1] - x0)
+    rem = qv - d._cum[idx]
+    disc = np.maximum(f0 * f0 + 2.0 * slope * rem, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_quad = (np.sqrt(disc) - f0) / slope
+        t_lin = rem / f0
+    t = np.where(np.abs(slope) > 1e-14, t_quad, t_lin)
+    return np.clip(x0 + t, 0.0, 1.0)
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    assert np.array_equal(a, b, equal_nan=True)
+    assert a.tobytes() == b.tobytes()  # also tells -0.0 from 0.0
+
+
+def levels_around(knot_values, extra):
+    """Levels at, just below and just above each knot value, 0, 1 and extra."""
+    kv = np.asarray(knot_values, dtype=np.float64)
+    near = np.concatenate([kv, np.nextafter(kv, -1.0), np.nextafter(kv, 2.0),
+                           kv + 5e-13, [0.0, 1.0], extra])
+    return near[(near >= 0.0) & (near <= 1.0)]
+
+
+grid_points = st.lists(st.integers(0, 40), min_size=1, max_size=9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(xs=grid_points, vs=grid_points, full=st.booleans(),
+       extra=st.lists(st.floats(0.0, 1.0), max_size=20))
+def test_linear_ppf_matches_reference_bit_for_bit(xs, vs, full, extra):
+    # knots on a coarse grid so that flat segments, values[0] > 0 and levels
+    # exactly at knot values all occur often
+    bp = np.unique(np.asarray(xs) / 40.0)
+    vals = np.sort(np.resize(np.asarray(vs) / 40.0, bp.size))
+    if full:
+        vals[-1] = 1.0
+    F = PiecewiseCdf(bp, vals, interpolation=LINEAR, is_full_cdf=full)
+    q = levels_around(vals, extra)
+    assert_same_bits(F.ppf(q), reference_linear_ppf(F, q))
+    for level in q[:5]:
+        assert F.ppf(float(level)) == reference_linear_ppf(F, level)[0]
+
+
+def test_linear_ppf_matches_reference_on_edge_knots():
+    cdfs = [
+        PiecewiseCdf([-0.0, 0.5, 1.0], [0.2, 0.6, 1.0], interpolation=LINEAR),
+        PiecewiseCdf([0.3], [0.4], interpolation=LINEAR, is_full_cdf=False),
+        PiecewiseCdf([-0.0], [0.4], interpolation=LINEAR, is_full_cdf=False),
+        PiecewiseCdf([0.0, 0.2, 0.6, 1.0], [0.0, 0.5, 0.5, 0.7],
+                     interpolation=LINEAR, is_full_cdf=False),
+    ]
+    for F in cdfs:
+        q = levels_around(F.values, np.linspace(0.0, 1.0, 101))
+        assert_same_bits(F.ppf(q), reference_linear_ppf(F, q))
+
+
+def test_linear_ppf_matches_reference_on_long_tables():
+    # tables of many knots, around and well above the sizes the other tests
+    # draw, must agree with the reference too
+    rng = np.random.default_rng(5)
+    for m in (31, 32, 33, 400):
+        bp = np.unique(rng.random(m))
+        vals = np.sort(np.round(rng.random(bp.size), 2))
+        vals[-1] = 1.0
+        F = PiecewiseCdf(bp, vals, interpolation=LINEAR)
+        q = levels_around(vals, rng.random(2000))
+        assert_same_bits(F.ppf(q), reference_linear_ppf(F, q))
+
+
+def density_model(knots, density):
+    kn = np.asarray(knots, dtype=np.float64)
+    de = np.asarray(density, dtype=np.float64)
+    de = de / float(np.sum(0.5 * (de[:-1] + de[1:]) * np.diff(kn)))
+    return BoundedDensityModel(knots=kn, density=de, alpha_lo=float(de.min()),
+                               eta_hi=float(de.max()))
+
+
+def assert_density_ppf_matches_reference(d, extra):
+    q = levels_around(d._cum, extra)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the kernel must not warn
+        got = d.ppf(q)
+    assert_same_bits(got, reference_density_ppf(d, q))
+
+
+@settings(max_examples=150, deadline=None)
+@given(xs=st.lists(st.integers(1, 39), max_size=7),
+       dens=st.lists(st.integers(0, 6), min_size=9, max_size=9),
+       shift=st.booleans(), extra=st.lists(st.floats(0.0, 1.0), max_size=20))
+def test_density_ppf_matches_reference_bit_for_bit(xs, dens, shift, extra):
+    # small integer densities give flat pieces (the linear branch, zero
+    # density included), curved pieces and models that mix both
+    kn = np.concatenate([[0.0], np.unique(np.asarray(xs) / 40.0), [1.0]])
+    de = np.asarray(dens[:kn.size], dtype=np.float64) + float(shift)
+    if not np.any(de):
+        de = np.ones(kn.size)
+    assert_density_ppf_matches_reference(density_model(kn, de), extra)
+
+
+def test_density_ppf_matches_reference_on_each_branch():
+    rng = np.random.default_rng(9)
+    models = {
+        "curved": density_model([0.0, 0.4, 1.0], [0.6, 1.3, 0.7]),
+        "flat": density_model([0.0, 0.5, 1.0], [1.0, 1.0, 1.0]),
+        "mixed with a zero piece": density_model([0.0, 0.25, 0.5, 1.0], [0, 0, 2, 2]),
+        "zero last piece": density_model([0.0, 0.5, 0.75, 1.0], [2, 2, 0, 0]),
+        "long table": density_model(np.linspace(0.0, 1.0, 60),
+                                    1.0 + rng.integers(0, 3, 60)),
+    }
+    for d in models.values():
+        assert_density_ppf_matches_reference(d, rng.random(3000))
 
 
 # -- serialization ------------------------------------------------------------

@@ -1,15 +1,24 @@
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
-from auctionmetrics.auction_sim import AuctionModel, FpSampleSet, simulate_fp
+from auctionmetrics.auction_sim import (
+    AuctionModel,
+    FpSampleSet,
+    fp_partial_winners,
+    make_fp_partial_oracle,
+    simulate_fp,
+)
 from auctionmetrics.dist_core import kolmogorov, uniform_cdf, wasserstein1
 from auctionmetrics.errors import ValidationError
 from auctionmetrics.fp_estimator import (
     DensityEstimate,
     FpEstimatorConfig,
     _ghat_to_cdf,
+    _win_frequencies,
     density_bandwidth,
     empirical_H,
     empirical_Hi,
@@ -17,6 +26,7 @@ from auctionmetrics.fp_estimator import (
     estimate_bid_cdf_full,
     estimate_density,
     estimate_ghat,
+    fp_partial_estimate,
     full_support_params,
     noisy_quantile_search,
     population_bid_cdf,
@@ -223,3 +233,32 @@ def test_quantile_search_respects_bounds():
                                   lo=0.5, hi=1.0)
     assert 0.5 <= found <= 1.0
     assert found == pytest.approx(0.9, abs=1e-3)
+
+
+# -- reserve-price probes -------------------------------------------------------
+
+
+def estimate_digest(cdfs, diagnostics):
+    blob = json.dumps({"cdfs": [F.to_dict() for F in cdfs],
+                       "diagnostics": diagnostics}, sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_win_frequencies_equal_the_means_bit_for_bit():
+    winners = fp_partial_winners(uniform_model(3), 0.6, 30001, np.random.default_rng(3))
+    freq = _win_frequencies(winners, 3)
+    assert freq.shape == (5,)
+    for i in range(1, 5):
+        assert freq[i] == (winners == i).mean()
+
+
+def test_fp_partial_estimate_is_pinned_per_seed():
+    # the hash was taken before the oracle's sampling kernel was rewritten
+    # (single-pass ppf, fused winner scan, one bincount per probe); a kernel
+    # change that moves any draw or rounding changes it
+    oracle = make_fp_partial_oracle(uniform_model())
+    cdfs, diag = fp_partial_estimate(oracle, 2, p=0.5, gamma=0.5, eps=0.2, seed=1,
+                                     n_search=200, n_point=2000, n_base=20000)
+    assert diag["oracle_calls"] == 602200
+    assert estimate_digest(cdfs, diag) == (
+        "41bad70b165cab08ab9c08058615575d874415fbcc2e42b502a4bcd0bf6ba277")

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,12 @@ from auctionmetrics.auction_sim import (
     make_sp_partial_oracle,
     simulate_sp,
 )
-from auctionmetrics.dist_core import PiecewiseCdf, kolmogorov, uniform_cdf
+from auctionmetrics.dist_core import (
+    BoundedDensityModel,
+    PiecewiseCdf,
+    kolmogorov,
+    uniform_cdf,
+)
 from auctionmetrics.errors import EstimationError, ValidationError
 from auctionmetrics.sp_estimator import (
     CallableEval,
@@ -269,3 +277,37 @@ def test_sp_partial_estimate_validates_inputs():
         sp_partial_estimate(oracle, p=0.2, gamma=0.0, eps=0.1)
     with pytest.raises(ValidationError):
         sp_partial_estimate(oracle, p=0.2, gamma=0.2, eps=1.5)
+
+
+def estimate_digest(cdfs, diagnostics):
+    blob = json.dumps({"cdfs": [F.to_dict() for F in cdfs],
+                       "diagnostics": diagnostics}, sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_sp_partial_pointwise_means_are_exact_counts():
+    oracle = make_sp_partial_oracle(uniform_model(3))
+    _, means = sp_partial_pointwise(oracle, 0.7, 30001, np.random.default_rng(2))
+    winners, q = oracle(0.7, 30001, np.random.default_rng(2))
+    for j in range(1, 4):
+        ref = np.mean(((winners == j) & q) | ((winners == 4) & q))
+        assert means[j - 1] == ref
+
+
+def test_sp_partial_estimate_is_pinned_per_seed():
+    # hashes taken before the oracle's sampling kernel was rewritten: uniform
+    # k=2 goes through the linear ppf, the k=3 density model through
+    # BoundedDensityModel.ppf
+    cdfs, diag = sp_partial_estimate(make_sp_partial_oracle(uniform_model()),
+                                     p=0.5, gamma=0.5, eps=0.1, seed=1, n_point=2000)
+    assert estimate_digest(cdfs, diag) == (
+        "73db44bd7a44f0998c316dffca1058dde241994bf1ad046f30544aa13acea25a")
+    rising = BoundedDensityModel(knots=[0.0, 1.0], density=[0.75, 1.25],
+                                 alpha_lo=0.5, eta_hi=2.0)
+    falling = BoundedDensityModel(knots=[0.0, 1.0], density=[1.25, 0.75],
+                                  alpha_lo=0.5, eta_hi=2.0)
+    model = AuctionModel(bid_dists=[rising, falling, rising])
+    cdfs, diag = sp_partial_estimate(make_sp_partial_oracle(model),
+                                     p=0.5, gamma=0.3, eps=0.1, seed=2, n_point=2000)
+    assert estimate_digest(cdfs, diag) == (
+        "32bcde9e136de349eb3928c99548fb6dd3ef6c0c0bbb0d5b1e50da7eb2ec7031")
