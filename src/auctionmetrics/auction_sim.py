@@ -235,13 +235,29 @@ def _seed_int(seed):
     return int(seed) if isinstance(seed, (int, np.integer)) else None
 
 
+def _check_reserve(r, n):
+    """Reject a reserve outside [0,1] (NaN included); an array of reserves
+    must hold one entry per probe."""
+    if np.ndim(r) == 0:
+        ok = 0.0 <= r <= 1.0
+    else:
+        r = np.asarray(r, dtype=np.float64)
+        if r.shape != (n,):
+            raise ValidationError("a reserve array must hold one reserve per probe")
+        ok = not r.size or (r.min() >= 0.0 and r.max() <= 1.0)
+    if not ok:
+        raise ValidationError("reserve must lie in [0,1]")
+
+
 def fp_partial_winners(model, r, n, rng):
     """Vectorized reserve-price probe: winner indices in 1..k+1 (k+1 = reserve).
 
-    The planted bid wins ties, so Pr(winner = k+1) = prod_j F_j(r) exactly.
+    ``r`` is one reserve for all n probes, or a length-n array with one
+    reserve per probe; the bids follow the ``_bid_matrix`` stream contract
+    either way, so a constant array gives the winners of its scalar. The
+    planted bid wins ties, so Pr(winner = k+1) = prod_j F_j(r) exactly.
     """
-    if not 0.0 <= r <= 1.0:
-        raise ValidationError("reserve must lie in [0,1]")
+    _check_reserve(r, n)
     top, winners, _ = _scan_bids(_bid_matrix(model, n, rng))
     _put(winners, model.k + 1, top <= r)
     return winners
@@ -253,9 +269,9 @@ def sp_partial_outcomes(model, r, n, rng):
     The flag is true iff the reserve binds the transaction, i.e. the
     second-highest of the k bids is <= r (either some bidder beats r while all
     others are below it, or all bids fall below r and the reserve wins).
+    ``r`` is a scalar or one reserve per probe, as in ``fp_partial_winners``.
     """
-    if not 0.0 <= r <= 1.0:
-        raise ValidationError("reserve must lie in [0,1]")
+    _check_reserve(r, n)
     top, winners, second = _scan_bids(_bid_matrix(model, n, rng), second=True)
     _put(winners, model.k + 1, top <= r)
     return winners, second <= r
@@ -264,9 +280,10 @@ def sp_partial_outcomes(model, r, n, rng):
 def make_fp_partial_oracle(model):
     """Batch oracle handle ``oracle(r, n, rng) -> winners`` for estimators.
 
-    Each call spawns one child stream of ``rng`` per bidder and fills the
-    bids in bidder order (the ``_bid_matrix`` contract), so equal ``rng``
-    states give equal winners.
+    ``r`` is a scalar reserve or one reserve per probe. Each call spawns one
+    child stream of ``rng`` per bidder and fills the bids in bidder order
+    (the ``_bid_matrix`` contract), so equal ``rng`` states give equal
+    winners.
     """
 
     def oracle(r, n, rng):

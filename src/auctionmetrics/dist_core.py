@@ -245,7 +245,8 @@ def _quadratic_root(pieces, rem, idx):
 
 
 def _linear_root(pieces, rem, idx):
-    """rem / f0 on the pieces ``idx``; a zero-density piece gives inf or nan."""
+    """rem / f0 on the pieces ``idx``; a zero-density piece gives inf, or
+    nan for rem = 0, which ``BoundedDensityModel.ppf`` resolves."""
     if pieces.flat_zero:
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.divide(rem, pieces.f0[idx])
@@ -328,6 +329,12 @@ class BoundedDensityModel:
             t[on_curve] = _quadratic_root(pieces, rem[on_curve], idx[on_curve])
             t[on_line] = _linear_root(pieces, rem[on_line], idx[on_line])
         np.add(t, self.knots[idx], out=t)
+        if pieces.flat_zero:
+            # 0/0 is a level equal to the total mass, clipped onto a trailing
+            # zero-density piece; its generalised inverse is the first knot
+            # where the CDF reaches it, the left knot of the zero tail
+            gap = np.isnan(t)
+            t[gap] = self.knots[np.searchsorted(self._cum, qv[gap], side="left")]
         out = t.clip(0.0, 1.0, out=t)
         return float(out[0]) if scalar else out
 

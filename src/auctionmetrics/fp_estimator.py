@@ -14,7 +14,7 @@ adaptive reserve-price estimator that works from winner identities alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -225,42 +225,108 @@ def population_bid_cdf(H, hi_density, x, tol=1e-9):
 # -- partial observations ---------------------------------------------------
 
 
+# Probe columns one oracle call may hold when the probes of several reserves
+# share it; the k x columns bid buffer is then 1 MB for k = 2.
+_BATCH_COLUMNS = 1 << 16
+
+
 @dataclass(eq=False)
 class _OracleBudget:
-    calls: int = 0
+    """Win frequencies from a batch oracle, with the probes and calls spent."""
 
-    def draw(self, oracle, r, n, rng):
-        self.calls += n
-        return oracle(r, n, rng)
+    oracle: object
+    k: int
+    rng: np.random.Generator
+    calls: int = 0  # probes drawn, reported as ``oracle_calls``
+    batches: int = 0  # oracle calls
+
+    def frequencies(self, xs, n):
+        """One row of win frequencies (``_win_frequencies``) per reserve in
+        ``xs``, from n probes at each.
+
+        Consecutive reserves share one oracle call of at most
+        ``_BATCH_COLUMNS`` probes (always at least one reserve per call),
+        in the order of ``xs``. A call for a single reserve passes it as a
+        scalar, which draws the same winners without a per-probe array.
+        """
+        xs = np.asarray(xs, dtype=np.float64)
+        out = np.empty((xs.size, self.k + 2))
+        per = max(1, _BATCH_COLUMNS // n)
+        for s in range(0, xs.size, per):
+            chunk = xs[s:s + per]
+            m = chunk.size * n
+            r = chunk[0] if chunk.size == 1 else np.repeat(chunk, n)
+            winners = self.oracle(r, m, self.rng)
+            self.calls += m
+            self.batches += 1
+            out[s:s + chunk.size] = _win_frequencies(winners.reshape(chunk.size, n), self.k)
+        return out
 
 
 def _win_frequencies(winners, k):
-    """Share of probes won by each index 0..k+1 (bidders 1..k, reserve k+1).
+    """Share of probes won by each index 0..k+1 (bidders 1..k, reserve k+1),
+    for each row of ``winners`` (a 1-D array is one row).
 
-    One ``bincount`` per probe; the counts are exact integers, so
-    ``count / n`` equals ``(winners == i).mean()`` bit for bit.
+    One offset ``bincount`` per batch; the counts are exact integers, so
+    ``count / n`` equals ``(row == i).mean()`` bit for bit.
     """
-    return np.bincount(winners, minlength=k + 2) / winners.size
+    rows = winners.reshape(-1, winners.shape[-1])
+    m, n = rows.shape
+    offset = rows + (k + 2) * np.arange(m)[:, None]
+    counts = np.bincount(offset.ravel(), minlength=m * (k + 2))
+    return (counts / n).reshape(winners.shape[:-1] + (k + 2,))
+
+
+def _search_step(val, target, eps1):
+    """The search's comparisons of readings with targets: (stop, above)."""
+    return np.abs(val - target) <= eps1 / 2.0, val > target
 
 
 def noisy_quantile_search(estimate, target, T, eps1, lo=0.0, hi=1.0):
-    """Bisection against a noisy monotone function.
+    """Bisection against a noisy monotone function, over one or many targets.
 
-    ``estimate(x)`` returns a fresh noisy evaluation; the search terminates
-    early when the estimate lands within eps1/2 of the target and otherwise
-    narrows the interval T times.
+    Each step calls ``estimate`` once with the midpoints of the targets still
+    searching (a float for a scalar target, else an array in target order)
+    and takes one fresh noisy reading per midpoint. A target stops when its
+    reading lands within eps1/2 of it; otherwise its interval is halved
+    toward it, for at most T steps. Returns the last midpoint of each target.
     """
+    u = np.asarray(target, dtype=np.float64)
+    scalar = u.ndim == 0
+    u = np.atleast_1d(u)
+    lo = np.full(u.shape, float(lo))
+    hi = np.full(u.shape, float(hi))
     mid = 0.5 * (lo + hi)
+    active = np.arange(u.size)
     for _ in range(T):
-        mid = 0.5 * (lo + hi)
-        val = estimate(mid)
-        if abs(val - target) <= eps1 / 2.0:
-            return mid
-        if val > target:
-            hi = mid
-        else:
-            lo = mid
-    return mid
+        if not active.size:
+            break
+        m = 0.5 * (lo[active] + hi[active])
+        mid[active] = m
+        val = np.asarray(estimate(float(m[0]) if scalar else m))
+        stop, above = _search_step(val, u[active], eps1)
+        hi[active] = np.where(above, m, hi[active])
+        lo[active] = np.where(above, lo[active], m)
+        active = active[~stop]
+    return float(mid[0]) if scalar else mid
+
+
+def _search_below(estimate, ceiling, targets, T, eps1):
+    """``noisy_quantile_search`` of ``targets`` by an ``estimate`` whose
+    readings never exceed ``ceiling``; returns (results, targets pruned).
+
+    A target that the ceiling reading sends upward without stopping is sent
+    upward by every lower reading too, since rounding is monotone. So its
+    result is the search's result under the ceiling reading, found without
+    calling ``estimate``.
+    """
+    stop, above = _search_step(ceiling, targets, eps1)
+    blind = ~stop & ~above
+    out = np.empty(targets.size)
+    out[~blind] = noisy_quantile_search(estimate, targets[~blind], T, eps1)
+    out[blind] = noisy_quantile_search(lambda xs: np.full(xs.size, ceiling),
+                                       targets[blind], T, eps1)
+    return out, int(blind.sum())
 
 
 def fp_partial_estimate(oracle, k, p, gamma, eps, delta=0.05, lipschitz_L=1.0,
@@ -270,52 +336,55 @@ def fp_partial_estimate(oracle, k, p, gamma, eps, delta=0.05, lipschitz_L=1.0,
     The observer plants reserves and sees only who won. The winning-bid CDF at
     reserve x is the planted-win frequency; the winner-i sub-CDF is the win
     frequency of i at reserve 0 minus at reserve x. Quantile grids of both are
-    located by noisy binary search, and the tail sum G-hat_i is assembled on
-    the merged grid.
+    located by noisy binary search, all levels of a grid at once: each search
+    step probes the midpoints of the levels still searching in shared oracle
+    calls, and levels the sub-CDF cannot reach take no probes. The tail sum
+    G-hat_i is assembled on the merged grid.
 
-    Returns (list of staircases, diagnostics with the oracle-call budget).
+    Returns (list of staircases, diagnostics). The diagnostics report the
+    budget: ``oracle_calls`` probes drawn in ``oracle_batches`` oracle calls,
+    and ``pruned_levels`` sub-CDF levels answered without probes.
     """
     if not (0.0 < gamma <= 1.0 and 0.0 <= p <= 1.0):
         raise ValidationError("invalid effective-support pair")
     if not 0.0 < eps < 1.0:
         raise ValidationError("eps must lie in (0,1)")
-    rng = np.random.default_rng(seed)
-    budget = _OracleBudget()
+    if min(n_search, n_point, n_base) < 1:
+        raise ValidationError("n_search, n_point and n_base must be >= 1")
+    budget = _OracleBudget(oracle, k, np.random.default_rng(seed))
 
     delta_grid = gamma * gamma * eps / 6.0
     eps1 = gamma * gamma * eps / 24.0
-    beta = gamma * eps * eps / (24.0 * (k + 1))
     T = max(1, math.ceil(math.log2(max(2.0 * lipschitz_L / eps1, 2.0))))
 
     levels = np.arange(gamma, 1.0, delta_grid)
     levels = np.unique(np.append(levels, 1.0))
 
-    base_freq = _win_frequencies(budget.draw(oracle, 0.0, n_base, rng), k)
+    base_freq = budget.frequencies([0.0], n_base)[0]
 
-    def h_at(x):
-        return float(_win_frequencies(budget.draw(oracle, x, n_search, rng), k)[k + 1])
+    def h_at(xs):
+        return budget.frequencies(xs, n_search)[:, k + 1]
 
-    vhat = np.array([noisy_quantile_search(h_at, u, T, eps1) for u in levels])
+    vhat = noisy_quantile_search(h_at, levels, T, eps1)
 
     cdfs = []
+    pruned_levels = 0
     for i in range(1, k + 1):
-        def hi_at(x, i=i):
-            freq = _win_frequencies(budget.draw(oracle, x, n_search, rng), k)
-            return float(base_freq[i] - freq[i])
+        def hi_at(xs, i=i):
+            return base_freq[i] - budget.frequencies(xs, n_search)[:, i]
 
-        what = np.array([noisy_quantile_search(hi_at, u, T, eps1) for u in levels])
+        # a reading of H_i never exceeds its value base_freq[i] at reserve 0
+        what, pruned = _search_below(hi_at, base_freq[i], levels, T, eps1)
+        pruned_levels += pruned
         xs = np.unique(np.concatenate([vhat, what]))
         xs = xs[(xs >= p - 1e-12) & (xs <= 1.0)]
         if xs.size < 2:
             raise EstimationError("degenerate probe grid", {"oracle_calls": budget.calls})
 
-        h_vals = np.empty(xs.size)
-        hi_vals = np.empty(xs.size)
-        for s, x in enumerate(xs):
-            freq = _win_frequencies(budget.draw(oracle, float(x), n_point, rng), k)
-            h_vals[s] = freq[k + 1]
-            hi_vals[s] = base_freq[i] - freq[i]
-        hi_vals = np.maximum.accumulate(hi_vals)  # monotone repair of the sub-CDF
+        freq = budget.frequencies(xs, n_point)
+        h_vals = freq[:, k + 1]
+        # monotone repair of the sub-CDF
+        hi_vals = np.maximum.accumulate(base_freq[i] - freq[:, i])
 
         increments = np.diff(hi_vals)
         denom = np.maximum(h_vals[:-1], gamma / 2.0)
@@ -332,10 +401,11 @@ def fp_partial_estimate(oracle, k, p, gamma, eps, delta=0.05, lipschitz_L=1.0,
 
     diagnostics = {
         "oracle_calls": budget.calls,
+        "oracle_batches": budget.batches,
+        "pruned_levels": pruned_levels,
         "T": T,
         "delta_grid": delta_grid,
         "eps1": eps1,
-        "beta": beta,
         "levels": int(levels.size),
         "n_search": n_search,
         "n_point": n_point,

@@ -193,6 +193,46 @@ def test_winner_scan_matches_naive_reference(k):
     np.testing.assert_array_equal(sp.w, fp.z)
 
 
+def test_constant_reserve_array_equals_the_scalar_reserve():
+    m = atom_model(3)
+    n = 5000
+    for r in (0.0, 0.5, 1.0):
+        rs = np.full(n, r)
+        a = fp_partial_winners(m, r, n, np.random.default_rng(6))
+        b = fp_partial_winners(m, rs, n, np.random.default_rng(6))
+        assert a.tobytes() == b.tobytes()
+        (wa, qa), (wb, qb) = (sp_partial_outcomes(m, r, n, np.random.default_rng(6)),
+                              sp_partial_outcomes(m, rs, n, np.random.default_rng(6)))
+        assert wa.tobytes() == wb.tobytes() and qa.tobytes() == qb.tobytes()
+
+
+def test_reserve_array_sets_one_reserve_per_probe():
+    m = atom_model(3)
+    n = 6000
+    rs = np.repeat([0.2, 0.5, 0.8], n // 3)
+    x = _bid_matrix(m, n, np.random.default_rng(7))
+    _, ref_winners, second = reference_outcomes(x, rs)
+    winners = fp_partial_winners(m, rs, n, np.random.default_rng(7))
+    np.testing.assert_array_equal(winners, ref_winners)
+    winners, q = sp_partial_outcomes(m, rs, n, np.random.default_rng(7))
+    np.testing.assert_array_equal(winners, ref_winners)
+    np.testing.assert_array_equal(q, second <= rs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.1, 1.1])
+def test_reserve_array_rejects_bad_entries(bad):
+    m = uniform_model()
+    rs = np.full(100, 0.5)
+    rs[37] = bad
+    for probe in (fp_partial_winners, sp_partial_outcomes):
+        with pytest.raises(ValidationError, match="reserve must lie in"):
+            probe(m, rs, 100, np.random.default_rng(0))
+        with pytest.raises(ValidationError, match="one reserve per probe"):
+            probe(m, np.full(99, 0.5), 100, np.random.default_rng(0))
+        with pytest.raises(ValidationError, match="reserve must lie in"):
+            probe(m, bad, 100, np.random.default_rng(0))
+
+
 def test_bid_matrix_stream_contract():
     # one child stream per bidder per call, spawned from the generator (or
     # from SeedSequence(seed)) and filled in bidder order

@@ -203,7 +203,13 @@ def reference_density_ppf(d, q):
         t_quad = (np.sqrt(disc) - f0) / slope
         t_lin = rem / f0
     t = np.where(np.abs(slope) > 1e-14, t_quad, t_lin)
-    return np.clip(x0 + t, 0.0, 1.0)
+    out = x0 + t
+    # changed from the pre-kernel formula for 0/0 only (a level equal to the
+    # total mass on a trailing zero-density piece), which gave nan: it is the
+    # first knot where the CDF reaches the level, the generalised inverse
+    gap = np.isnan(out)
+    out[gap] = d.knots[np.searchsorted(d._cum, qv[gap], side="left")]
+    return np.clip(out, 0.0, 1.0)
 
 
 def assert_same_bits(a, b):
@@ -309,6 +315,18 @@ def test_density_ppf_matches_reference_on_each_branch():
     }
     for d in models.values():
         assert_density_ppf_matches_reference(d, rng.random(3000))
+
+
+def test_density_ppf_of_the_total_mass_skips_a_zero_tail():
+    # a trailing zero-density piece made ppf(1.0) 0/0 = nan; the generalised
+    # inverse inf{x : F(x) >= 1} is where the zero tail starts
+    one_piece = density_model([0.0, 0.5, 0.75, 1.0], [2, 2, 0, 0])
+    two_pieces = density_model([0.0, 0.5, 0.75, 0.9, 1.0], [2, 2, 0, 0, 0])
+    for d in (one_piece, two_pieces):
+        assert d._cum[-1] == 1.0
+        assert d.ppf(1.0) == 0.75
+        assert d.ppf([0.2, 1.0, 1.0]).tolist() == [d.ppf(0.2), 0.75, 0.75]
+        assert d.cdf(0.75) == 1.0 and d.cdf(0.75 - 1e-6) < 1.0
 
 
 # -- serialization ------------------------------------------------------------

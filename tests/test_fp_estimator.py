@@ -15,9 +15,12 @@ from auctionmetrics.auction_sim import (
 from auctionmetrics.dist_core import kolmogorov, uniform_cdf, wasserstein1
 from auctionmetrics.errors import ValidationError
 from auctionmetrics.fp_estimator import (
+    _BATCH_COLUMNS,
     DensityEstimate,
     FpEstimatorConfig,
     _ghat_to_cdf,
+    _OracleBudget,
+    _search_below,
     _win_frequencies,
     density_bandwidth,
     empirical_H,
@@ -235,6 +238,89 @@ def test_quantile_search_respects_bounds():
     assert found == pytest.approx(0.9, abs=1e-3)
 
 
+def reference_search(estimate, target, T, eps1, lo=0.0, hi=1.0):
+    """The scalar search as it was before it was vectorised."""
+    mid = 0.5 * (lo + hi)
+    for _ in range(T):
+        mid = 0.5 * (lo + hi)
+        val = estimate(mid)
+        if abs(val - target) <= eps1 / 2.0:
+            return mid
+        if val > target:
+            hi = mid
+        else:
+            lo = mid
+    return mid
+
+
+def staircase_reading(x):
+    # deterministic monotone readings on a coarse staircase: many targets
+    # land inside the stop band early, others run all T steps
+    return np.floor(np.asarray(x) * 37.0) / 37.0
+
+
+@pytest.mark.parametrize("T,eps1,lo", [(13, 0.02, 0.0), (6, 1e-9, 0.0), (1, 0.5, 0.0),
+                                       (9, 0.01, 0.5), (40, 1e-12, 0.1)])
+def test_vectorised_search_equals_the_scalar_search_per_target(T, eps1, lo):
+    targets = np.concatenate([np.linspace(0.0, 1.0, 97), [0.5, 1.0 - 1e-9]])
+    sizes = []
+
+    def batched(xs):
+        sizes.append(xs.size)
+        return staircase_reading(xs)
+
+    got = noisy_quantile_search(batched, targets, T, eps1, lo=lo)
+
+    def scalar_run(search):
+        args = []
+
+        def scalar(x):
+            args.append(x)
+            return float(staircase_reading(x))
+
+        found = [search(scalar, u, T, eps1, lo=lo) for u in targets]
+        return np.array(found), args
+
+    ref, ref_args = scalar_run(reference_search)
+    found, args = scalar_run(noisy_quantile_search)
+    assert got.tobytes() == ref.tobytes() == found.tobytes()
+    # a scalar target makes the old call sequence, with plain floats; the
+    # vectorised search makes one call per step with the midpoints of the
+    # targets still searching
+    assert args == ref_args and all(type(x) is float for x in args)
+    assert sizes[0] == targets.size and len(sizes) <= T
+    assert sum(sizes) == len(args)
+    if T == 13:
+        assert sizes[-1] < targets.size  # some targets stopped early
+
+
+@pytest.mark.parametrize("ulps,offset", [(0, 0.0), (-1, 0.0), (1, 0.0), (0, 2.3e-4)])
+def test_search_below_prunes_only_what_the_ceiling_decides(ulps, offset):
+    # readings capped at the ceiling: the pruned search must equal the plain
+    # per-target search exactly, also with the ceiling on the lower edge of a
+    # level's stop band, where rounding decides whether the level can stop
+    T, eps1 = 13, 0.000390625
+    levels = np.unique(np.append(np.arange(0.25, 1.0, 0.0015625), 1.0))
+    ceiling = float(levels[161] - eps1 / 2.0) + offset
+    for _ in range(abs(ulps)):
+        ceiling = float(np.nextafter(ceiling, ulps))
+    probed = []
+
+    def capped(xs):
+        probed.append(xs.size)
+        return np.minimum(xs, ceiling)
+
+    got, pruned = _search_below(capped, ceiling, levels, T, eps1)
+    ref = [reference_search(lambda x: min(x, ceiling), u, T, eps1) for u in levels]
+    assert got.tobytes() == np.array(ref).tobytes()
+    blind = [u for u in levels if not abs(ceiling - u) <= eps1 / 2.0 and not ceiling > u]
+    assert pruned == len(blind) > 300
+    assert probed[0] == levels.size - pruned  # pruned levels are never probed
+    # a pruned level's value is the search's under the ceiling reading
+    at_ceiling = [reference_search(lambda x: ceiling, u, T, eps1) for u in blind]
+    assert got[levels.size - pruned:].tolist() == at_ceiling == [1.0 - 2.0 ** -T] * pruned
+
+
 # -- reserve-price probes -------------------------------------------------------
 
 
@@ -252,13 +338,50 @@ def test_win_frequencies_equal_the_means_bit_for_bit():
         assert freq[i] == (winners == i).mean()
 
 
+def test_batched_frequencies_equal_per_row_bincounts():
+    n = 7001
+    rs = np.repeat([0.2, 0.6, 0.9], n)
+    winners = fp_partial_winners(uniform_model(3), rs, rs.size, np.random.default_rng(3))
+    freq = _win_frequencies(winners.reshape(3, n), 3)
+    assert freq.shape == (3, 5)
+    for row, f in zip(winners.reshape(3, n), freq):
+        assert f.tobytes() == (np.bincount(row, minlength=5) / n).tobytes()
+
+
+def test_budget_batches_reserves_in_order_under_the_column_cap():
+    oracle = make_fp_partial_oracle(uniform_model())
+    xs = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
+    n = _BATCH_COLUMNS // 2  # two reserves per oracle call
+    budget = _OracleBudget(oracle, 2, np.random.default_rng(4))
+    freq = budget.frequencies(xs, n)
+    assert (budget.calls, budget.batches) == (5 * n, 3)
+    rng = np.random.default_rng(4)
+    rows = []
+    for chunk in (xs[:2], xs[2:4], xs[4:]):
+        winners = oracle(np.repeat(chunk, n), chunk.size * n, rng)
+        rows += [np.bincount(w, minlength=4) / n for w in winners.reshape(chunk.size, n)]
+    assert freq.tobytes() == np.array(rows).tobytes()
+
+
+@pytest.mark.parametrize("size", ["n_search", "n_point", "n_base"])
+def test_fp_partial_estimate_rejects_empty_probe_batches(size):
+    oracle = make_fp_partial_oracle(uniform_model())
+    with pytest.raises(ValidationError, match="must be >= 1"):
+        fp_partial_estimate(oracle, 2, p=0.5, gamma=0.5, eps=0.2, **{size: 0})
+
+
 def test_fp_partial_estimate_is_pinned_per_seed():
-    # the hash was taken before the oracle's sampling kernel was rewritten
-    # (single-pass ppf, fused winner scan, one bincount per probe); a kernel
-    # change that moves any draw or rounding changes it
+    # re-pinned when the level searches were batched: the probes of many
+    # reserves now share one oracle call (one spawn(k) per call), so each
+    # probe draws from a different child stream than before, and the H_i
+    # levels above base_freq[i] are no longer probed (602200 draws before,
+    # 351600 now; beta left the diagnostics). A change that moves any draw,
+    # batch boundary or rounding changes the hash.
     oracle = make_fp_partial_oracle(uniform_model())
     cdfs, diag = fp_partial_estimate(oracle, 2, p=0.5, gamma=0.5, eps=0.2, seed=1,
                                      n_search=200, n_point=2000, n_base=20000)
-    assert diag["oracle_calls"] == 602200
+    assert diag["oracle_calls"] == 351600
+    assert (diag["oracle_batches"], diag["pruned_levels"]) == (25, 120)
+    assert "beta" not in diag
     assert estimate_digest(cdfs, diag) == (
-        "41bad70b165cab08ab9c08058615575d874415fbcc2e42b502a4bcd0bf6ba277")
+        "c3dc59dbf0fc871fc3150dc58599f8c54ad2cb3054de5ddf0a6ecc5dfb837bd4")
