@@ -2,9 +2,8 @@
 
 from .auction_sim import (
     AuctionModel,
-    FpSampleSet,
     InverseBidProfile,
-    SpSampleSet,
+    SampleSet,
     lower_bound_fixture,
     make_fp_partial_oracle,
     make_sp_partial_oracle,
@@ -18,7 +17,7 @@ from .dist_core import (
     STEP,
     BoundedDensityModel,
     PiecewiseCdf,
-    SubCdf,
+    StepFunction,
     dkw_band,
     empirical_cdf,
     kolmogorov,
@@ -60,14 +59,13 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
     "FpEstimatorConfig",
-    "FpSampleSet",
     "InverseBidProfile",
     "LINEAR",
     "PiecewiseCdf",
     "STEP",
+    "SampleSet",
     "SpParams",
-    "SpSampleSet",
-    "SubCdf",
+    "StepFunction",
     "ValidationError",
     "ValueEstimatorConfig",
     "best_response",

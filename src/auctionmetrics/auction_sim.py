@@ -8,12 +8,16 @@ lower-bound experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dist_core import LINEAR, BoundedDensityModel, PiecewiseCdf
 from .errors import EstimationError, ValidationError
+
+# The auction format of a sample set: first price or second price.
+FORMAT_FP = "fp"
+FORMAT_SP = "sp"
 
 
 @dataclass(eq=False)
@@ -53,10 +57,6 @@ class AuctionModel:
         d = self.bid_dists[i - 1]
         return d if isinstance(d, PiecewiseCdf) else d.to_cdf()
 
-    def bid_cdf_eval(self, i, x):
-        d = self.bid_dists[i - 1]
-        return d.eval(x) if isinstance(d, PiecewiseCdf) else d.cdf(x)
-
     def to_dict(self):
         def enc(d):
             out = d.to_dict()
@@ -94,44 +94,26 @@ class AuctionModel:
         )
 
 
-@dataclass(frozen=True)
-class FpObservation:
-    y: float
-    z: int
-
-
-@dataclass(frozen=True)
-class SpObservation:
-    y: float
-    w: int
-
-
-@dataclass(frozen=True)
-class PartialFpObservation:
-    r: float
-    z: int
-
-
-@dataclass(frozen=True)
-class PartialSpObservation:
-    r: float
-    z: int
-    q: bool
-
-
 @dataclass(eq=False)
-class FpSampleSet:
-    """First-price observation log: winning bid y and winner index z (1-based)."""
+class SampleSet:
+    """Sample log of one auction: price y and winner index z (1-based).
+
+    ``auction`` is ``FORMAT_FP``, where y is the winning bid, or
+    ``FORMAT_SP``, where y is the second-highest bid.
+    """
 
     y: np.ndarray
     z: np.ndarray
     k: int
+    auction: str
     seed: int | None = None
     model_id: str | None = None
 
     def __post_init__(self):
         self.y = np.ascontiguousarray(self.y, dtype=np.float64)
         self.z = np.ascontiguousarray(self.z, dtype=np.int64)
+        if self.auction not in (FORMAT_FP, FORMAT_SP):
+            raise ValidationError(f"unknown auction format {self.auction!r}")
         if self.y.shape != self.z.shape or self.y.ndim != 1:
             raise ValidationError("y and z must be 1-D arrays of equal length")
         if self.y.size and (self.y.min() < 0 or self.y.max() > 1):
@@ -143,30 +125,11 @@ class FpSampleSet:
     def n(self):
         return self.y.size
 
-
-@dataclass(eq=False)
-class SpSampleSet:
-    """Second-price observation log: price y (second-highest bid) and winner w."""
-
-    y: np.ndarray
-    w: np.ndarray
-    k: int
-    seed: int | None = None
-    model_id: str | None = None
-
-    def __post_init__(self):
-        self.y = np.ascontiguousarray(self.y, dtype=np.float64)
-        self.w = np.ascontiguousarray(self.w, dtype=np.int64)
-        if self.y.shape != self.w.shape or self.y.ndim != 1:
-            raise ValidationError("y and w must be 1-D arrays of equal length")
-        if self.y.size and (self.y.min() < 0 or self.y.max() > 1):
-            raise ValidationError("prices must lie in [0,1]")
-        if self.w.size and (self.w.min() < 1 or self.w.max() > self.k):
-            raise ValidationError("winner indices must lie in 1..k")
-
-    @property
-    def n(self):
-        return self.y.size
+    def require(self, auction):
+        """Raise ``ValidationError`` unless the log is of ``auction``."""
+        if self.auction != auction:
+            raise ValidationError(
+                f"expected a {auction!r} sample set, got a {self.auction!r} one")
 
 
 def _bid_matrix(model, n, rng_or_seed):
@@ -220,15 +183,17 @@ def simulate_fp(model, n, seed):
     if n < 1:
         raise ValidationError("n must be >= 1")
     y, z, _ = _scan_bids(_bid_matrix(model, n, seed))
-    return FpSampleSet(y=y, z=z, k=model.k, seed=_seed_int(seed), model_id=model.model_id)
+    return SampleSet(y=y, z=z, k=model.k, auction=FORMAT_FP, seed=_seed_int(seed),
+                     model_id=model.model_id)
 
 
 def simulate_sp(model, n, seed):
     """n draws of (second-highest bid, argmax bidder)."""
     if n < 1:
         raise ValidationError("n must be >= 1")
-    _, w, y = _scan_bids(_bid_matrix(model, n, seed), second=True)
-    return SpSampleSet(y=y, w=w, k=model.k, seed=_seed_int(seed), model_id=model.model_id)
+    _, z, y = _scan_bids(_bid_matrix(model, n, seed), second=True)
+    return SampleSet(y=y, z=z, k=model.k, auction=FORMAT_SP, seed=_seed_int(seed),
+                     model_id=model.model_id)
 
 
 def _seed_int(seed):
@@ -354,21 +319,6 @@ class InverseBidProfile:
     def alpha(self, i, b):
         """Interpolated alpha_i(b) (1-based bidder index)."""
         return np.interp(b, self.grid, self.alphas[i - 1])
-
-
-def _value_cdf_pdf(dist):
-    if isinstance(dist, BoundedDensityModel):
-        return dist.cdf, dist.pdf
-    if isinstance(dist, PiecewiseCdf) and dist.interpolation == LINEAR:
-        bp, vals = dist.breakpoints, dist.values
-        slopes = np.diff(vals) / np.diff(bp)
-
-        def pdf(x):
-            idx = np.clip(np.searchsorted(bp, x, side="right") - 1, 0, slopes.size - 1)
-            return slopes[idx]
-
-        return dist.eval, pdf
-    raise ValidationError("equilibrium solving needs value distributions with densities")
 
 
 def _fast_scalar_cdf_pdf(dist):
@@ -521,7 +471,9 @@ def equilibrium_residual(profile, model, i, b_points):
     Checks sum_{j != i} d/db log G_j(alpha_j(b)) - 1/(alpha_i(b) - b) by
     central finite differences on the solved grid.
     """
-    G = [_value_cdf_pdf(d)[0] for d in model.value_dists]
+    # the vectorised CDFs, not the solver's scalar closures, so that the
+    # residual checks the solver independently of the closures it used
+    G = [d.cdf if isinstance(d, BoundedDensityModel) else d.eval for d in model.value_dists]
     bs = profile.grid
     res = []
     for b in np.atleast_1d(b_points):

@@ -57,7 +57,6 @@ def build_parser():
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--lipschitz", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -91,7 +90,6 @@ def build_parser():
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--lipschitz", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -122,7 +120,7 @@ def _cmd_simulate(args):
         samples = simulate_fp(model, args.n, args.seed)
     else:
         samples = simulate_sp(model, args.n, args.seed)
-    io.io_write_samples(args.out, samples, args.format)
+    io.io_write_samples(args.out, samples)
 
 
 def _cmd_estimate_fp(args):
@@ -162,7 +160,7 @@ def _cmd_estimate_fp_partial(args):
     oracle = make_fp_partial_oracle(model)
     cdfs, diag = fp_estimator.fp_partial_estimate(
         oracle, model.k, args.p, args.gamma, args.eps,
-        delta=args.delta, lipschitz_L=args.lipschitz, seed=args.seed,
+        lipschitz_L=args.lipschitz, seed=args.seed,
     )
     io.io_write_cdfs(args.out, cdfs, diag)
 
@@ -199,7 +197,7 @@ def _cmd_estimate_sp_partial(args):
     oracle = make_sp_partial_oracle(model)
     cdfs, diag = sp_estimator.sp_partial_estimate(
         oracle, args.p, args.gamma, args.eps,
-        delta=args.delta, lipschitz_L=args.lipschitz, seed=args.seed,
+        lipschitz_L=args.lipschitz, seed=args.seed,
     )
     io.io_write_cdfs(args.out, cdfs, diag)
 

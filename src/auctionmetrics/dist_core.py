@@ -4,7 +4,10 @@ Everything downstream works with monotone piecewise functions on the unit
 interval: full CDFs, sub-CDFs (terminal value below one), and bounded
 piecewise-linear densities for ground-truth models. Estimators produce step
 functions; linear interpolation exists only so that smooth ground truths can
-be represented and compared against.
+be represented and compared against. ``StepFunction`` is the one step
+primitive: the empirical tail sums of both estimators are step functions with
+unconstrained values, and the step branch of ``PiecewiseCdf`` evaluates
+through its kernel.
 
 Three distances are provided: Kolmogorov (sup norm), Wasserstein-1 (L1 norm of
 the CDF difference, by the one-dimensional Kantorovich identity), and Levy
@@ -62,6 +65,56 @@ def _piece_index(keys, q, side):
     return idx.clip(0, keys.size - 2, out=idx)
 
 
+def _step_lookup(breakpoints, values, left_value, x, side):
+    """``left_value`` before the first breakpoint, else the value of the last
+    breakpoint below ``x`` (side "left") or at or below it (side "right")."""
+    idx = np.searchsorted(breakpoints, x, side=side)
+    if not values.size:
+        return np.full(idx.shape, left_value)
+    idx -= 1
+    return np.where(idx >= 0, values[np.maximum(idx, 0)], left_value)
+
+
+@dataclass(frozen=True, eq=False)
+class StepFunction:
+    """Right-continuous step function with unconstrained values.
+
+    It equals ``left_value`` below ``breakpoints[0]`` and ``values[i]`` on
+    ``[breakpoints[i], breakpoints[i+1])``. The breakpoints are strictly
+    ascending and may be empty, for a function that is ``left_value``
+    everywhere.
+    """
+
+    breakpoints: np.ndarray
+    values: np.ndarray
+    left_value: float = 0.0
+
+    def __post_init__(self):
+        bp = _as_array(self.breakpoints)
+        vals = _as_array(self.values)
+        if bp.ndim != 1 or vals.ndim != 1 or bp.shape != vals.shape:
+            raise ValidationError("breakpoints and values must be 1-D arrays of equal length")
+        if np.any(np.diff(bp) <= 0):
+            raise ValidationError("breakpoints must be strictly ascending")
+        object.__setattr__(self, "breakpoints", bp)
+        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "left_value", float(self.left_value))
+
+    def eval(self, x):
+        """Value at scalar or array ``x`` (right-continuous)."""
+        return self._lookup(x, "right")
+
+    def eval_left(self, x):
+        """Left limit at scalar or array ``x``."""
+        return self._lookup(x, "left")
+
+    def _lookup(self, x, side):
+        x = np.asarray(x, dtype=np.float64)
+        out = _step_lookup(self.breakpoints, self.values, self.left_value,
+                           np.atleast_1d(x), side)
+        return float(out[0]) if x.ndim == 0 else out
+
+
 class _LinearSegments(NamedTuple):
     """Per-segment slopes of the linear inverse x0 + clip((q - v0) / dv, 0, 1) * dx."""
 
@@ -117,8 +170,7 @@ class PiecewiseCdf:
         scalar = x.ndim == 0
         xq = np.minimum(np.atleast_1d(x), 1.0)
         if self.interpolation == STEP:
-            idx = np.searchsorted(self.breakpoints, xq, side="right") - 1
-            out = np.where(idx >= 0, self.values[np.maximum(idx, 0)], 0.0)
+            out = _step_lookup(self.breakpoints, self.values, 0.0, xq, "right")
         else:
             out = np.interp(xq, self.breakpoints, self.values,
                             left=self.values[0], right=self.values[-1])
@@ -131,8 +183,7 @@ class PiecewiseCdf:
         scalar = x.ndim == 0
         xq = np.minimum(np.atleast_1d(x), 1.0)
         if self.interpolation == STEP:
-            idx = np.searchsorted(self.breakpoints, xq, side="left") - 1
-            out = np.where(idx >= 0, self.values[np.maximum(idx, 0)], 0.0)
+            out = _step_lookup(self.breakpoints, self.values, 0.0, xq, "left")
             out = np.where(np.atleast_1d(x) <= 0.0, 0.0, out)
         else:
             out = np.interp(xq, self.breakpoints, self.values,
@@ -213,10 +264,6 @@ class PiecewiseCdf:
 def repr_round(v):
     """Round-trip a float through a 17-significant-digit decimal."""
     return float(f"{float(v):.17g}")
-
-
-# A sub-CDF is structurally a PiecewiseCdf whose terminal value may be < 1.
-SubCdf = PiecewiseCdf
 
 
 def sub_cdf(breakpoints, values, interpolation=STEP):
@@ -330,11 +377,14 @@ class BoundedDensityModel:
             t[on_line] = _linear_root(pieces, rem[on_line], idx[on_line])
         np.add(t, self.knots[idx], out=t)
         if pieces.flat_zero:
-            # 0/0 is a level equal to the total mass, clipped onto a trailing
-            # zero-density piece; its generalised inverse is the first knot
-            # where the CDF reaches it, the left knot of the zero tail
-            gap = np.isnan(t)
-            t[gap] = self.knots[np.searchsorted(self._cum, qv[gap], side="left")]
+            # a positive level equal to the mass up to a zero-density plateau
+            # lands on the piece after it, and one equal to the total mass,
+            # clipped onto a trailing zero piece, gives 0/0; the generalised
+            # inverse of either is the first knot where the CDF reaches the
+            # level (level 0 keeps the start of the support)
+            first = np.searchsorted(self._cum, qv, side="left")
+            gap = ((first < idx) & (qv > 0.0)) | np.isnan(t)
+            t[gap] = self.knots[first[gap]]
         out = t.clip(0.0, 1.0, out=t)
         return float(out[0]) if scalar else out
 
@@ -376,16 +426,6 @@ class BoundedDensityModel:
             eta_hi=d["eta_hi"],
             lipschitz=d.get("lipschitz"),
         )
-
-
-def cdf_eval(F, x):
-    """Evaluate a CDF-like object at x (module-level convenience)."""
-    return F.eval(x) if isinstance(F, PiecewiseCdf) else F.cdf(x)
-
-
-def cdf_inverse(F, q):
-    """Generalized inverse inf{x : F(x) >= q}."""
-    return F.ppf(q)
 
 
 def sample(F, rng, size=None):

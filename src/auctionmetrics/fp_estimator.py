@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .dist_core import STEP, PiecewiseCdf, empirical_cdf, sub_cdf
+from .auction_sim import FORMAT_FP
+from .dist_core import STEP, PiecewiseCdf, StepFunction, empirical_cdf
 from .errors import EstimationError, ValidationError
 
 
@@ -28,14 +29,13 @@ class FpEstimatorConfig:
     """Effective-support estimation parameters.
 
     (p, gamma) declare Pr(Y <= p) >= gamma; eps is the target sup accuracy on
-    [p, 1] (valid range (0, gamma/2]); delta the failure probability; h_floor
-    clips the empirical denominator (default gamma/2).
+    [p, 1] (valid range (0, gamma/2]); h_floor clips the empirical
+    denominator (default gamma/2).
     """
 
     p: float
     gamma: float
     eps: float
-    delta: float = 0.05
     h_floor: float | None = None
 
     def __post_init__(self):
@@ -45,8 +45,6 @@ class FpEstimatorConfig:
             raise ValidationError("gamma must lie in (0,1]")
         if not 0.0 < self.eps <= self.gamma / 2.0 + 1e-12:
             raise ValidationError("eps must lie in (0, gamma/2]")
-        if not 0.0 < self.delta < 1.0:
-            raise ValidationError("delta must lie in (0,1)")
         if self.h_floor is not None and self.h_floor <= 0.0:
             raise ValidationError("h_floor must be positive")
 
@@ -62,45 +60,16 @@ def empirical_H(samples):
     return empirical_cdf(samples.y)
 
 
-def empirical_Hi(samples, i):
-    """Winner-i sub-CDF: (1/n) #{j : Y_j <= x, Z_j = i}."""
-    if not 1 <= i <= samples.k:
-        raise ValidationError("bidder index out of range")
-    mask = samples.z == i
-    ys = np.sort(samples.y[mask])
-    if ys.size == 0:
-        return sub_cdf([0.0], [0.0])
-    uniq, counts = np.unique(ys, return_counts=True)
-    vals = np.cumsum(counts) / samples.n
-    return sub_cdf(uniq, vals)
-
-
-@dataclass(eq=False)
-class GHat:
-    """Nonincreasing step function G-hat_i, evaluated lazily.
-
-    ``ys`` are the sorted prices won by bidder i, ``suffix[m]`` the summed
-    weights of samples with price >= ys[m] (so eval includes equality).
-    """
-
-    ys: np.ndarray
-    suffix: np.ndarray
-
-    def eval(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        scalar = x.ndim == 0
-        idx = np.searchsorted(self.ys, np.atleast_1d(x), side="left")
-        ext = np.concatenate([self.suffix, [0.0]])
-        out = ext[idx]
-        return float(out[0]) if scalar else out
-
-    @property
-    def total(self):
-        return float(self.suffix[0]) if self.suffix.size else 0.0
-
-
 def estimate_ghat(samples, i, config):
-    """The weighted tail sum G-hat_i from a first-price sample set."""
+    """The weighted tail sum G-hat_i from a first-price sample set.
+
+    G-hat_i(x), the sum over Y_j >= x, is the left limit (``eval_left``) of
+    the returned step function: it is the total weight below the first price
+    bidder i won, and on [ys[m], ys[m+1]) the weight of prices above ys[m].
+    Its ``eval`` is not G-hat_i: at a won price it leaves out that price's
+    own weight.
+    """
+    samples.require(FORMAT_FP)
     if not 1 <= i <= samples.k:
         raise ValidationError("bidder index out of range")
     n = samples.n
@@ -110,6 +79,8 @@ def estimate_ghat(samples, i, config):
     hhat_at_y = np.searchsorted(order, samples.y, side="right") / n
     weights = 1.0 / (n * np.maximum(hhat_at_y, config.floor))
     mask = samples.z == i
+    if not mask.any():  # bidder i never wins: G-hat_i is 0
+        return StepFunction([], [])
     ys = samples.y[mask]
     w = weights[mask]
     srt = np.argsort(ys, kind="stable")
@@ -117,20 +88,20 @@ def estimate_ghat(samples, i, config):
     w = w[srt]
     # collapse duplicates so the step representation stays canonical
     uniq, start = np.unique(ys, return_index=True)
-    sums = np.add.reduceat(w, start) if w.size else w
-    suffix = np.cumsum(sums[::-1])[::-1] if sums.size else sums
-    return GHat(ys=uniq, suffix=suffix)
+    suffix = np.cumsum(np.add.reduceat(w, start)[::-1])[::-1]
+    return StepFunction(uniq, np.append(suffix[1:], 0.0), left_value=suffix[0])
 
 
 def _ghat_to_cdf(ghat):
     """Materialize F-hat = exp(-G-hat) as a right-continuous staircase."""
-    if ghat.ys.size == 0:
+    ys = ghat.breakpoints
+    if ys.size == 0:
         return PiecewiseCdf([0.0], [1.0], interpolation=STEP, is_full_cdf=True)
     # value on [ys[m], ys[m+1}) is exp(-sum of weights strictly above ys[m])
-    above = np.concatenate([ghat.suffix[1:], [0.0]])
-    bp = np.concatenate([[0.0], ghat.ys]) if ghat.ys[0] > 0.0 else ghat.ys
-    vals = np.concatenate([[math.exp(-ghat.total)], np.exp(-above)]) \
-        if ghat.ys[0] > 0.0 else np.exp(-above)
+    above = ghat.values
+    bp = np.concatenate([[0.0], ys]) if ys[0] > 0.0 else ys
+    vals = np.concatenate([[math.exp(-ghat.left_value)], np.exp(-above)]) \
+        if ys[0] > 0.0 else np.exp(-above)
     vals = np.minimum.accumulate(vals[::-1])[::-1]  # guard rounding
     vals = np.clip(vals, 0.0, 1.0)
     vals[-1] = 1.0
@@ -167,14 +138,14 @@ def _zero_below(F, cut):
     return PiecewiseCdf(bp, vals[idx], interpolation=STEP, is_full_cdf=F.is_full_cdf)
 
 
-def estimate_bid_cdf_full(samples, lam, eps, delta=0.05):
+def estimate_bid_cdf_full(samples, lam, eps):
     """Full-support estimation: effective-support run plus a zero extension.
 
     Uses eta = eps/2, p = eta, gamma = (lam*eta)^k; the returned staircases
     are zeroed below eta, targeting Wasserstein error <= eps.
     """
     eta, p, gamma = full_support_params(samples.k, lam, eps)
-    config = FpEstimatorConfig(p=p, gamma=gamma, eps=gamma / 2.0, delta=delta)
+    config = FpEstimatorConfig(p=p, gamma=gamma, eps=gamma / 2.0)
     return [_zero_below(F, eta) for F in estimate_bid_cdf_effective(samples, config)]
 
 
@@ -195,11 +166,6 @@ class DensityEstimate:
         lo = self.cdf.eval(x)
         out = (hi - lo) / self.h
         return float(out) if x.ndim == 0 else out
-
-    def breakpoints(self):
-        bp = np.concatenate([self.cdf.breakpoints, self.cdf.breakpoints - self.h])
-        bp = np.unique(np.clip(bp, self.p, 1.0))
-        return np.union1d(bp, [self.p, 1.0])
 
 
 def estimate_density(fhat_cdf, h, p):
@@ -329,7 +295,7 @@ def _search_below(estimate, ceiling, targets, T, eps1):
     return out, int(blind.sum())
 
 
-def fp_partial_estimate(oracle, k, p, gamma, eps, delta=0.05, lipschitz_L=1.0,
+def fp_partial_estimate(oracle, k, p, gamma, eps, lipschitz_L=1.0,
                         seed=0, n_search=2000, n_point=30000, n_base=200000):
     """Bid-CDF estimation from adaptive reserve-price probes.
 

@@ -13,11 +13,11 @@ compounding k-1 separate CDF errors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .auction_sim import SampleSet
 from .dist_core import STEP, PiecewiseCdf
 from .errors import ValidationError
 from .fp_estimator import FpEstimatorConfig, estimate_ghat, _ghat_to_cdf, full_support_params
@@ -39,7 +39,6 @@ class ValueEstimatorConfig:
     gamma: float
     eps: float
     zeta: float
-    delta: float = 0.05
     lipschitz_L: float | None = None
     d: float | None = None
     search_lo: float = 0.0
@@ -134,9 +133,7 @@ def estimate_value_cdf_effective(samples, config):
     """
     k = samples.k
     eps1, eps0 = calibration_constants(config, k)
-    fp_config = FpEstimatorConfig(
-        p=config.p, gamma=config.gamma, eps=config.gamma / 2.0, delta=config.delta
-    )
+    fp_config = FpEstimatorConfig(p=config.p, gamma=config.gamma, eps=config.gamma / 2.0)
     cdfs = []
     repairs = []
     for i in range(1, k + 1):
@@ -160,13 +157,12 @@ def estimate_value_cdf_effective(samples, config):
 
 def _relabel_rest(samples, i):
     """View the sample as a two-agent auction: agent 1 = bidder i, agent 2 = rest."""
-    from .auction_sim import FpSampleSet
-
     z2 = np.where(samples.z == i, 1, 2)
-    return FpSampleSet(y=samples.y, z=z2, k=2, seed=samples.seed, model_id=samples.model_id)
+    return SampleSet(y=samples.y, z=z2, k=2, auction=samples.auction, seed=samples.seed,
+                     model_id=samples.model_id)
 
 
-def estimate_value_cdf_full(samples, lam, eps, zeta, lipschitz_L=None, delta=0.05):
+def estimate_value_cdf_full(samples, lam, eps, zeta, lipschitz_L=None):
     """Full-support value estimation via the effective-support reduction.
 
     Lipschitz case: eta = eps/2, p = eta, gamma = (lam*eta)^k, Wasserstein
@@ -187,8 +183,7 @@ def estimate_value_cdf_full(samples, lam, eps, zeta, lipschitz_L=None, delta=0.0
                 "effective-support mass underflows; increase eps or reduce k"
             )
     config = ValueEstimatorConfig(
-        p=p, gamma=gamma, eps=eps, zeta=zeta, delta=delta,
-        lipschitz_L=lipschitz_L, d=d,
+        p=p, gamma=gamma, eps=eps, zeta=zeta, lipschitz_L=lipschitz_L, d=d,
     )
     return estimate_value_cdf_effective(samples, config)
 

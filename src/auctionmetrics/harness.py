@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import ks_2samp
 
-from . import dist_core, fp_estimator, fp_value, sp_estimator
+from . import fp_estimator, fp_value, sp_estimator
 from .auction_sim import lower_bound_fixture, simulate_fp, simulate_sp
 from .dist_core import dkw_band, kolmogorov, levy, wasserstein1
 from .errors import ValidationError

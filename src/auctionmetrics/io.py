@@ -13,20 +13,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .auction_sim import AuctionModel, FpSampleSet, SpSampleSet
+from .auction_sim import FORMAT_FP, FORMAT_SP, AuctionModel, SampleSet
 from .dist_core import PiecewiseCdf
 from .errors import ValidationError
-
-FORMAT_FP = "fp"
-FORMAT_SP = "sp"
-FORMAT_FP_PARTIAL = "fp-partial"
-FORMAT_SP_PARTIAL = "sp-partial"
 
 _HEADERS = {
     FORMAT_FP: ["y", "z"],
     FORMAT_SP: ["y", "w"],
-    FORMAT_FP_PARTIAL: ["r", "z"],
-    FORMAT_SP_PARTIAL: ["r", "z", "q"],
 }
 
 
@@ -34,18 +27,12 @@ def fmt_float(v):
     return f"{float(v):.17g}"
 
 
-def io_write_samples(path, samples, fmt):
-    rows = None
-    if fmt == FORMAT_FP:
-        rows = zip(samples.y, samples.z)
-    elif fmt == FORMAT_SP:
-        rows = zip(samples.y, samples.w)
-    else:
-        raise ValidationError(f"unsupported sample format {fmt!r}")
+def io_write_samples(path, samples):
+    """Write a sample log as CSV, headed by the columns of its auction."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_HEADERS[fmt])
-        for y, idx in rows:
+        writer.writerow(_HEADERS[samples.auction])
+        for y, idx in zip(samples.y, samples.z):
             writer.writerow([fmt_float(y), int(idx)])
 
 
@@ -81,11 +68,7 @@ def io_read_samples(path, fmt, k):
             idxs.append(idx)
     if not ys:
         raise ValidationError(f"{path}: no data rows")
-    y = np.asarray(ys)
-    z = np.asarray(idxs)
-    if fmt == FORMAT_FP:
-        return FpSampleSet(y=y, z=z, k=k)
-    return SpSampleSet(y=y, w=z, k=k)
+    return SampleSet(y=np.asarray(ys), z=np.asarray(idxs), k=k, auction=fmt)
 
 
 def io_write_cdfs(path, cdfs, diagnostics=None):

@@ -19,17 +19,15 @@ identity Pr(reserve binds with j winning or unsold) = prod_{l != j} F_l(x).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dist_core import STEP, PiecewiseCdf, dkw_band, empirical_cdf, sub_cdf
+from .auction_sim import FORMAT_SP
+from .dist_core import STEP, PiecewiseCdf, StepFunction, dkw_band, sub_cdf
 from .errors import EstimationError, ValidationError
 from .fp_estimator import noisy_quantile_search
 from .isotonic import pav_nondecreasing
-
-RULE_JACOBIAN = "jacobian"
-RULE_PAPER = "paper"
 
 
 @dataclass(frozen=True)
@@ -40,9 +38,8 @@ class SpParams:
     theta trims the edges (estimates are pinned to 0/1 outside [theta, 1-theta]);
     nu is the grid start; micro_delta the micro-cell width; eps_g the uniform
     empirical-CDF tolerance; fp_iters the iteration count per macro-interval.
-    ``interval_rule`` selects the macro-interval budget: "jacobian" uses the
-    direct operator-norm bound of the discretized map over the state box (the
-    default; feasible at desk scale), "paper" the original conservative form.
+    The macro-interval budget is the direct operator-norm bound of the
+    discretized map over the state box (``_jacobian_budget``).
     """
 
     alpha: float
@@ -54,7 +51,6 @@ class SpParams:
     eps_g: float
     fp_iters: int
     contractivity_cap: float = 0.25
-    interval_rule: str = RULE_JACOBIAN
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= self.eta:
@@ -71,8 +67,6 @@ class SpParams:
             raise ValidationError("eps_g must be positive")
         if self.fp_iters < 0:
             raise ValidationError("fp_iters must be >= 0")
-        if self.interval_rule not in (RULE_JACOBIAN, RULE_PAPER):
-            raise ValidationError(f"unknown interval rule {self.interval_rule!r}")
 
     @classmethod
     def desk(cls, alpha, eta, eps, n, **overrides):
@@ -144,24 +138,13 @@ class FixedPointState:
             raise ValidationError("U must be k x l with a matching V vector")
 
 
-@dataclass(eq=False)
-class CoarseU:
-    """Monotone step function: (1/n) sum 1/(1 - Y_j) over wins by bidder i."""
-
-    ys: np.ndarray
-    cum: np.ndarray
-
-    def eval(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        scalar = x.ndim == 0
-        idx = np.searchsorted(self.ys, np.atleast_1d(x), side="right")
-        ext = np.concatenate([[0.0], self.cum])
-        out = ext[idx]
-        return float(out[0]) if scalar else out
-
-
 class CallableEval:
-    """Adapter exposing .eval for closed-form population callbacks."""
+    """Adapter exposing .eval for closed-form population callbacks.
+
+    The pipeline reads its G-hat and coarse-U inputs only through ``eval``,
+    so tests can substitute exact population functions for the empirical
+    step functions.
+    """
 
     def __init__(self, fn):
         self._fn = fn
@@ -175,12 +158,15 @@ class CallableEval:
 
 
 def empirical_G_sp(samples, i):
-    """Winner-i empirical sub-CDF of the price."""
+    """Winner-i empirical sub-CDF of the price: (1/n) #{j : Y_j <= x, Z_j = i}.
+
+    The same in both auction formats (H_i in first price, G_i in second).
+    """
     if samples.n == 0:
         raise ValidationError("empty sample")
     if not 1 <= i <= samples.k:
         raise ValidationError("bidder index out of range")
-    ys = np.sort(samples.y[samples.w == i])
+    ys = np.sort(samples.y[samples.z == i])
     if ys.size == 0:
         return sub_cdf([0.0], [0.0])
     uniq, counts = np.unique(ys, return_counts=True)
@@ -189,14 +175,22 @@ def empirical_G_sp(samples, i):
 
 
 def coarse_U(samples, i, theta):
-    """Weighted empirical proxy for U*_i, valid on [0, 1 - theta/4]."""
+    """Weighted empirical proxy for U*_i, valid on [0, 1 - theta/4].
+
+    The step function (1/n) sum 1/(1 - Y_j) over wins by bidder i with
+    Y_j <= x; a run of tied prices keeps the cumulative sum at its end.
+    """
     if samples.n == 0:
         raise ValidationError("empty sample")
-    mask = samples.w == i
+    mask = samples.z == i
     ys = samples.y[mask]
     weights = 1.0 / (samples.n * np.maximum(1.0 - ys, theta / 8.0))
     srt = np.argsort(ys, kind="stable")
-    return CoarseU(ys=ys[srt], cum=np.cumsum(weights[srt]))
+    ys = ys[srt]
+    cum = np.cumsum(weights[srt])
+    run_end = np.ones(ys.size, dtype=bool)
+    run_end[:-1] = ys[1:] != ys[:-1]
+    return StepFunction(ys[run_end], cum[run_end])
 
 
 def _h_clip_bounds(params, xs):
@@ -282,21 +276,14 @@ def _build_grid(ghat_list, coarse_list, params, k):
         prev = np.concatenate([[x_prev], xs[:-1]])
         deltas = np.vstack([g.eval(xs) - g.eval(prev) for g in ghat_list])
         deltas = np.maximum(deltas, 0.0)
-        if params.interval_rule == RULE_JACOBIAN:
-            coarse_vals = np.vstack([c.eval(xs) for c in coarse_list])
-            budget = _jacobian_budget(deltas, xs, coarse_vals, params, k)
-        else:
-            wt = xs / (1.0 - xs) ** 2
-            u_at_start = np.array([max(c.eval(x_prev), 1e-12) for c in coarse_list])
-            slack = 16.0 * (params.eta / params.alpha) ** 6
-            budget = (slack / u_at_start[:, None]
-                      * np.cumsum(deltas * wt[None, :], axis=1)).max(axis=0)
+        coarse_vals = np.vstack([c.eval(xs) for c in coarse_list])
+        budget = _jacobian_budget(deltas, xs, coarse_vals, params, k)
         ok = np.nonzero(budget <= params.contractivity_cap)[0]
         if ok.size == 0:
             raise EstimationError(
                 f"no admissible micro cell at x={x_prev:.6g} "
                 f"(first budget value {budget[0]:.6g} > {params.contractivity_cap})",
-                diagnostics={"endpoints": endpoints, "rule": params.interval_rule},
+                diagnostics={"endpoints": endpoints},
             )
         l = int(ok[-1] + 1)
         x_prev = x_prev + l * delta
@@ -352,22 +339,6 @@ def fixed_point_map(state, tau, grid, ghat_list, coarse_list, params, ctx=None):
     integ = np.cumsum(ctx.deltas / (1.0 - H), axis=1)
     phi = np.clip(state.V[:, None] + integ, ctx.box_lo, ctx.box_hi)
     return FixedPointState(U=phi, V=state.V.copy())
-
-
-@dataclass(eq=False)
-class StepFunction:
-    """Right-continuous step function without the [0,1] value constraint."""
-
-    breakpoints: np.ndarray
-    values: np.ndarray
-    left_value: float = 0.0
-
-    def eval(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        scalar = x.ndim == 0
-        idx = np.searchsorted(self.breakpoints, np.atleast_1d(x), side="right") - 1
-        out = np.where(idx >= 0, self.values[np.maximum(idx, 0)], self.left_value)
-        return float(out[0]) if scalar else out
 
 
 def _random_box_state(box_lo, box_hi, V, rng):
@@ -500,7 +471,6 @@ def run_pipeline(ghat_list, coarse_list, params, k,
                        "theta": params.theta, "nu": params.nu,
                        "micro_delta": params.micro_delta, "eps_g": params.eps_g,
                        "fp_iters": params.fp_iters,
-                       "interval_rule": params.interval_rule,
                    }}
     return cdfs, utilde, diagnostics
 
@@ -511,6 +481,7 @@ def estimate_sp(samples, alpha, eta, eps, overrides=None,
 
     Returns (list of PiecewiseCdf, diagnostics).
     """
+    samples.require(FORMAT_SP)
     overrides = dict(overrides or {})
     params = SpParams.desk(alpha, eta, eps, n=samples.n, **overrides)
     ghat_list = [empirical_G_sp(samples, i) for i in range(1, samples.k + 1)]
@@ -548,7 +519,7 @@ def sp_partial_pointwise(oracle, x, n, rng=None, k=None):
     return np.clip(fhat, 0.0, 1.0), means
 
 
-def sp_partial_estimate(oracle, p, gamma, eps, delta=0.05, lipschitz_L=1.0,
+def sp_partial_estimate(oracle, p, gamma, eps, lipschitz_L=1.0,
                         seed=0, n_point=20000, k=None):
     """Staircase estimation of all F_j on [p,1] from reserve-price probes.
 

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from auctionmetrics.auction_sim import (
+    FORMAT_FP,
+    FORMAT_SP,
     AuctionModel,
-    FpSampleSet,
-    SpSampleSet,
+    SampleSet,
     _bid_matrix,
+    _fast_scalar_cdf_pdf,
     equilibrium_residual,
     fp_partial_winners,
     lower_bound_fixture,
@@ -60,9 +62,9 @@ def test_model_round_trip():
 
 def test_sample_set_validation():
     with pytest.raises(ValidationError):
-        FpSampleSet(y=np.array([0.5]), z=np.array([3]), k=2)
+        SampleSet(y=np.array([0.5]), z=np.array([3]), k=2, auction=FORMAT_FP)
     with pytest.raises(ValidationError):
-        SpSampleSet(y=np.array([1.5]), w=np.array([1]), k=2)
+        SampleSet(y=np.array([1.5]), z=np.array([1]), k=2, auction=FORMAT_SP)
 
 
 # -- simulation ---------------------------------------------------------------
@@ -106,7 +108,7 @@ def test_fp_and_sp_same_seed_share_bids():
     m = uniform_model()
     fp = simulate_fp(m, 500, 9)
     sp = simulate_sp(m, 500, 9)
-    np.testing.assert_array_equal(fp.z, sp.w)  # same winner draw
+    np.testing.assert_array_equal(fp.z, sp.z)  # same winner draw
     assert np.all(sp.y <= fp.y)  # price is below the winning bid
 
 
@@ -190,7 +192,7 @@ def test_winner_scan_matches_naive_reference(k):
     assert fp.y.tobytes() == top.tobytes()
     assert sp.y.tobytes() == second.tobytes()
     np.testing.assert_array_equal(fp.z, np.argmax(x, axis=0) + 1)
-    np.testing.assert_array_equal(sp.w, fp.z)
+    np.testing.assert_array_equal(sp.z, fp.z)
 
 
 def test_constant_reserve_array_equals_the_scalar_reserve():
@@ -338,3 +340,35 @@ def test_fixture_rejects_bad_parameters():
         lower_bound_fixture(k=2, eps=0.6, lam=0.2)
     with pytest.raises(ValidationError):
         lower_bound_fixture(k=2, eps=0.1, lam=0.7)
+
+
+def test_solver_scalar_closures_match_the_vectorised_distributions():
+    # equilibrium_residual evaluates the vectorised CDFs, so it only checks
+    # the solver if the solver's plain-float closures agree with them
+    dists = [
+        UNI_DENSITY,
+        BoundedDensityModel(knots=[0.0, 1.0], density=[0.6, 1.4], alpha_lo=0.5, eta_hi=2.0),
+        BoundedDensityModel(knots=[0.0, 1.0], density=[1.25, 0.75], alpha_lo=0.5, eta_hi=2.0),
+        BoundedDensityModel(knots=[0.0, 0.25, 0.5, 1.0], density=[8 / 3, 0.0, 0.0, 8 / 3],
+                            alpha_lo=0.0, eta_hi=3.0),
+        BoundedDensityModel(knots=[0.0, 0.3, 0.7, 1.0],
+                            density=np.array([0.5, 2.0, 0.4, 1.1]) / 1.08,
+                            alpha_lo=0.2, eta_hi=3.0),
+        PiecewiseCdf([0.0, 0.2, 0.6, 1.0], [0.0, 0.1, 0.7, 1.0], interpolation=LINEAR),
+    ]
+    for d in dists:
+        cdf, pdf = _fast_scalar_cdf_pdf(d)
+        knots = d.knots if isinstance(d, BoundedDensityModel) else d.breakpoints
+        xs = np.concatenate([np.linspace(-0.5, 1.5, 4001), knots,
+                             np.nextafter(knots, -1.0), np.nextafter(knots, 2.0)])
+        want = d.cdf(xs) if isinstance(d, BoundedDensityModel) else d.eval(xs)
+        np.testing.assert_allclose([cdf(float(x)) for x in xs], want, rtol=0, atol=1e-12)
+        inner = np.linspace(0.0005, 0.9995, 400)
+        if isinstance(d, BoundedDensityModel):
+            np.testing.assert_allclose([pdf(float(x)) for x in inner], d.pdf(inner),
+                                       rtol=0, atol=1e-12)
+        else:
+            slope = np.diff(d.values) / np.diff(d.breakpoints)
+            idx = np.searchsorted(d.breakpoints, inner, side="right") - 1
+            np.testing.assert_allclose([pdf(float(x)) for x in inner], slope[idx],
+                                       rtol=0, atol=1e-12)

@@ -13,6 +13,7 @@ from auctionmetrics.dist_core import (
     STEP,
     BoundedDensityModel,
     PiecewiseCdf,
+    StepFunction,
     dkw_band,
     empirical_cdf,
     kolmogorov,
@@ -204,11 +205,18 @@ def reference_density_ppf(d, q):
         t_lin = rem / f0
     t = np.where(np.abs(slope) > 1e-14, t_quad, t_lin)
     out = x0 + t
-    # changed from the pre-kernel formula for 0/0 only (a level equal to the
-    # total mass on a trailing zero-density piece), which gave nan: it is the
-    # first knot where the CDF reaches the level, the generalised inverse
+    # changed from the pre-kernel formula in two cases, each now read off the
+    # definition inf{x : F(x) >= q}. A positive level below the total mass
+    # that F takes at a knot is first reached at the first such knot (the
+    # formula gave the right end of a zero-density plateau). The total mass
+    # on a trailing zero-density piece, where the formula gave 0/0 = nan, is
+    # first reached where the zero tail starts.
+    cum = d._cum
+    first = np.searchsorted(cum, qv, side="left")  # first knot with F >= q
+    at_knot = (qv > 0.0) & (qv < cum[-1]) & (cum[np.minimum(first, cum.size - 1)] == qv)
+    out[at_knot] = d.knots[first[at_knot]]
     gap = np.isnan(out)
-    out[gap] = d.knots[np.searchsorted(d._cum, qv[gap], side="left")]
+    out[gap] = d.knots[first[gap]]
     return np.clip(out, 0.0, 1.0)
 
 
@@ -273,6 +281,79 @@ def test_linear_ppf_matches_reference_on_long_tables():
         assert_same_bits(F.ppf(q), reference_linear_ppf(F, q))
 
 
+# -- step functions -----------------------------------------------------------
+
+
+def reference_step_eval(bp, vals, left, x, side):
+    """The step function evaluation that the removed sp_estimator.StepFunction
+    used (side "right"), and the same lookup for left limits (side "left").
+    It indexed an empty ``vals``, so no breakpoints is the constant ``left``."""
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    if not bp.size:
+        return np.full(x.shape, float(left))
+    idx = np.searchsorted(bp, x, side=side) - 1
+    return np.where(idx >= 0, vals[np.maximum(idx, 0)], left)
+
+
+def reference_cdf_step_eval(F, x, side):
+    """PiecewiseCdf.eval (side "right") and eval_left of a staircase, as they
+    were written before they evaluated through StepFunction."""
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    idx = np.searchsorted(F.breakpoints, np.minimum(x, 1.0), side=side) - 1
+    out = np.where(idx >= 0, F.values[np.maximum(idx, 0)], 0.0)
+    return np.where(x <= 0.0 if side == "left" else x < 0.0, 0.0, out)
+
+
+def points_around(bp, extra):
+    """Each breakpoint and its float neighbours, points outside [0,1], extra."""
+    bp = np.asarray(bp, dtype=np.float64)
+    return np.concatenate([bp, np.nextafter(bp, -np.inf), np.nextafter(bp, np.inf),
+                           [-0.5, -0.0, 0.0, 1.0, 1.5], extra])
+
+
+outside_points = st.lists(st.floats(-0.5, 1.5), max_size=20)
+
+
+@settings(max_examples=150, deadline=None)
+@given(xs=st.lists(st.integers(-10, 50), max_size=12),
+       vs=st.lists(st.integers(-40, 80), min_size=12, max_size=12),
+       left=st.integers(-40, 80), extra=outside_points)
+def test_step_function_matches_reference_bit_for_bit(xs, vs, left, extra):
+    # breakpoints may be empty or lie outside [0,1]; values are unconstrained
+    bp = np.unique(np.asarray(xs, dtype=np.float64) / 40.0)
+    vals = np.asarray(vs[:bp.size], dtype=np.float64) / 40.0
+    f = StepFunction(bp, vals, left_value=left / 40.0)
+    x = points_around(bp, extra)
+    for side, method in (("right", f.eval), ("left", f.eval_left)):
+        want = reference_step_eval(bp, vals, left / 40.0, x, side)
+        assert_same_bits(method(x), want)
+        for point, value in zip(x[:6], want):
+            assert method(float(point)) == value
+
+
+@settings(max_examples=150, deadline=None)
+@given(xs=grid_points, vs=grid_points, full=st.booleans(), nudge=st.booleans(),
+       extra=outside_points)
+def test_step_cdf_eval_matches_reference_bit_for_bit(xs, vs, full, nudge, extra):
+    bp = np.unique(np.asarray(xs) / 40.0)
+    if nudge:  # a first breakpoint just below 0, inside the tolerance
+        bp[0] -= 5e-13
+    vals = np.sort(np.resize(np.asarray(vs) / 40.0, bp.size))
+    if full:
+        vals[-1] = 1.0
+    F = PiecewiseCdf(bp, vals, interpolation=STEP, is_full_cdf=full)
+    x = points_around(bp, extra)
+    assert_same_bits(F.eval(x), reference_cdf_step_eval(F, x, "right"))
+    assert_same_bits(F.eval_left(x), reference_cdf_step_eval(F, x, "left"))
+
+
+def test_step_function_rejects_unsorted_breakpoints():
+    with pytest.raises(ValidationError):
+        StepFunction([0.5, 0.5], [1.0, 2.0])
+    with pytest.raises(ValidationError):
+        StepFunction([0.1, 0.2], [1.0])
+
+
 def density_model(knots, density):
     kn = np.asarray(knots, dtype=np.float64)
     de = np.asarray(density, dtype=np.float64)
@@ -287,6 +368,7 @@ def assert_density_ppf_matches_reference(d, extra):
         warnings.simplefilter("error")  # the kernel must not warn
         got = d.ppf(q)
     assert_same_bits(got, reference_density_ppf(d, q))
+    assert np.all(d.cdf(got) >= q - 1e-12)  # F reaches each level at its ppf
 
 
 @settings(max_examples=150, deadline=None)
@@ -315,6 +397,17 @@ def test_density_ppf_matches_reference_on_each_branch():
     }
     for d in models.values():
         assert_density_ppf_matches_reference(d, rng.random(3000))
+
+
+def test_density_ppf_of_a_plateau_level_is_the_plateau_start():
+    # cdf(0.25) = 1/3 and the density is zero on [0.25, 0.5], so the
+    # generalised inverse inf{x : F(x) >= 1/3} is 0.25, not 0.5
+    d = BoundedDensityModel(knots=[0.0, 0.25, 0.5, 1.0], density=[8 / 3, 0.0, 0.0, 8 / 3],
+                            alpha_lo=0.0, eta_hi=3.0)
+    assert d.cdf(0.25) == 1 / 3
+    assert d.ppf(1 / 3) == 0.25
+    assert d.ppf([0.1, 1 / 3, 0.5]).tolist() == [d.ppf(0.1), 0.25, d.ppf(0.5)]
+    assert d.ppf(np.nextafter(1 / 3, 1.0)) > 0.5
 
 
 def test_density_ppf_of_the_total_mass_skips_a_zero_tail():

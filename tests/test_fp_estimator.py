@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auctionmetrics.auction_sim import (
+    FORMAT_FP,
     AuctionModel,
-    FpSampleSet,
+    SampleSet,
     fp_partial_winners,
     make_fp_partial_oracle,
     simulate_fp,
+    simulate_sp,
 )
 from auctionmetrics.dist_core import kolmogorov, uniform_cdf, wasserstein1
 from auctionmetrics.errors import ValidationError
@@ -24,7 +28,6 @@ from auctionmetrics.fp_estimator import (
     _win_frequencies,
     density_bandwidth,
     empirical_H,
-    empirical_Hi,
     estimate_bid_cdf_effective,
     estimate_bid_cdf_full,
     estimate_density,
@@ -34,6 +37,7 @@ from auctionmetrics.fp_estimator import (
     noisy_quantile_search,
     population_bid_cdf,
 )
+from auctionmetrics.sp_estimator import empirical_G_sp
 
 
 def uniform_model(k=2):
@@ -79,8 +83,8 @@ def test_config_default_floor_is_half_gamma():
 
 def hand_sample():
     # y sorted: 0.2(z=1), 0.4(z=2), 0.6(z=1), 0.8(z=1)
-    return FpSampleSet(y=np.array([0.6, 0.2, 0.8, 0.4]),
-                       z=np.array([1, 1, 1, 2]), k=2)
+    return SampleSet(y=np.array([0.6, 0.2, 0.8, 0.4]),
+                     z=np.array([1, 1, 1, 2]), k=2, auction=FORMAT_FP)
 
 
 def test_empirical_H_hand_values():
@@ -91,9 +95,9 @@ def test_empirical_H_hand_values():
 
 
 def test_empirical_Hi_is_sub_cdf():
-    Hi = empirical_Hi(hand_sample(), 1)
+    Hi = empirical_G_sp(hand_sample(), 1)
     assert Hi.eval(1.0) == pytest.approx(0.75)
-    H2 = empirical_Hi(hand_sample(), 2)
+    H2 = empirical_G_sp(hand_sample(), 2)
     assert H2.eval(1.0) == pytest.approx(0.25)
     # the winner sub-CDFs partition H
     for x in (0.3, 0.5, 0.9):
@@ -106,18 +110,21 @@ def test_ghat_hand_computed_oracle():
     cfg = FpEstimatorConfig(p=0.2, gamma=0.2, eps=0.1)
     g = estimate_ghat(hand_sample(), 1, cfg)
     w = 1.0 / (4 * np.array([0.25, 0.75, 1.0]))  # bidder-1 prices 0.2, 0.6, 0.8
-    assert g.eval(0.0) == pytest.approx(w.sum())
-    assert g.eval(0.2) == pytest.approx(w.sum())        # includes equality
-    assert g.eval(0.3) == pytest.approx(w[1] + w[2])
-    assert g.eval(0.7) == pytest.approx(w[2])
-    assert g.eval(0.9) == 0.0
+    assert g.eval_left(0.0) == pytest.approx(w.sum())
+    assert g.eval_left(0.2) == pytest.approx(w.sum())        # includes equality
+    assert g.eval_left(0.3) == pytest.approx(w[1] + w[2])
+    assert g.eval_left(0.7) == pytest.approx(w[2])
+    assert g.eval_left(0.9) == 0.0
+    # eval is right-continuous, the weight strictly above x, so not G-hat
+    assert g.eval(0.2) == pytest.approx(w[1] + w[2])
+    assert g.eval(0.2) != g.eval_left(0.2)
 
 
 def test_ghat_floor_clips_small_denominators():
     cfg = FpEstimatorConfig(p=0.2, gamma=0.8, eps=0.4)  # floor = 0.4
     g = estimate_ghat(hand_sample(), 1, cfg)
     w = 1.0 / (4 * np.array([0.4, 0.75, 1.0]))
-    assert g.eval(0.0) == pytest.approx(w.sum())
+    assert g.eval_left(0.0) == pytest.approx(w.sum())
 
 
 def test_ghat_to_cdf_staircase_properties():
@@ -130,6 +137,48 @@ def test_ghat_to_cdf_staircase_properties():
     w = 1.0 / (4 * np.array([0.25, 0.75, 1.0]))
     assert F.eval(0.1) == pytest.approx(math.exp(-w.sum()))
     assert F.eval(0.2) == pytest.approx(math.exp(-(w[1] + w[2])))
+
+
+def reference_ghat(samples, i, floor):
+    """(ys, suffix) of the removed GHat, as the old estimate_ghat built them."""
+    n = samples.n
+    order = np.sort(samples.y)
+    weights = 1.0 / (n * np.maximum(np.searchsorted(order, samples.y, side="right") / n, floor))
+    mask = samples.z == i
+    srt = np.argsort(samples.y[mask], kind="stable")
+    ys, w = samples.y[mask][srt], weights[mask][srt]
+    uniq, start = np.unique(ys, return_index=True)
+    sums = np.add.reduceat(w, start) if w.size else w
+    return uniq, (np.cumsum(sums[::-1])[::-1] if sums.size else sums)
+
+
+def reference_ghat_eval(ys, suffix, x):
+    """The removed GHat.eval: the summed weight of prices >= x."""
+    idx = np.searchsorted(ys, np.atleast_1d(x), side="left")
+    return np.concatenate([suffix, [0.0]])[idx]
+
+
+@settings(max_examples=100, deadline=None)
+@given(prices=st.lists(st.integers(0, 20), min_size=1, max_size=40),
+       winners=st.lists(st.integers(1, 3), min_size=40, max_size=40),
+       extra=st.lists(st.floats(-0.5, 1.5), max_size=10))
+def test_ghat_left_limit_matches_the_old_tail_sum(prices, winners, extra):
+    # a 20-point price grid gives tied prices; a bidder may never win
+    y = np.asarray(prices, dtype=np.float64) / 20.0
+    s = SampleSet(y=y, z=winners[:y.size], k=3, auction=FORMAT_FP)
+    cfg = FpEstimatorConfig(p=0.2, gamma=0.2, eps=0.1)
+    x = np.concatenate([y, np.nextafter(y, -1.0), np.nextafter(y, 2.0), [-0.5, 0.0, 1.0, 1.5],
+                        extra])
+    for i in (1, 2, 3):
+        ys, suffix = reference_ghat(s, i, cfg.floor)
+        want = reference_ghat_eval(ys, suffix, x)
+        assert estimate_ghat(s, i, cfg).eval_left(x).tobytes() == want.tobytes()
+
+
+def test_estimate_ghat_rejects_a_second_price_sample_set():
+    cfg = FpEstimatorConfig(p=0.2, gamma=0.2, eps=0.1)
+    with pytest.raises(ValidationError, match="'fp' sample set"):
+        estimate_ghat(simulate_sp(uniform_model(), 50, 1), 1, cfg)
 
 
 def test_effective_estimator_converges_to_uniform():

@@ -3,11 +3,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auctionmetrics.auction_sim import (
+    FORMAT_SP,
     AuctionModel,
-    SpSampleSet,
+    SampleSet,
     make_sp_partial_oracle,
+    simulate_fp,
     simulate_sp,
 )
 from auctionmetrics.dist_core import (
@@ -39,9 +43,9 @@ def uniform_model(k=2):
 
 
 def hand_sample():
-    # prices 0.2 (w=1), 0.5 (w=2), 0.5 (w=1), 0.9 (w=2)
-    return SpSampleSet(y=np.array([0.2, 0.5, 0.5, 0.9]),
-                       w=np.array([1, 2, 1, 2]), k=2)
+    # prices 0.2 (z=1), 0.5 (z=2), 0.5 (z=1), 0.9 (z=2)
+    return SampleSet(y=np.array([0.2, 0.5, 0.5, 0.9]),
+                     z=np.array([1, 2, 1, 2]), k=2, auction=FORMAT_SP)
 
 
 # -- parameters ---------------------------------------------------------------
@@ -57,10 +61,6 @@ def test_params_validation():
     with pytest.raises(ValidationError):
         SpParams(alpha=1.0, eta=1.0, eps=0.1, theta=0.05, nu=0.02,
                  micro_delta=0.05, eps_g=1e-3, fp_iters=5)
-    with pytest.raises(ValidationError):
-        SpParams(alpha=1.0, eta=1.0, eps=0.1, theta=0.05, nu=0.02,
-                 micro_delta=1e-3, eps_g=1e-3, fp_iters=5,
-                 interval_rule="bogus")
 
 
 def test_desk_defaults_are_admissible():
@@ -97,7 +97,7 @@ def test_coarse_U_hand_values():
 
 
 def test_coarse_U_floors_denominator():
-    s = SpSampleSet(y=np.array([0.999, 0.1]), w=np.array([1, 1]), k=2)
+    s = SampleSet(y=np.array([0.999, 0.1]), z=np.array([1, 1]), k=2, auction=FORMAT_SP)
     c = coarse_U(s, 1, theta=0.2)
     # 1 - 0.999 = 0.001 < theta/8 = 0.025, so the floor applies
     assert c.eval(1.0) == pytest.approx(1 / (2 * 0.9) + 1 / (2 * 0.025))
@@ -226,9 +226,39 @@ def test_estimate_sp_converges_to_uniform():
     assert diag["isotonic_repair_total"] < 0.05
 
 
+def reference_coarse_eval(samples, i, theta, x):
+    """The removed CoarseU.eval on the arrays the old coarse_U built."""
+    ys = samples.y[samples.z == i]
+    weights = 1.0 / (samples.n * np.maximum(1.0 - ys, theta / 8.0))
+    srt = np.argsort(ys, kind="stable")
+    idx = np.searchsorted(ys[srt], np.atleast_1d(x), side="right")
+    return np.concatenate([[0.0], np.cumsum(weights[srt])])[idx]
+
+
+@settings(max_examples=100, deadline=None)
+@given(prices=st.lists(st.integers(0, 20), min_size=1, max_size=40),
+       winners=st.lists(st.integers(1, 3), min_size=40, max_size=40),
+       extra=st.lists(st.floats(-0.5, 1.5), max_size=10))
+def test_coarse_U_matches_the_old_step_function(prices, winners, extra):
+    # a 20-point price grid gives tied prices; a bidder may never win
+    y = np.asarray(prices, dtype=np.float64) / 20.0
+    s = SampleSet(y=y, z=winners[:y.size], k=3, auction=FORMAT_SP)
+    x = np.concatenate([y, np.nextafter(y, -1.0), np.nextafter(y, 2.0), [-0.5, 0.0, 1.0, 1.5],
+                        extra])
+    for i in (1, 2, 3):
+        want = reference_coarse_eval(s, i, 0.2, x)
+        assert coarse_U(s, i, theta=0.2).eval(x).tobytes() == want.tobytes()
+
+
+def test_estimate_sp_rejects_a_first_price_sample_set():
+    with pytest.raises(ValidationError, match="'sp' sample set"):
+        estimate_sp(simulate_fp(uniform_model(), 200, 1), 1.0, 1.0, 0.1)
+
+
 def test_estimate_sp_rejects_empty_sample():
     with pytest.raises(ValidationError):
-        empirical_G_sp(SpSampleSet(y=np.empty(0), w=np.empty(0, dtype=int), k=2), 1)
+        empirical_G_sp(SampleSet(y=np.empty(0), z=np.empty(0, dtype=int), k=2,
+                                 auction=FORMAT_SP), 1)
 
 
 # -- reserve-price probes ---------------------------------------------------------
