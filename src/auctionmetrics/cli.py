@@ -10,7 +10,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import fp_estimator, fp_value, harness, io, sp_estimator
+from . import fp_estimator, harness, io
 from .auction_sim import (
     make_fp_partial_oracle,
     make_sp_partial_oracle,
@@ -42,7 +42,7 @@ def build_parser():
     p.add_argument("--p", type=float)
     p.add_argument("--gamma", type=float)
     p.add_argument("--eps", type=float)
-    p.add_argument("--lambda", dest="lam", type=float)
+    p.add_argument("--lambda", dest="lambda", type=float)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("estimate-fp-density", help="forward-difference density")
@@ -123,25 +123,6 @@ def _cmd_simulate(args):
     io.io_write_samples(args.out, samples)
 
 
-def _cmd_estimate_fp(args):
-    samples = io.io_read_samples(args.samples, io.FORMAT_FP, args.k)
-    if args.mode == "effective":
-        if args.p is None or args.gamma is None:
-            raise ValidationError("effective mode needs --p and --gamma")
-        cfg = fp_estimator.FpEstimatorConfig(
-            p=args.p, gamma=args.gamma,
-            eps=args.eps if args.eps is not None else args.gamma / 2.0,
-        )
-        cdfs = fp_estimator.estimate_bid_cdf_effective(samples, cfg)
-        diag = {"mode": "effective", "n": samples.n, "p": args.p, "gamma": args.gamma}
-    else:
-        if args.lam is None or args.eps is None:
-            raise ValidationError("full mode needs --lambda and --eps")
-        cdfs = fp_estimator.estimate_bid_cdf_full(samples, args.lam, args.eps)
-        diag = {"mode": "full", "n": samples.n, "lambda": args.lam, "eps": args.eps}
-    io.io_write_cdfs(args.out, cdfs, diag)
-
-
 def _cmd_estimate_fp_density(args):
     cdfs = io.io_read_cdfs(args.cdf)
     import numpy as np
@@ -155,69 +136,36 @@ def _cmd_estimate_fp_density(args):
     Path(args.out).write_text(json.dumps({"version": 1, "densities": out}, indent=2))
 
 
-def _cmd_estimate_fp_partial(args):
-    model = io.io_read_model(args.model)
-    oracle = make_fp_partial_oracle(model)
-    cdfs, diag = fp_estimator.fp_partial_estimate(
-        oracle, model.k, args.p, args.gamma, args.eps,
-        lipschitz_L=args.lipschitz, seed=args.seed,
-    )
-    io.io_write_cdfs(args.out, cdfs, diag)
+# the registry kind each estimate command runs; estimate-fp's is "fp-<mode>"
+_ESTIMATE_KINDS = {
+    "estimate-fp": None,
+    "estimate-fp-partial": "fp-partial",
+    "estimate-values": "fp-value",
+    "estimate-sp": "sp",
+    "estimate-sp-partial": "sp-partial",
+}
 
 
-def _cmd_estimate_values(args):
-    samples = io.io_read_samples(args.samples, io.FORMAT_FP, args.k)
-    cfg = fp_value.ValueEstimatorConfig(
-        p=args.p, gamma=args.gamma, eps=args.eps, zeta=args.zeta,
-        lipschitz_L=None if args.general else args.lipschitz,
-    )
-    cdfs, diag = fp_value.estimate_value_cdf_effective(samples, cfg)
-    io.io_write_cdfs(args.out, cdfs, diag)
-
-
-def _cmd_estimate_sp(args):
-    samples = io.io_read_samples(args.samples, io.FORMAT_SP, args.k)
-    overrides = {}
-    if args.nu is not None:
-        overrides["nu"] = args.nu
-    if args.theta is not None:
-        overrides["theta"] = args.theta
-    if args.micro_delta is not None:
-        overrides["micro_delta"] = args.micro_delta
-    if args.fp_iters is not None:
-        overrides["fp_iters"] = args.fp_iters
-    cdfs, diag = sp_estimator.estimate_sp(
-        samples, args.alpha, args.eta, args.eps, overrides=overrides,
-    )
-    io.io_write_cdfs(args.out, cdfs, diag)
-
-
-def _cmd_estimate_sp_partial(args):
-    model = io.io_read_model(args.model)
-    oracle = make_sp_partial_oracle(model)
-    cdfs, diag = sp_estimator.sp_partial_estimate(
-        oracle, args.p, args.gamma, args.eps,
-        lipschitz_L=args.lipschitz, seed=args.seed,
-    )
-    io.io_write_cdfs(args.out, cdfs, diag)
+def _cmd_estimate(args):
+    """Run the registry entry of the command on files, with the flags it names."""
+    kind = _ESTIMATE_KINDS[args.command] or "fp-" + args.mode
+    entry = harness.ESTIMATORS[kind]
+    given = {key: getattr(args, key) for key in entry.required + entry.optional
+             if getattr(args, key, None) is not None}
+    harness.check_estimator_args(kind, given)
+    if entry.observes in (io.FORMAT_FP, io.FORMAT_SP):
+        observation = io.io_read_samples(args.samples, entry.observes, args.k)
+    else:
+        make = make_fp_partial_oracle if entry.observes == harness.PROBE_FP \
+            else make_sp_partial_oracle
+        observation = make(io.io_read_model(args.model))
+    cdfs, diagnostics = entry.run(observation, given, getattr(args, "seed", 0))
+    io.io_write_cdfs(args.out, cdfs, diagnostics)
 
 
 def _cmd_sweep(args):
-    from .auction_sim import AuctionModel
-
     raw = json.loads(Path(args.config).read_text())
-    config = harness.ExperimentConfig(
-        model=AuctionModel.from_dict(raw["model"]),
-        estimator=raw["estimator"],
-        n_schedule=raw["n_schedule"],
-        seeds=raw["seeds"],
-        metric=raw.get("metric", "kolmogorov"),
-        support_lo=raw.get("support", [0.0, 1.0])[0],
-        support_hi=raw.get("support", [0.0, 1.0])[1],
-        seed_root=raw.get("seed_root", 0),
-        estimator_args=raw.get("estimator_args", {}),
-    )
-    report = harness.run_convergence(config)
+    report = harness.run_convergence(harness.ExperimentConfig.from_dict(raw))
     Path(args.out).write_text(json.dumps(io._jsonable(report.to_dict()), indent=2))
 
 
@@ -244,12 +192,8 @@ def _cmd_metric(args):
 
 _COMMANDS = {
     "simulate": _cmd_simulate,
-    "estimate-fp": _cmd_estimate_fp,
+    **dict.fromkeys(_ESTIMATE_KINDS, _cmd_estimate),
     "estimate-fp-density": _cmd_estimate_fp_density,
-    "estimate-fp-partial": _cmd_estimate_fp_partial,
-    "estimate-values": _cmd_estimate_values,
-    "estimate-sp": _cmd_estimate_sp,
-    "estimate-sp-partial": _cmd_estimate_sp_partial,
     "sweep": _cmd_sweep,
     "lower-bound": _cmd_lower_bound,
     "metric": _cmd_metric,

@@ -377,13 +377,13 @@ class BoundedDensityModel:
             t[on_line] = _linear_root(pieces, rem[on_line], idx[on_line])
         np.add(t, self.knots[idx], out=t)
         if pieces.flat_zero:
-            # a positive level equal to the mass up to a zero-density plateau
-            # lands on the piece after it, and one equal to the total mass,
-            # clipped onto a trailing zero piece, gives 0/0; the generalised
-            # inverse of either is the first knot where the CDF reaches the
-            # level (level 0 keeps the start of the support)
+            # a level equal to the mass up to a zero-density plateau (level 0
+            # on a leading one) lands on the piece after it, and one equal to
+            # the total mass, clipped onto a trailing zero piece, gives 0/0;
+            # the generalised inverse of either is the first knot where the
+            # CDF reaches the level
             first = np.searchsorted(self._cum, qv, side="left")
-            gap = ((first < idx) & (qv > 0.0)) | np.isnan(t)
+            gap = (first < idx) | np.isnan(t)
             t[gap] = self.knots[first[gap]]
         out = t.clip(0.0, 1.0, out=t)
         return float(out[0]) if scalar else out

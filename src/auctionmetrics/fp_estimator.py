@@ -109,8 +109,10 @@ def _ghat_to_cdf(ghat):
 
 
 def estimate_bid_cdf_effective(samples, config):
-    """Per-bidder staircase estimates F-hat_i = exp(-G-hat_i)."""
-    return [_ghat_to_cdf(estimate_ghat(samples, i, config)) for i in range(1, samples.k + 1)]
+    """Per-bidder staircase estimates F-hat_i = exp(-G-hat_i), and diagnostics."""
+    cdfs = [_ghat_to_cdf(estimate_ghat(samples, i, config)) for i in range(1, samples.k + 1)]
+    return cdfs, {"n": samples.n, "p": config.p, "gamma": config.gamma, "eps": config.eps,
+                  "h_floor": config.floor}
 
 
 def full_support_params(k, lam, eps):
@@ -142,11 +144,12 @@ def estimate_bid_cdf_full(samples, lam, eps):
     """Full-support estimation: effective-support run plus a zero extension.
 
     Uses eta = eps/2, p = eta, gamma = (lam*eta)^k; the returned staircases
-    are zeroed below eta, targeting Wasserstein error <= eps.
+    are zeroed below eta, targeting Wasserstein error <= eps. The diagnostics
+    are the effective-support run's, with ``eps`` the Wasserstein target.
     """
     eta, p, gamma = full_support_params(samples.k, lam, eps)
-    config = FpEstimatorConfig(p=p, gamma=gamma, eps=gamma / 2.0)
-    return [_zero_below(F, eta) for F in estimate_bid_cdf_effective(samples, config)]
+    cdfs, diag = estimate_bid_cdf_effective(samples, FpEstimatorConfig(p, gamma, gamma / 2.0))
+    return [_zero_below(F, eta) for F in cdfs], {**diag, "lambda": lam, "eps": eps, "eta": eta}
 
 
 @dataclass(eq=False)
@@ -295,7 +298,7 @@ def _search_below(estimate, ceiling, targets, T, eps1):
     return out, int(blind.sum())
 
 
-def fp_partial_estimate(oracle, k, p, gamma, eps, lipschitz_L=1.0,
+def fp_partial_estimate(oracle, p, gamma, eps, lipschitz_L=1.0,
                         seed=0, n_search=2000, n_point=30000, n_base=200000):
     """Bid-CDF estimation from adaptive reserve-price probes.
 
@@ -305,7 +308,7 @@ def fp_partial_estimate(oracle, k, p, gamma, eps, lipschitz_L=1.0,
     located by noisy binary search, all levels of a grid at once: each search
     step probes the midpoints of the levels still searching in shared oracle
     calls, and levels the sub-CDF cannot reach take no probes. The tail sum
-    G-hat_i is assembled on the merged grid.
+    G-hat_i is assembled on the merged grid. The bidder count is ``oracle.k``.
 
     Returns (list of staircases, diagnostics). The diagnostics report the
     budget: ``oracle_calls`` probes drawn in ``oracle_batches`` oracle calls,
@@ -315,8 +318,11 @@ def fp_partial_estimate(oracle, k, p, gamma, eps, lipschitz_L=1.0,
         raise ValidationError("invalid effective-support pair")
     if not 0.0 < eps < 1.0:
         raise ValidationError("eps must lie in (0,1)")
+    if not lipschitz_L > 0.0:
+        raise ValidationError("lipschitz_L must be positive")
     if min(n_search, n_point, n_base) < 1:
         raise ValidationError("n_search, n_point and n_base must be >= 1")
+    k = oracle.k
     budget = _OracleBudget(oracle, k, np.random.default_rng(seed))
 
     delta_grid = gamma * gamma * eps / 6.0

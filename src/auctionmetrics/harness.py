@@ -8,6 +8,7 @@ reports are byte-identical regardless of the worker-pool size.
 
 from __future__ import annotations
 
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -16,21 +17,112 @@ import numpy as np
 from scipy.stats import ks_2samp
 
 from . import fp_estimator, fp_value, sp_estimator
-from .auction_sim import lower_bound_fixture, simulate_fp, simulate_sp
+from .auction_sim import (FORMAT_FP, FORMAT_SP, AuctionModel, lower_bound_fixture,
+                          make_fp_partial_oracle, make_sp_partial_oracle, simulate_fp,
+                          simulate_sp)
 from .dist_core import dkw_band, kolmogorov, levy, wasserstein1
 from .errors import ValidationError
 from .io import config_hash
 
-ESTIMATOR_KINDS = (
-    "fp-effective", "fp-full", "fp-density", "fp-value", "fp-partial",
-    "sp", "sp-partial",
-)
 METRICS = ("kolmogorov", "levy", "wasserstein1", "l1-density")
+
+PROBE_FP, PROBE_SP = "fp-probe", "sp-probe"
+BID, VALUE, DENSITY = "bid", "value", "density"
+
+
+@dataclass(frozen=True)
+class Estimator:
+    """A registry entry: it ``observes`` a log format (``FORMAT_FP``/``FORMAT_SP``)
+    or a probe oracle (``PROBE_FP``/``PROBE_SP``), takes every ``required`` and
+    any ``optional`` argument key, and ``run(observation, args, seed)`` returns
+    (estimates, diagnostics), scored against ``truth`` (BID, VALUE or DENSITY).
+    Each run looks its estimator up on the estimator's module when called."""
+
+    observes: str
+    required: tuple
+    optional: tuple
+    run: object
+    truth: str = BID
+
+
+def _kw(args):
+    """``args`` as keyword arguments; ``lipschitz`` is ``lipschitz_L``."""
+    return {("lipschitz_L" if key == "lipschitz" else key): v for key, v in args.items()}
+
+
+def _fp_config(args):
+    return fp_estimator.FpEstimatorConfig(args["p"], args["gamma"],
+                                          args.get("eps", args["gamma"] / 2.0))
+
+
+def _fp_density(samples, args, seed):
+    fhats, diagnostics = fp_estimator.estimate_bid_cdf_effective(samples, _fp_config(args))
+    return [fp_estimator.estimate_density(F, args["h"], args["p"]) for F in fhats], diagnostics
+
+
+# Argument keys are the estimators' parameter names. The sp contraction ratio
+# is measured on 5 state pairs per macro-interval, from the estimator's own seed.
+ESTIMATORS = {
+    "fp-effective": Estimator(
+        FORMAT_FP, ("p", "gamma"), ("eps",),
+        lambda s, a, seed: fp_estimator.estimate_bid_cdf_effective(s, _fp_config(a))),
+    "fp-full": Estimator(
+        FORMAT_FP, ("lambda", "eps"), (),
+        lambda s, a, seed: fp_estimator.estimate_bid_cdf_full(s, a["lambda"], a["eps"])),
+    "fp-density": Estimator(FORMAT_FP, ("p", "gamma", "h"), ("eps",), _fp_density, DENSITY),
+    "fp-value": Estimator(
+        FORMAT_FP, ("p", "gamma", "eps", "zeta"), ("lipschitz",),
+        lambda s, a, seed: fp_value.estimate_value_cdf_effective(
+            s, fp_value.ValueEstimatorConfig(**_kw(a))), VALUE),
+    "sp": Estimator(
+        FORMAT_SP, ("alpha", "eta", "eps"), ("nu", "theta", "micro_delta", "fp_iters"),
+        lambda s, a, seed: sp_estimator.estimate_sp(s, measure_contraction=5, **a)),
+    "fp-partial": Estimator(
+        PROBE_FP, ("p", "gamma", "eps"), ("lipschitz", "n_search", "n_point", "n_base"),
+        lambda o, a, seed: fp_estimator.fp_partial_estimate(o, seed=seed, **_kw(a))),
+    "sp-partial": Estimator(
+        PROBE_SP, ("p", "gamma", "eps"), ("lipschitz", "n_point"),
+        lambda o, a, seed: sp_estimator.sp_partial_estimate(o, seed=seed, **_kw(a))),
+}
+
+
+def _check_keys(owner, given, required, types):
+    """ValidationError naming ``owner`` and the key unless ``given`` holds every
+    ``required`` key and only keys of ``types`` (key -> type), each of its type."""
+    for key in [*required, *given]:
+        if key not in types:
+            raise ValidationError(f"{owner} takes no key {key!r}")
+        if key not in given:
+            raise ValidationError(f"{owner} needs key {key!r}")
+        if not isinstance(given[key], types[key]) or isinstance(given[key], bool):
+            raise ValidationError(f"{owner} key {key!r} must be {types[key].__name__}, "
+                                  f"not {type(given[key]).__name__}")
+
+
+# argument keys that count draws or iterations; every other key is a real number
+_COUNT_KEYS = ("fp_iters", "n_search", "n_point", "n_base")
+
+
+def check_estimator_args(kind, args):
+    """The registry entry of ``kind``, once ``args`` fits its argument schema."""
+    if kind not in ESTIMATORS:
+        raise ValidationError(f"unknown estimator kind {kind!r}")
+    entry = ESTIMATORS[kind]
+    _check_keys(f"estimator {kind!r}", args, entry.required,
+                {key: numbers.Integral if key in _COUNT_KEYS else numbers.Real
+                 for key in entry.required + entry.optional})
+    return entry
+
+
+# sweep config keys and their JSON types; the first four are required
+_CONFIG_TYPES = {"model": dict, "estimator": str, "n_schedule": list, "seeds": int,
+                 "metric": str, "support": list, "seed_root": int, "estimator_args": dict}
 
 
 @dataclass(eq=False)
 class ExperimentConfig:
-    """One sweep: a model, an estimator kind, an n schedule, and a metric."""
+    """One sweep: a model, an estimator kind, an n schedule, and a metric,
+    checked against ``ESTIMATORS`` before any cell runs."""
 
     model: object
     estimator: str
@@ -43,12 +135,18 @@ class ExperimentConfig:
     estimator_args: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.estimator not in ESTIMATOR_KINDS:
-            raise ValidationError(f"unknown estimator kind {self.estimator!r}")
+        entry = check_estimator_args(self.estimator, self.estimator_args)
         if self.metric not in METRICS:
             raise ValidationError(f"unknown metric {self.metric!r}")
-        if list(self.n_schedule) != sorted(self.n_schedule):
-            raise ValidationError("n schedule must be ascending")
+        if (self.metric == "l1-density") != (entry.truth == DENSITY):
+            raise ValidationError(f"metric {self.metric!r} cannot score the {entry.truth} "
+                                  f"estimates of estimator {self.estimator!r}")
+        if entry.truth == VALUE and not self.model.value_dists:
+            raise ValidationError(f"estimator {self.estimator!r} is scored against "
+                                  "value CDFs, and the model has no value_dists")
+        if not all(isinstance(n, numbers.Integral) for n in self.n_schedule) \
+                or list(self.n_schedule) != sorted(self.n_schedule):
+            raise ValidationError("n schedule must be ascending integers")
         if self.seeds < 1:
             raise ValidationError("need at least one seed per n")
 
@@ -63,6 +161,23 @@ class ExperimentConfig:
             "seed_root": int(self.seed_root),
             "estimator_args": self.estimator_args,
         }
+
+    @classmethod
+    def from_dict(cls, raw):
+        """The inverse of ``to_dict``: a missing, unknown or ill-typed key
+        raises ValidationError."""
+        if not isinstance(raw, dict):
+            raise ValidationError("a sweep config must be a JSON object")
+        _check_keys("sweep config", raw, list(_CONFIG_TYPES)[:4], _CONFIG_TYPES)
+        support = raw.get("support", [0.0, 1.0])
+        if len(support) != 2 or not all(type(v) in (int, float) for v in support):
+            raise ValidationError("sweep config key 'support' must be a pair of numbers")
+        try:
+            model = AuctionModel.from_dict(raw["model"])
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValidationError(f"sweep config key 'model' is not a model: {exc}") from exc
+        return cls(model=model, support_lo=support[0], support_hi=support[1],
+                   **{key: raw[key] for key in raw if key not in ("model", "support")})
 
 
 @dataclass(eq=False)
@@ -99,122 +214,57 @@ def _cell_seed(seed_root, n, seed_index):
     return int(np.random.SeedSequence([seed_root, int(n), seed_index]).generate_state(1)[0])
 
 
-def _metric_value(metric, est, truth, lo, hi):
-    if metric == "kolmogorov":
-        return kolmogorov(est, truth, lo, hi)
-    if metric == "wasserstein1":
-        return wasserstein1(est, truth, lo, hi)
-    if metric == "levy":
-        return levy(est, truth)
-    raise ValidationError(f"metric {metric!r} needs a density comparison path")
+def _observe(observes, model, n, seed):
+    if observes in (FORMAT_FP, FORMAT_SP):
+        return (simulate_fp if observes == FORMAT_FP else simulate_sp)(model, n, seed)
+    return (make_fp_partial_oracle if observes == PROBE_FP else make_sp_partial_oracle)(model)
+
+
+def _error(config, truth, i, est):
+    """Bidder i's estimate against the model under the config's metric."""
+    model = config.model
+    lo, hi = config.support_lo, config.support_hi
+    if truth == DENSITY:
+        dist = model.bid_dists[i - 1]
+        grid = np.linspace(lo, min(hi, 1.0 - est.h), 2001)
+        true_pdf = dist.pdf(grid) if hasattr(dist, "pdf") else np.gradient(
+            model.bid_cdf(i).eval(grid), grid)
+        trapz = getattr(np, "trapezoid", None) or np.trapz
+        return trapz(np.abs(est.eval(grid) - true_pdf), grid)
+    F = model.value_dists[i - 1].to_cdf() if truth == VALUE else model.bid_cdf(i)
+    if config.metric == "levy":
+        return levy(est, F)
+    return (kolmogorov if config.metric == "kolmogorov" else wasserstein1)(est, F, lo, hi)
 
 
 def _run_cell(config, n, seed_index):
-    model = config.model
+    """Observe, estimate and score one (n, seed) cell."""
+    entry = ESTIMATORS[config.estimator]
     seed = _cell_seed(config.seed_root, n, seed_index)
-    args = dict(config.estimator_args)
-    kind = config.estimator
-    diagnostics = {}
-    if kind in ("fp-effective", "fp-full", "fp-density", "fp-value"):
-        samples = simulate_fp(model, n, seed)
-    elif kind == "sp":
-        samples = simulate_sp(model, n, seed)
-    else:
-        samples = None
-
-    if kind == "fp-effective":
-        cfg = fp_estimator.FpEstimatorConfig(
-            p=args["p"], gamma=args["gamma"], eps=args.get("eps", args["gamma"] / 2.0),
-        )
-        cdfs = fp_estimator.estimate_bid_cdf_effective(samples, cfg)
-        truths = [model.bid_cdf(i) for i in range(1, model.k + 1)]
-    elif kind == "fp-full":
-        cdfs = fp_estimator.estimate_bid_cdf_full(samples, args["lambda"], args["eps"])
-        truths = [model.bid_cdf(i) for i in range(1, model.k + 1)]
-    elif kind == "fp-density":
-        cfg = fp_estimator.FpEstimatorConfig(
-            p=args["p"], gamma=args["gamma"], eps=args.get("eps", args["gamma"] / 2.0),
-        )
-        fhats = fp_estimator.estimate_bid_cdf_effective(samples, cfg)
-        cdfs = [fp_estimator.estimate_density(F, args["h"], args["p"]) for F in fhats]
-        truths = list(range(1, model.k + 1))  # density truth handled below
-    elif kind == "fp-value":
-        cfg = fp_value.ValueEstimatorConfig(
-            p=args["p"], gamma=args["gamma"], eps=args["eps"],
-            zeta=args.get("zeta", 1.0), lipschitz_L=args.get("lipschitz"),
-        )
-        cdfs, diagnostics = fp_value.estimate_value_cdf_effective(samples, cfg)
-        truths = [d.to_cdf() for d in model.value_dists] if model.value_dists \
-            else [model.bid_cdf(i) for i in range(1, model.k + 1)]
-    elif kind == "sp":
-        cdfs, diagnostics = sp_estimator.estimate_sp(
-            samples, args["alpha"], args["eta"], args["eps"],
-            overrides=args.get("overrides"),
-            measure_contraction=args.get("measure_contraction", 5),
-        )
-        truths = [model.bid_cdf(i) for i in range(1, model.k + 1)]
-    elif kind == "fp-partial":
-        from .auction_sim import make_fp_partial_oracle
-
-        oracle = make_fp_partial_oracle(model)
-        cdfs, diagnostics = fp_estimator.fp_partial_estimate(
-            oracle, model.k, args["p"], args["gamma"], args["eps"],
-            lipschitz_L=args.get("lipschitz", 1.0), seed=seed,
-            **{kk: args[kk] for kk in ("n_search", "n_point", "n_base") if kk in args},
-        )
-        truths = [model.bid_cdf(i) for i in range(1, model.k + 1)]
-    elif kind == "sp-partial":
-        from .auction_sim import make_sp_partial_oracle
-
-        oracle = make_sp_partial_oracle(model)
-        cdfs, diagnostics = sp_estimator.sp_partial_estimate(
-            oracle, args["p"], args["gamma"], args["eps"],
-            lipschitz_L=args.get("lipschitz", 1.0), seed=seed,
-            **{kk: args[kk] for kk in ("n_point",) if kk in args},
-        )
-        truths = [model.bid_cdf(i) for i in range(1, model.k + 1)]
-    else:  # pragma: no cover
-        raise ValidationError(kind)
-
-    rows = []
-    for i, est in enumerate(cdfs, start=1):
-        if kind == "fp-density":
-            dist = model.bid_dists[i - 1]
-            grid = np.linspace(config.support_lo, min(config.support_hi, 1.0 - args["h"]), 2001)
-            true_pdf = dist.pdf(grid) if hasattr(dist, "pdf") else np.gradient(
-                model.bid_cdf(i).eval(grid), grid)
-            trapz = getattr(np, "trapezoid", None) or np.trapz
-            err = float(trapz(np.abs(est.eval(grid) - true_pdf), grid))
-        else:
-            err = _metric_value(config.metric, est, truths[i - 1],
-                                config.support_lo, config.support_hi)
-        rows.append({"n": int(n), "seed": seed_index, "bidder": i, "error": float(err)})
+    observation = _observe(entry.observes, config.model, n, seed)
+    estimates, diagnostics = entry.run(observation, config.estimator_args, seed)
+    rows = [{"n": int(n), "seed": seed_index, "bidder": i,
+             "error": float(_error(config, entry.truth, i, est))}
+            for i, est in enumerate(estimates, start=1)]
     return rows, diagnostics
 
 
 def run_convergence(config):
     """Simulate -> estimate -> score each (n, seed) cell of the sweep."""
     cells = [(n, s) for n in config.n_schedule for s in range(config.seeds)]
-    rows = []
-    diags = []
 
     def work(cell):
-        n, s = cell
         try:
-            return _run_cell(config, n, s), None
+            cell_rows, diag = _run_cell(config, *cell)
+            return cell_rows, {"diagnostics": diag}
         except Exception as exc:  # cell isolation: record, don't abort
-            return None, (n, s, f"{type(exc).__name__}: {exc}")
+            return [], {"error": f"{type(exc).__name__}: {exc}"}
 
+    rows, diags = [], []
     with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        results = list(pool.map(work, cells))
-    for (cell, (ok, err)) in zip(cells, results):
-        n, s = cell
-        if ok is not None:
-            cell_rows, diag = ok
+        for (n, s), (cell_rows, outcome) in zip(cells, pool.map(work, cells)):
             rows.extend(cell_rows)
-            diags.append({"n": int(n), "seed": s, "diagnostics": diag})
-        else:
-            diags.append({"n": int(n), "seed": s, "error": err[2]})
+            diags.append({"n": int(n), "seed": s, **outcome})
 
     aggregates = {}
     for n in config.n_schedule:

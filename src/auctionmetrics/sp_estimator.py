@@ -475,14 +475,10 @@ def run_pipeline(ghat_list, coarse_list, params, k,
     return cdfs, utilde, diagnostics
 
 
-def estimate_sp(samples, alpha, eta, eps, overrides=None,
-                measure_contraction=0, seed=0):
-    """End-to-end second-price estimation with desk defaults.
-
-    Returns (list of PiecewiseCdf, diagnostics).
-    """
+def estimate_sp(samples, alpha, eta, eps, measure_contraction=0, seed=0, **overrides):
+    """End-to-end second-price estimation with the ``SpParams.desk`` defaults,
+    which ``overrides`` replace. Returns (list of PiecewiseCdf, diagnostics)."""
     samples.require(FORMAT_SP)
-    overrides = dict(overrides or {})
     params = SpParams.desk(alpha, eta, eps, n=samples.n, **overrides)
     ghat_list = [empirical_G_sp(samples, i) for i in range(1, samples.k + 1)]
     coarse_list = [coarse_U(samples, i, params.theta) for i in range(1, samples.k + 1)]
@@ -495,16 +491,14 @@ def estimate_sp(samples, alpha, eta, eps, overrides=None,
 # -- reserve-price probes ----------------------------------------------------
 
 
-def sp_partial_pointwise(oracle, x, n, rng=None, k=None):
+def sp_partial_pointwise(oracle, x, n, rng):
     """Pointwise recovery of all F_j(x) from n probes at reserve x.
 
     Z_j indicates "bidder j won and the reserve bound the price, or the
     reserve won outright"; its mean estimates prod_{l != j} F_l(x), and the
     power-product combination returns each F_j(x).
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    k = k if k is not None else oracle.k
+    k = oracle.k
     winners, q = oracle(x, n, rng)
     # Z_j counts bidder j's reserve-bound wins plus the reserve's own wins
     bound = np.bincount(winners[q], minlength=k + 2)
@@ -520,7 +514,7 @@ def sp_partial_pointwise(oracle, x, n, rng=None, k=None):
 
 
 def sp_partial_estimate(oracle, p, gamma, eps, lipschitz_L=1.0,
-                        seed=0, n_point=20000, k=None):
+                        seed=0, n_point=20000):
     """Staircase estimation of all F_j on [p,1] from reserve-price probes.
 
     Quantile levels w_a = gamma + a*eps/2 (plus 1) are located by noisy binary
@@ -531,7 +525,9 @@ def sp_partial_estimate(oracle, p, gamma, eps, lipschitz_L=1.0,
         raise ValidationError("invalid effective-support pair")
     if not 0.0 < eps < 1.0:
         raise ValidationError("eps must lie in (0,1)")
-    k = k if k is not None else oracle.k
+    if not lipschitz_L > 0.0:
+        raise ValidationError("lipschitz_L must be positive")
+    k = oracle.k
     rng = np.random.default_rng(seed)
     calls = 0
     levels = np.unique(np.append(np.arange(gamma, 1.0, eps / 2.0), 1.0))
@@ -542,7 +538,7 @@ def sp_partial_estimate(oracle, p, gamma, eps, lipschitz_L=1.0,
         def f_at(x, j=j):
             nonlocal calls
             calls += n_point
-            fhat, _ = sp_partial_pointwise(oracle, float(x), n_point, rng, k=k)
+            fhat, _ = sp_partial_pointwise(oracle, float(x), n_point, rng)
             return float(fhat[j - 1])
 
         # termination band eps/4 keeps |F(z_a) - w_a| <= eps/2 with margin

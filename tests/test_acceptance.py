@@ -67,7 +67,7 @@ def test_02_fp_effective_support_sup_error():
     grid = np.linspace(0.3, 1.0, 400)
     hits = 0
     for seed in range(10):
-        cdfs = estimate_bid_cdf_effective(simulate_fp(m, 300000, seed), cfg)
+        cdfs, _ = estimate_bid_cdf_effective(simulate_fp(m, 300000, seed), cfg)
         err = max(np.max(np.abs(F.eval(grid) - grid)) for F in cdfs)
         hits += err <= 0.05
     assert hits >= 9
@@ -78,7 +78,7 @@ def test_03_fp_full_support_wasserstein():
     m = uniform_model()
     hits = 0
     for seed in range(10):
-        cdfs = estimate_bid_cdf_full(simulate_fp(m, 10 ** 6, seed), 1.0, 0.2)
+        cdfs, _ = estimate_bid_cdf_full(simulate_fp(m, 10 ** 6, seed), 1.0, 0.2)
         err = max(wasserstein1(F, UNIFORM) for F in cdfs)
         hits += err <= 0.2
     assert hits >= 9
@@ -198,7 +198,7 @@ def test_11_fp_partial_observation_sup_error():
     grid = np.linspace(0.5, 1.0, 300)
     hits = 0
     for seed in range(10):
-        cdfs, diag = fp_partial_estimate(oracle, 2, p=0.5, gamma=0.25,
+        cdfs, diag = fp_partial_estimate(oracle, p=0.5, gamma=0.25,
                                          eps=0.15, seed=seed)
         err = max(np.max(np.abs(F.eval(grid) - grid)) for F in cdfs)
         hits += err <= 0.15

@@ -206,14 +206,15 @@ def reference_density_ppf(d, q):
     t = np.where(np.abs(slope) > 1e-14, t_quad, t_lin)
     out = x0 + t
     # changed from the pre-kernel formula in two cases, each now read off the
-    # definition inf{x : F(x) >= q}. A positive level below the total mass
-    # that F takes at a knot is first reached at the first such knot (the
-    # formula gave the right end of a zero-density plateau). The total mass
-    # on a trailing zero-density piece, where the formula gave 0/0 = nan, is
-    # first reached where the zero tail starts.
+    # definition inf{x : F(x) >= q}. A level below the total mass that F
+    # takes at a knot is first reached at the first such knot (the formula
+    # gave the right end of a zero-density plateau, and for level 0 the end
+    # of a leading zero-density piece). The total mass on a trailing
+    # zero-density piece, where the formula gave 0/0 = nan, is first reached
+    # where the zero tail starts.
     cum = d._cum
     first = np.searchsorted(cum, qv, side="left")  # first knot with F >= q
-    at_knot = (qv > 0.0) & (qv < cum[-1]) & (cum[np.minimum(first, cum.size - 1)] == qv)
+    at_knot = (qv < cum[-1]) & (cum[np.minimum(first, cum.size - 1)] == qv)
     out[at_knot] = d.knots[first[at_knot]]
     gap = np.isnan(out)
     out[gap] = d.knots[first[gap]]
@@ -408,6 +409,15 @@ def test_density_ppf_of_a_plateau_level_is_the_plateau_start():
     assert d.ppf(1 / 3) == 0.25
     assert d.ppf([0.1, 1 / 3, 0.5]).tolist() == [d.ppf(0.1), 0.25, d.ppf(0.5)]
     assert d.ppf(np.nextafter(1 / 3, 1.0)) > 0.5
+
+
+def test_density_ppf_of_level_zero_skips_no_leading_zero_piece():
+    # F is 0 on the leading zero-density piece [0, 0.025], so the generalised
+    # inverse inf{x : F(x) >= 0} is the start of the support, as for to_cdf()
+    d = density_model([0.0, 0.025, 1.0], [0, 0, 2])
+    assert d.cdf(0.02) == 0.0
+    assert d.ppf(0.0) == 0.0 == d.to_cdf().ppf(0.0)
+    assert d.ppf([0.0, 0.5]).tolist() == [0.0, d.ppf(0.5)]
 
 
 def test_density_ppf_of_the_total_mass_skips_a_zero_tail():

@@ -187,7 +187,7 @@ def test_effective_estimator_converges_to_uniform():
     errs = []
     for n in (2000, 32000):
         s = simulate_fp(m, n, 11)
-        cdfs = estimate_bid_cdf_effective(s, cfg)
+        cdfs, _ = estimate_bid_cdf_effective(s, cfg)
         errs.append(max(kolmogorov(F, uniform_cdf(), 0.3, 1.0) for F in cdfs))
     assert errs[1] < errs[0]
     assert errs[1] < 0.03
@@ -200,7 +200,7 @@ def test_effective_estimator_asymmetric_model():
     m = AuctionModel(bid_dists=[F1, F2])
     s = simulate_fp(m, 100000, 3)
     cfg = FpEstimatorConfig(p=0.4, gamma=0.1, eps=0.05)
-    cdfs = estimate_bid_cdf_effective(s, cfg)
+    cdfs, _ = estimate_bid_cdf_effective(s, cfg)
     grid = np.linspace(0.4, 1.0, 200)
     assert np.max(np.abs(cdfs[0].eval(grid) - grid ** 2)) < 0.03
     assert np.max(np.abs(cdfs[1].eval(grid) - grid)) < 0.03
@@ -222,7 +222,7 @@ def test_full_support_params_underflow():
 
 def test_full_estimator_zeroes_below_eta():
     s = simulate_fp(uniform_model(), 50000, 1)
-    cdfs = estimate_bid_cdf_full(s, 1.0, 0.2)
+    cdfs, _ = estimate_bid_cdf_full(s, 1.0, 0.2)
     for F in cdfs:
         assert F.eval(0.05) == 0.0  # below eta = 0.1
         assert wasserstein1(F, uniform_cdf()) < 0.05
@@ -416,7 +416,14 @@ def test_budget_batches_reserves_in_order_under_the_column_cap():
 def test_fp_partial_estimate_rejects_empty_probe_batches(size):
     oracle = make_fp_partial_oracle(uniform_model())
     with pytest.raises(ValidationError, match="must be >= 1"):
-        fp_partial_estimate(oracle, 2, p=0.5, gamma=0.5, eps=0.2, **{size: 0})
+        fp_partial_estimate(oracle, p=0.5, gamma=0.5, eps=0.2, **{size: 0})
+
+
+@pytest.mark.parametrize("lipschitz_L", [0.0, -1.0])
+def test_fp_partial_estimate_rejects_a_nonpositive_lipschitz_constant(lipschitz_L):
+    oracle = make_fp_partial_oracle(uniform_model())
+    with pytest.raises(ValidationError, match="lipschitz"):
+        fp_partial_estimate(oracle, p=0.5, gamma=0.5, eps=0.2, lipschitz_L=lipschitz_L)
 
 
 def test_fp_partial_estimate_is_pinned_per_seed():
@@ -427,7 +434,7 @@ def test_fp_partial_estimate_is_pinned_per_seed():
     # 351600 now; beta left the diagnostics). A change that moves any draw,
     # batch boundary or rounding changes the hash.
     oracle = make_fp_partial_oracle(uniform_model())
-    cdfs, diag = fp_partial_estimate(oracle, 2, p=0.5, gamma=0.5, eps=0.2, seed=1,
+    cdfs, diag = fp_partial_estimate(oracle, p=0.5, gamma=0.5, eps=0.2, seed=1,
                                      n_search=200, n_point=2000, n_base=20000)
     assert diag["oracle_calls"] == 351600
     assert (diag["oracle_batches"], diag["pruned_levels"]) == (25, 120)

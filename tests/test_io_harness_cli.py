@@ -8,10 +8,17 @@ import jsonschema
 import numpy as np
 import pytest
 
-from auctionmetrics.auction_sim import AuctionModel, simulate_fp, simulate_sp
-from auctionmetrics.dist_core import uniform_cdf
+from auctionmetrics import cli
+from auctionmetrics.auction_sim import (
+    AuctionModel,
+    make_fp_partial_oracle,
+    simulate_fp,
+    simulate_sp,
+)
+from auctionmetrics.dist_core import BoundedDensityModel, PiecewiseCdf, uniform_cdf
 from auctionmetrics.errors import ValidationError
 from auctionmetrics.harness import (
+    ESTIMATORS,
     ExperimentConfig,
     run_convergence,
     run_lower_bound_experiment,
@@ -167,6 +174,94 @@ def test_convergence_isolates_failing_cells():
     assert all("error" in d for d in report.diagnostics)
 
 
+def equilibrium_model():
+    # bids linear on [0, 1/2] are the equilibrium of uniform values, k = 2
+    half = PiecewiseCdf([0.0, 0.5], [0.0, 1.0], interpolation="linear")
+    values = BoundedDensityModel(knots=[0.0, 1.0], density=[1.0, 1.0],
+                                 alpha_lo=1.0, eta_hi=1.0)
+    return AuctionModel(bid_dists=[half, half], value_dists=[values, values])
+
+
+# one small sweep per kind: (model, metric, support, estimator_args)
+SWEEPS = {
+    "fp-effective": (uniform_model(), "kolmogorov", (0.3, 1.0),
+                     {"p": 0.3, "gamma": 0.09, "eps": 0.045}),
+    "fp-full": (uniform_model(), "wasserstein1", (0.0, 1.0), {"lambda": 1.0, "eps": 0.2}),
+    "fp-density": (uniform_model(), "l1-density", (0.3, 1.0),
+                   {"p": 0.3, "gamma": 0.09, "h": 0.1}),
+    "fp-value": (equilibrium_model(), "kolmogorov", (0.3, 1.0),
+                 {"p": 0.2, "gamma": 0.04, "eps": 0.1, "zeta": 1.0, "lipschitz": 1.0}),
+    "sp": (uniform_model(), "kolmogorov", (0.02, 0.98),
+           {"alpha": 1.0, "eta": 1.0, "eps": 0.1, "theta": 0.05}),
+    "fp-partial": (uniform_model(), "kolmogorov", (0.5, 1.0),
+                   {"p": 0.5, "gamma": 0.5, "eps": 0.2,
+                    "n_search": 200, "n_point": 2000, "n_base": 20000}),
+    "sp-partial": (uniform_model(), "kolmogorov", (0.5, 1.0),
+                   {"p": 0.5, "gamma": 0.5, "eps": 0.2, "n_point": 2000}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ESTIMATORS))
+def test_convergence_runs_every_estimator_kind(kind):
+    model, metric, (lo, hi), args = SWEEPS[kind]
+    report = run_convergence(ExperimentConfig(
+        model=model, estimator=kind, n_schedule=[5000], seeds=2, metric=metric,
+        support_lo=lo, support_hi=hi, estimator_args=args))
+    assert all("error" not in d for d in report.diagnostics), report.diagnostics
+    assert len(report.rows) == 2 * model.k
+    assert all(0.0 <= r["error"] < 0.5 for r in report.rows)
+    jsonschema.validate(json.loads(json.dumps(report.to_dict())),
+                        load_schema("report.schema.json"))
+
+
+# configs a sweep used to run and file as estimator failures, or score with
+# the wrong measure (on the uniform model, which has no value_dists); each now
+# fails before any cell runs
+BAD_SWEEPS = {
+    "missing key": (dict(estimator_args={"p": 0.3, "eps": 0.045}),
+                    "estimator 'fp-effective' needs key 'gamma'"),
+    "unknown key": (dict(estimator="sp", estimator_args={
+        "alpha": 1.0, "eta": 1.0, "eps": 0.1, "overrides": {"theta": 0.05}}),
+        "estimator 'sp' takes no key 'overrides'"),
+    "density scored as a CDF": (dict(estimator="fp-density", metric="kolmogorov",
+                                     estimator_args={"p": 0.3, "gamma": 0.09, "h": 0.1}),
+                                "'kolmogorov' cannot score the density estimates of "
+                                "estimator 'fp-density'"),
+    "a CDF scored as a density": (dict(metric="l1-density"),
+                                  "'l1-density' cannot score the bid estimates of "
+                                  "estimator 'fp-effective'"),
+    "values without value_dists": (dict(estimator="fp-value", estimator_args={
+        "p": 0.2, "gamma": 0.04, "eps": 0.1, "zeta": 1.0}),
+        "'fp-value' is scored against value CDFs, and the model has no value_dists"),
+    "a float draw count": (dict(estimator="sp-partial", estimator_args={
+        "p": 0.5, "gamma": 0.5, "eps": 0.2, "n_point": 2e3}),
+        "estimator 'sp-partial' key 'n_point' must be Integral, not float"),
+    "a float iteration count": (dict(estimator="sp", estimator_args={
+        "alpha": 1.0, "eta": 1.0, "eps": 0.1, "fp_iters": 2.0}),
+        "estimator 'sp' key 'fp_iters' must be Integral, not float"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SWEEPS))
+def test_config_rejects_what_the_registry_cannot_run(case):
+    kw, message = BAD_SWEEPS[case]
+    with pytest.raises(ValidationError, match=message):
+        sweep_config(**kw)
+
+
+def test_config_rejects_ill_typed_estimator_args():
+    with pytest.raises(ValidationError, match="'gamma' must be Real, not str"):
+        sweep_config(estimator_args={"p": 0.3, "gamma": "0.09"})
+    with pytest.raises(ValidationError, match="'eps' must be Real, not bool"):
+        sweep_config(estimator_args={"p": 0.3, "gamma": 0.09, "eps": True})
+
+
+def test_config_from_dict_inverts_to_dict():
+    config = sweep_config(metric="levy", seed_root=4)
+    back = ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict())))
+    assert back.to_dict() == config.to_dict()
+
+
 def test_lower_bound_experiment_summary():
     result = run_lower_bound_experiment(k=2, eps=0.1, lam=0.2, n=2000, trials=8)
     assert result["kolmogorov_f1_f1p"] >= 0.5
@@ -207,6 +302,9 @@ def test_cli_simulate_then_estimate_fp(tmp_path, model_file):
     assert len(cdfs) == 2
     grid = np.linspace(0.3, 1.0, 50)
     assert np.max(np.abs(cdfs[0].eval(grid) - grid)) < 0.1
+    # the estimator's own diagnostics, eps defaulting to gamma/2
+    assert json.loads(out.read_text())["diagnostics"] == {
+        "n": 4000, "p": 0.3, "gamma": 0.09, "eps": 0.045, "h_floor": 0.045}
 
 
 def test_cli_estimate_values(tmp_path, model_file):
@@ -230,6 +328,8 @@ def test_cli_estimate_sp(tmp_path, model_file):
                 "--alpha", 1.0, "--eta", 1.0, "--eps", 0.1, "--out", out)
     assert r.returncode == 0, r.stderr
     assert len(io_read_cdfs(out)) == 2
+    diag = json.loads(out.read_text())["diagnostics"]
+    assert len(diag["contraction_samples"]) == diag["T"]  # as in a sweep
 
 
 def test_cli_metric_output(tmp_path):
@@ -281,6 +381,74 @@ def test_cli_sweep(tmp_path, model_file):
     report = json.loads(out.read_text())
     jsonschema.validate(report, load_schema("report.schema.json"))
     assert report["aggregates"]["2000"]["median"] <= report["aggregates"]["500"]["median"]
+
+
+def sweep_file(tmp_path, model_file, **kw):
+    """A small sweep config file; a key set to None is left out."""
+    cfg = {
+        "model": json.loads(model_file.read_text()),
+        "estimator": "fp-effective",
+        "n_schedule": [500],
+        "seeds": 1,
+        "estimator_args": {"p": 0.3, "gamma": 0.09, "eps": 0.045},
+        **kw,
+    }
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({k: v for k, v in cfg.items() if v is not None}))
+    return path
+
+
+def main_exit(argv, capsys):
+    code = cli.main([str(a) for a in argv])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SWEEPS))
+def test_cli_sweep_rejects_a_bad_config_before_any_cell(case, tmp_path, model_file, capsys):
+    kw, message = BAD_SWEEPS[case]
+    path = sweep_file(tmp_path, model_file, **kw)
+    code, err = main_exit(["sweep", "--config", path, "--out", tmp_path / "r.json"], capsys)
+    assert code == 2 and message in err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("estimator", None, "sweep config needs key 'estimator'"),
+    ("seeds", "2", "sweep config key 'seeds' must be int, not str"),
+    ("support", [0.3], "sweep config key 'support' must be a pair of numbers"),
+    ("seed", 3, "sweep config takes no key 'seed'"),
+])
+def test_cli_sweep_config_key_errors_exit_2(key, value, message, tmp_path, model_file,
+                                            capsys):
+    path = sweep_file(tmp_path, model_file, **{key: value})
+    code, err = main_exit(["sweep", "--config", path, "--out", tmp_path / "r.json"], capsys)
+    assert (code, err.strip()) == (2, f"error: {message}")
+
+
+@pytest.mark.parametrize("command, lipschitz", [
+    ("estimate-fp-partial", 0), ("estimate-sp-partial", -1)])
+def test_cli_probe_commands_reject_a_nonpositive_lipschitz_constant(
+        command, lipschitz, tmp_path, model_file, capsys):
+    code, err = main_exit([command, "--model", model_file, "--p", 0.5, "--gamma", 0.5,
+                           "--eps", 0.2, "--lipschitz", lipschitz,
+                           "--out", tmp_path / "o.json"], capsys)
+    assert code == 2 and "lipschitz" in err
+
+
+def test_cli_estimate_fp_partial_matches_the_registry_entry(tmp_path, model_file, capsys):
+    out = tmp_path / "fpp.json"
+    code, err = main_exit(["estimate-fp-partial", "--model", model_file, "--p", 0.5,
+                           "--gamma", 0.5, "--eps", 0.2, "--seed", 3, "--out", out], capsys)
+    assert code == 0, err
+    args = {"p": 0.5, "gamma": 0.5, "eps": 0.2}
+    cdfs, diag = ESTIMATORS["fp-partial"].run(
+        make_fp_partial_oracle(io_read_model(model_file)), args, 3)
+    bundle = io_read_cdfs(out)
+    assert len(bundle) == len(cdfs) == 2
+    for a, b in zip(bundle, cdfs):
+        assert a.breakpoints.tobytes() == b.breakpoints.tobytes()
+        assert a.values.tobytes() == b.values.tobytes()
+    assert json.loads(out.read_text())["diagnostics"] == diag
 
 
 def test_cli_lower_bound_stdout():

@@ -307,6 +307,9 @@ def test_sp_partial_estimate_validates_inputs():
         sp_partial_estimate(oracle, p=0.2, gamma=0.0, eps=0.1)
     with pytest.raises(ValidationError):
         sp_partial_estimate(oracle, p=0.2, gamma=0.2, eps=1.5)
+    # a non-positive Lipschitz constant made the search one step long
+    with pytest.raises(ValidationError, match="lipschitz"):
+        sp_partial_estimate(oracle, p=0.2, gamma=0.2, eps=0.1, lipschitz_L=-1.0)
 
 
 def estimate_digest(cdfs, diagnostics):
