@@ -153,21 +153,29 @@ def _bid_matrix(model, n, rng_or_seed):
 
 
 def _scan_bids(x, second=False):
-    """(top bid, winner in 1..k, second-highest bid or None) of each column.
+    """(top bid, winner code, second-highest bid or None) of each column.
 
-    One running pass over the k rows of ``x``. A strict ``>`` keeps ties
-    with the lowest index, as ``argmax`` does.
+    One running pass over the k rows of ``x``. The winner code is the
+    0-based row of the top bid in the smallest unsigned integer type that
+    holds k. A strict ``>`` keeps ties with the lowest index, as ``argmax``
+    does: row j takes the code only where it beats every earlier row, and
+    then j exceeds every earlier code, so a running maximum sets it.
     """
     top = x[0].copy()
-    winner = np.ones(x.shape[1], dtype=np.int64)
+    code = np.zeros(x.shape[1], dtype=np.min_scalar_type(x.shape[0]))
     runner = np.full(x.shape[1], -np.inf) if second else None
     for j in range(1, x.shape[0]):
         row = x[j]
-        _put(winner, j + 1, row > top)
+        np.maximum(code, np.multiply(row > top, j, dtype=code.dtype), out=code)
         if second:
             np.maximum(runner, np.minimum(top, row), out=runner)
         np.maximum(top, row, out=top)
-    return top, winner, runner
+    return top, code, runner
+
+
+def _winner_index(code):
+    """The 1-based int64 bidder index of a winner code."""
+    return np.add(code, 1, dtype=np.int64)
 
 
 def _put(a, value, mask):
@@ -182,18 +190,18 @@ def simulate_fp(model, n, seed):
     """n draws of (max bid, argmax bidder); ties go to the lowest index."""
     if n < 1:
         raise ValidationError("n must be >= 1")
-    y, z, _ = _scan_bids(_bid_matrix(model, n, seed))
-    return SampleSet(y=y, z=z, k=model.k, auction=FORMAT_FP, seed=_seed_int(seed),
-                     model_id=model.model_id)
+    y, code, _ = _scan_bids(_bid_matrix(model, n, seed))
+    return SampleSet(y=y, z=_winner_index(code), k=model.k, auction=FORMAT_FP,
+                     seed=_seed_int(seed), model_id=model.model_id)
 
 
 def simulate_sp(model, n, seed):
     """n draws of (second-highest bid, argmax bidder)."""
     if n < 1:
         raise ValidationError("n must be >= 1")
-    _, z, y = _scan_bids(_bid_matrix(model, n, seed), second=True)
-    return SampleSet(y=y, z=z, k=model.k, auction=FORMAT_SP, seed=_seed_int(seed),
-                     model_id=model.model_id)
+    _, code, y = _scan_bids(_bid_matrix(model, n, seed), second=True)
+    return SampleSet(y=y, z=_winner_index(code), k=model.k, auction=FORMAT_SP,
+                     seed=_seed_int(seed), model_id=model.model_id)
 
 
 def _seed_int(seed):
@@ -223,7 +231,8 @@ def fp_partial_winners(model, r, n, rng):
     planted bid wins ties, so Pr(winner = k+1) = prod_j F_j(r) exactly.
     """
     _check_reserve(r, n)
-    top, winners, _ = _scan_bids(_bid_matrix(model, n, rng))
+    top, code, _ = _scan_bids(_bid_matrix(model, n, rng))
+    winners = _winner_index(code)
     _put(winners, model.k + 1, top <= r)
     return winners
 
@@ -237,22 +246,58 @@ def sp_partial_outcomes(model, r, n, rng):
     ``r`` is a scalar or one reserve per probe, as in ``fp_partial_winners``.
     """
     _check_reserve(r, n)
-    top, winners, second = _scan_bids(_bid_matrix(model, n, rng), second=True)
+    top, code, second = _scan_bids(_bid_matrix(model, n, rng), second=True)
+    winners = _winner_index(code)
     _put(winners, model.k + 1, top <= r)
     return winners, second <= r
 
 
-def make_fp_partial_oracle(model):
-    """Batch oracle handle ``oracle(r, n, rng) -> winners`` for estimators.
+def fp_partial_counts(model, reserves, n, rng):
+    """Reserve-price probes at several reserves: win counts per reserve.
 
-    ``r`` is a scalar reserve or one reserve per probe. Each call spawns one
-    child stream of ``rng`` per bidder and fills the bids in bidder order
-    (the ``_bid_matrix`` contract), so equal ``rng`` states give equal
-    winners.
+    The n probes are split into ``len(reserves)`` equal consecutive blocks,
+    block i probing at ``reserves[i]``; the bids follow the ``_bid_matrix``
+    stream contract, so row i equals the ``bincount`` (minlength k+2) of
+    block i of ``fp_partial_winners(model, np.repeat(reserves, n //
+    len(reserves)), n, rng)``. Returns a ``(len(reserves), k+2)`` int64
+    array: column j counts bidder j's wins, column k+1 the planted bid's,
+    and column 0 is 0.
+    """
+    reserves = np.asarray(reserves, dtype=np.float64)
+    if reserves.ndim != 1 or not reserves.size or n % reserves.size:
+        raise ValidationError("the probes must split evenly over a 1-D array of reserves")
+    _check_reserve(reserves, reserves.size)
+    k = model.k
+    top, code, _ = _scan_bids(_bid_matrix(model, n, rng))
+    beaten = top.reshape(reserves.size, -1) <= reserves[:, None]
+    # code j+1 for bidder j's wins, 0 where the planted bid wins
+    code = code.reshape(beaten.shape)
+    code += 1
+    code *= ~beaten
+    counts = np.zeros((reserves.size, k + 2), dtype=np.int64)
+    counts[:, k + 1] = _row_counts(beaten)
+    for j in range(2, k + 1):
+        counts[:, j] = _row_counts(code == j)
+    counts[:, 1] = beaten.shape[1] - counts[:, 2:].sum(axis=1)
+    return counts
+
+
+def _row_counts(mask):
+    """True entries in each row of a 2-D boolean mask."""
+    return [np.count_nonzero(row) for row in mask]
+
+
+def make_fp_partial_oracle(model):
+    """Batch oracle handle ``oracle(reserves, n, rng) -> counts`` for estimators.
+
+    The handle is ``fp_partial_counts``: n probes split evenly over the
+    reserves, returned as per-reserve win counts. Each call spawns one child
+    stream of ``rng`` per bidder and fills the bids in bidder order (the
+    ``_bid_matrix`` contract), so equal ``rng`` states give equal counts.
     """
 
-    def oracle(r, n, rng):
-        return fp_partial_winners(model, r, n, rng)
+    def oracle(reserves, n, rng):
+        return fp_partial_counts(model, reserves, n, rng)
 
     oracle.k = model.k
     return oracle

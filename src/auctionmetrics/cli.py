@@ -68,9 +68,7 @@ def build_parser():
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--zeta", type=float, required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--lipschitz", type=float)
-    group.add_argument("--general", action="store_true")
+    p.add_argument("--lipschitz", type=float)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("estimate-sp", help="second-price fixed-point pipeline")

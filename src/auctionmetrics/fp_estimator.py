@@ -210,13 +210,14 @@ class _OracleBudget:
     batches: int = 0  # oracle calls
 
     def frequencies(self, xs, n):
-        """One row of win frequencies (``_win_frequencies``) per reserve in
-        ``xs``, from n probes at each.
+        """One row of win frequencies per reserve in ``xs``, from n probes at
+        each: the share of probes won by each index 0..k+1 (bidders 1..k,
+        the planted bid k+1; index 0 never wins).
 
         Consecutive reserves share one oracle call of at most
         ``_BATCH_COLUMNS`` probes (always at least one reserve per call),
-        in the order of ``xs``. A call for a single reserve passes it as a
-        scalar, which draws the same winners without a per-probe array.
+        in the order of ``xs``. The oracle returns exact integer counts, so
+        ``count / n`` is the mean of the winners' indicators bit for bit.
         """
         xs = np.asarray(xs, dtype=np.float64)
         out = np.empty((xs.size, self.k + 2))
@@ -224,26 +225,11 @@ class _OracleBudget:
         for s in range(0, xs.size, per):
             chunk = xs[s:s + per]
             m = chunk.size * n
-            r = chunk[0] if chunk.size == 1 else np.repeat(chunk, n)
-            winners = self.oracle(r, m, self.rng)
+            counts = self.oracle(chunk, m, self.rng)
             self.calls += m
             self.batches += 1
-            out[s:s + chunk.size] = _win_frequencies(winners.reshape(chunk.size, n), self.k)
+            out[s:s + chunk.size] = counts / n
         return out
-
-
-def _win_frequencies(winners, k):
-    """Share of probes won by each index 0..k+1 (bidders 1..k, reserve k+1),
-    for each row of ``winners`` (a 1-D array is one row).
-
-    One offset ``bincount`` per batch; the counts are exact integers, so
-    ``count / n`` equals ``(row == i).mean()`` bit for bit.
-    """
-    rows = winners.reshape(-1, winners.shape[-1])
-    m, n = rows.shape
-    offset = rows + (k + 2) * np.arange(m)[:, None]
-    counts = np.bincount(offset.ravel(), minlength=m * (k + 2))
-    return (counts / n).reshape(winners.shape[:-1] + (k + 2,))
 
 
 def _search_step(val, target, eps1):
@@ -307,12 +293,16 @@ def fp_partial_estimate(oracle, p, gamma, eps, lipschitz_L=1.0,
     frequency of i at reserve 0 minus at reserve x. Quantile grids of both are
     located by noisy binary search, all levels of a grid at once: each search
     step probes the midpoints of the levels still searching in shared oracle
-    calls, and levels the sub-CDF cannot reach take no probes. The tail sum
-    G-hat_i is assembled on the merged grid. The bidder count is ``oracle.k``.
+    calls, and levels the sub-CDF cannot reach take no probes. Bidder i's
+    grid merges the located quantiles of H and H_i; after all searches, one
+    pass of point probes over the union of the bidders' grids reads H and
+    every H_i at each of its reserves, and G-hat_i is assembled on bidder i's
+    grid from those readings. The bidder count is ``oracle.k``.
 
     Returns (list of staircases, diagnostics). The diagnostics report the
     budget: ``oracle_calls`` probes drawn in ``oracle_batches`` oracle calls,
-    and ``pruned_levels`` sub-CDF levels answered without probes.
+    ``pruned_levels`` sub-CDF levels answered without probes and
+    ``point_reserves`` reserves in the union grid of the point probes.
     """
     if not (0.0 < gamma <= 1.0 and 0.0 <= p <= 1.0):
         raise ValidationError("invalid effective-support pair")
@@ -339,7 +329,7 @@ def fp_partial_estimate(oracle, p, gamma, eps, lipschitz_L=1.0,
 
     vhat = noisy_quantile_search(h_at, levels, T, eps1)
 
-    cdfs = []
+    grids = []
     pruned_levels = 0
     for i in range(1, k + 1):
         def hi_at(xs, i=i):
@@ -352,8 +342,15 @@ def fp_partial_estimate(oracle, p, gamma, eps, lipschitz_L=1.0,
         xs = xs[(xs >= p - 1e-12) & (xs <= 1.0)]
         if xs.size < 2:
             raise EstimationError("degenerate probe grid", {"oracle_calls": budget.calls})
+        grids.append(xs)
 
-        freq = budget.frequencies(xs, n_point)
+    # one probe at x reads H(x) and every H_i(x): probe the merged grid once
+    merged = np.unique(np.concatenate(grids))
+    merged_freq = budget.frequencies(merged, n_point)
+
+    cdfs = []
+    for i, xs in enumerate(grids, start=1):
+        freq = merged_freq[np.searchsorted(merged, xs)]
         h_vals = freq[:, k + 1]
         # monotone repair of the sub-CDF
         hi_vals = np.maximum.accumulate(base_freq[i] - freq[:, i])
@@ -375,6 +372,7 @@ def fp_partial_estimate(oracle, p, gamma, eps, lipschitz_L=1.0,
         "oracle_calls": budget.calls,
         "oracle_batches": budget.batches,
         "pruned_levels": pruned_levels,
+        "point_reserves": int(merged.size),
         "T": T,
         "delta_grid": delta_grid,
         "eps1": eps1,

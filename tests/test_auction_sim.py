@@ -9,6 +9,7 @@ from auctionmetrics.auction_sim import (
     _bid_matrix,
     _fast_scalar_cdf_pdf,
     equilibrium_residual,
+    fp_partial_counts,
     fp_partial_winners,
     lower_bound_fixture,
     make_fp_partial_oracle,
@@ -219,6 +220,47 @@ def test_reserve_array_sets_one_reserve_per_probe():
     winners, q = sp_partial_outcomes(m, rs, n, np.random.default_rng(7))
     np.testing.assert_array_equal(winners, ref_winners)
     np.testing.assert_array_equal(q, second <= rs)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("reserves, n", [
+    ([0.5], 5000),  # one reserve, on an atom
+    ([0.2, 0.5, 0.8, 0.35], 1 << 14),  # a multi-reserve chunk of 2^16 probes
+    ([0.0], 200000),  # the base call at reserve 0
+])
+def test_win_counts_equal_per_row_bincounts_of_the_winners(k, reserves, n):
+    # n probes at each reserve: the counts are the bincounts of the winners of
+    # the same probes, drawn by the per-probe simulator from the same stream
+    m = atom_model(k)
+    rs = np.array(reserves)
+    counts = fp_partial_counts(m, rs, rs.size * n, np.random.default_rng(k))
+    winners = fp_partial_winners(m, np.repeat(rs, n), rs.size * n,
+                                 np.random.default_rng(k))
+    assert counts.shape == (rs.size, k + 2) and counts.dtype == np.int64
+    ref = np.array([np.bincount(w, minlength=k + 2) for w in winners.reshape(rs.size, n)])
+    assert counts.tobytes() == ref.tobytes()
+    # and those of the naive reading of the same bids, which shares no code
+    # with the kernel's winner scan
+    x = _bid_matrix(m, rs.size * n, np.random.default_rng(k))
+    top, naive, second = reference_outcomes(x, np.repeat(rs, n))
+    ref = np.array([np.bincount(w, minlength=k + 2) for w in naive.reshape(rs.size, n)])
+    assert counts.tobytes() == ref.tobytes()
+    # the cases the code must get right occur in these probes
+    assert np.any(second == top)  # a tie for the top bid
+    if 0.5 in reserves:
+        assert np.any(top == 0.5)  # the reserve ties the top bid
+
+
+def test_win_counts_reject_bad_reserves():
+    m = uniform_model()
+    for bad in (np.nan, -0.1, 1.1):
+        with pytest.raises(ValidationError, match="reserve must lie in"):
+            fp_partial_counts(m, [0.5, bad], 200, np.random.default_rng(0))
+        with pytest.raises(ValidationError, match="reserve must lie in"):
+            make_fp_partial_oracle(m)(np.array([bad]), 100, np.random.default_rng(0))
+    for reserves, n in (([0.5, 0.6], 101), ([], 100), ([[0.5]], 100)):
+        with pytest.raises(ValidationError, match="split evenly"):
+            fp_partial_counts(m, reserves, n, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.1])

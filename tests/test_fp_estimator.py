@@ -16,7 +16,7 @@ from auctionmetrics.auction_sim import (
     simulate_fp,
     simulate_sp,
 )
-from auctionmetrics.dist_core import kolmogorov, uniform_cdf, wasserstein1
+from auctionmetrics.dist_core import STEP, PiecewiseCdf, kolmogorov, uniform_cdf, wasserstein1
 from auctionmetrics.errors import ValidationError
 from auctionmetrics.fp_estimator import (
     _BATCH_COLUMNS,
@@ -25,7 +25,6 @@ from auctionmetrics.fp_estimator import (
     _ghat_to_cdf,
     _OracleBudget,
     _search_below,
-    _win_frequencies,
     density_bandwidth,
     empirical_H,
     estimate_bid_cdf_effective,
@@ -380,25 +379,35 @@ def estimate_digest(cdfs, diagnostics):
 
 
 def test_win_frequencies_equal_the_means_bit_for_bit():
-    winners = fp_partial_winners(uniform_model(3), 0.6, 30001, np.random.default_rng(3))
-    freq = _win_frequencies(winners, 3)
-    assert freq.shape == (5,)
-    for i in range(1, 5):
-        assert freq[i] == (winners == i).mean()
+    # one reserve, an odd probe count: count / n is the mean of the winners'
+    # indicators, since both divide the same exact integer by n
+    model = uniform_model(3)
+    budget = _OracleBudget(make_fp_partial_oracle(model), 3, np.random.default_rng(3))
+    freq = budget.frequencies([0.6], 30001)
+    winners = fp_partial_winners(model, 0.6, 30001, np.random.default_rng(3))
+    assert freq.shape == (1, 5)
+    for i in range(5):
+        assert freq[0, i] == (winners == i).mean()
 
 
 def test_batched_frequencies_equal_per_row_bincounts():
     n = 7001
-    rs = np.repeat([0.2, 0.6, 0.9], n)
-    winners = fp_partial_winners(uniform_model(3), rs, rs.size, np.random.default_rng(3))
-    freq = _win_frequencies(winners.reshape(3, n), 3)
+    xs = [0.2, 0.6, 0.9]
+    model = uniform_model(3)
+    budget = _OracleBudget(make_fp_partial_oracle(model), 3, np.random.default_rng(3))
+    freq = budget.frequencies(xs, n)
+    assert budget.batches == 1
+    winners = fp_partial_winners(model, np.repeat(xs, n), 3 * n, np.random.default_rng(3))
     assert freq.shape == (3, 5)
     for row, f in zip(winners.reshape(3, n), freq):
         assert f.tobytes() == (np.bincount(row, minlength=5) / n).tobytes()
 
 
 def test_budget_batches_reserves_in_order_under_the_column_cap():
-    oracle = make_fp_partial_oracle(uniform_model())
+    # the oracle returns per-reserve win counts; the reference draws the same
+    # calls through the per-probe simulator and counts the winners
+    model = uniform_model()
+    oracle = make_fp_partial_oracle(model)
     xs = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
     n = _BATCH_COLUMNS // 2  # two reserves per oracle call
     budget = _OracleBudget(oracle, 2, np.random.default_rng(4))
@@ -407,7 +416,7 @@ def test_budget_batches_reserves_in_order_under_the_column_cap():
     rng = np.random.default_rng(4)
     rows = []
     for chunk in (xs[:2], xs[2:4], xs[4:]):
-        winners = oracle(np.repeat(chunk, n), chunk.size * n, rng)
+        winners = fp_partial_winners(model, np.repeat(chunk, n), chunk.size * n, rng)
         rows += [np.bincount(w, minlength=4) / n for w in winners.reshape(chunk.size, n)]
     assert freq.tobytes() == np.array(rows).tobytes()
 
@@ -426,18 +435,109 @@ def test_fp_partial_estimate_rejects_a_nonpositive_lipschitz_constant(lipschitz_
         fp_partial_estimate(oracle, p=0.5, gamma=0.5, eps=0.2, lipschitz_L=lipschitz_L)
 
 
+def exact_power_oracle(powers):
+    """A probe oracle whose counts are n times the population win shares.
+
+    Bidder j has F_j(x) = x**a_j, so with A = sum(a) the top bid has
+    H(x) = x**A and bidder i's winner sub-CDF is H_i(x) = (a_i / A) x**A.
+    At reserve x bidder i wins a share H_i(1) - H_i(x), and the planted bid
+    H(x). Every call is logged as (reserves, probes).
+    """
+    a = np.asarray(powers, dtype=np.float64)
+    total = a.sum()
+
+    def oracle(reserves, n, rng):
+        reserves = np.asarray(reserves, dtype=np.float64)
+        oracle.log.append((reserves.copy(), n))
+        h = reserves ** total
+        shares = np.zeros((reserves.size, a.size + 2))
+        shares[:, 1:-1] = (a / total)[None, :] * (1.0 - h)[:, None]
+        shares[:, -1] = h
+        return np.rint(shares * (n // reserves.size)).astype(np.int64)
+
+    oracle.k = a.size
+    oracle.log = []
+    return oracle
+
+
+def per_bidder_point_loop(oracle, p, gamma, eps, seed, n_search, n_point, n_base):
+    """The point phase before the merged grid: each bidder's search, then
+    point probes on that bidder's own grid. Returns the staircases."""
+    k = oracle.k
+    budget = _OracleBudget(oracle, k, np.random.default_rng(seed))
+    delta_grid = gamma * gamma * eps / 6.0
+    eps1 = gamma * gamma * eps / 24.0
+    T = max(1, math.ceil(math.log2(max(2.0 / eps1, 2.0))))
+    levels = np.unique(np.append(np.arange(gamma, 1.0, delta_grid), 1.0))
+    base_freq = budget.frequencies([0.0], n_base)[0]
+    vhat = noisy_quantile_search(
+        lambda xs: budget.frequencies(xs, n_search)[:, k + 1], levels, T, eps1)
+    cdfs = []
+    for i in range(1, k + 1):
+        def hi_at(xs, i=i):
+            return base_freq[i] - budget.frequencies(xs, n_search)[:, i]
+
+        what, _ = _search_below(hi_at, base_freq[i], levels, T, eps1)
+        xs = np.unique(np.concatenate([vhat, what]))
+        xs = xs[(xs >= p - 1e-12) & (xs <= 1.0)]
+        freq = budget.frequencies(xs, n_point)
+        h_vals = freq[:, k + 1]
+        hi_vals = np.maximum.accumulate(base_freq[i] - freq[:, i])
+        increments = np.diff(hi_vals)
+        denom = np.maximum(h_vals[:-1], gamma / 2.0)
+        tail = np.concatenate([np.cumsum((increments / denom)[::-1])[::-1], [0.0]])
+        fvals = np.maximum.accumulate(np.clip(np.exp(-tail), 0.0, 1.0))
+        bp = np.concatenate([[min(p, xs[0])], xs]) if xs[0] > p else xs
+        vals = np.concatenate([[fvals[0]], fvals]) if xs[0] > p else fvals
+        bp, idx = np.unique(bp, return_index=True)
+        vals = vals[idx]
+        vals[-1] = max(vals[-1], 1.0) if xs[-1] >= 1.0 - 1e-9 else vals[-1]
+        cdfs.append(PiecewiseCdf(bp, np.clip(vals, 0.0, 1.0), interpolation=STEP,
+                                 is_full_cdf=bool(vals[-1] >= 1.0 - 1e-12)))
+    return cdfs
+
+
+@pytest.mark.parametrize("powers, p", [((1.0, 2.0), 0.7), ((1.0, 1.5, 2.0), 0.8)])
+def test_merged_point_grid_matches_the_per_bidder_loop(powers, p):
+    # an exact oracle reads the same value at a reserve whichever pass probes
+    # it, so probing the union of the grids once must give the per-bidder
+    # loop's staircases bit for bit
+    args = dict(p=p, gamma=0.3, eps=0.2, seed=5, n_search=200, n_point=3000, n_base=20000)
+    oracle = exact_power_oracle(powers)
+    cdfs, diag = fp_partial_estimate(oracle, **args)
+    ref = per_bidder_point_loop(exact_power_oracle(powers), **args)
+    assert len(cdfs) == len(ref) == len(powers)
+    for got, want in zip(cdfs, ref):
+        assert got.breakpoints.tobytes() == want.breakpoints.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.is_full_cdf == want.is_full_cdf
+    # the point phase is the calls at n_point probes per reserve: it draws
+    # n_point probes at each reserve of the merged grid, each reserve once
+    point = [(r, n) for r, n in oracle.log if n == args["n_point"] * r.size]
+    reserves = np.concatenate([r for r, _ in point])
+    assert sum(n for _, n in point) == args["n_point"] * diag["point_reserves"]
+    assert np.unique(reserves).size == reserves.size == diag["point_reserves"]
+    assert diag["oracle_calls"] == sum(n for _, n in oracle.log)
+
+
 def test_fp_partial_estimate_is_pinned_per_seed():
     # re-pinned when the level searches were batched: the probes of many
     # reserves now share one oracle call (one spawn(k) per call), so each
     # probe draws from a different child stream than before, and the H_i
     # levels above base_freq[i] are no longer probed (602200 draws before,
-    # 351600 now; beta left the diagnostics). A change that moves any draw,
-    # batch boundary or rounding changes the hash.
+    # 351600 after; beta left the diagnostics). Re-pinned again when the
+    # point probes moved to one pass over the union of the bidders' grids
+    # after all searches: the searches of later bidders now draw before any
+    # point probe, and a reserve shared by several grids is probed once
+    # (351600 draws before, 247800 now; point_reserves joined the
+    # diagnostics). A change that moves any draw, batch boundary or rounding
+    # changes the hash.
     oracle = make_fp_partial_oracle(uniform_model())
     cdfs, diag = fp_partial_estimate(oracle, p=0.5, gamma=0.5, eps=0.2, seed=1,
                                      n_search=200, n_point=2000, n_base=20000)
-    assert diag["oracle_calls"] == 351600
-    assert (diag["oracle_batches"], diag["pruned_levels"]) == (25, 120)
+    assert diag["oracle_calls"] == 247800
+    assert (diag["oracle_batches"], diag["pruned_levels"]) == (23, 120)
+    assert diag["point_reserves"] == 52
     assert "beta" not in diag
     assert estimate_digest(cdfs, diag) == (
-        "c3dc59dbf0fc871fc3150dc58599f8c54ad2cb3054de5ddf0a6ecc5dfb837bd4")
+        "40fc6de81211cdc34e71925b8b131f0e67ef2ee1be7d8093136174a98ab8b212")

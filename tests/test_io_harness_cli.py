@@ -319,6 +319,19 @@ def test_cli_estimate_values(tmp_path, model_file):
     assert len(io_read_cdfs(out)) == 2
 
 
+def test_cli_estimate_values_has_no_general_flag(tmp_path, model_file):
+    # leaving out --lipschitz is the general case; --general is no option
+    samples = tmp_path / "fp.csv"
+    run_cli("simulate", "--model", model_file, "--format", "fp",
+            "--n", 1000, "--seed", 6, "--out", samples)
+    r = run_cli("estimate-values", "--samples", samples, "--k", 2,
+                "--p", 0.2, "--gamma", 0.05, "--eps", 0.1, "--zeta", 1.0,
+                "--general", "--out", tmp_path / "values.json")
+    assert r.returncode == 2
+    assert "unrecognized arguments: --general" in r.stderr
+    assert not (tmp_path / "values.json").exists()
+
+
 def test_cli_estimate_sp(tmp_path, model_file):
     samples = tmp_path / "sp.csv"
     out = tmp_path / "sp.json"
