@@ -8,6 +8,7 @@ lower-bound experiments.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,33 +253,35 @@ def sp_partial_outcomes(model, r, n, rng):
     return winners, second <= r
 
 
-def fp_partial_counts(model, reserves, n, rng):
-    """Reserve-price probes at several reserves: win counts per reserve.
+def partial_counts(model, auction, reserves, n, rng):
+    """Reserve-price probes of an ``auction`` format at several reserves.
 
-    The n probes are split into ``len(reserves)`` equal consecutive blocks,
-    block i probing at ``reserves[i]``; the bids follow the ``_bid_matrix``
-    stream contract, so row i equals the ``bincount`` (minlength k+2) of
-    block i of ``fp_partial_winners(model, np.repeat(reserves, n //
-    len(reserves)), n, rng)``. Returns a ``(len(reserves), k+2)`` int64
-    array: column j counts bidder j's wins, column k+1 the planted bid's,
-    and column 0 is 0.
+    The n probes split into ``len(reserves)`` equal consecutive blocks, block
+    i probing at ``reserves[i]``, with bids by the ``_bid_matrix`` stream
+    contract. Returns a ``(len(reserves), k+2)`` int64 array of counts:
+    column k+1 the planted bid's wins, column 0 zero, column j bidder j's
+    wins, in ``FORMAT_SP`` only those where the reserve bound the price
+    (second-highest bid <= reserve < top bid). Row i is the ``bincount`` of
+    block i of ``fp_partial_winners``, or of ``sp_partial_outcomes`` masked by
+    its flags, at ``np.repeat(reserves, n // len(reserves))``.
     """
     reserves = np.asarray(reserves, dtype=np.float64)
     if reserves.ndim != 1 or not reserves.size or n % reserves.size:
         raise ValidationError("the probes must split evenly over a 1-D array of reserves")
     _check_reserve(reserves, reserves.size)
     k = model.k
-    top, code, _ = _scan_bids(_bid_matrix(model, n, rng))
+    top, code, second = _scan_bids(_bid_matrix(model, n, rng), second=auction == FORMAT_SP)
     beaten = top.reshape(reserves.size, -1) <= reserves[:, None]
-    # code j+1 for bidder j's wins, 0 where the planted bid wins
+    # code j+1 for bidder j's counted wins, else 0
     code = code.reshape(beaten.shape)
     code += 1
     code *= ~beaten
+    if second is not None:
+        code *= second.reshape(beaten.shape) <= reserves[:, None]
     counts = np.zeros((reserves.size, k + 2), dtype=np.int64)
     counts[:, k + 1] = _row_counts(beaten)
-    for j in range(2, k + 1):
+    for j in range(1, k + 1):
         counts[:, j] = _row_counts(code == j)
-    counts[:, 1] = beaten.shape[1] - counts[:, 2:].sum(axis=1)
     return counts
 
 
@@ -287,34 +290,25 @@ def _row_counts(mask):
     return [np.count_nonzero(row) for row in mask]
 
 
-def make_fp_partial_oracle(model):
-    """Batch oracle handle ``oracle(reserves, n, rng) -> counts`` for estimators.
-
-    The handle is ``fp_partial_counts``: n probes split evenly over the
-    reserves, returned as per-reserve win counts. Each call spawns one child
-    stream of ``rng`` per bidder and fills the bids in bidder order (the
-    ``_bid_matrix`` contract), so equal ``rng`` states give equal counts.
-    """
-
-    def oracle(reserves, n, rng):
-        return fp_partial_counts(model, reserves, n, rng)
-
+def _partial_oracle(model, auction):
+    oracle = functools.partial(partial_counts, model, auction)
     oracle.k = model.k
     return oracle
+
+
+def make_fp_partial_oracle(model):
+    """Batch oracle handle ``oracle(reserves, n, rng) -> counts`` for estimators:
+    ``partial_counts`` in first price. Each call spawns one child stream of
+    ``rng`` per bidder and fills the bids in bidder order (the ``_bid_matrix``
+    contract), so equal ``rng`` states give equal counts."""
+    return _partial_oracle(model, FORMAT_FP)
 
 
 def make_sp_partial_oracle(model):
-    """Batch oracle handle ``oracle(r, n, rng) -> (winners, q)`` for estimators.
-
-    Same stream contract as ``make_fp_partial_oracle``: one spawned child
-    stream of ``rng`` per bidder per call, filled in bidder order.
-    """
-
-    def oracle(r, n, rng):
-        return sp_partial_outcomes(model, r, n, rng)
-
-    oracle.k = model.k
-    return oracle
+    """The second-price handle of ``make_fp_partial_oracle``: the same call,
+    stream contract and count rows, with bidder j's column counting only the
+    wins where the reserve bound the price."""
+    return _partial_oracle(model, FORMAT_SP)
 
 
 # -- equilibrium -----------------------------------------------------------

@@ -5,7 +5,7 @@ F_i(x) = exp(-integral_x^1 dH_i / H), where H is the CDF of the winning bid
 and H_i its winner-i sub-CDF. The plug-in estimator replaces H, H_i with
 empirical counterparts, giving F-hat_i = exp(-G-hat_i) with
 
-    G-hat_i(x) = (1/n) sum_j 1{Y_j >= x, Z_j = i} / max(H-hat(Y_j), h_floor).
+    G-hat_i(x) = (1/n) sum_j 1{Y_j >= x, Z_j = i} / max(H-hat(Y_j), gamma/2).
 
 The module also provides the forward-difference density estimator and the
 adaptive reserve-price estimator that works from winner identities alone.
@@ -29,14 +29,13 @@ class FpEstimatorConfig:
     """Effective-support estimation parameters.
 
     (p, gamma) declare Pr(Y <= p) >= gamma; eps is the target sup accuracy on
-    [p, 1] (valid range (0, gamma/2]); h_floor clips the empirical
-    denominator (default gamma/2).
+    [p, 1] (valid range (0, gamma/2]). The empirical denominator is clipped
+    at ``floor`` = gamma/2.
     """
 
     p: float
     gamma: float
     eps: float
-    h_floor: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
@@ -45,12 +44,10 @@ class FpEstimatorConfig:
             raise ValidationError("gamma must lie in (0,1]")
         if not 0.0 < self.eps <= self.gamma / 2.0 + 1e-12:
             raise ValidationError("eps must lie in (0, gamma/2]")
-        if self.h_floor is not None and self.h_floor <= 0.0:
-            raise ValidationError("h_floor must be positive")
 
     @property
     def floor(self):
-        return self.h_floor if self.h_floor is not None else self.gamma / 2.0
+        return self.gamma / 2.0
 
 
 def empirical_H(samples):
@@ -237,18 +234,16 @@ def _search_step(val, target, eps1):
     return np.abs(val - target) <= eps1 / 2.0, val > target
 
 
-def noisy_quantile_search(estimate, target, T, eps1, lo=0.0, hi=1.0):
-    """Bisection against a noisy monotone function, over one or many targets.
+def noisy_quantile_search(estimate, targets, T, eps1, lo=0.0, hi=1.0):
+    """Bisection against a noisy monotone function, for a 1-D array of targets.
 
     Each step calls ``estimate`` once with the midpoints of the targets still
-    searching (a float for a scalar target, else an array in target order)
-    and takes one fresh noisy reading per midpoint. A target stops when its
-    reading lands within eps1/2 of it; otherwise its interval is halved
-    toward it, for at most T steps. Returns the last midpoint of each target.
+    searching, an array in target order, and takes one fresh noisy reading
+    per midpoint. A target stops when its reading lands within eps1/2 of it;
+    otherwise its interval is halved toward it, for at most T steps. Returns
+    the last midpoint of each target.
     """
-    u = np.asarray(target, dtype=np.float64)
-    scalar = u.ndim == 0
-    u = np.atleast_1d(u)
+    u = np.asarray(targets, dtype=np.float64)
     lo = np.full(u.shape, float(lo))
     hi = np.full(u.shape, float(hi))
     mid = 0.5 * (lo + hi)
@@ -258,12 +253,12 @@ def noisy_quantile_search(estimate, target, T, eps1, lo=0.0, hi=1.0):
             break
         m = 0.5 * (lo[active] + hi[active])
         mid[active] = m
-        val = np.asarray(estimate(float(m[0]) if scalar else m))
+        val = np.asarray(estimate(m))
         stop, above = _search_step(val, u[active], eps1)
         hi[active] = np.where(above, m, hi[active])
         lo[active] = np.where(above, lo[active], m)
         active = active[~stop]
-    return float(mid[0]) if scalar else mid
+    return mid
 
 
 def _search_below(estimate, ceiling, targets, T, eps1):
@@ -282,6 +277,19 @@ def _search_below(estimate, ceiling, targets, T, eps1):
     out[blind] = noisy_quantile_search(lambda xs: np.full(xs.size, ceiling),
                                        targets[blind], T, eps1)
     return out, int(blind.sum())
+
+
+def _check_probe_args(p, gamma, eps, lipschitz_L, **sizes):
+    """The argument checks both reserve-probe estimators share; ``sizes``
+    name their probe counts."""
+    if not (0.0 < gamma <= 1.0 and 0.0 <= p <= 1.0):
+        raise ValidationError("invalid effective-support pair")
+    if not 0.0 < eps < 1.0:
+        raise ValidationError("eps must lie in (0,1)")
+    if not lipschitz_L > 0.0:
+        raise ValidationError("lipschitz_L must be positive")
+    if min(sizes.values()) < 1:
+        raise ValidationError(f"{', '.join(sizes)} must be >= 1")
 
 
 def fp_partial_estimate(oracle, p, gamma, eps, lipschitz_L=1.0,
@@ -304,14 +312,8 @@ def fp_partial_estimate(oracle, p, gamma, eps, lipschitz_L=1.0,
     ``pruned_levels`` sub-CDF levels answered without probes and
     ``point_reserves`` reserves in the union grid of the point probes.
     """
-    if not (0.0 < gamma <= 1.0 and 0.0 <= p <= 1.0):
-        raise ValidationError("invalid effective-support pair")
-    if not 0.0 < eps < 1.0:
-        raise ValidationError("eps must lie in (0,1)")
-    if not lipschitz_L > 0.0:
-        raise ValidationError("lipschitz_L must be positive")
-    if min(n_search, n_point, n_base) < 1:
-        raise ValidationError("n_search, n_point and n_base must be >= 1")
+    _check_probe_args(p, gamma, eps, lipschitz_L,
+                      n_search=n_search, n_point=n_point, n_base=n_base)
     k = oracle.k
     budget = _OracleBudget(oracle, k, np.random.default_rng(seed))
 

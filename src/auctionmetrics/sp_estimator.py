@@ -26,7 +26,7 @@ import numpy as np
 from .auction_sim import FORMAT_SP
 from .dist_core import STEP, PiecewiseCdf, StepFunction, dkw_band, sub_cdf
 from .errors import EstimationError, ValidationError
-from .fp_estimator import noisy_quantile_search
+from .fp_estimator import _check_probe_args, _OracleBudget, noisy_quantile_search
 from .isotonic import pav_nondecreasing
 
 
@@ -491,25 +491,23 @@ def estimate_sp(samples, alpha, eta, eps, measure_contraction=0, seed=0, **overr
 # -- reserve-price probes ----------------------------------------------------
 
 
-def sp_partial_pointwise(oracle, x, n, rng):
-    """Pointwise recovery of all F_j(x) from n probes at reserve x.
+def sp_partial_pointwise(freq):
+    """(F-hat rows, means) from rows of second-price count shares, one per reserve x.
 
-    Z_j indicates "bidder j won and the reserve bound the price, or the
-    reserve won outright"; its mean estimates prod_{l != j} F_l(x), and the
-    power-product combination returns each F_j(x).
+    Z_j, "bidder j won and the reserve bound the price, or the reserve won
+    outright", has mean column j plus column k+1 and estimates
+    prod_{l != j} F_l(x); the power-product combination returns each F_j(x).
     """
-    k = oracle.k
-    winners, q = oracle(x, n, rng)
-    # Z_j counts bidder j's reserve-bound wins plus the reserve's own wins
-    bound = np.bincount(winners[q], minlength=k + 2)
-    means = (bound[1:k + 1] + bound[k + 1]) / winners.size
-    if np.any(means <= 0.0):
+    k = freq.shape[1] - 2
+    means = freq[:, 1:k + 1] + freq[:, k + 1:]
+    degenerate = np.any(means <= 0.0, axis=1)
+    if np.any(degenerate):
         raise EstimationError(
-            f"degenerate probe at reserve {x:.6g}: some win frequency is zero",
-            diagnostics={"means": means.tolist(), "n": n},
+            "degenerate probe: some win frequency is zero",
+            diagnostics={"means": means[degenerate].tolist()},
         )
     log_m = np.log(means)
-    fhat = np.exp(log_m.sum() / (k - 1.0) - log_m)
+    fhat = np.exp(log_m.sum(axis=1, keepdims=True) / (k - 1.0) - log_m)
     return np.clip(fhat, 0.0, 1.0), means
 
 
@@ -517,46 +515,42 @@ def sp_partial_estimate(oracle, p, gamma, eps, lipschitz_L=1.0,
                         seed=0, n_point=20000):
     """Staircase estimation of all F_j on [p,1] from reserve-price probes.
 
-    Quantile levels w_a = gamma + a*eps/2 (plus 1) are located by noisy binary
-    search against the pointwise estimator; each F-hat_j equals w_a on
-    [z_{j,a}, z_{j,a+1}) and gamma on [p, z_{j,0}).
+    One probe at p reads every F-hat_j(p). The levels w_a = gamma + a*eps/2
+    (plus 1) above F-hat_j(p) are located by noisy binary search against the
+    pointwise estimator, level-parallel as in ``fp_partial_estimate``.
+    F-hat_j is F-hat_j(p) on [p, z_{j,0}) and w_a on [z_{j,a}, z_{j,a+1}).
+    Returns (staircases, diagnostics); the diagnostics report ``oracle_calls``
+    probes drawn in ``oracle_batches`` oracle calls and ``searched_levels``,
+    summed over bidders.
     """
-    if not (0.0 < gamma <= 1.0 and 0.0 <= p <= 1.0):
-        raise ValidationError("invalid effective-support pair")
-    if not 0.0 < eps < 1.0:
-        raise ValidationError("eps must lie in (0,1)")
-    if not lipschitz_L > 0.0:
-        raise ValidationError("lipschitz_L must be positive")
-    k = oracle.k
-    rng = np.random.default_rng(seed)
-    calls = 0
+    _check_probe_args(p, gamma, eps, lipschitz_L, n_point=n_point)
+    budget = _OracleBudget(oracle, oracle.k, np.random.default_rng(seed))
     levels = np.unique(np.append(np.arange(gamma, 1.0, eps / 2.0), 1.0))
     T = max(1, math.ceil(math.log2(max(4.0 * lipschitz_L / eps, 2.0))))
 
-    cdfs = []
-    for j in range(1, k + 1):
-        def f_at(x, j=j):
-            nonlocal calls
-            calls += n_point
-            fhat, _ = sp_partial_pointwise(oracle, float(x), n_point, rng)
-            return float(fhat[j - 1])
+    def f_hat(xs):
+        return sp_partial_pointwise(budget.frequencies(xs, n_point))[0]
 
+    start = f_hat([p])[0]
+    cdfs = []
+    searched = 0
+    for j, f_p in enumerate(start):
+        above = levels[levels > f_p]
+        searched += above.size
         # termination band eps/4 keeps |F(z_a) - w_a| <= eps/2 with margin
-        zs = np.array([
-            noisy_quantile_search(f_at, w, T, eps / 2.0, lo=p, hi=1.0) for w in levels
-        ])
-        zs = np.maximum.accumulate(zs)
-        bp = np.concatenate([[p], zs])
-        vals = np.concatenate([[gamma], levels])
+        zs = noisy_quantile_search(lambda xs, j=j: f_hat(xs)[:, j], above, T, eps / 2.0,
+                                   lo=p, hi=1.0)
+        bp = np.concatenate([[p], np.maximum.accumulate(zs)])
+        vals = np.concatenate([[f_p], above])
         # collapse duplicate locations, keeping the highest level
-        bp_rev = bp[::-1]
-        uniq, idx = np.unique(bp_rev, return_index=True)
-        vals_u = vals[::-1][idx]
-        cdfs.append(PiecewiseCdf(uniq, np.maximum.accumulate(np.clip(vals_u, 0.0, 1.0)),
+        uniq, idx = np.unique(bp[::-1], return_index=True)
+        cdfs.append(PiecewiseCdf(uniq, np.maximum.accumulate(vals[::-1][idx]),
                                  interpolation=STEP, is_full_cdf=True))
 
     diagnostics = {
-        "oracle_calls": calls,
+        "oracle_calls": budget.calls,
+        "oracle_batches": budget.batches,
+        "searched_levels": searched,
         "T": T,
         "levels": int(levels.size),
         "n_point": n_point,

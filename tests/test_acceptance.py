@@ -208,9 +208,10 @@ def test_11_fp_partial_observation_sup_error():
 
 def test_12_sp_partial_observation():
     oracle = make_sp_partial_oracle(uniform_model())
-    fhat, _ = sp_partial_pointwise(oracle, 0.8, 10 ** 5,
-                                   np.random.default_rng(7))
-    assert abs(fhat[0] - 0.8) <= 0.03
+    # the count row of 10^5 probes at reserve 0.8, as shares
+    counts = oracle(np.array([0.8]), 10 ** 5, np.random.default_rng(7))
+    fhat, _ = sp_partial_pointwise(counts / 10 ** 5)
+    assert abs(fhat[0, 0] - 0.8) <= 0.03
     grid = np.linspace(0.5, 1.0, 300)
     hits = 0
     for seed in range(10):

@@ -9,11 +9,11 @@ from auctionmetrics.auction_sim import (
     _bid_matrix,
     _fast_scalar_cdf_pdf,
     equilibrium_residual,
-    fp_partial_counts,
     fp_partial_winners,
     lower_bound_fixture,
     make_fp_partial_oracle,
     make_sp_partial_oracle,
+    partial_counts,
     simulate_fp,
     simulate_sp,
     solve_asymmetric_equilibrium,
@@ -233,7 +233,7 @@ def test_win_counts_equal_per_row_bincounts_of_the_winners(k, reserves, n):
     # the same probes, drawn by the per-probe simulator from the same stream
     m = atom_model(k)
     rs = np.array(reserves)
-    counts = fp_partial_counts(m, rs, rs.size * n, np.random.default_rng(k))
+    counts = partial_counts(m, FORMAT_FP, rs, rs.size * n, np.random.default_rng(k))
     winners = fp_partial_winners(m, np.repeat(rs, n), rs.size * n,
                                  np.random.default_rng(k))
     assert counts.shape == (rs.size, k + 2) and counts.dtype == np.int64
@@ -251,16 +251,53 @@ def test_win_counts_equal_per_row_bincounts_of_the_winners(k, reserves, n):
         assert np.any(top == 0.5)  # the reserve ties the top bid
 
 
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("reserves, n", [
+    ([0.5], 5000),  # one reserve, on an atom
+    ([0.2, 0.5, 0.8, 0.35], 1 << 14),  # mixed reserves in a 2^16-probe chunk
+])
+def test_sp_counts_equal_per_row_masked_bincounts_of_the_outcomes(k, reserves, n):
+    # second price: row i is the bincount of block i's winners where the
+    # reserve bound the price, drawn by the per-probe simulator from the
+    # same stream
+    m = atom_model(k)
+    rs = np.array(reserves)
+    counts = make_sp_partial_oracle(m)(rs, rs.size * n, np.random.default_rng(k))
+    assert counts.shape == (rs.size, k + 2) and counts.dtype == np.int64
+    winners, q = sp_partial_outcomes(m, np.repeat(rs, n), rs.size * n,
+                                     np.random.default_rng(k))
+    ref = np.array([np.bincount(w[b], minlength=k + 2)
+                    for w, b in zip(winners.reshape(rs.size, n), q.reshape(rs.size, n))])
+    assert counts.tobytes() == ref.tobytes()
+    if rs.size == 1:  # a constant array counts the outcomes of its scalar
+        winners, q = sp_partial_outcomes(m, rs[0], n, np.random.default_rng(k))
+        assert counts.tobytes() == np.bincount(winners[q], minlength=k + 2)[None].tobytes()
+    # and the naive reading of the same bids
+    x = _bid_matrix(m, rs.size * n, np.random.default_rng(k))
+    top, naive, second = reference_outcomes(x, np.repeat(rs, n))
+    bound = second <= np.repeat(rs, n)
+    ref = np.array([np.bincount(w[b], minlength=k + 2)
+                    for w, b in zip(naive.reshape(rs.size, n), bound.reshape(rs.size, n))])
+    assert counts.tobytes() == ref.tobytes()
+    # the cases the code must get right occur in these probes
+    assert np.any(second == top) and np.any(~bound)
+    assert np.any(top == 0.5)  # the reserve ties the top bid
+
+
 def test_win_counts_reject_bad_reserves():
     m = uniform_model()
     for bad in (np.nan, -0.1, 1.1):
-        with pytest.raises(ValidationError, match="reserve must lie in"):
-            fp_partial_counts(m, [0.5, bad], 200, np.random.default_rng(0))
-        with pytest.raises(ValidationError, match="reserve must lie in"):
-            make_fp_partial_oracle(m)(np.array([bad]), 100, np.random.default_rng(0))
-    for reserves, n in (([0.5, 0.6], 101), ([], 100), ([[0.5]], 100)):
-        with pytest.raises(ValidationError, match="split evenly"):
-            fp_partial_counts(m, reserves, n, np.random.default_rng(0))
+        for auction in (FORMAT_FP, FORMAT_SP):
+            with pytest.raises(ValidationError, match="reserve must lie in"):
+                partial_counts(m, auction, [0.5, bad], 200, np.random.default_rng(0))
+        for make in (make_fp_partial_oracle, make_sp_partial_oracle):
+            with pytest.raises(ValidationError, match="reserve must lie in"):
+                make(m)(np.array([bad]), 100, np.random.default_rng(0))
+    # a scalar reserve is rejected too: the oracles take arrays only
+    for reserves, n in (([0.5, 0.6], 101), ([], 100), ([[0.5]], 100), (0.5, 100)):
+        for auction in (FORMAT_FP, FORMAT_SP):
+            with pytest.raises(ValidationError, match="split evenly"):
+                partial_counts(m, auction, reserves, n, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.1])

@@ -74,7 +74,9 @@ def test_config_eps_range():
 
 def test_config_default_floor_is_half_gamma():
     assert FpEstimatorConfig(p=0.3, gamma=0.2, eps=0.1).floor == 0.1
-    assert FpEstimatorConfig(p=0.3, gamma=0.2, eps=0.1, h_floor=0.05).floor == 0.05
+    # the floor is gamma/2, not a setting
+    with pytest.raises(TypeError):
+        FpEstimatorConfig(p=0.3, gamma=0.2, eps=0.1, h_floor=0.05)
 
 
 # -- empirical pieces ------------------------------------------------------------
@@ -263,7 +265,7 @@ def test_density_rejects_nonpositive_bandwidth():
 def test_quantile_search_exact_oracle():
     # noiseless monotone oracle: lands within half the final cell of the root
     target = 0.62
-    found = noisy_quantile_search(lambda x: x, target, T=30, eps1=1e-9)
+    found, = noisy_quantile_search(lambda x: x, np.array([target]), T=30, eps1=1e-9)
     assert found == pytest.approx(target, abs=1e-8)
 
 
@@ -274,14 +276,14 @@ def test_quantile_search_early_termination_band():
         calls.append(x)
         return x
 
-    found = noisy_quantile_search(est, 0.5, T=50, eps1=0.2)
+    found, = noisy_quantile_search(est, np.array([0.5]), T=50, eps1=0.2)
     assert abs(found - 0.5) <= 0.1
     assert len(calls) < 10  # stopped early inside the band
 
 
 def test_quantile_search_respects_bounds():
-    found = noisy_quantile_search(lambda x: x, 0.9, T=12, eps1=1e-6,
-                                  lo=0.5, hi=1.0)
+    found, = noisy_quantile_search(lambda x: x, np.array([0.9]), T=12, eps1=1e-6,
+                                   lo=0.5, hi=1.0)
     assert 0.5 <= found <= 1.0
     assert found == pytest.approx(0.9, abs=1e-3)
 
@@ -319,23 +321,24 @@ def test_vectorised_search_equals_the_scalar_search_per_target(T, eps1, lo):
 
     got = noisy_quantile_search(batched, targets, T, eps1, lo=lo)
 
-    def scalar_run(search):
+    def scalar_run(search, target):
         args = []
 
         def scalar(x):
-            args.append(x)
-            return float(staircase_reading(x))
+            args.append(float(np.squeeze(x)))
+            return staircase_reading(x)
 
-        found = [search(scalar, u, T, eps1, lo=lo) for u in targets]
-        return np.array(found), args
+        found = np.concatenate([np.atleast_1d(search(scalar, target(u), T, eps1, lo=lo))
+                                for u in targets])
+        return found, args
 
-    ref, ref_args = scalar_run(reference_search)
-    found, args = scalar_run(noisy_quantile_search)
+    ref, ref_args = scalar_run(reference_search, float)
+    found, args = scalar_run(noisy_quantile_search, lambda u: np.array([u]))
     assert got.tobytes() == ref.tobytes() == found.tobytes()
-    # a scalar target makes the old call sequence, with plain floats; the
-    # vectorised search makes one call per step with the midpoints of the
-    # targets still searching
-    assert args == ref_args and all(type(x) is float for x in args)
+    # a one-target search makes the old call sequence; the vectorised search
+    # makes one call per step with the midpoints of the targets still
+    # searching
+    assert args == ref_args
     assert sizes[0] == targets.size and len(sizes) <= T
     assert sum(sizes) == len(args)
     if T == 13:

@@ -13,6 +13,7 @@ from auctionmetrics.auction_sim import (
     make_sp_partial_oracle,
     simulate_fp,
     simulate_sp,
+    sp_partial_outcomes,
 )
 from auctionmetrics.dist_core import (
     BoundedDensityModel,
@@ -21,6 +22,7 @@ from auctionmetrics.dist_core import (
     uniform_cdf,
 )
 from auctionmetrics.errors import EstimationError, ValidationError
+from auctionmetrics.fp_estimator import _OracleBudget
 from auctionmetrics.sp_estimator import (
     CallableEval,
     FixedPointState,
@@ -264,12 +266,18 @@ def test_estimate_sp_rejects_empty_sample():
 # -- reserve-price probes ---------------------------------------------------------
 
 
+def pointwise_at(oracle, x, n, rng):
+    """``sp_partial_pointwise`` of n probes at reserve x, with the shares
+    read as the estimator reads them."""
+    return sp_partial_pointwise(_OracleBudget(oracle, oracle.k, rng).frequencies([x], n))
+
+
 def test_sp_partial_pointwise_identity():
     # k=2 uniforms: each Z_j mean is F_other(x) = x, and the power-product
     # inverts back to x
     oracle = make_sp_partial_oracle(uniform_model())
     rng = np.random.default_rng(11)
-    fhat, means = sp_partial_pointwise(oracle, 0.6, 50000, rng)
+    fhat, means = pointwise_at(oracle, 0.6, 50000, rng)
     np.testing.assert_allclose(means, 0.6, atol=0.01)
     np.testing.assert_allclose(fhat, 0.6, atol=0.02)
 
@@ -277,7 +285,7 @@ def test_sp_partial_pointwise_identity():
 def test_sp_partial_pointwise_k3():
     oracle = make_sp_partial_oracle(uniform_model(3))
     rng = np.random.default_rng(13)
-    fhat, means = sp_partial_pointwise(oracle, 0.7, 80000, rng)
+    fhat, means = pointwise_at(oracle, 0.7, 80000, rng)
     np.testing.assert_allclose(means, 0.49, atol=0.01)  # prod of two uniforms
     np.testing.assert_allclose(fhat, 0.7, atol=0.02)
 
@@ -286,7 +294,7 @@ def test_sp_partial_pointwise_degenerate_raises():
     oracle = make_sp_partial_oracle(uniform_model())
     rng = np.random.default_rng(17)
     with pytest.raises(EstimationError):
-        sp_partial_pointwise(oracle, 0.0, 200, rng)
+        pointwise_at(oracle, 0.0, 200, rng)
 
 
 def test_sp_partial_estimate_uniform():
@@ -310,6 +318,8 @@ def test_sp_partial_estimate_validates_inputs():
     # a non-positive Lipschitz constant made the search one step long
     with pytest.raises(ValidationError, match="lipschitz"):
         sp_partial_estimate(oracle, p=0.2, gamma=0.2, eps=0.1, lipschitz_L=-1.0)
+    with pytest.raises(ValidationError, match="n_point must be >= 1"):
+        sp_partial_estimate(oracle, p=0.2, gamma=0.2, eps=0.1, n_point=0)
 
 
 def estimate_digest(cdfs, diagnostics):
@@ -319,28 +329,69 @@ def estimate_digest(cdfs, diagnostics):
 
 
 def test_sp_partial_pointwise_means_are_exact_counts():
+    # Z_j's mean is the sum of two exact count shares: bidder j's bound wins
+    # and the reserve's wins, each the mean of its indicator bit for bit
     oracle = make_sp_partial_oracle(uniform_model(3))
-    _, means = sp_partial_pointwise(oracle, 0.7, 30001, np.random.default_rng(2))
-    winners, q = oracle(0.7, 30001, np.random.default_rng(2))
+    _, means = pointwise_at(oracle, 0.7, 30001, np.random.default_rng(2))
+    winners, q = sp_partial_outcomes(uniform_model(3), 0.7, 30001, np.random.default_rng(2))
     for j in range(1, 4):
-        ref = np.mean(((winners == j) & q) | ((winners == 4) & q))
-        assert means[j - 1] == ref
+        ref = np.mean((winners == j) & q) + np.mean((winners == 4) & q)
+        assert means[0, j - 1] == ref
 
 
 def test_sp_partial_estimate_is_pinned_per_seed():
-    # hashes taken before the oracle's sampling kernel was rewritten: uniform
-    # k=2 goes through the linear ppf, the k=3 density model through
-    # BoundedDensityModel.ppf
+    # re-pinned when the estimator moved onto the count oracle and the
+    # level-parallel searches: one probe at p starts each staircase at
+    # F-hat_j(p), levels at or below it are not searched, and the probes of
+    # many reserves share one oracle call (one spawn(k) per call), so each
+    # probe draws from a different child stream than before. The digests
+    # before were 73db44bd... (132000 draws) and 32bcde9e... (348000 draws).
+    # A change that moves any draw, batch boundary or rounding changes the
+    # hash. Uniform k=2 goes through the linear ppf, the k=3 density model
+    # through BoundedDensityModel.ppf.
     cdfs, diag = sp_partial_estimate(make_sp_partial_oracle(uniform_model()),
                                      p=0.5, gamma=0.5, eps=0.1, seed=1, n_point=2000)
+    assert (diag["oracle_calls"], diag["oracle_batches"], diag["searched_levels"]) == (
+        130000, 11, 21)
     assert estimate_digest(cdfs, diag) == (
-        "73db44bd7a44f0998c316dffca1058dde241994bf1ad046f30544aa13acea25a")
+        "d261353f44bba065db267802ed817680729442d3876e4801dbde70a734132cfe")
+    cdfs, diag = sp_partial_estimate(make_sp_partial_oracle(bounded3_model()),
+                                     p=0.5, gamma=0.3, eps=0.1, seed=2, n_point=2000)
+    assert (diag["oracle_calls"], diag["oracle_batches"], diag["searched_levels"]) == (
+        214000, 16, 33)
+    assert estimate_digest(cdfs, diag) == (
+        "28d01d4a4ab623028d853bae7ed2165060493b9af425a290fb92cb1bee89033b")
+
+
+def bounded3_model():
     rising = BoundedDensityModel(knots=[0.0, 1.0], density=[0.75, 1.25],
                                  alpha_lo=0.5, eta_hi=2.0)
     falling = BoundedDensityModel(knots=[0.0, 1.0], density=[1.25, 0.75],
                                   alpha_lo=0.5, eta_hi=2.0)
-    model = AuctionModel(bid_dists=[rising, falling, rising])
+    return AuctionModel(bid_dists=[rising, falling, rising])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sp_partial_estimate_meets_eps_on_bounded3(seed):
+    # F_1(0.5) = F_3(0.5) = 0.4375 and F_2(0.5) = 0.5625 differ from gamma:
+    # a staircase that starts at gamma on [p, z_0) misses eps at x = p
+    model = bounded3_model()
     cdfs, diag = sp_partial_estimate(make_sp_partial_oracle(model),
-                                     p=0.5, gamma=0.3, eps=0.1, seed=2, n_point=2000)
-    assert estimate_digest(cdfs, diag) == (
-        "32bcde9e136de349eb3928c99548fb6dd3ef6c0c0bbb0d5b1e50da7eb2ec7031")
+                                     p=0.5, gamma=0.3, eps=0.1, seed=seed)
+    errors = [kolmogorov(F, model.bid_cdf(j), 0.5, 1.0) for j, F in enumerate(cdfs, 1)]
+    assert max(errors) <= 0.1, errors
+    assert diag["searched_levels"] < 3 * diag["levels"]  # levels below F_j(p) dropped
+
+
+def test_sp_partial_estimate_starts_at_one_when_p_is_above_every_bid():
+    # bids in [0, 1/2]: the reserve wins every probe at p = 0.6, so F-hat_j(p)
+    # is 1, every level is dropped, and the one probe at p is the whole budget
+    half = PiecewiseCdf([0.0, 0.5], [0.0, 1.0], interpolation="linear")
+    for k in (2, 3):
+        cdfs, diag = sp_partial_estimate(make_sp_partial_oracle(AuctionModel([half] * k)),
+                                         p=0.6, gamma=0.3, eps=0.1, seed=4)
+        assert len(cdfs) == k
+        for F in cdfs:
+            assert F.breakpoints.tolist() == [0.6] and F.values.tolist() == [1.0]
+        assert diag["oracle_calls"] == diag["n_point"] == 20000
+        assert (diag["oracle_batches"], diag["searched_levels"]) == (1, 0)
