@@ -236,8 +236,8 @@ class PiecewiseCdf:
     def to_dict(self):
         return {
             "interpolation": self.interpolation,
-            "breakpoints": [float(repr_round(v)) for v in self.breakpoints],
-            "values": [float(repr_round(v)) for v in self.values],
+            "breakpoints": self.breakpoints.tolist(),
+            "values": self.values.tolist(),
             "is_full_cdf": bool(self.is_full_cdf),
         }
 
@@ -259,11 +259,6 @@ class PiecewiseCdf:
     @classmethod
     def from_json(cls, s):
         return cls.from_dict(json.loads(s))
-
-
-def repr_round(v):
-    """Round-trip a float through a 17-significant-digit decimal."""
-    return float(f"{float(v):.17g}")
 
 
 def sub_cdf(breakpoints, values, interpolation=STEP):
@@ -410,11 +405,11 @@ class BoundedDensityModel:
     def to_dict(self):
         return {
             "kind": "density",
-            "knots": [float(repr_round(v)) for v in self.knots],
-            "density": [float(repr_round(v)) for v in self.density],
-            "alpha_lo": repr_round(self.alpha_lo),
-            "eta_hi": repr_round(self.eta_hi),
-            "lipschitz": None if self.lipschitz is None else repr_round(self.lipschitz),
+            "knots": self.knots.tolist(),
+            "density": self.density.tolist(),
+            "alpha_lo": float(self.alpha_lo),
+            "eta_hi": float(self.eta_hi),
+            "lipschitz": None if self.lipschitz is None else float(self.lipschitz),
         }
 
     @classmethod

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .auction_sim import FORMAT_FP
-from .dist_core import STEP, PiecewiseCdf, StepFunction, empirical_cdf
+from .dist_core import STEP, PiecewiseCdf, StepFunction
 from .errors import EstimationError, ValidationError
 
 
@@ -48,13 +48,6 @@ class FpEstimatorConfig:
     @property
     def floor(self):
         return self.gamma / 2.0
-
-
-def empirical_H(samples):
-    """Empirical CDF of the winning bid."""
-    if samples.n == 0:
-        raise ValidationError("empty sample")
-    return empirical_cdf(samples.y)
 
 
 def estimate_ghat(samples, i, config):

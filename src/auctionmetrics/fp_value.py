@@ -31,8 +31,8 @@ class ValueEstimatorConfig:
     (p, gamma) declare prod_i F_i(p) >= gamma; zeta caps the value densities;
     lipschitz_L, when present, selects the Lipschitz-case guarantee (sup
     error); otherwise the general case targets Levy error with interior
-    margin d. ``search_lo`` is the lower end of the best-response search
-    interval (the guarantee region is [p,1] either way).
+    margin d. Best responses are searched on [0, 1]; the value grid step is
+    min(eps/4, 0.005).
     """
 
     p: float
@@ -41,8 +41,6 @@ class ValueEstimatorConfig:
     zeta: float
     lipschitz_L: float | None = None
     d: float | None = None
-    search_lo: float = 0.0
-    grid_step: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
@@ -56,7 +54,7 @@ class ValueEstimatorConfig:
 
     @property
     def v_grid_step(self):
-        return self.grid_step if self.grid_step is not None else min(self.eps / 4.0, 0.005)
+        return min(self.eps / 4.0, 0.005)
 
 
 def calibration_constants(config, k):
@@ -112,9 +110,8 @@ def _compose_value_cdf(fhat_i, prod_i, config):
     dv = config.v_grid_step
     grid = np.arange(config.p, 1.0 + dv / 2.0, dv)
     grid = np.minimum(grid, 1.0)
-    lo, hi = config.search_lo, 1.0
-    cand = prod_i.breakpoints[(prod_i.breakpoints >= lo) & (prod_i.breakpoints <= hi)]
-    cand = np.union1d(cand, [lo, hi])
+    cand = prod_i.breakpoints[(prod_i.breakpoints >= 0.0) & (prod_i.breakpoints <= 1.0)]
+    cand = np.union1d(cand, [0.0, 1.0])
     pv = prod_i.eval(cand)
     gvals = np.empty(grid.size)
     for m, v in enumerate(grid):

@@ -1,7 +1,8 @@
 """File formats: CSV sample logs, JSON CDF bundles, JSON/CSV reports.
 
-Floats are serialized as decimals with 17 significant digits, which is
-lossless for IEEE doubles.
+CSV floats are written as decimals with 17 significant digits, and JSON
+floats as Python's shortest round-trip repr; both are lossless for IEEE
+doubles.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
-        return float(fmt_float(obj))
+        return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     return obj

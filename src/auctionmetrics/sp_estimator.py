@@ -93,57 +93,46 @@ class SpParams:
 
 
 @dataclass(eq=False)
+class MacroCell:
+    """Macro-interval tau as the fixed point reads it, built by ``_build_grid``."""
+
+    xs: np.ndarray          # the l micro endpoints x_{tau,1..l}
+    deltas: np.ndarray      # k x l nonnegative increments of G-hat
+    coarse: np.ndarray      # k x l coarse U at xs
+    h_lo: np.ndarray        # clip bounds of H at xs
+    h_hi: np.ndarray
+    box_lo: np.ndarray      # k x l state bounds of S^(tau)
+    box_hi: np.ndarray
+
+
+@dataclass(eq=False)
 class SpGrid:
     """Macro/micro interval layout on [nu, 1-theta].
 
     ``endpoints[0] = nu`` and ``endpoints[tau]`` closes macro-interval tau,
-    which holds ``micro_counts[tau-1]`` micro cells of width micro_delta.
+    whose inputs are ``cells[tau-1]``; ``v0`` is G-hat at nu, the left
+    boundary of the first interval.
     """
 
     endpoints: np.ndarray
-    micro_counts: list
-    micro_delta: float
-
-    def __post_init__(self):
-        self.endpoints = np.ascontiguousarray(self.endpoints, dtype=np.float64)
-        if len(self.micro_counts) != self.endpoints.size - 1:
-            raise ValidationError("micro_counts must have one entry per macro-interval")
-        if any(c < 1 for c in self.micro_counts):
-            raise ValidationError("every macro-interval must contain a micro cell")
+    cells: list
+    v0: np.ndarray
 
     @property
     def T(self):
-        return len(self.micro_counts)
+        return len(self.cells)
 
-    def micro_points(self, tau):
-        """Micro endpoints x_{tau,1..l} (1-based tau)."""
-        x0 = self.endpoints[tau - 1]
-        return x0 + self.micro_delta * np.arange(1, self.micro_counts[tau - 1] + 1)
-
-    def all_points(self):
-        return np.concatenate([self.micro_points(t) for t in range(1, self.T + 1)])
-
-
-@dataclass(eq=False)
-class FixedPointState:
-    """Per-macro-interval state: U is k x l, V the left-boundary k-vector."""
-
-    U: np.ndarray
-    V: np.ndarray
-
-    def __post_init__(self):
-        self.U = np.ascontiguousarray(self.U, dtype=np.float64)
-        self.V = np.ascontiguousarray(self.V, dtype=np.float64)
-        if self.U.ndim != 2 or self.V.shape != (self.U.shape[0],):
-            raise ValidationError("U must be k x l with a matching V vector")
+    @property
+    def micro_counts(self):
+        return [cell.xs.size for cell in self.cells]
 
 
 class CallableEval:
     """Adapter exposing .eval for closed-form population callbacks.
 
     The pipeline reads its G-hat and coarse-U inputs only through ``eval``,
-    so tests can substitute exact population functions for the empirical
-    step functions.
+    and only while it builds the grid, so tests can substitute exact
+    population functions for the empirical step functions.
     """
 
     def __init__(self, fn):
@@ -199,22 +188,7 @@ def _h_clip_bounds(params, xs):
     return lo, np.maximum(hi, lo)
 
 
-def _state_box(coarse_list, params, xs):
-    """Elementwise S^(tau) bounds (lower, upper), each k x len(xs)."""
-    lower = np.vstack([c.eval(xs) for c in coarse_list]) / (2.0 * params.eta)
-    upper = np.vstack([c.eval(xs) for c in coarse_list]) * (2.0 / params.alpha)
-    return lower, upper
-
-
-def build_macro_intervals(samples, params):
-    """Greedy macro/micro construction from a second-price sample set."""
-    ghat_list = [empirical_G_sp(samples, i) for i in range(1, samples.k + 1)]
-    coarse_list = [coarse_U(samples, i, params.theta) for i in range(1, samples.k + 1)]
-    grid, _ = _build_grid(ghat_list, coarse_list, params, samples.k)
-    return grid
-
-
-def _jacobian_rowsum(params, xs, coarse_vals, k):
+def _jacobian_rowsum(params, hbar, coarse_vals):
     """Columnwise bound on the max row sum of dH/dU over the state box.
 
     H_i is the clipped power product prod_{j != i} U_j^{1/(k-1)} / U_i^{(k-2)/(k-1)};
@@ -224,7 +198,7 @@ def _jacobian_rowsum(params, xs, coarse_vals, k):
     derivative wherever the product exceeds hbar. For k = 2 the bound is
     exactly 1: H_1 = U_2 there.
     """
-    _, hbar = _h_clip_bounds(params, xs)
+    k = coarse_vals.shape[0]
     box_lo = np.maximum(coarse_vals / (2.0 * params.eta), 1e-12)
     box_hi = np.maximum(coarse_vals * (2.0 / params.alpha), box_lo)
     log_lo = np.log(box_lo)
@@ -232,7 +206,7 @@ def _jacobian_rowsum(params, xs, coarse_vals, k):
     hi_sum = log_hi.sum(axis=0)
     rows = np.empty_like(coarse_vals)
     for i in range(k):
-        total = np.zeros(xs.size)
+        total = np.zeros(hbar.size)
         for j in range(k):
             if j == i:
                 continue
@@ -246,24 +220,29 @@ def _jacobian_rowsum(params, xs, coarse_vals, k):
             total += ((k - 2.0) / (k - 1.0)
                       * np.minimum(np.exp(log_bii), hbar / box_lo[i]))
         rows[i] = total
-    return rows, hbar
+    return rows
 
 
-def _jacobian_budget(deltas, xs, coarse_vals, params, k):
+def _jacobian_budget(params, deltas, hbar, coarse_vals):
     """Cumulative contraction budget max_i sum_m Delta_{i,m} row_{i,m}/(1-hbar_m)^2."""
-    rows, hbar = _jacobian_rowsum(params, xs, coarse_vals, k)
+    rows = _jacobian_rowsum(params, hbar, coarse_vals)
     per_cell = deltas * rows / (1.0 - hbar)[None, :] ** 2
     return np.cumsum(per_cell, axis=1).max(axis=0)
 
 
-def _build_grid(ghat_list, coarse_list, params, k):
-    """Greedy construction; returns (SpGrid, per-interval budget values)."""
+def _build_grid(ghat_list, coarse_list, params):
+    """Greedy construction; returns (SpGrid, per-interval budget values).
+
+    The only place the pipeline evaluates G-hat and the coarse U: each
+    macro-interval keeps the first l columns of the arrays that sized it.
+    """
     delta = params.micro_delta
     x_prev = params.nu
     endpoints = [x_prev]
-    micro_counts = []
+    cells = []
     gammas = []
     target = 1.0 - params.theta
+    v0 = np.array([g.eval(x_prev) for g in ghat_list], dtype=np.float64)
     while x_prev < target - 1e-12:
         cap = min(2.0 * x_prev, 1.0 - params.theta / 2.0)
         l_max = int(math.floor((cap - x_prev) / delta + 1e-9))
@@ -277,7 +256,8 @@ def _build_grid(ghat_list, coarse_list, params, k):
         deltas = np.vstack([g.eval(xs) - g.eval(prev) for g in ghat_list])
         deltas = np.maximum(deltas, 0.0)
         coarse_vals = np.vstack([c.eval(xs) for c in coarse_list])
-        budget = _jacobian_budget(deltas, xs, coarse_vals, params, k)
+        h_lo, h_hi = _h_clip_bounds(params, xs)
+        budget = _jacobian_budget(params, deltas, h_hi, coarse_vals)
         ok = np.nonzero(budget <= params.contractivity_cap)[0]
         if ok.size == 0:
             raise EstimationError(
@@ -286,36 +266,17 @@ def _build_grid(ghat_list, coarse_list, params, k):
                 diagnostics={"endpoints": endpoints},
             )
         l = int(ok[-1] + 1)
+        # copies, so that a cell does not keep the whole candidate window alive
+        coarse = coarse_vals[:, :l].copy()
+        box_lo = coarse / (2.0 * params.eta)
+        cells.append(MacroCell(
+            xs=xs[:l].copy(), deltas=deltas[:, :l].copy(), coarse=coarse,
+            h_lo=h_lo[:l].copy(), h_hi=h_hi[:l].copy(), box_lo=box_lo,
+            box_hi=np.maximum(coarse * (2.0 / params.alpha), box_lo)))
         x_prev = x_prev + l * delta
         endpoints.append(x_prev)
-        micro_counts.append(l)
         gammas.append(float(budget[l - 1]))
-    return SpGrid(endpoints=np.asarray(endpoints), micro_counts=micro_counts,
-                  micro_delta=delta), gammas
-
-
-@dataclass(eq=False)
-class _MacroContext:
-    """Precomputed per-macro-interval quantities for the fixed-point map."""
-
-    xs: np.ndarray
-    deltas: np.ndarray      # k x l nonnegative increments of G-hat
-    h_lo: np.ndarray
-    h_hi: np.ndarray
-    box_lo: np.ndarray      # k x l state bounds
-    box_hi: np.ndarray
-
-
-def _make_context(tau, grid, ghat_list, coarse_list, params):
-    xs = grid.micro_points(tau)
-    prev = np.concatenate([[grid.endpoints[tau - 1]], xs[:-1]])
-    deltas = np.vstack([g.eval(xs) - g.eval(prev) for g in ghat_list])
-    deltas = np.maximum(deltas, 0.0)
-    h_lo, h_hi = _h_clip_bounds(params, xs)
-    box_lo, box_hi = _state_box(coarse_list, params, xs)
-    box_hi = np.maximum(box_hi, box_lo)
-    return _MacroContext(xs=xs, deltas=deltas, h_lo=h_lo, h_hi=h_hi,
-                         box_lo=box_lo, box_hi=box_hi)
+    return SpGrid(endpoints=np.asarray(endpoints), cells=cells, v0=v0), gammas
 
 
 def _power_product(U, k):
@@ -325,128 +286,108 @@ def _power_product(U, k):
     return np.exp((total - logU) / (k - 1.0) - ((k - 2.0) / (k - 1.0)) * logU)
 
 
-def fixed_point_map(state, tau, grid, ghat_list, coarse_list, params, ctx=None):
-    """One application of the discretized map phi^(tau)."""
-    if ctx is None:
-        ctx = _make_context(tau, grid, ghat_list, coarse_list, params)
-    U = state.U
-    if U.shape != ctx.deltas.shape:
+def fixed_point_map(U, V, cell):
+    """One application of the discretized map phi^(tau) to the k x l state U
+    with left-boundary k-vector V, on the macro-interval ``cell``."""
+    if U.shape != cell.deltas.shape or V.shape != (U.shape[0],):
         raise ValidationError("state dimensions do not match the grid")
     if np.any(U <= 0.0):
         raise ValidationError("state entries must be positive")
-    k = U.shape[0]
-    H = np.clip(_power_product(U, k), ctx.h_lo[None, :], ctx.h_hi[None, :])
-    integ = np.cumsum(ctx.deltas / (1.0 - H), axis=1)
-    phi = np.clip(state.V[:, None] + integ, ctx.box_lo, ctx.box_hi)
-    return FixedPointState(U=phi, V=state.V.copy())
+    H = np.clip(_power_product(U, U.shape[0]), cell.h_lo[None, :], cell.h_hi[None, :])
+    integ = np.cumsum(cell.deltas / (1.0 - H), axis=1)
+    return np.clip(V[:, None] + integ, cell.box_lo, cell.box_hi)
 
 
-def _random_box_state(box_lo, box_hi, V, rng):
+def _random_box_state(cell, rng):
     """A random monotone-row element of S^(tau)."""
-    u = rng.random(box_lo.shape)
-    cand = box_lo + u * (box_hi - box_lo)
+    u = rng.random(cell.box_lo.shape)
+    cand = cell.box_lo + u * (cell.box_hi - cell.box_lo)
     cand = np.maximum.accumulate(cand, axis=1)
-    cand = np.minimum(cand, box_hi)  # bounds are monotone, so this stays valid
-    return FixedPointState(U=np.maximum(cand, 1e-300), V=V)
+    cand = np.minimum(cand, cell.box_hi)  # bounds are monotone, so this stays valid
+    return np.maximum(cand, 1e-300)
 
 
-def run_fixed_point(grid, ghat_list, coarse_list, params,
-                    measure_contraction=0, seed=0):
+def run_fixed_point(grid, params, measure_contraction=0, seed=0):
     """Iterate the discretized map across all macro-intervals.
 
-    Returns (utilde, diagnostics): ``utilde`` holds the merged micro grid and
-    the k x total matrix of U estimates; diagnostics include per-interval
+    Returns (U, diagnostics): ``U`` is the k x total matrix of U estimates at
+    the cells' micro points in order; diagnostics include per-interval
     fixed-point gaps, clip activation rates, box violations, and optional
     measured contraction ratios.
     """
-    k = len(ghat_list)
     rng = np.random.default_rng(seed)
-    V = np.array([g.eval(grid.endpoints[0]) for g in ghat_list], dtype=np.float64)
-    v0 = V.copy()
-    all_xs = []
+    V = grid.v0
     all_U = []
     gaps = []
     clip_rates = []
     box_violations = 0
     contraction = []
     degenerate = 0
-    for tau in range(1, grid.T + 1):
-        ctx = _make_context(tau, grid, ghat_list, coarse_list, params)
-        if np.any(ctx.box_lo <= 0.0):
-            degenerate += int(np.sum(ctx.box_lo <= 0.0))
-        init = np.vstack([c.eval(ctx.xs) for c in coarse_list])
-        init = np.clip(init, np.maximum(ctx.box_lo, 1e-300), ctx.box_hi)
-        state = FixedPointState(U=np.maximum.accumulate(init, axis=1), V=V)
+    for cell in grid.cells:
+        degenerate += int(np.sum(cell.box_lo <= 0.0))
+        init = np.clip(cell.coarse, np.maximum(cell.box_lo, 1e-300), cell.box_hi)
+        U = np.maximum.accumulate(init, axis=1)
         gap = 0.0
         for _ in range(params.fp_iters):
-            new = fixed_point_map(state, tau, grid, ghat_list, coarse_list, params, ctx)
-            gap = float(np.max(np.abs(new.U - state.U)))
-            state = new
+            new = fixed_point_map(U, V, cell)
+            gap = float(np.max(np.abs(new - U)))
+            U = new
         gaps.append(gap)
-        at_bound = (np.isclose(state.U, ctx.box_lo) | np.isclose(state.U, ctx.box_hi))
+        at_bound = (np.isclose(U, cell.box_lo) | np.isclose(U, cell.box_hi))
         clip_rates.append(float(at_bound.mean()))
-        box_violations += int(np.sum((state.U < ctx.box_lo - 1e-9)
-                                     | (state.U > ctx.box_hi + 1e-9)))
-        box_violations += int(np.sum(np.diff(state.U, axis=1) < -1e-9))
+        box_violations += int(np.sum((U < cell.box_lo - 1e-9)
+                                     | (U > cell.box_hi + 1e-9)))
+        box_violations += int(np.sum(np.diff(U, axis=1) < -1e-9))
         if measure_contraction:
             ratios = []
             for _ in range(measure_contraction):
-                a = _random_box_state(ctx.box_lo, ctx.box_hi, V, rng)
-                b = _random_box_state(ctx.box_lo, ctx.box_hi, V, rng)
-                dist = float(np.max(np.abs(a.U - b.U)))
+                a = _random_box_state(cell, rng)
+                b = _random_box_state(cell, rng)
+                dist = float(np.max(np.abs(a - b)))
                 if dist < 1e-12:
                     continue
-                fa = fixed_point_map(a, tau, grid, ghat_list, coarse_list, params, ctx)
-                fb = fixed_point_map(b, tau, grid, ghat_list, coarse_list, params, ctx)
-                ratios.append(float(np.max(np.abs(fa.U - fb.U))) / dist)
+                fa = fixed_point_map(a, V, cell)
+                fb = fixed_point_map(b, V, cell)
+                ratios.append(float(np.max(np.abs(fa - fb))) / dist)
             contraction.append(max(ratios) if ratios else 0.0)
-        all_xs.append(ctx.xs)
-        all_U.append(state.U)
-        V = state.U[:, -1].copy()
-    utilde = {
-        "xs": np.concatenate(all_xs),
-        "U": np.hstack(all_U),
-        "V0": v0,
-        "k": k,
-    }
+        all_U.append(U)
+        V = U[:, -1].copy()
+    U = np.hstack(all_U)
     diagnostics = {
         "T": grid.T,
         "macro_endpoints": grid.endpoints.tolist(),
-        "total_micro_points": int(utilde["xs"].size),
+        "total_micro_points": int(U.shape[1]),
         "fp_gaps": gaps,
         "clip_rates": clip_rates,
         "box_violations": box_violations,
         "degenerate_lower_clips": degenerate,
         "contraction_samples": contraction,
     }
-    return utilde, diagnostics
+    return U, diagnostics
 
 
-def recover_F(utilde, grid, params):
-    """Convert U estimates into per-bidder CDFs pinned to 0/1 at the edges."""
-    xs = utilde["xs"]
-    U = utilde["U"]
-    k = utilde["k"]
+def recover_F(xs, U, params):
+    """Convert the U estimates at the micro points ``xs`` into per-bidder
+    CDFs pinned to 0/1 at the edges."""
     keep = (xs >= params.theta - 1e-12) & (xs <= 1.0 - params.theta + 1e-12)
     if not np.any(keep):
         raise EstimationError(
             "no grid points inside [theta, 1-theta]",
             diagnostics={"theta": params.theta, "grid_points": int(xs.size)},
         )
-    ratios = np.clip(_power_product(np.maximum(U, 1e-300), k), 0.0, 1.0)
+    ratios = np.clip(_power_product(np.maximum(U, 1e-300), U.shape[0]), 0.0, 1.0)
+    # pinned to 0 strictly below theta and to 1 strictly above 1-theta;
+    # on the boundary the nearest interior estimate applies
+    top = max(1.0 - params.theta, float(xs[keep][-1]))
+    bp = np.concatenate([[params.theta], xs[keep], [np.nextafter(top, 1.0)]])
+    bp, idx = np.unique(bp, return_index=True)
     cdfs = []
     repairs = []
-    for i in range(k):
-        vals = ratios[i, keep]
+    for vals in ratios[:, keep]:
         fitted, adjustment = pav_nondecreasing(vals)
         repairs.append(adjustment)
         fitted = np.clip(fitted, 0.0, 1.0)
-        # pinned to 0 strictly below theta and to 1 strictly above 1-theta;
-        # on the boundary the nearest interior estimate applies
-        top = max(1.0 - params.theta, float(xs[keep][-1]))
-        bp = np.concatenate([[params.theta], xs[keep], [np.nextafter(top, 1.0)]])
         fv = np.concatenate([[fitted[0]], fitted, [1.0]])
-        bp, idx = np.unique(bp, return_index=True)
         cdfs.append(PiecewiseCdf(bp, np.maximum.accumulate(fv[idx]),
                                  interpolation=STEP, is_full_cdf=True))
     diagnostics = {
@@ -456,14 +397,16 @@ def recover_F(utilde, grid, params):
     return cdfs, diagnostics
 
 
-def run_pipeline(ghat_list, coarse_list, params, k,
-                 measure_contraction=0, seed=0):
-    """Grid construction + fixed point + CDF recovery from eval-ables."""
-    grid, gammas = _build_grid(ghat_list, coarse_list, params, k)
-    utilde, fp_diag = run_fixed_point(grid, ghat_list, coarse_list, params,
-                                      measure_contraction=measure_contraction,
-                                      seed=seed)
-    cdfs, rec_diag = recover_F(utilde, grid, params)
+def run_pipeline(ghat_list, coarse_list, params, measure_contraction=0, seed=0):
+    """Grid construction + fixed point + CDF recovery from eval-ables.
+
+    Returns (list of PiecewiseCdf, diagnostics).
+    """
+    grid, gammas = _build_grid(ghat_list, coarse_list, params)
+    U, fp_diag = run_fixed_point(grid, params, measure_contraction=measure_contraction,
+                                 seed=seed)
+    xs = np.concatenate([cell.xs for cell in grid.cells])
+    cdfs, rec_diag = recover_F(xs, U, params)
     diagnostics = {**fp_diag, **rec_diag,
                    "gamma_per_interval": gammas,
                    "params": {
@@ -472,7 +415,7 @@ def run_pipeline(ghat_list, coarse_list, params, k,
                        "micro_delta": params.micro_delta, "eps_g": params.eps_g,
                        "fp_iters": params.fp_iters,
                    }}
-    return cdfs, utilde, diagnostics
+    return cdfs, diagnostics
 
 
 def estimate_sp(samples, alpha, eta, eps, measure_contraction=0, seed=0, **overrides):
@@ -482,10 +425,8 @@ def estimate_sp(samples, alpha, eta, eps, measure_contraction=0, seed=0, **overr
     params = SpParams.desk(alpha, eta, eps, n=samples.n, **overrides)
     ghat_list = [empirical_G_sp(samples, i) for i in range(1, samples.k + 1)]
     coarse_list = [coarse_U(samples, i, params.theta) for i in range(1, samples.k + 1)]
-    cdfs, _, diagnostics = run_pipeline(ghat_list, coarse_list, params, samples.k,
-                                        measure_contraction=measure_contraction,
-                                        seed=seed)
-    return cdfs, diagnostics
+    return run_pipeline(ghat_list, coarse_list, params,
+                        measure_contraction=measure_contraction, seed=seed)
 
 
 # -- reserve-price probes ----------------------------------------------------

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -449,6 +449,64 @@ def test_json_round_trip_is_exact():
 def test_from_dict_missing_field():
     with pytest.raises(ValidationError):
         PiecewiseCdf.from_dict(json.loads('{"values": [1.0]}'))
+
+
+def decimal17(v):
+    """The 17-significant-digit decimal round trip that to_dict used to apply."""
+    return float(f"{float(v):.17g}")
+
+
+# unit-interval floats with signed zeros, subnormals and the smallest normal
+unit_floats = st.one_of(
+    st.floats(0.0, 1.0),
+    st.integers(1, 2 ** 52 - 1).map(lambda m: m * 5e-324),
+    st.sampled_from([-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1.0]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(unit_floats, unit_floats), min_size=1, max_size=12,
+                      unique_by=lambda t: t[0]),
+       interpolation=st.sampled_from([STEP, LINEAR]))
+def test_piecewise_cdf_to_dict_equals_the_decimal_round_trip(pairs, interpolation):
+    F = PiecewiseCdf(sorted(b for b, _ in pairs), sorted(v for _, v in pairs),
+                     interpolation=interpolation, is_full_cdf=False)
+    old = {
+        "interpolation": F.interpolation,
+        "breakpoints": [float(decimal17(v)) for v in F.breakpoints],
+        "values": [float(decimal17(v)) for v in F.values],
+        "is_full_cdf": bool(F.is_full_cdf),
+    }
+    assert json.dumps(F.to_dict()) == json.dumps(old)
+
+
+@settings(max_examples=300, deadline=None)
+@given(inner=st.lists(unit_floats.filter(lambda x: 0.0 < x < 1.0), max_size=8, unique=True),
+       start=st.sampled_from([0.0, -0.0]),
+       ramp=st.booleans(), slope=st.floats(-1.0, 1.0),
+       alpha_lo=st.sampled_from([0, 0.0, -0.0, 5e-324]),
+       eta_hi=st.sampled_from([2, 2.0, 3.5]),
+       lipschitz=st.sampled_from([None, 2, 2.5]))
+def test_density_model_to_dict_equals_the_decimal_round_trip(inner, start, ramp, slope,
+                                                            alpha_lo, eta_hi, lipschitz):
+    # density 2x is -0.0 at a knot of -0.0 and subnormal at a subnormal knot;
+    # int bounds must still be written as floats
+    knots = np.array([start] + sorted(inner) + [1.0])
+    density = 2.0 * knots if ramp else (1.0 - slope) + 2.0 * slope * knots
+    try:
+        m = BoundedDensityModel(knots=knots, density=density, alpha_lo=alpha_lo,
+                                eta_hi=eta_hi, lipschitz=lipschitz)
+    except ValidationError:  # a slope rounded across a subnormal gap
+        assume(False)
+    old = {
+        "kind": "density",
+        "knots": [float(decimal17(v)) for v in m.knots],
+        "density": [float(decimal17(v)) for v in m.density],
+        "alpha_lo": decimal17(m.alpha_lo),
+        "eta_hi": decimal17(m.eta_hi),
+        "lipschitz": None if m.lipschitz is None else decimal17(m.lipschitz),
+    }
+    assert json.dumps(m.to_dict()) == json.dumps(old)
 
 
 # -- bounded density models ---------------------------------------------------

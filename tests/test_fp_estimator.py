@@ -16,7 +16,14 @@ from auctionmetrics.auction_sim import (
     simulate_fp,
     simulate_sp,
 )
-from auctionmetrics.dist_core import STEP, PiecewiseCdf, kolmogorov, uniform_cdf, wasserstein1
+from auctionmetrics.dist_core import (
+    STEP,
+    PiecewiseCdf,
+    empirical_cdf,
+    kolmogorov,
+    uniform_cdf,
+    wasserstein1,
+)
 from auctionmetrics.errors import ValidationError
 from auctionmetrics.fp_estimator import (
     _BATCH_COLUMNS,
@@ -26,7 +33,6 @@ from auctionmetrics.fp_estimator import (
     _OracleBudget,
     _search_below,
     density_bandwidth,
-    empirical_H,
     estimate_bid_cdf_effective,
     estimate_bid_cdf_full,
     estimate_density,
@@ -89,7 +95,7 @@ def hand_sample():
 
 
 def test_empirical_H_hand_values():
-    H = empirical_H(hand_sample())
+    H = empirical_cdf(hand_sample().y)
     assert H.eval(0.1) == 0.0
     assert H.eval(0.4) == 0.5
     assert H.eval(0.8) == 1.0
@@ -102,7 +108,7 @@ def test_empirical_Hi_is_sub_cdf():
     assert H2.eval(1.0) == pytest.approx(0.25)
     # the winner sub-CDFs partition H
     for x in (0.3, 0.5, 0.9):
-        assert Hi.eval(x) + H2.eval(x) == pytest.approx(empirical_H(hand_sample()).eval(x))
+        assert Hi.eval(x) + H2.eval(x) == pytest.approx(empirical_cdf(hand_sample().y).eval(x))
 
 
 def test_ghat_hand_computed_oracle():

@@ -7,6 +7,8 @@ from importlib import resources
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from auctionmetrics import cli
 from auctionmetrics.auction_sim import (
@@ -26,6 +28,7 @@ from auctionmetrics.harness import (
 from auctionmetrics.io import (
     FORMAT_FP,
     FORMAT_SP,
+    _jsonable,
     config_hash,
     io_read_cdfs,
     io_read_model,
@@ -119,6 +122,35 @@ def test_config_hash_is_order_insensitive_and_stable():
     b = config_hash({"y": [1.0, 2.0], "x": 1})
     assert a == b and len(a) == 16
     assert config_hash({"x": 2, "y": [1.0, 2.0]}) != a
+
+
+def decimal17_jsonable(obj):
+    """``_jsonable`` as it was, with each float round-tripped through 17 digits."""
+    if isinstance(obj, dict):
+        return {str(k): decimal17_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [decimal17_jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [decimal17_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating, float)):
+        return float(f"{float(obj):.17g}")
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    return obj
+
+
+@settings(max_examples=200, deadline=None)
+@given(xs=st.lists(st.one_of(st.floats(), st.integers(1, 2 ** 52 - 1).map(lambda m: m * 5e-324),
+                             st.sampled_from([-0.0, 0.0])), max_size=12),
+       ints=st.lists(st.integers(-2 ** 40, 2 ** 40), max_size=4))
+def test_jsonable_floats_equal_the_decimal_round_trip(xs, ints):
+    arr = np.array(xs, dtype=np.float64)
+    with np.errstate(over="ignore"):  # float32 casts of large values give inf
+        f32 = arr.astype(np.float32)
+    obj = {"floats": xs, "array": arr, "f32": f32,
+           "scalars": [np.float64(x) for x in xs] + f32.tolist() + list(f32),
+           "ints": ints + [np.int64(i) for i in ints], 3: (None, "x", True)}
+    assert json.dumps(_jsonable(obj)) == json.dumps(decimal17_jsonable(obj))
 
 
 # -- harness --------------------------------------------------------------------

@@ -25,11 +25,9 @@ from auctionmetrics.errors import EstimationError, ValidationError
 from auctionmetrics.fp_estimator import _OracleBudget
 from auctionmetrics.sp_estimator import (
     CallableEval,
-    FixedPointState,
     SpParams,
     _build_grid,
     _power_product,
-    build_macro_intervals,
     coarse_U,
     empirical_G_sp,
     estimate_sp,
@@ -122,13 +120,20 @@ def test_power_product_k3_closed_form():
 # -- grid construction ----------------------------------------------------------
 
 
+def sample_pieces(s, params):
+    """The G-hat and coarse-U lists that ``estimate_sp`` builds from s."""
+    ghat = [empirical_G_sp(s, i) for i in range(1, s.k + 1)]
+    coarse = [coarse_U(s, i, params.theta) for i in range(1, s.k + 1)]
+    return ghat, coarse
+
+
 def test_grid_postconditions():
     s = simulate_sp(uniform_model(), 40000, 31)
     params = SpParams.desk(1.0, 1.0, 0.1, n=s.n)
-    grid = build_macro_intervals(s, params)
+    grid, _ = _build_grid(*sample_pieces(s, params), params)
     ends = grid.endpoints
     assert ends[0] == params.nu
-    assert ends[-1] == pytest.approx(1.0 - params.theta, abs=grid.micro_delta)
+    assert ends[-1] == pytest.approx(1.0 - params.theta, abs=params.micro_delta)
     # doubling cap: each endpoint at most min(2 * previous, 1 - theta/2)
     for prev, nxt in zip(ends[:-1], ends[1:]):
         assert nxt <= min(2 * prev, 1.0 - params.theta / 2.0) + 1e-12
@@ -138,19 +143,17 @@ def test_grid_postconditions():
 def test_grid_budget_below_cap():
     s = simulate_sp(uniform_model(), 40000, 37)
     params = SpParams.desk(1.0, 1.0, 0.1, n=s.n)
-    ghat = [empirical_G_sp(s, i) for i in (1, 2)]
-    coarse = [coarse_U(s, i, params.theta) for i in (1, 2)]
-    _, gammas = _build_grid(ghat, coarse, params, 2)
+    _, gammas = _build_grid(*sample_pieces(s, params), params)
     assert max(gammas) <= params.contractivity_cap + 1e-12
 
 
 def test_grid_micro_points_cover_interval():
     s = simulate_sp(uniform_model(), 20000, 41)
     params = SpParams.desk(1.0, 1.0, 0.1, n=s.n)
-    grid = build_macro_intervals(s, params)
-    pts = grid.all_points()
+    grid, _ = _build_grid(*sample_pieces(s, params), params)
+    pts = np.concatenate([cell.xs for cell in grid.cells])
     assert np.all(np.diff(pts) > 0)
-    assert pts[0] == pytest.approx(params.nu + grid.micro_delta)
+    assert pts[0] == pytest.approx(params.nu + params.micro_delta)
     assert pts[-1] == pytest.approx(grid.endpoints[-1])
 
 
@@ -170,16 +173,15 @@ def population_pieces(k=2):
 def test_fixed_point_map_validates_state():
     s = simulate_sp(uniform_model(), 20000, 43)
     params = SpParams.desk(1.0, 1.0, 0.1, n=s.n)
-    ghat = [empirical_G_sp(s, i) for i in (1, 2)]
-    coarse = [coarse_U(s, i, params.theta) for i in (1, 2)]
-    grid, _ = _build_grid(ghat, coarse, params, 2)
+    grid, _ = _build_grid(*sample_pieces(s, params), params)
+    cell = grid.cells[0]
     l = grid.micro_counts[0]
-    bad = FixedPointState(U=np.full((2, l + 1), 0.5), V=np.array([0.0, 0.0]))
     with pytest.raises(ValidationError):
-        fixed_point_map(bad, 1, grid, ghat, coarse, params)
-    neg = FixedPointState(U=np.full((2, l), -1.0), V=np.array([0.0, 0.0]))
+        fixed_point_map(np.full((2, l + 1), 0.5), np.array([0.0, 0.0]), cell)
     with pytest.raises(ValidationError):
-        fixed_point_map(neg, 1, grid, ghat, coarse, params)
+        fixed_point_map(np.full((2, l), 0.5), np.array([0.0, 0.0, 0.0]), cell)
+    with pytest.raises(ValidationError):
+        fixed_point_map(np.full((2, l), -1.0), np.array([0.0, 0.0]), cell)
 
 
 def test_fixed_point_output_stays_in_box_and_monotone():
@@ -201,7 +203,7 @@ def test_population_pipeline_recovers_uniform():
     ghat, coarse = population_pieces()
     params = SpParams.desk(1.0, 1.0, 0.02, n=10 ** 6, theta=0.05, nu=0.025,
                            micro_delta=1e-3, fp_iters=20, eps_g=1e-12)
-    cdfs, _, diag = run_pipeline(ghat, coarse, params, 2)
+    cdfs, diag = run_pipeline(ghat, coarse, params)
     err = max(kolmogorov(F, uniform_cdf(), 0.05, 0.95) for F in cdfs)
     assert err <= 0.02
     assert diag["box_violations"] == 0
@@ -211,12 +213,62 @@ def test_recover_F_pins_outside_window():
     ghat, coarse = population_pieces()
     params = SpParams.desk(1.0, 1.0, 0.05, n=10 ** 6, theta=0.05, nu=0.025,
                            micro_delta=1e-3, fp_iters=15, eps_g=1e-12)
-    cdfs, _, _ = run_pipeline(ghat, coarse, params, 2)
+    cdfs, _ = run_pipeline(ghat, coarse, params)
     for F in cdfs:
         assert F.eval(0.01) == 0.0            # strictly below theta
         assert F.eval(0.9999) == 1.0          # strictly above 1 - theta
         assert F.eval(1.0) == 1.0
         assert F.is_full_cdf
+
+
+class CountingEval:
+    """An eval-able that counts the calls made on the piece it wraps."""
+
+    def __init__(self, piece):
+        self.piece = piece
+        self.calls = 0
+
+    def eval(self, x):
+        self.calls += 1
+        return self.piece.eval(x)
+
+
+def test_pipeline_evaluates_each_input_once_per_point():
+    # the grid build is the only reader: per macro-interval one G-hat call at
+    # the micro points and one at their left neighbours, plus one at nu for
+    # the first boundary, and one coarse-U call; the fixed point, the
+    # contraction samples and the recovery read the cells
+    ghat, coarse = population_pieces()
+    ghat = [CountingEval(g) for g in ghat]
+    coarse = [CountingEval(c) for c in coarse]
+    params = SpParams.desk(1.0, 1.0, 0.02, n=10 ** 6, theta=0.05, nu=0.025,
+                           micro_delta=1e-3, fp_iters=20, eps_g=1e-12)
+    _, diag = run_pipeline(ghat, coarse, params, measure_contraction=2)
+    T = diag["T"]
+    assert T > 1 and len(diag["contraction_samples"]) == T
+    assert [g.calls for g in ghat] == [2 * T + 1] * 2
+    assert [c.calls for c in coarse] == [T] * 2
+
+
+def bounded2_model():
+    # the density pair of bounded3_model as 4097-knot CDFs, as in test_09
+    rising, falling = bounded3_model().bid_dists[:2]
+    return AuctionModel(bid_dists=[rising.to_cdf(), falling.to_cdf()])
+
+
+def test_estimate_sp_is_pinned_per_seed():
+    # digests of the CDFs and diagnostics, taken before the fixed point read
+    # its inputs from the grid build's per-interval arrays; a change that
+    # moves any micro point, iterate, contraction sample or rounding changes
+    # the hash. Uniform k=2 runs the desk defaults; the bounded-density pair
+    # also draws the random contraction states.
+    cdfs, diag = estimate_sp(simulate_sp(uniform_model(), 100000, 59), 1.0, 1.0, 0.1)
+    assert estimate_digest(cdfs, diag) == (
+        "6b286a247663a22fa6544c3d28728f4a0fc9c920618290c2f7c3984a0e129b65")
+    cdfs, diag = estimate_sp(simulate_sp(bounded2_model(), 200000, 0), 0.5, 2.0, 0.1,
+                             measure_contraction=5)
+    assert estimate_digest(cdfs, diag) == (
+        "7304e1f413839359abf19da9e2732d987bdbcdb017d1a085fd087caf508c9552")
 
 
 def test_estimate_sp_converges_to_uniform():
