@@ -46,8 +46,11 @@ class AuctionModel:
         for d in self.bid_dists:
             if not isinstance(d, (PiecewiseCdf, BoundedDensityModel)):
                 raise ValidationError("bid_dists entries must be CDFs or density models")
-        if self.value_dists is not None and len(self.value_dists) != len(self.bid_dists):
-            raise ValidationError("value_dists must have one entry per bidder")
+        if self.value_dists is not None:
+            if len(self.value_dists) != len(self.bid_dists):
+                raise ValidationError("value_dists must have one entry per bidder")
+            if not all(isinstance(d, BoundedDensityModel) for d in self.value_dists):
+                raise ValidationError("value_dists entries must be density models")
 
     @property
     def k(self):
@@ -361,55 +364,35 @@ class InverseBidProfile:
 
 
 def _fast_scalar_cdf_pdf(dist):
-    """Plain-float (cdf, pdf) closures for the ODE integrator's hot loop."""
+    """Plain-float (cdf, pdf) closures of a density model for the ODE
+    integrator's hot loop."""
     from bisect import bisect_right
 
-    if isinstance(dist, BoundedDensityModel):
-        kn = dist.knots.tolist()
-        de = dist.density.tolist()
-        cu = dist._cum.tolist()
-        last = len(kn) - 2
+    kn = dist.knots.tolist()
+    de = dist.density.tolist()
+    cu = dist._cum.tolist()
+    last = len(kn) - 2
 
-        def cdf(x):
-            if x <= 0.0:
-                return 0.0
-            if x >= 1.0:
-                return 1.0
-            j = min(bisect_right(kn, x) - 1, last)
-            dx = x - kn[j]
-            s = (de[j + 1] - de[j]) / (kn[j + 1] - kn[j])
-            return cu[j] + de[j] * dx + 0.5 * s * dx * dx
+    def cdf(x):
+        if x <= 0.0:
+            return 0.0
+        if x >= 1.0:
+            return 1.0
+        j = min(bisect_right(kn, x) - 1, last)
+        dx = x - kn[j]
+        s = (de[j + 1] - de[j]) / (kn[j + 1] - kn[j])
+        return cu[j] + de[j] * dx + 0.5 * s * dx * dx
 
-        def pdf(x):
-            if x <= 0.0:
-                return de[0]
-            if x >= 1.0:
-                return de[-1]
-            j = min(bisect_right(kn, x) - 1, last)
-            s = (de[j + 1] - de[j]) / (kn[j + 1] - kn[j])
-            return de[j] + s * (x - kn[j])
+    def pdf(x):
+        if x <= 0.0:
+            return de[0]
+        if x >= 1.0:
+            return de[-1]
+        j = min(bisect_right(kn, x) - 1, last)
+        s = (de[j + 1] - de[j]) / (kn[j + 1] - kn[j])
+        return de[j] + s * (x - kn[j])
 
-        return cdf, pdf
-    if isinstance(dist, PiecewiseCdf) and dist.interpolation == LINEAR:
-        bp = dist.breakpoints.tolist()
-        vals = dist.values.tolist()
-        last = len(bp) - 2
-
-        def cdf(x):
-            if x <= bp[0]:
-                return 0.0 if x < bp[0] else vals[0]
-            if x >= bp[-1]:
-                return vals[-1]
-            j = min(bisect_right(bp, x) - 1, last)
-            t = (x - bp[j]) / (bp[j + 1] - bp[j])
-            return vals[j] + t * (vals[j + 1] - vals[j])
-
-        def pdf(x):
-            j = min(max(bisect_right(bp, x) - 1, 0), last)
-            return (vals[j + 1] - vals[j]) / (bp[j + 1] - bp[j])
-
-        return cdf, pdf
-    raise ValidationError("equilibrium solving needs value distributions with densities")
+    return cdf, pdf
 
 
 def _integrate_backward(G, g, k, eta, grid_size):
@@ -512,7 +495,7 @@ def equilibrium_residual(profile, model, i, b_points):
     """
     # the vectorised CDFs, not the solver's scalar closures, so that the
     # residual checks the solver independently of the closures it used
-    G = [d.cdf if isinstance(d, BoundedDensityModel) else d.eval for d in model.value_dists]
+    G = [d.cdf for d in model.value_dists]
     bs = profile.grid
     res = []
     for b in np.atleast_1d(b_points):

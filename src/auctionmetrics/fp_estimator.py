@@ -168,11 +168,11 @@ def estimate_density(fhat_cdf, h, p):
     return DensityEstimate(cdf=fhat_cdf, h=h, p=p)
 
 
-def density_bandwidth(eps0, lipschitz_L):
+def density_bandwidth(eps0, lipschitz):
     """The L1-optimal bandwidth sqrt(eps0 / L) for a sup-error-eps0 CDF."""
-    if eps0 <= 0 or lipschitz_L <= 0:
+    if eps0 <= 0 or lipschitz <= 0:
         raise ValidationError("eps0 and L must be positive")
-    return math.sqrt(eps0 / lipschitz_L)
+    return math.sqrt(eps0 / lipschitz)
 
 
 def population_bid_cdf(H, hi_density, x, tol=1e-9):
@@ -227,16 +227,19 @@ def _search_step(val, target, eps1):
     return np.abs(val - target) <= eps1 / 2.0, val > target
 
 
-def noisy_quantile_search(estimate, targets, T, eps1, lo=0.0, hi=1.0):
-    """Bisection against a noisy monotone function, for a 1-D array of targets.
+def noisy_quantile_search(read, targets, columns, T, eps1, lo=0.0, hi=1.0):
+    """Bisection against noisy monotone functions, for 1-D arrays of targets
+    and of the columns they are searched in.
 
-    Each step calls ``estimate`` once with the midpoints of the targets still
-    searching, an array in target order, and takes one fresh noisy reading
-    per midpoint. A target stops when its reading lands within eps1/2 of it;
+    Each step calls ``read`` once with the midpoints of the targets still
+    searching, an array in target order; it returns one row of fresh noisy
+    readings per midpoint, and each target compares the reading in its own
+    column. A target stops when its reading lands within eps1/2 of it;
     otherwise its interval is halved toward it, for at most T steps. Returns
     the last midpoint of each target.
     """
     u = np.asarray(targets, dtype=np.float64)
+    columns = np.asarray(columns, dtype=np.intp)
     lo = np.full(u.shape, float(lo))
     hi = np.full(u.shape, float(hi))
     mid = 0.5 * (lo + hi)
@@ -246,7 +249,7 @@ def noisy_quantile_search(estimate, targets, T, eps1, lo=0.0, hi=1.0):
             break
         m = 0.5 * (lo[active] + hi[active])
         mid[active] = m
-        val = np.asarray(estimate(m))
+        val = np.asarray(read(m))[np.arange(active.size), columns[active]]
         stop, above = _search_step(val, u[active], eps1)
         hi[active] = np.where(above, m, hi[active])
         lo[active] = np.where(above, lo[active], m)
@@ -254,86 +257,73 @@ def noisy_quantile_search(estimate, targets, T, eps1, lo=0.0, hi=1.0):
     return mid
 
 
-def _search_below(estimate, ceiling, targets, T, eps1):
-    """``noisy_quantile_search`` of ``targets`` by an ``estimate`` whose
-    readings never exceed ``ceiling``; returns (results, targets pruned).
-
-    A target that the ceiling reading sends upward without stopping is sent
-    upward by every lower reading too, since rounding is monotone. So its
-    result is the search's result under the ceiling reading, found without
-    calling ``estimate``.
-    """
-    stop, above = _search_step(ceiling, targets, eps1)
-    blind = ~stop & ~above
-    out = np.empty(targets.size)
-    out[~blind] = noisy_quantile_search(estimate, targets[~blind], T, eps1)
-    out[blind] = noisy_quantile_search(lambda xs: np.full(xs.size, ceiling),
-                                       targets[blind], T, eps1)
-    return out, int(blind.sum())
-
-
-def _check_probe_args(p, gamma, eps, lipschitz_L, **sizes):
+def _check_probe_args(p, gamma, eps, lipschitz, **sizes):
     """The argument checks both reserve-probe estimators share; ``sizes``
     name their probe counts."""
     if not (0.0 < gamma <= 1.0 and 0.0 <= p <= 1.0):
         raise ValidationError("invalid effective-support pair")
     if not 0.0 < eps < 1.0:
         raise ValidationError("eps must lie in (0,1)")
-    if not lipschitz_L > 0.0:
-        raise ValidationError("lipschitz_L must be positive")
+    if not lipschitz > 0.0:
+        raise ValidationError("lipschitz must be positive")
     if min(sizes.values()) < 1:
         raise ValidationError(f"{', '.join(sizes)} must be >= 1")
 
 
-def fp_partial_estimate(oracle, p, gamma, eps, lipschitz_L=1.0,
+def fp_partial_estimate(oracle, p, gamma, eps, lipschitz=1.0,
                         seed=0, n_search=2000, n_point=30000, n_base=200000):
     """Bid-CDF estimation from adaptive reserve-price probes.
 
     The observer plants reserves and sees only who won. The winning-bid CDF at
     reserve x is the planted-win frequency; the winner-i sub-CDF is the win
-    frequency of i at reserve 0 minus at reserve x. Quantile grids of both are
-    located by noisy binary search, all levels of a grid at once: each search
-    step probes the midpoints of the levels still searching in shared oracle
-    calls, and levels the sub-CDF cannot reach take no probes. Bidder i's
-    grid merges the located quantiles of H and H_i; after all searches, one
-    pass of point probes over the union of the bidders' grids reads H and
-    every H_i at each of its reserves, and G-hat_i is assembled on bidder i's
-    grid from those readings. The bidder count is ``oracle.k``.
+    frequency of i at reserve 0 minus at reserve x. Quantile grids of H and of
+    every H_i are located by one noisy binary search over all (column, level)
+    targets: each search step probes the midpoints of the targets still
+    searching in shared oracle calls, one fresh reading per target. A level
+    that the reading H_i(0) already sends upward without stopping is sent
+    upward by every reading, so it takes no probes and lands where that
+    search ends, at 1 - 2^-T. Bidder i's grid merges the located quantiles of
+    H and H_i; one pass of point probes over the union of the bidders' grids
+    reads H and every H_i at each of its reserves, and G-hat_i is assembled on
+    bidder i's grid from those readings. The bidder count is ``oracle.k``.
 
     Returns (list of staircases, diagnostics). The diagnostics report the
     budget: ``oracle_calls`` probes drawn in ``oracle_batches`` oracle calls,
     ``pruned_levels`` sub-CDF levels answered without probes and
     ``point_reserves`` reserves in the union grid of the point probes.
     """
-    _check_probe_args(p, gamma, eps, lipschitz_L,
+    _check_probe_args(p, gamma, eps, lipschitz,
                       n_search=n_search, n_point=n_point, n_base=n_base)
     k = oracle.k
     budget = _OracleBudget(oracle, k, np.random.default_rng(seed))
 
     delta_grid = gamma * gamma * eps / 6.0
     eps1 = gamma * gamma * eps / 24.0
-    T = max(1, math.ceil(math.log2(max(2.0 * lipschitz_L / eps1, 2.0))))
+    T = max(1, math.ceil(math.log2(max(2.0 * lipschitz / eps1, 2.0))))
 
     levels = np.arange(gamma, 1.0, delta_grid)
     levels = np.unique(np.append(levels, 1.0))
 
     base_freq = budget.frequencies([0.0], n_base)[0]
 
-    def h_at(xs):
-        return budget.frequencies(xs, n_search)[:, k + 1]
+    def read(xs):
+        # column 0 reads H, column i reads H_i
+        freq = budget.frequencies(xs, n_search)
+        return np.concatenate([freq[:, k + 1:], base_freq[1:k + 1] - freq[:, 1:k + 1]], axis=1)
 
-    vhat = noisy_quantile_search(h_at, levels, T, eps1)
+    columns = np.repeat(np.arange(k + 1), levels.size)
+    targets = np.tile(levels, k + 1)
+    # no reading of H exceeds 1, and none of H_i its value base_freq[i] at 0
+    ceiling = np.concatenate([[1.0], base_freq[1:k + 1]])
+    stop, above = _search_step(ceiling[columns], targets, eps1)
+    blind = ~stop & ~above
+    found = np.full(targets.size, 1.0 - 2.0 ** -T)
+    found[~blind] = noisy_quantile_search(read, targets[~blind], columns[~blind], T, eps1)
+    found = found.reshape(k + 1, levels.size)
 
     grids = []
-    pruned_levels = 0
-    for i in range(1, k + 1):
-        def hi_at(xs, i=i):
-            return base_freq[i] - budget.frequencies(xs, n_search)[:, i]
-
-        # a reading of H_i never exceeds its value base_freq[i] at reserve 0
-        what, pruned = _search_below(hi_at, base_freq[i], levels, T, eps1)
-        pruned_levels += pruned
-        xs = np.unique(np.concatenate([vhat, what]))
+    for what in found[1:]:
+        xs = np.unique(np.concatenate([found[0], what]))
         xs = xs[(xs >= p - 1e-12) & (xs <= 1.0)]
         if xs.size < 2:
             raise EstimationError("degenerate probe grid", {"oracle_calls": budget.calls})
@@ -353,20 +343,16 @@ def fp_partial_estimate(oracle, p, gamma, eps, lipschitz_L=1.0,
         increments = np.diff(hi_vals)
         denom = np.maximum(h_vals[:-1], gamma / 2.0)
         tail = np.concatenate([np.cumsum((increments / denom)[::-1])[::-1], [0.0]])
-        fvals = np.clip(np.exp(-tail), 0.0, 1.0)
-        fvals = np.maximum.accumulate(fvals)
-        bp = np.concatenate([[min(p, xs[0])], xs]) if xs[0] > p else xs
-        vals = np.concatenate([[fvals[0]], fvals]) if xs[0] > p else fvals
-        bp, idx = np.unique(bp, return_index=True)
-        vals = vals[idx]
-        vals[-1] = max(vals[-1], 1.0) if xs[-1] >= 1.0 - 1e-9 else vals[-1]
-        cdfs.append(PiecewiseCdf(bp, np.clip(vals, 0.0, 1.0), interpolation=STEP,
-                                 is_full_cdf=bool(vals[-1] >= 1.0 - 1e-12)))
+        # tail ends in 0, so the staircase ends at exactly 1
+        fvals = np.maximum.accumulate(np.clip(np.exp(-tail), 0.0, 1.0))
+        if xs[0] > p:
+            xs, fvals = np.concatenate([[p], xs]), np.concatenate([[fvals[0]], fvals])
+        cdfs.append(PiecewiseCdf(xs, fvals, interpolation=STEP, is_full_cdf=True))
 
     diagnostics = {
         "oracle_calls": budget.calls,
         "oracle_batches": budget.batches,
-        "pruned_levels": pruned_levels,
+        "pruned_levels": int(blind.sum()),
         "point_reserves": int(merged.size),
         "T": T,
         "delta_grid": delta_grid,

@@ -29,7 +29,7 @@ class ValueEstimatorConfig:
     """Parameters for value-CDF estimation on an effective support.
 
     (p, gamma) declare prod_i F_i(p) >= gamma; zeta caps the value densities;
-    lipschitz_L, when present, selects the Lipschitz-case guarantee (sup
+    lipschitz, when present, selects the Lipschitz-case guarantee (sup
     error); otherwise the general case targets Levy error with interior
     margin d. Best responses are searched on [0, 1]; the value grid step is
     min(eps/4, 0.005).
@@ -39,7 +39,7 @@ class ValueEstimatorConfig:
     gamma: float
     eps: float
     zeta: float
-    lipschitz_L: float | None = None
+    lipschitz: float | None = None
     d: float | None = None
 
     def __post_init__(self):
@@ -64,8 +64,8 @@ def calibration_constants(config, k):
     interior margin d otherwise); eps0 = eps1^3 gamma^3 / (32 k^2 zeta^2) is
     the bid-CDF sup accuracy that guarantees it.
     """
-    if config.lipschitz_L is not None:
-        eps1 = config.eps / (2.0 * config.lipschitz_L)
+    if config.lipschitz is not None:
+        eps1 = config.eps / (2.0 * config.lipschitz)
     else:
         eps1 = config.d if config.d is not None else config.eps
     eps0 = (eps1 ** 3) * (config.gamma ** 3) / (32.0 * k * k * config.zeta ** 2)
@@ -159,7 +159,7 @@ def _relabel_rest(samples, i):
                      model_id=samples.model_id)
 
 
-def estimate_value_cdf_full(samples, lam, eps, zeta, lipschitz_L=None):
+def estimate_value_cdf_full(samples, lam, eps, zeta, lipschitz=None):
     """Full-support value estimation via the effective-support reduction.
 
     Lipschitz case: eta = eps/2, p = eta, gamma = (lam*eta)^k, Wasserstein
@@ -168,7 +168,7 @@ def estimate_value_cdf_full(samples, lam, eps, zeta, lipschitz_L=None):
     """
     k = samples.k
     eta = eps / 2.0
-    if lipschitz_L is not None:
+    if lipschitz is not None:
         _, p, gamma = full_support_params(k, lam, eps)
         d = None
     else:
@@ -180,7 +180,7 @@ def estimate_value_cdf_full(samples, lam, eps, zeta, lipschitz_L=None):
                 "effective-support mass underflows; increase eps or reduce k"
             )
     config = ValueEstimatorConfig(
-        p=p, gamma=gamma, eps=eps, zeta=zeta, lipschitz_L=lipschitz_L, d=d,
+        p=p, gamma=gamma, eps=eps, zeta=zeta, lipschitz=lipschitz, d=d,
     )
     return estimate_value_cdf_effective(samples, config)
 

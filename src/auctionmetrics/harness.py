@@ -45,11 +45,6 @@ class Estimator:
     truth: str = BID
 
 
-def _kw(args):
-    """``args`` as keyword arguments; ``lipschitz`` is ``lipschitz_L``."""
-    return {("lipschitz_L" if key == "lipschitz" else key): v for key, v in args.items()}
-
-
 def _fp_config(args):
     return fp_estimator.FpEstimatorConfig(args["p"], args["gamma"],
                                           args.get("eps", args["gamma"] / 2.0))
@@ -73,16 +68,16 @@ ESTIMATORS = {
     "fp-value": Estimator(
         FORMAT_FP, ("p", "gamma", "eps", "zeta"), ("lipschitz",),
         lambda s, a, seed: fp_value.estimate_value_cdf_effective(
-            s, fp_value.ValueEstimatorConfig(**_kw(a))), VALUE),
+            s, fp_value.ValueEstimatorConfig(**a)), VALUE),
     "sp": Estimator(
         FORMAT_SP, ("alpha", "eta", "eps"), ("nu", "theta", "micro_delta", "fp_iters"),
         lambda s, a, seed: sp_estimator.estimate_sp(s, measure_contraction=5, **a)),
     "fp-partial": Estimator(
         PROBE_FP, ("p", "gamma", "eps"), ("lipschitz", "n_search", "n_point", "n_base"),
-        lambda o, a, seed: fp_estimator.fp_partial_estimate(o, seed=seed, **_kw(a))),
+        lambda o, a, seed: fp_estimator.fp_partial_estimate(o, seed=seed, **a)),
     "sp-partial": Estimator(
         PROBE_SP, ("p", "gamma", "eps"), ("lipschitz", "n_point"),
-        lambda o, a, seed: sp_estimator.sp_partial_estimate(o, seed=seed, **_kw(a))),
+        lambda o, a, seed: sp_estimator.sp_partial_estimate(o, seed=seed, **a)),
 }
 
 

@@ -452,37 +452,36 @@ def sp_partial_pointwise(freq):
     return np.clip(fhat, 0.0, 1.0), means
 
 
-def sp_partial_estimate(oracle, p, gamma, eps, lipschitz_L=1.0,
+def sp_partial_estimate(oracle, p, gamma, eps, lipschitz=1.0,
                         seed=0, n_point=20000):
     """Staircase estimation of all F_j on [p,1] from reserve-price probes.
 
     One probe at p reads every F-hat_j(p). The levels w_a = gamma + a*eps/2
-    (plus 1) above F-hat_j(p) are located by noisy binary search against the
-    pointwise estimator, level-parallel as in ``fp_partial_estimate``.
+    (plus 1) above F-hat_j(p) are located by one noisy binary search over
+    every bidder's levels against the pointwise estimator, as in fp.
     F-hat_j is F-hat_j(p) on [p, z_{j,0}) and w_a on [z_{j,a}, z_{j,a+1}).
     Returns (staircases, diagnostics); the diagnostics report ``oracle_calls``
     probes drawn in ``oracle_batches`` oracle calls and ``searched_levels``,
     summed over bidders.
     """
-    _check_probe_args(p, gamma, eps, lipschitz_L, n_point=n_point)
+    _check_probe_args(p, gamma, eps, lipschitz, n_point=n_point)
     budget = _OracleBudget(oracle, oracle.k, np.random.default_rng(seed))
     levels = np.unique(np.append(np.arange(gamma, 1.0, eps / 2.0), 1.0))
-    T = max(1, math.ceil(math.log2(max(4.0 * lipschitz_L / eps, 2.0))))
+    T = max(1, math.ceil(math.log2(max(4.0 * lipschitz / eps, 2.0))))
 
     def f_hat(xs):
         return sp_partial_pointwise(budget.frequencies(xs, n_point))[0]
 
     start = f_hat([p])[0]
+    above = [levels[levels > f_p] for f_p in start]
+    columns = np.repeat(np.arange(start.size), [a.size for a in above])
+    # termination band eps/4 keeps |F(z_a) - w_a| <= eps/2 with margin
+    found = noisy_quantile_search(f_hat, np.concatenate(above), columns, T, eps / 2.0,
+                                  lo=p, hi=1.0)
     cdfs = []
-    searched = 0
-    for j, f_p in enumerate(start):
-        above = levels[levels > f_p]
-        searched += above.size
-        # termination band eps/4 keeps |F(z_a) - w_a| <= eps/2 with margin
-        zs = noisy_quantile_search(lambda xs, j=j: f_hat(xs)[:, j], above, T, eps / 2.0,
-                                   lo=p, hi=1.0)
-        bp = np.concatenate([[p], np.maximum.accumulate(zs)])
-        vals = np.concatenate([[f_p], above])
+    for j, (f_p, levels_j) in enumerate(zip(start, above)):
+        bp = np.concatenate([[p], np.maximum.accumulate(found[columns == j])])
+        vals = np.concatenate([[f_p], levels_j])
         # collapse duplicate locations, keeping the highest level
         uniq, idx = np.unique(bp[::-1], return_index=True)
         cdfs.append(PiecewiseCdf(uniq, np.maximum.accumulate(vals[::-1][idx]),
@@ -491,7 +490,7 @@ def sp_partial_estimate(oracle, p, gamma, eps, lipschitz_L=1.0,
     diagnostics = {
         "oracle_calls": budget.calls,
         "oracle_batches": budget.batches,
-        "searched_levels": searched,
+        "searched_levels": int(columns.size),
         "T": T,
         "levels": int(levels.size),
         "n_point": n_point,

@@ -102,7 +102,7 @@ def test_05_value_estimation_recovers_uniform_values():
     half = PiecewiseCdf([0.0, 0.5], [0.0, 1.0], interpolation="linear")
     m = AuctionModel(bid_dists=[half, half])
     cfg = ValueEstimatorConfig(p=0.2, gamma=0.04, eps=0.1, zeta=1.0,
-                               lipschitz_L=1.0)
+                               lipschitz=1.0)
     hits = 0
     for seed in range(10):
         cdfs, _ = estimate_value_cdf_effective(simulate_fp(m, 200000, seed), cfg)

@@ -52,6 +52,14 @@ def test_model_value_dists_length_checked():
         AuctionModel(bid_dists=[uniform_cdf()] * 2, value_dists=[UNI_DENSITY])
 
 
+def test_model_value_dists_must_be_density_models():
+    # a CDF value distribution used to pass here, then break the round trip
+    # (KeyError 'knots') and the value-estimator sweeps (no to_cdf)
+    linear = PiecewiseCdf([0.0, 1.0], [0.0, 1.0], interpolation=LINEAR)
+    with pytest.raises(ValidationError, match="value_dists entries must be density models"):
+        AuctionModel(bid_dists=[uniform_cdf()] * 2, value_dists=[UNI_DENSITY, linear])
+
+
 def test_model_round_trip():
     m = AuctionModel(bid_dists=[uniform_cdf(), uniform_cdf()],
                      lam=0.3, alpha=0.5, eta=2.0, model_id="m1")
@@ -433,21 +441,12 @@ def test_solver_scalar_closures_match_the_vectorised_distributions():
         BoundedDensityModel(knots=[0.0, 0.3, 0.7, 1.0],
                             density=np.array([0.5, 2.0, 0.4, 1.1]) / 1.08,
                             alpha_lo=0.2, eta_hi=3.0),
-        PiecewiseCdf([0.0, 0.2, 0.6, 1.0], [0.0, 0.1, 0.7, 1.0], interpolation=LINEAR),
     ]
     for d in dists:
         cdf, pdf = _fast_scalar_cdf_pdf(d)
-        knots = d.knots if isinstance(d, BoundedDensityModel) else d.breakpoints
-        xs = np.concatenate([np.linspace(-0.5, 1.5, 4001), knots,
-                             np.nextafter(knots, -1.0), np.nextafter(knots, 2.0)])
-        want = d.cdf(xs) if isinstance(d, BoundedDensityModel) else d.eval(xs)
-        np.testing.assert_allclose([cdf(float(x)) for x in xs], want, rtol=0, atol=1e-12)
+        xs = np.concatenate([np.linspace(-0.5, 1.5, 4001), d.knots,
+                             np.nextafter(d.knots, -1.0), np.nextafter(d.knots, 2.0)])
+        np.testing.assert_allclose([cdf(float(x)) for x in xs], d.cdf(xs), rtol=0, atol=1e-12)
         inner = np.linspace(0.0005, 0.9995, 400)
-        if isinstance(d, BoundedDensityModel):
-            np.testing.assert_allclose([pdf(float(x)) for x in inner], d.pdf(inner),
-                                       rtol=0, atol=1e-12)
-        else:
-            slope = np.diff(d.values) / np.diff(d.breakpoints)
-            idx = np.searchsorted(d.breakpoints, inner, side="right") - 1
-            np.testing.assert_allclose([pdf(float(x)) for x in inner], slope[idx],
-                                       rtol=0, atol=1e-12)
+        np.testing.assert_allclose([pdf(float(x)) for x in inner], d.pdf(inner),
+                                   rtol=0, atol=1e-12)

@@ -31,7 +31,7 @@ def test_config_validation():
 
 
 def test_calibration_constants_lipschitz_case():
-    cfg = ValueEstimatorConfig(p=0.2, gamma=0.5, eps=0.1, zeta=2.0, lipschitz_L=2.0)
+    cfg = ValueEstimatorConfig(p=0.2, gamma=0.5, eps=0.1, zeta=2.0, lipschitz=2.0)
     eps1, eps0 = calibration_constants(cfg, k=2)
     assert eps1 == pytest.approx(0.025)
     assert eps0 == pytest.approx(0.025 ** 3 * 0.5 ** 3 / (32 * 4 * 4))
@@ -89,7 +89,7 @@ def test_value_estimation_recovers_uniform_values():
     half = PiecewiseCdf([0.0, 0.5], [0.0, 1.0], interpolation="linear")
     m = AuctionModel(bid_dists=[half, half])
     s = simulate_fp(m, 100000, 17)
-    cfg = ValueEstimatorConfig(p=0.2, gamma=0.04, eps=0.1, zeta=1.0, lipschitz_L=1.0)
+    cfg = ValueEstimatorConfig(p=0.2, gamma=0.04, eps=0.1, zeta=1.0, lipschitz=1.0)
     cdfs, diag = estimate_value_cdf_effective(s, cfg)
     err = kolmogorov(cdfs[0], uniform_cdf(), 0.3, 1.0)
     assert err <= 0.05

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from auctionmetrics.dist_core import (
     uniform_cdf,
 )
 from auctionmetrics.errors import EstimationError, ValidationError
-from auctionmetrics.fp_estimator import _OracleBudget
+from auctionmetrics.fp_estimator import _OracleBudget, noisy_quantile_search
 from auctionmetrics.sp_estimator import (
     CallableEval,
     SpParams,
@@ -369,7 +370,7 @@ def test_sp_partial_estimate_validates_inputs():
         sp_partial_estimate(oracle, p=0.2, gamma=0.2, eps=1.5)
     # a non-positive Lipschitz constant made the search one step long
     with pytest.raises(ValidationError, match="lipschitz"):
-        sp_partial_estimate(oracle, p=0.2, gamma=0.2, eps=0.1, lipschitz_L=-1.0)
+        sp_partial_estimate(oracle, p=0.2, gamma=0.2, eps=0.1, lipschitz=-1.0)
     with pytest.raises(ValidationError, match="n_point must be >= 1"):
         sp_partial_estimate(oracle, p=0.2, gamma=0.2, eps=0.1, n_point=0)
 
@@ -398,21 +399,26 @@ def test_sp_partial_estimate_is_pinned_per_seed():
     # many reserves share one oracle call (one spawn(k) per call), so each
     # probe draws from a different child stream than before. The digests
     # before were 73db44bd... (132000 draws) and 32bcde9e... (348000 draws).
-    # A change that moves any draw, batch boundary or rounding changes the
-    # hash. Uniform k=2 goes through the linear ppf, the k=3 density model
-    # through BoundedDensityModel.ppf.
+    # Re-pinned again when every bidder's levels moved into one search: the
+    # readings of all columns now share the oracle calls of a step, so the
+    # probes draw from other child streams, but each level still takes one
+    # fresh reading per step and the law is unchanged. The digests before
+    # were d261353f... (130000 draws, 11 batches) and 28d01d4a... (214000
+    # draws, 16 batches). A change that moves any draw, batch boundary or
+    # rounding changes the hash. Uniform k=2 goes through the linear ppf,
+    # the k=3 density model through BoundedDensityModel.ppf.
     cdfs, diag = sp_partial_estimate(make_sp_partial_oracle(uniform_model()),
                                      p=0.5, gamma=0.5, eps=0.1, seed=1, n_point=2000)
     assert (diag["oracle_calls"], diag["oracle_batches"], diag["searched_levels"]) == (
-        130000, 11, 21)
+        130000, 6, 21)
     assert estimate_digest(cdfs, diag) == (
-        "d261353f44bba065db267802ed817680729442d3876e4801dbde70a734132cfe")
+        "a8f8a8d46c179a0e4fe13264a973d20c4807c18ba6c914fe4b92915a27cf2739")
     cdfs, diag = sp_partial_estimate(make_sp_partial_oracle(bounded3_model()),
                                      p=0.5, gamma=0.3, eps=0.1, seed=2, n_point=2000)
     assert (diag["oracle_calls"], diag["oracle_batches"], diag["searched_levels"]) == (
-        214000, 16, 33)
+        206000, 8, 33)
     assert estimate_digest(cdfs, diag) == (
-        "28d01d4a4ab623028d853bae7ed2165060493b9af425a290fb92cb1bee89033b")
+        "3f51aa473e83a8589772cddf494a12d685f27ff3abd14c4bd464ee7a0fa19db9")
 
 
 def bounded3_model():
@@ -447,3 +453,67 @@ def test_sp_partial_estimate_starts_at_one_when_p_is_above_every_bid():
             assert F.breakpoints.tolist() == [0.6] and F.values.tolist() == [1.0]
         assert diag["oracle_calls"] == diag["n_point"] == 20000
         assert (diag["oracle_batches"], diag["searched_levels"]) == (1, 0)
+
+
+def exact_sp_oracle(powers):
+    """A second-price probe oracle whose counts are n times the population
+    shares. Bidder j has F_j(x) = x**a_j; with A = sum(a), at reserve r
+    bidder j wins with the price bound by r a share (1 - r**a_j) r**(A - a_j),
+    and the reserve wins a share r**A. Every call is logged as (reserves,
+    probes)."""
+    a = np.asarray(powers, dtype=np.float64)
+    total = a.sum()
+
+    def oracle(reserves, n, rng):
+        r = np.asarray(reserves, dtype=np.float64)[:, None]
+        oracle.log.append((r.ravel().copy(), n))
+        shares = np.zeros((r.size, a.size + 2))
+        shares[:, 1:-1] = (1.0 - r ** a) * r ** (total - a)
+        shares[:, -1] = r[:, 0] ** total
+        return np.rint(shares * (n // r.size)).astype(np.int64)
+
+    oracle.k = a.size
+    oracle.log = []
+    return oracle
+
+
+def per_bidder_sp_searches(oracle, p, gamma, eps, seed, n_point):
+    """The estimator before the joint search: one search per bidder, each
+    over that bidder's levels above F-hat_j(p). Returns the staircases."""
+    budget = _OracleBudget(oracle, oracle.k, np.random.default_rng(seed))
+    levels = np.unique(np.append(np.arange(gamma, 1.0, eps / 2.0), 1.0))
+    T = max(1, math.ceil(math.log2(max(4.0 / eps, 2.0))))
+
+    def f_hat(xs):
+        return sp_partial_pointwise(budget.frequencies(xs, n_point))[0]
+
+    cdfs = []
+    for j, f_p in enumerate(f_hat([p])[0]):
+        above = levels[levels > f_p]
+        zs = noisy_quantile_search(lambda xs, j=j: f_hat(xs)[:, j:j + 1], above,
+                                   np.zeros(above.size, int), T, eps / 2.0, lo=p, hi=1.0)
+        bp = np.concatenate([[p], np.maximum.accumulate(zs)])
+        vals = np.concatenate([[f_p], above])
+        uniq, idx = np.unique(bp[::-1], return_index=True)
+        cdfs.append(PiecewiseCdf(uniq, np.maximum.accumulate(vals[::-1][idx]),
+                                 interpolation="step", is_full_cdf=True))
+    return cdfs
+
+
+@pytest.mark.parametrize("powers, p", [((1.0, 2.0), 0.5), ((1.0, 1.5, 2.0), 0.6)])
+def test_sp_partial_estimate_matches_the_per_bidder_searches(powers, p):
+    # an exact oracle reads the same value at a reserve whichever search step
+    # probes it, so one search over every bidder's levels must give the
+    # per-bidder searches' staircases and draws bit for bit
+    args = dict(p=p, gamma=0.2, eps=0.1, seed=5, n_point=2000)
+    oracle = exact_sp_oracle(powers)
+    cdfs, diag = sp_partial_estimate(oracle, **args)
+    ref_oracle = exact_sp_oracle(powers)
+    ref = per_bidder_sp_searches(ref_oracle, **args)
+    assert len(cdfs) == len(ref) == len(powers)
+    for got, want in zip(cdfs, ref):
+        assert got.breakpoints.tobytes() == want.breakpoints.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
+    assert diag["oracle_calls"] == sum(n for _, n in ref_oracle.log)
+    # one search step reads every bidder's column in shared oracle calls
+    assert (diag["oracle_batches"], len(ref_oracle.log)) == {2: (7, 12), 3: (7, 15)}[len(powers)]
