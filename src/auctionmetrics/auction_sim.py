@@ -25,20 +25,12 @@ FORMAT_SP = "sp"
 class AuctionModel:
     """k independent bidders with bid distributions on [0,1].
 
-    ``bid_dists`` entries are PiecewiseCdf or BoundedDensityModel. Optional
-    ``value_dists`` (BoundedDensityModel) feed the equilibrium solver.
-    Metadata fields are declared bounds used by estimator configs, not
-    verified against the distributions beyond construction checks.
+    ``bid_dists`` entries are full PiecewiseCdfs or BoundedDensityModels.
+    Optional ``value_dists`` (BoundedDensityModel) feed the equilibrium solver.
     """
 
     bid_dists: list
     value_dists: list | None = None
-    lam: float | None = None
-    alpha: float | None = None
-    eta: float | None = None
-    lipschitz: float | None = None
-    zeta: float | None = None
-    model_id: str | None = None
 
     def __post_init__(self):
         if len(self.bid_dists) < 2:
@@ -46,6 +38,9 @@ class AuctionModel:
         for d in self.bid_dists:
             if not isinstance(d, (PiecewiseCdf, BoundedDensityModel)):
                 raise ValidationError("bid_dists entries must be CDFs or density models")
+            if isinstance(d, PiecewiseCdf) and not d.is_full_cdf:
+                # a bid drawn from the missing mass would be 1.0
+                raise ValidationError("bid_dists entries must be full CDFs")
         if self.value_dists is not None:
             if len(self.value_dists) != len(self.bid_dists):
                 raise ValidationError("value_dists must have one entry per bidder")
@@ -72,11 +67,6 @@ class AuctionModel:
             "bid_dists": [enc(d) for d in self.bid_dists],
             "value_dists": None if self.value_dists is None
             else [d.to_dict() for d in self.value_dists],
-            "metadata": {
-                "lambda": self.lam, "alpha": self.alpha, "eta": self.eta,
-                "lipschitz": self.lipschitz, "zeta": self.zeta,
-                "model_id": self.model_id,
-            },
         }
 
     @classmethod
@@ -87,14 +77,10 @@ class AuctionModel:
                 return BoundedDensityModel.from_dict(obj)
             return PiecewiseCdf.from_dict(obj)
 
-        meta = d.get("metadata", {})
         vds = d.get("value_dists")
         return cls(
             bid_dists=[dec(o) for o in d["bid_dists"]],
             value_dists=None if vds is None else [BoundedDensityModel.from_dict(o) for o in vds],
-            lam=meta.get("lambda"), alpha=meta.get("alpha"), eta=meta.get("eta"),
-            lipschitz=meta.get("lipschitz"), zeta=meta.get("zeta"),
-            model_id=meta.get("model_id"),
         )
 
 
@@ -110,8 +96,6 @@ class SampleSet:
     z: np.ndarray
     k: int
     auction: str
-    seed: int | None = None
-    model_id: str | None = None
 
     def __post_init__(self):
         self.y = np.ascontiguousarray(self.y, dtype=np.float64)
@@ -195,8 +179,7 @@ def simulate_fp(model, n, seed):
     if n < 1:
         raise ValidationError("n must be >= 1")
     y, code, _ = _scan_bids(_bid_matrix(model, n, seed))
-    return SampleSet(y=y, z=_winner_index(code), k=model.k, auction=FORMAT_FP,
-                     seed=_seed_int(seed), model_id=model.model_id)
+    return SampleSet(y=y, z=_winner_index(code), k=model.k, auction=FORMAT_FP)
 
 
 def simulate_sp(model, n, seed):
@@ -204,12 +187,7 @@ def simulate_sp(model, n, seed):
     if n < 1:
         raise ValidationError("n must be >= 1")
     _, code, y = _scan_bids(_bid_matrix(model, n, seed), second=True)
-    return SampleSet(y=y, z=_winner_index(code), k=model.k, auction=FORMAT_SP,
-                     seed=_seed_int(seed), model_id=model.model_id)
-
-
-def _seed_int(seed):
-    return int(seed) if isinstance(seed, (int, np.integer)) else None
+    return SampleSet(y=y, z=_winner_index(code), k=model.k, auction=FORMAT_SP)
 
 
 def _check_reserve(r, n):
@@ -540,6 +518,4 @@ def lower_bound_fixture(k, eps, lam):
         interpolation=LINEAR, is_full_cdf=True,
     )
     rest = [base] * (k - 1)
-    d = AuctionModel(bid_dists=[f1] + rest, lam=lam, model_id="lower-bound-D")
-    dp = AuctionModel(bid_dists=[f1p] + rest, lam=lam, model_id="lower-bound-Dprime")
-    return d, dp
+    return AuctionModel(bid_dists=[f1] + rest), AuctionModel(bid_dists=[f1p] + rest)

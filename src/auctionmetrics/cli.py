@@ -127,7 +127,7 @@ def _cmd_estimate_fp_density(args):
 
     out = []
     for F in cdfs:
-        est = fp_estimator.estimate_density(F, args.h, args.p)
+        est = fp_estimator.estimate_density(F, args.h)
         grid = np.linspace(args.p, 1.0 - args.h, args.grid)
         out.append({"x": [io.fmt_float(v) for v in grid],
                     "density": [io.fmt_float(v) for v in est.eval(grid)]})

@@ -1,4 +1,4 @@
-"""Distribution representations on [0,1], sampling, and statistical distances.
+"""Distributions on [0,1], their quantile functions, and statistical distances.
 
 Everything downstream works with monotone piecewise functions on the unit
 interval: full CDFs, sub-CDFs (terminal value below one), and bounded
@@ -17,7 +17,6 @@ the CDF difference, by the one-dimensional Kantorovich identity), and Levy
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -253,13 +252,6 @@ class PiecewiseCdf:
         except KeyError as exc:
             raise ValidationError(f"CDF object missing field {exc}") from exc
 
-    def to_json(self):
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, s):
-        return cls.from_dict(json.loads(s))
-
 
 def sub_cdf(breakpoints, values, interpolation=STEP):
     return PiecewiseCdf(breakpoints, values, interpolation, is_full_cdf=False)
@@ -421,14 +413,6 @@ class BoundedDensityModel:
             eta_hi=d["eta_hi"],
             lipschitz=d.get("lipschitz"),
         )
-
-
-def sample(F, rng, size=None):
-    """Inverse-transform samples from a full CDF."""
-    if isinstance(F, PiecewiseCdf) and not F.is_full_cdf:
-        raise ValidationError("sampling requires a full CDF")
-    u = rng.random() if size is None else rng.random(size)
-    return F.ppf(u)
 
 
 # -- distances --------------------------------------------------------------

@@ -144,14 +144,13 @@ def estimate_bid_cdf_full(samples, lam, eps):
 
 @dataclass(eq=False)
 class DensityEstimate:
-    """Forward-difference density (F(x+h) - F(x))/h on [p, 1].
+    """Forward-difference density (F(x+h) - F(x))/h.
 
     Piecewise constant whenever the input CDF is a staircase.
     """
 
     cdf: PiecewiseCdf
     h: float
-    p: float
 
     def eval(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -161,18 +160,11 @@ class DensityEstimate:
         return float(out) if x.ndim == 0 else out
 
 
-def estimate_density(fhat_cdf, h, p):
+def estimate_density(fhat_cdf, h):
     """Forward-difference density estimator with bandwidth h."""
     if h <= 0.0:
         raise ValidationError("bandwidth must be positive")
-    return DensityEstimate(cdf=fhat_cdf, h=h, p=p)
-
-
-def density_bandwidth(eps0, lipschitz):
-    """The L1-optimal bandwidth sqrt(eps0 / L) for a sup-error-eps0 CDF."""
-    if eps0 <= 0 or lipschitz <= 0:
-        raise ValidationError("eps0 and L must be positive")
-    return math.sqrt(eps0 / lipschitz)
+    return DensityEstimate(cdf=fhat_cdf, h=h)
 
 
 def population_bid_cdf(H, hi_density, x, tol=1e-9):

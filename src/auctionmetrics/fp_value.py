@@ -2,9 +2,10 @@
 
 Under equilibrium bidding, a bidder with value v best-responds with
 b*(v) = argmax_b (v - b) * prod_{j != i} F_j(b), and the value CDF satisfies
-G_i(v) = F_i(b*(v)). The estimator plugs staircase bid-CDF estimates into the
-empirical utility, maximizes it exactly over the staircase breakpoints, and
-composes G-hat_i(v) = F-hat_i(b-hat(v)) on a value grid.
+G_i(v) = F_i(b*(v)). The estimator plugs a staircase estimate of the product
+into the utility, maximizes it exactly over the staircase breakpoints
+(``best_response``), and composes G-hat_i(v) = F-hat_i(b-hat(v)) on a value
+grid.
 
 The product prod_{j != i} F_j is estimated in one shot by relabeling each
 observation (Y, Z) as the two-agent observation (Y, 1{Z = i}), which avoids
@@ -72,52 +73,26 @@ def calibration_constants(config, k):
     return eps1, eps0
 
 
-def product_staircase(fhats, i):
-    """prod_{j != i} F-hat_j as a single staircase (may terminate below 1)."""
-    others = [F for j, F in enumerate(fhats, start=1) if j != i]
-    bp = np.unique(np.concatenate([F.breakpoints for F in others]))
-    vals = np.ones_like(bp)
-    for F in others:
-        vals = vals * F.eval(bp)
-    return PiecewiseCdf(bp, np.maximum.accumulate(np.clip(vals, 0.0, 1.0)),
-                        interpolation=STEP, is_full_cdf=False)
+def best_response(prod, v, lo=0.0, hi=1.0):
+    """Exact maximizer of the staircase utility (v - b) * prod(b) over [lo, hi].
 
-
-def empirical_utility(fhats, i, v, b):
-    """u-hat_i(b; v) = (v - b) * prod_{j != i} F-hat_j(b)."""
-    prod = 1.0
-    for j, F in enumerate(fhats, start=1):
-        if j != i:
-            prod *= F.eval(b)
-    return (v - b) * prod
-
-
-def best_response(fhats, i, v, lo=0.0, hi=1.0):
-    """Exact maximizer of the staircase utility over [lo, hi].
-
-    Candidates are the product staircase's breakpoints plus the interval ends;
-    ties go to the smallest bid.
+    ``prod`` is the staircase of prod_{j != i} F-hat_j and ``v`` a value or
+    an array of values. Candidates are the staircase's breakpoints plus the
+    interval ends; ties go to the smallest bid.
     """
-    prod = product_staircase(fhats, i)
-    cand = prod.breakpoints[(prod.breakpoints >= lo) & (prod.breakpoints <= hi)]
-    cand = np.union1d(cand, [lo, hi])
-    util = (v - cand) * prod.eval(cand)
-    return float(cand[int(np.argmax(util))])
+    bp = prod.breakpoints
+    cand = np.union1d(bp[(bp >= lo) & (bp <= hi)], [lo, hi])
+    pv = prod.eval(cand)
+    v = np.asarray(v, dtype=np.float64)
+    out = cand[[int(np.argmax((x - cand) * pv)) for x in np.atleast_1d(v)]]
+    return float(out[0]) if v.ndim == 0 else out
 
 
 def _compose_value_cdf(fhat_i, prod_i, config):
     """G-hat_i staircase on the value grid via best-response inversion."""
     dv = config.v_grid_step
-    grid = np.arange(config.p, 1.0 + dv / 2.0, dv)
-    grid = np.minimum(grid, 1.0)
-    cand = prod_i.breakpoints[(prod_i.breakpoints >= 0.0) & (prod_i.breakpoints <= 1.0)]
-    cand = np.union1d(cand, [0.0, 1.0])
-    pv = prod_i.eval(cand)
-    gvals = np.empty(grid.size)
-    for m, v in enumerate(grid):
-        util = (v - cand) * pv
-        gvals[m] = fhat_i.eval(cand[int(np.argmax(util))])
-    repaired, adjustment = pav_nondecreasing(gvals)
+    grid = np.minimum(np.arange(config.p, 1.0 + dv / 2.0, dv), 1.0)
+    repaired, adjustment = pav_nondecreasing(fhat_i.eval(best_response(prod_i, grid)))
     repaired = np.clip(repaired, 0.0, 1.0)
     cdf = PiecewiseCdf(grid, repaired, interpolation=STEP, is_full_cdf=False)
     return cdf, adjustment
@@ -155,8 +130,7 @@ def estimate_value_cdf_effective(samples, config):
 def _relabel_rest(samples, i):
     """View the sample as a two-agent auction: agent 1 = bidder i, agent 2 = rest."""
     z2 = np.where(samples.z == i, 1, 2)
-    return SampleSet(y=samples.y, z=z2, k=2, auction=samples.auction, seed=samples.seed,
-                     model_id=samples.model_id)
+    return SampleSet(y=samples.y, z=z2, k=2, auction=samples.auction)
 
 
 def estimate_value_cdf_full(samples, lam, eps, zeta, lipschitz=None):
@@ -183,21 +157,3 @@ def estimate_value_cdf_full(samples, lam, eps, zeta, lipschitz=None):
         p=p, gamma=gamma, eps=eps, zeta=zeta, lipschitz=lipschitz, d=d,
     )
     return estimate_value_cdf_effective(samples, config)
-
-
-def lipschitz_estimate(fhat, eps0, eps):
-    """Data-driven Lipschitz upper bound at separation eps0.
-
-    L-hat = (max_x [F-hat(x+eps0) - F-hat(x)] + 2*eps) / eps0, where the max
-    runs over the staircase's constancy intervals (including left limits).
-    Whenever sup|F-hat - F| <= eps, L-hat dominates every true secant of F at
-    separation eps0.
-    """
-    if eps0 <= 0.0:
-        raise ValidationError("eps0 must be positive")
-    bp = fhat.breakpoints
-    cand = np.unique(np.clip(np.concatenate([bp, bp - eps0]), 0.0, 1.0))
-    upper = np.maximum(fhat.eval(cand + eps0), fhat.eval_left(cand + eps0))
-    lower = np.minimum(fhat.eval(cand), fhat.eval_left(cand))
-    gap = float(np.max(upper - lower))
-    return (gap + 2.0 * eps) / eps0

@@ -52,7 +52,7 @@ def _fp_config(args):
 
 def _fp_density(samples, args, seed):
     fhats, diagnostics = fp_estimator.estimate_bid_cdf_effective(samples, _fp_config(args))
-    return [fp_estimator.estimate_density(F, args["h"], args["p"]) for F in fhats], diagnostics
+    return [fp_estimator.estimate_density(F, args["h"]) for F in fhats], diagnostics
 
 
 # Argument keys are the estimators' parameter names. The sp contraction ratio
@@ -64,7 +64,7 @@ ESTIMATORS = {
     "fp-full": Estimator(
         FORMAT_FP, ("lambda", "eps"), (),
         lambda s, a, seed: fp_estimator.estimate_bid_cdf_full(s, a["lambda"], a["eps"])),
-    "fp-density": Estimator(FORMAT_FP, ("p", "gamma", "h"), ("eps",), _fp_density, DENSITY),
+    "fp-density": Estimator(FORMAT_FP, ("p", "gamma", "h"), (), _fp_density, DENSITY),
     "fp-value": Estimator(
         FORMAT_FP, ("p", "gamma", "eps", "zeta"), ("lipschitz",),
         lambda s, a, seed: fp_value.estimate_value_cdf_effective(

@@ -29,6 +29,9 @@ from .errors import EstimationError, ValidationError
 from .fp_estimator import _check_probe_args, _OracleBudget, noisy_quantile_search
 from .isotonic import pav_nondecreasing
 
+# the contraction bound every macro-interval's Jacobian budget must meet
+CONTRACTIVITY_CAP = 0.25
+
 
 @dataclass(frozen=True)
 class SpParams:
@@ -50,7 +53,6 @@ class SpParams:
     micro_delta: float
     eps_g: float
     fp_iters: int
-    contractivity_cap: float = 0.25
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= self.eta:
@@ -80,10 +82,9 @@ class SpParams:
         # near x = 1-theta a single micro cell contributes about
         # eta^2*delta/(alpha^2*theta) to the contraction budget; keep that
         # under ~1/8 so the greedy construction can always reach 1-theta
-        cap = overrides.get("contractivity_cap", 0.25)
         micro_delta = overrides.pop(
             "micro_delta",
-            min(1e-3, cap * alpha * alpha * theta / (2.0 * eta * eta)),
+            min(1e-3, CONTRACTIVITY_CAP * alpha * alpha * theta / (2.0 * eta * eta)),
         )
         if micro_delta >= nu:
             micro_delta = nu / 10.0
@@ -258,11 +259,11 @@ def _build_grid(ghat_list, coarse_list, params):
         coarse_vals = np.vstack([c.eval(xs) for c in coarse_list])
         h_lo, h_hi = _h_clip_bounds(params, xs)
         budget = _jacobian_budget(params, deltas, h_hi, coarse_vals)
-        ok = np.nonzero(budget <= params.contractivity_cap)[0]
+        ok = np.nonzero(budget <= CONTRACTIVITY_CAP)[0]
         if ok.size == 0:
             raise EstimationError(
                 f"no admissible micro cell at x={x_prev:.6g} "
-                f"(first budget value {budget[0]:.6g} > {params.contractivity_cap})",
+                f"(first budget value {budget[0]:.6g} > {CONTRACTIVITY_CAP})",
                 diagnostics={"endpoints": endpoints},
             )
         l = int(ok[-1] + 1)

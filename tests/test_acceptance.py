@@ -89,7 +89,7 @@ def test_04_density_l1_error_bounded_by_bandwidth():
     # error on [0.1, 0.98] must stay below L*h = 0.04
     grid = np.linspace(0, 1, 8193)
     F = PiecewiseCdf(grid, grid ** 2, interpolation="linear")
-    d = estimate_density(F, 0.02, 0.1)
+    d = estimate_density(F, 0.02)
     xs = np.linspace(0.1, 0.98, 4001)
     trapz = getattr(np, "trapezoid", None) or np.trapz
     l1 = float(trapz(np.abs(d.eval(xs) - 2 * xs), xs))

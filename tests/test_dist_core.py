@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from auctionmetrics.auction_sim import AuctionModel
 from auctionmetrics.dist_core import (
     LINEAR,
     STEP,
@@ -18,7 +19,6 @@ from auctionmetrics.dist_core import (
     empirical_cdf,
     kolmogorov,
     levy,
-    sample,
     sub_cdf,
     uniform_cdf,
     wasserstein1,
@@ -439,7 +439,7 @@ def test_json_round_trip_is_exact():
     rng = np.random.default_rng(7)
     for _ in range(20):
         F = random_staircase(rng, full=False)
-        G = PiecewiseCdf.from_json(F.to_json())
+        G = PiecewiseCdf.from_dict(json.loads(json.dumps(F.to_dict())))
         np.testing.assert_array_equal(F.breakpoints, G.breakpoints)
         np.testing.assert_array_equal(F.values, G.values)
         assert G.interpolation == F.interpolation
@@ -558,7 +558,7 @@ def test_sampling_respects_dkw_band():
                             alpha_lo=0.5, eta_hi=2.0)
     rng = np.random.default_rng(11)
     n = 20000
-    xs = sample(d, rng, n)
+    xs = d.ppf(rng.random(n))
     emp = empirical_cdf(xs)
     grid = np.linspace(0, 1, 501)
     dev = np.max(np.abs(emp.eval(grid) - d.cdf(grid)))
@@ -566,8 +566,10 @@ def test_sampling_respects_dkw_band():
 
 
 def test_sampling_requires_full_cdf():
-    with pytest.raises(ValidationError):
-        sample(sub_cdf([0.5], [0.4]), np.random.default_rng(0))
+    # bids are drawn from a model, so the model refuses a sub-CDF; it used to
+    # pass, and simulate_fp then put the missing 0.6 of mass at bid 1.0
+    with pytest.raises(ValidationError, match="bid_dists entries must be full CDFs"):
+        AuctionModel(bid_dists=[sub_cdf([0.5], [0.4]), uniform_cdf()])
 
 
 # -- distances ----------------------------------------------------------------

@@ -32,7 +32,6 @@ from auctionmetrics.fp_estimator import (
     FpEstimatorConfig,
     _ghat_to_cdf,
     _OracleBudget,
-    density_bandwidth,
     estimate_bid_cdf_effective,
     estimate_bid_cdf_full,
     estimate_density,
@@ -240,7 +239,7 @@ def test_full_estimator_zeroes_below_eta():
 
 def test_density_forward_difference_exact():
     F = uniform_cdf()
-    d = estimate_density(F, 0.1, 0.2)
+    d = estimate_density(F, 0.1)
     xs = np.linspace(0.2, 0.9, 50)
     np.testing.assert_allclose(d.eval(xs), 1.0, atol=1e-12)
 
@@ -248,21 +247,15 @@ def test_density_forward_difference_exact():
 def test_density_quadratic_cdf():
     grid = np.linspace(0, 1, 4097)
     F = type(uniform_cdf())(grid, grid ** 2, interpolation="linear")
-    d = estimate_density(F, 0.02, 0.1)
+    d = estimate_density(F, 0.02)
     # (F(x+h)-F(x))/h = 2x + h exactly for F = x^2
     for x in (0.1, 0.5, 0.9):
         assert d.eval(x) == pytest.approx(2 * x + 0.02, abs=1e-4)
 
 
-def test_density_bandwidth_formula():
-    assert density_bandwidth(0.0004, 1.0) == pytest.approx(0.02)
-    with pytest.raises(ValidationError):
-        density_bandwidth(-1.0, 1.0)
-
-
 def test_density_rejects_nonpositive_bandwidth():
     with pytest.raises(ValidationError):
-        estimate_density(uniform_cdf(), 0.0, 0.1)
+        estimate_density(uniform_cdf(), 0.0)
 
 
 # -- noisy binary search ------------------------------------------------------------

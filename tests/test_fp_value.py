@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -8,11 +11,8 @@ from auctionmetrics.fp_value import (
     ValueEstimatorConfig,
     best_response,
     calibration_constants,
-    empirical_utility,
     estimate_value_cdf_effective,
     estimate_value_cdf_full,
-    lipschitz_estimate,
-    product_staircase,
 )
 
 
@@ -43,44 +43,29 @@ def test_calibration_constants_general_case_uses_margin():
     assert eps1 == 0.03
 
 
-def test_product_staircase_of_two():
-    F2 = PiecewiseCdf([0.2, 0.6], [0.5, 1.0])
-    F3 = PiecewiseCdf([0.4, 0.8], [0.25, 1.0])
-    prod = product_staircase([uniform_cdf(), F2, F3], 1)
-    assert prod.eval(0.3) == pytest.approx(0.5 * 0.0)
-    assert prod.eval(0.5) == pytest.approx(0.5 * 0.25)
-    assert prod.eval(0.7) == pytest.approx(1.0 * 0.25)
-    assert prod.eval(0.9) == pytest.approx(1.0)
-
-
-def test_empirical_utility_matches_product():
-    F2 = PiecewiseCdf([0.5], [1.0])
-    fhats = [uniform_cdf(), F2]
-    assert empirical_utility(fhats, 1, 0.8, 0.5) == pytest.approx(0.3 * 1.0)
-    assert empirical_utility(fhats, 1, 0.8, 0.4) == 0.0
-
-
 def test_best_response_calculus_oracle():
     # k=2, other bidder ~ uniform staircase: utility (v-b)*b maximized at v/2
-    fhats = [fine_uniform_staircase(), fine_uniform_staircase()]
-    for v in (0.3, 0.5, 0.8, 1.0):
-        b = best_response(fhats, 1, v)
+    prod = fine_uniform_staircase()
+    vs = (0.3, 0.5, 0.8, 1.0)
+    for v in vs:
+        b = best_response(prod, v)
         assert b == pytest.approx(v / 2, abs=1e-3)
+    # an array of values gives the scalar answers, bit for bit
+    assert best_response(prod, np.array(vs)).tolist() == [best_response(prod, v) for v in vs]
 
 
 def test_best_response_power_law_oracle():
     # other bidder F(b) = b^2: maximize (v-b)b^2 -> b = 2v/3
     grid = np.linspace(0, 1, 4001)
     F2 = PiecewiseCdf(grid, grid ** 2, interpolation="step", is_full_cdf=True)
-    fhats = [fine_uniform_staircase(), F2]
     for v in (0.4, 0.7, 1.0):
-        assert best_response(fhats, 1, v) == pytest.approx(2 * v / 3, abs=1e-3)
+        assert best_response(F2, v) == pytest.approx(2 * v / 3, abs=1e-3)
 
 
 def test_best_response_tie_goes_to_smallest_bid():
     # flat product: any b gives (v-b)*c decreasing in b -> picks the interval's low end
     F2 = PiecewiseCdf([0.0], [1.0])
-    assert best_response([fine_uniform_staircase(), F2], 1, 0.5, lo=0.1) == 0.1
+    assert best_response(F2, 0.5, lo=0.1) == 0.1
 
 
 def test_value_estimation_recovers_uniform_values():
@@ -108,6 +93,35 @@ def test_value_estimates_are_monotone_staircases():
         assert F.breakpoints[0] == pytest.approx(0.2)
 
 
+def estimate_digest(cdfs, diagnostics):
+    blob = json.dumps({"cdfs": [F.to_dict() for F in cdfs],
+                       "diagnostics": diagnostics}, sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_value_estimates_are_pinned_per_seed():
+    # digests of the CDFs and diagnostics, taken before the estimator ran
+    # its best responses through best_response; a change that moves any
+    # candidate bid, tie, grid point, isotonic repair or rounding changes the
+    # hash. Uniform values give bids uniform on [0, (k-1)/k].
+    half = PiecewiseCdf([0.0, 0.5], [0.0, 1.0], interpolation="linear")
+    two3 = PiecewiseCdf([0.0, 2 / 3], [0.0, 1.0], interpolation="linear")
+    s = simulate_fp(AuctionModel(bid_dists=[half, half]), 20000, 31)
+    lipschitz = ValueEstimatorConfig(p=0.2, gamma=0.04, eps=0.1, zeta=1.0, lipschitz=1.0)
+    assert estimate_digest(*estimate_value_cdf_effective(s, lipschitz)) == (
+        "a8c3ddd04ee467449dc52d893a33fe6822f71d5646d2d5dc1a2b1ccf6b763207")
+    general = ValueEstimatorConfig(p=0.2, gamma=0.04, eps=0.1, zeta=1.0)
+    assert estimate_digest(*estimate_value_cdf_effective(s, general)) == (
+        "644d10bc7960265c05bbf3a8fee85e57b9406d2bf796e6288f76a20770fd1a77")
+    s = simulate_fp(AuctionModel(bid_dists=[half, half]), 20000, 37)
+    assert estimate_digest(*estimate_value_cdf_full(s, lam=1.0, eps=0.4, zeta=1.0)) == (
+        "ad34138306ae8d79d7038bf4833b3c23cf7e9a58eac189d8a5e4f7f764a5d555")
+    s = simulate_fp(AuctionModel(bid_dists=[two3] * 3), 20000, 41)
+    k3 = ValueEstimatorConfig(p=0.3, gamma=0.05, eps=0.1, zeta=1.0, lipschitz=1.0)
+    assert estimate_digest(*estimate_value_cdf_effective(s, k3)) == (
+        "d61665128ea46b2a33bd1c8d268bf30277232b7a4d5b41a187604dde96165a86")
+
+
 def test_full_support_value_general_case_parameters():
     half = PiecewiseCdf([0.0, 0.5], [0.0, 1.0], interpolation="linear")
     m = AuctionModel(bid_dists=[half, half])
@@ -116,23 +130,3 @@ def test_full_support_value_general_case_parameters():
     assert len(cdfs) == 2
     # general case: eps1 equals the interior margin d = 3*eta/11
     assert diag["eps1_used"] == pytest.approx(3 * 0.2 / 11)
-
-
-def test_lipschitz_estimate_exact_on_linear():
-    # linear CDF with slope 2 on [0, 0.5]: secant at any separation is 2
-    grid = np.linspace(0, 0.5, 1001)
-    F = PiecewiseCdf(grid, 2 * grid, interpolation="step", is_full_cdf=True)
-    Lhat = lipschitz_estimate(F, eps0=0.1, eps=0.0)
-    assert Lhat == pytest.approx(2.0, abs=0.02)
-
-
-def test_lipschitz_estimate_dominates_with_noise_allowance():
-    F = fine_uniform_staircase()
-    Lhat = lipschitz_estimate(F, eps0=0.05, eps=0.01)
-    assert Lhat >= 1.0
-    assert Lhat == pytest.approx(1.0 + 2 * 0.01 / 0.05, abs=0.02)
-
-
-def test_lipschitz_estimate_rejects_bad_eps0():
-    with pytest.raises(ValidationError):
-        lipschitz_estimate(fine_uniform_staircase(), eps0=0.0, eps=0.1)

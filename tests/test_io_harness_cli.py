@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -115,6 +116,51 @@ def test_model_file_round_trip(tmp_path):
     io_write_model(path, uniform_model(3))
     m = io_read_model(path)
     assert m.k == 3
+
+
+# a model file as written when AuctionModel still carried declared bounds
+# and an id in a "metadata" block; nothing reads that block any more
+OLD_MODEL = {
+    "bid_dists": [
+        {"interpolation": "linear", "breakpoints": [0.0, 0.5, 1.0],
+         "values": [0.0, 0.3, 1.0], "is_full_cdf": True, "kind": "cdf"},
+        {"kind": "density", "knots": [0.0, 1.0], "density": [0.75, 1.25],
+         "alpha_lo": 0.5, "eta_hi": 2.0, "lipschitz": 0.5}],
+    "value_dists": [
+        {"kind": "density", "knots": [0.0, 1.0], "density": [1.0, 1.0],
+         "alpha_lo": 1.0, "eta_hi": 1.0, "lipschitz": None}] * 2,
+    "metadata": {"lambda": 0.3, "alpha": 0.5, "eta": 2.0, "lipschitz": 1.0,
+                 "zeta": 1.0, "model_id": "m1"},
+}
+
+
+def test_old_model_files_with_metadata_still_load(tmp_path):
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(OLD_MODEL))
+    m = io_read_model(path)
+    want = {key: OLD_MODEL[key] for key in ("bid_dists", "value_dists")}
+    assert m.to_dict() == want
+    # the same distributions, so the same simulated bytes as before
+    for fmt, seed, digest in (
+            ("fp", 5, "366bb6c4b743bac4b5d53d4bc10d237eb3bc72f9b2b3b11c0d217798fd7997ad"),
+            ("sp", 6, "dc27c75505c62f8be04049d1000c154617a87d9327fac58fc78657c39d6da3a1")):
+        out = tmp_path / f"{fmt}.csv"
+        r = run_cli("simulate", "--model", path, "--format", fmt, "--n", 2000,
+                    "--seed", seed, "--out", out)
+        assert r.returncode == 0, r.stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_cli_simulate_rejects_a_sub_cdf_bid_model(tmp_path):
+    path = tmp_path / "sub.json"
+    sub = {"interpolation": "step", "breakpoints": [0.5], "values": [0.4],
+           "is_full_cdf": False}
+    path.write_text(json.dumps({"bid_dists": [sub, uniform_cdf().to_dict()]}))
+    r = run_cli("simulate", "--model", path, "--format", "fp", "--n", 100,
+                "--out", tmp_path / "fp.csv")
+    assert r.returncode == 2
+    assert "bid_dists entries must be full CDFs" in r.stderr
+    assert not (tmp_path / "fp.csv").exists()
 
 
 def test_config_hash_is_order_insensitive_and_stable():

@@ -25,6 +25,7 @@ from auctionmetrics.dist_core import (
 from auctionmetrics.errors import EstimationError, ValidationError
 from auctionmetrics.fp_estimator import _OracleBudget, noisy_quantile_search
 from auctionmetrics.sp_estimator import (
+    CONTRACTIVITY_CAP,
     CallableEval,
     SpParams,
     _build_grid,
@@ -145,7 +146,7 @@ def test_grid_budget_below_cap():
     s = simulate_sp(uniform_model(), 40000, 37)
     params = SpParams.desk(1.0, 1.0, 0.1, n=s.n)
     _, gammas = _build_grid(*sample_pieces(s, params), params)
-    assert max(gammas) <= params.contractivity_cap + 1e-12
+    assert max(gammas) <= CONTRACTIVITY_CAP + 1e-12
 
 
 def test_grid_micro_points_cover_interval():
