@@ -21,6 +21,41 @@ from .dist_core import kolmogorov, levy, wasserstein1
 from .errors import EstimationError, ValidationError
 
 
+# each estimate command's registry kinds; estimate-fp's --mode picks "fp-<mode>"
+_ESTIMATE_COMMANDS = {
+    "estimate-fp": (("fp-effective", "fp-full"), "first-price bid-CDF estimation"),
+    "estimate-fp-partial": (("fp-partial",), "reserve-probe first-price estimation"),
+    "estimate-values": (("fp-value",), "value-CDF estimation from fp samples"),
+    "estimate-sp": (("sp",), "second-price fixed-point pipeline"),
+    "estimate-sp-partial": (("sp-partial",), "reserve-probe second-price estimation"),
+}
+
+
+def _estimator_keys(kinds):
+    """The argument keys of the kinds' registry entries, each once, in order."""
+    entries = [harness.ESTIMATORS[kind] for kind in kinds]
+    return list(dict.fromkeys(key for e in entries for key in e.required + e.optional))
+
+
+def _add_estimate_parser(p, kinds):
+    """The flags of an estimate command: its input, one flag per argument key
+    of its kinds (``micro_delta`` is ``--micro-delta``) and ``--out``."""
+    if harness.ESTIMATORS[kinds[0]].observes in (io.FORMAT_FP, io.FORMAT_SP):
+        p.add_argument("--samples", required=True)
+        p.add_argument("--k", type=int, required=True)
+    else:
+        p.add_argument("--model", required=True)
+        p.add_argument("--seed", type=int, default=0)
+    if len(kinds) > 1:
+        modes = [kind.removeprefix("fp-") for kind in kinds]
+        p.add_argument("--mode", choices=modes, default=modes[0])
+    required = harness.ESTIMATORS[kinds[0]].required if len(kinds) == 1 else ()
+    for key in _estimator_keys(kinds):
+        p.add_argument("--" + key.replace("_", "-"), dest=key, required=key in required,
+                       type=int if key in harness._COUNT_KEYS else float)
+    p.add_argument("--out", required=True)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="auctionmetrics",
@@ -35,16 +70,6 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("estimate-fp", help="first-price bid-CDF estimation")
-    p.add_argument("--samples", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--mode", choices=["effective", "full"], default="effective")
-    p.add_argument("--p", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--lambda", dest="lambda", type=float)
-    p.add_argument("--out", required=True)
-
     p = sub.add_parser("estimate-fp-density", help="forward-difference density")
     p.add_argument("--cdf", required=True)
     p.add_argument("--h", type=float, required=True)
@@ -52,45 +77,8 @@ def build_parser():
     p.add_argument("--grid", type=int, default=512)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("estimate-fp-partial", help="reserve-probe first-price estimation")
-    p.add_argument("--model", required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--lipschitz", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("estimate-values", help="value-CDF estimation from fp samples")
-    p.add_argument("--samples", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--zeta", type=float, required=True)
-    p.add_argument("--lipschitz", type=float)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("estimate-sp", help="second-price fixed-point pipeline")
-    p.add_argument("--samples", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--nu", type=float)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--micro-delta", type=float)
-    p.add_argument("--fp-iters", type=int)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("estimate-sp-partial", help="reserve-probe second-price estimation")
-    p.add_argument("--model", required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--lipschitz", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    for command, (kinds, text) in _ESTIMATE_COMMANDS.items():
+        _add_estimate_parser(sub.add_parser(command, help=text), kinds)
 
     p = sub.add_parser("sweep", help="convergence sweep from a config file")
     p.add_argument("--config", required=True)
@@ -122,6 +110,11 @@ def _cmd_simulate(args):
 
 
 def _cmd_estimate_fp_density(args):
+    if args.grid < 1:
+        raise ValidationError(f"--grid must be at least 1, not {args.grid}")
+    if not 0.0 <= args.p <= 1.0 - args.h:
+        raise ValidationError(f"need 0 <= p <= 1 - h for the grid [p, 1 - h], "
+                              f"not p = {args.p}, h = {args.h}")
     cdfs = io.io_read_cdfs(args.cdf)
     import numpy as np
 
@@ -134,23 +127,13 @@ def _cmd_estimate_fp_density(args):
     Path(args.out).write_text(json.dumps({"version": 1, "densities": out}, indent=2))
 
 
-# the registry kind each estimate command runs; estimate-fp's is "fp-<mode>"
-_ESTIMATE_KINDS = {
-    "estimate-fp": None,
-    "estimate-fp-partial": "fp-partial",
-    "estimate-values": "fp-value",
-    "estimate-sp": "sp",
-    "estimate-sp-partial": "sp-partial",
-}
-
-
 def _cmd_estimate(args):
-    """Run the registry entry of the command on files, with the flags it names."""
-    kind = _ESTIMATE_KINDS[args.command] or "fp-" + args.mode
-    entry = harness.ESTIMATORS[kind]
-    given = {key: getattr(args, key) for key in entry.required + entry.optional
-             if getattr(args, key, None) is not None}
-    harness.check_estimator_args(kind, given)
+    """Run the registry entry of the command on files, with every estimator flag given."""
+    kinds = _ESTIMATE_COMMANDS[args.command][0]
+    kind = "fp-" + args.mode if len(kinds) > 1 else kinds[0]
+    given = {key: getattr(args, key) for key in _estimator_keys(kinds)
+             if getattr(args, key) is not None}
+    entry = harness.check_estimator_args(kind, given)
     if entry.observes in (io.FORMAT_FP, io.FORMAT_SP):
         observation = io.io_read_samples(args.samples, entry.observes, args.k)
     else:
@@ -190,7 +173,7 @@ def _cmd_metric(args):
 
 _COMMANDS = {
     "simulate": _cmd_simulate,
-    **dict.fromkeys(_ESTIMATE_KINDS, _cmd_estimate),
+    **dict.fromkeys(_ESTIMATE_COMMANDS, _cmd_estimate),
     "estimate-fp-density": _cmd_estimate_fp_density,
     "sweep": _cmd_sweep,
     "lower-bound": _cmd_lower_bound,

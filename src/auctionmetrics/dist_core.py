@@ -165,30 +165,26 @@ class PiecewiseCdf:
 
     def eval(self, x):
         """Evaluate the function at scalar or array ``x`` (right-continuous)."""
-        x = np.asarray(x, dtype=np.float64)
-        scalar = x.ndim == 0
-        xq = np.minimum(np.atleast_1d(x), 1.0)
-        if self.interpolation == STEP:
-            out = _step_lookup(self.breakpoints, self.values, 0.0, xq, "right")
-        else:
-            out = np.interp(xq, self.breakpoints, self.values,
-                            left=self.values[0], right=self.values[-1])
-        out = np.where(np.atleast_1d(x) < 0.0, 0.0, out)
-        return float(out[0]) if scalar else out
+        return self._lookup(x, "right")
 
     def eval_left(self, x):
         """Left limit F(x-) at scalar or array ``x``."""
+        return self._lookup(x, "left")
+
+    def _lookup(self, x, side):
+        """The value (side "right") or the left limit (side "left") at ``x``."""
         x = np.asarray(x, dtype=np.float64)
-        scalar = x.ndim == 0
-        xq = np.minimum(np.atleast_1d(x), 1.0)
-        if self.interpolation == STEP:
-            out = _step_lookup(self.breakpoints, self.values, 0.0, xq, "left")
-            out = np.where(np.atleast_1d(x) <= 0.0, 0.0, out)
+        xv = np.atleast_1d(x)
+        xq = np.minimum(xv, 1.0)
+        step = self.interpolation == STEP
+        if step:
+            out = _step_lookup(self.breakpoints, self.values, 0.0, xq, side)
         else:
             out = np.interp(xq, self.breakpoints, self.values,
                             left=self.values[0], right=self.values[-1])
-            out = np.where(np.atleast_1d(x) < 0.0, 0.0, out)
-        return float(out[0]) if scalar else out
+        # zero below 0, and a step's left limit is zero at 0 as well
+        out = np.where(xv <= 0.0 if step and side == "left" else xv < 0.0, 0.0, out)
+        return float(out[0]) if x.ndim == 0 else out
 
     def ppf(self, q):
         """Generalized inverse inf{x : F(x) >= q}, vectorized."""

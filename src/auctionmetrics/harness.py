@@ -73,10 +73,10 @@ ESTIMATORS = {
         FORMAT_SP, ("alpha", "eta", "eps"), ("nu", "theta", "micro_delta", "fp_iters"),
         lambda s, a, seed: sp_estimator.estimate_sp(s, measure_contraction=5, **a)),
     "fp-partial": Estimator(
-        PROBE_FP, ("p", "gamma", "eps"), ("lipschitz", "n_search", "n_point", "n_base"),
+        PROBE_FP, ("p", "gamma", "eps"), ("lipschitz",),
         lambda o, a, seed: fp_estimator.fp_partial_estimate(o, seed=seed, **a)),
     "sp-partial": Estimator(
-        PROBE_SP, ("p", "gamma", "eps"), ("lipschitz", "n_point"),
+        PROBE_SP, ("p", "gamma", "eps"), ("lipschitz",),
         lambda o, a, seed: sp_estimator.sp_partial_estimate(o, seed=seed, **a)),
 }
 
@@ -94,8 +94,8 @@ def _check_keys(owner, given, required, types):
                                   f"not {type(given[key]).__name__}")
 
 
-# argument keys that count draws or iterations; every other key is a real number
-_COUNT_KEYS = ("fp_iters", "n_search", "n_point", "n_base")
+# argument keys that count iterations; every other key is a real number
+_COUNT_KEYS = ("fp_iters",)
 
 
 def check_estimator_args(kind, args):
@@ -144,6 +144,12 @@ class ExperimentConfig:
             raise ValidationError("n schedule must be ascending integers")
         if self.seeds < 1:
             raise ValidationError("need at least one seed per n")
+        lo, hi = self.support_lo, self.support_hi
+        if not 0.0 <= lo < hi <= 1.0:
+            raise ValidationError(f"support [{lo}, {hi}] must satisfy 0 <= lo < hi <= 1")
+        if entry.truth == DENSITY and not lo < 1.0 - self.estimator_args["h"]:
+            raise ValidationError(f"support [{lo}, {hi}] must start below 1 - h, "
+                                  "where the density estimate ends")
 
     def to_dict(self):
         return {
@@ -287,6 +293,8 @@ def run_lower_bound_experiment(k, eps, lam, n, trials, seed_root=0):
     the analytic scale, and a two-sample KS comparison of the samples
     conditioned on the uninformative event Y > eps.
     """
+    if trials < 1:
+        raise ValidationError(f"need at least one trial, not {trials}")
     d, dp = lower_bound_fixture(k, eps, lam)
     f1, f1p = d.bid_dists[0], dp.bid_dists[0]
     sep_k = kolmogorov(f1, f1p)

@@ -272,10 +272,9 @@ SWEEPS = {
     "sp": (uniform_model(), "kolmogorov", (0.02, 0.98),
            {"alpha": 1.0, "eta": 1.0, "eps": 0.1, "theta": 0.05}),
     "fp-partial": (uniform_model(), "kolmogorov", (0.5, 1.0),
-                   {"p": 0.5, "gamma": 0.5, "eps": 0.2,
-                    "n_search": 200, "n_point": 2000, "n_base": 20000}),
+                   {"p": 0.5, "gamma": 0.5, "eps": 0.2}),
     "sp-partial": (uniform_model(), "kolmogorov", (0.5, 1.0),
-                   {"p": 0.5, "gamma": 0.5, "eps": 0.2, "n_point": 2000}),
+                   {"p": 0.5, "gamma": 0.5, "eps": 0.2}),
 }
 
 
@@ -311,9 +310,10 @@ BAD_SWEEPS = {
     "values without value_dists": (dict(estimator="fp-value", estimator_args={
         "p": 0.2, "gamma": 0.04, "eps": 0.1, "zeta": 1.0}),
         "'fp-value' is scored against value CDFs, and the model has no value_dists"),
+    # the probe batch sizes are Python parameters only, not registry keys
     "a float draw count": (dict(estimator="sp-partial", estimator_args={
         "p": 0.5, "gamma": 0.5, "eps": 0.2, "n_point": 2e3}),
-        "estimator 'sp-partial' key 'n_point' must be Integral, not float"),
+        "estimator 'sp-partial' takes no key 'n_point'"),
     "a float iteration count": (dict(estimator="sp", estimator_args={
         "alpha": 1.0, "eta": 1.0, "eps": 0.1, "fp_iters": 2.0}),
         "estimator 'sp' key 'fp_iters' must be Integral, not float"),
@@ -323,6 +323,20 @@ BAD_SWEEPS = {
 @pytest.mark.parametrize("case", sorted(BAD_SWEEPS))
 def test_config_rejects_what_the_registry_cannot_run(case):
     kw, message = BAD_SWEEPS[case]
+    with pytest.raises(ValidationError, match=message):
+        sweep_config(**kw)
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(support_lo=0.9, support_hi=0.3), r"support \[0.9, 0.3\] must satisfy"),
+    (dict(support_lo=0.5, support_hi=0.5), r"support \[0.5, 0.5\] must satisfy"),
+    (dict(support_lo=-0.1), r"support \[-0.1, 1.0\] must satisfy"),
+    (dict(support_hi=1.5), r"support \[0.3, 1.5\] must satisfy"),
+    (dict(estimator="fp-density", metric="l1-density",
+          estimator_args={"p": 0.3, "gamma": 0.09, "h": 0.8}),
+     r"support \[0.3, 1.0\] must start below 1 - h"),
+], ids=["reversed", "empty", "below 0", "above 1", "density past 1 - h"])
+def test_config_rejects_an_empty_scoring_window(kw, message):
     with pytest.raises(ValidationError, match=message):
         sweep_config(**kw)
 
@@ -548,3 +562,91 @@ def test_cli_lower_bound_stdout():
     assert r.returncode == 0, r.stderr
     payload = json.loads(r.stdout)
     assert payload["kolmogorov_f1_f1p"] >= 0.5
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_cli_lower_bound_needs_a_trial(trials, tmp_path, capsys):
+    out = tmp_path / "lb.json"
+    code, err = main_exit(["lower-bound", "--k", 2, "--eps", 0.1, "--lambda", 0.2,
+                           "--n", 100, "--trials", trials, "--out", out], capsys)
+    assert code == 2 and "need at least one trial" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--p", 0.3, "--h", 0.1, "--grid", -3], "--grid must be at least 1"),
+    (["--p", 0.3, "--h", 0.1, "--grid", 0], "--grid must be at least 1"),
+    (["--p", 0.5, "--h", 0.9], "need 0 <= p <= 1 - h"),
+    (["--p", -0.1, "--h", 0.1], "need 0 <= p <= 1 - h"),
+], ids=["grid -3", "grid 0", "p above 1 - h", "p below 0"])
+def test_cli_estimate_fp_density_checks_its_grid(flags, message, tmp_path, capsys):
+    cdf = tmp_path / "cdf.json"
+    io_write_cdfs(cdf, [uniform_cdf()])
+    out = tmp_path / "density.json"
+    code, err = main_exit(["estimate-fp-density", "--cdf", cdf, *flags, "--out", out],
+                          capsys)
+    assert code == 2 and message in err
+    assert not out.exists()
+
+
+# each estimate command and the registry kinds it runs
+ESTIMATE_COMMAND_KINDS = {
+    "estimate-fp": ("fp-effective", "fp-full"),
+    "estimate-fp-partial": ("fp-partial",),
+    "estimate-values": ("fp-value",),
+    "estimate-sp": ("sp",),
+    "estimate-sp-partial": ("sp-partial",),
+}
+
+
+def test_estimate_flags_are_the_registry_keys():
+    sub = cli.build_parser()._subparsers._group_actions[0]
+    commands = {name for name in sub.choices if name.startswith("estimate-")}
+    assert commands == {"estimate-fp-density", *ESTIMATE_COMMAND_KINDS}
+    for command, kinds in ESTIMATE_COMMAND_KINDS.items():
+        entries = [ESTIMATORS[kind] for kind in kinds]
+        inputs = {"samples", "k"} if entries[0].observes in (FORMAT_FP, FORMAT_SP) \
+            else {"model", "seed"}
+        inputs |= {"help", "out"} | ({"mode"} if len(kinds) > 1 else set())
+        actions = {a.dest: a for a in sub.choices[command]._actions}
+        assert inputs <= set(actions), command
+        flags = {dest: a for dest, a in actions.items() if dest not in inputs}
+        assert set(flags) == {key for e in entries for key in e.required + e.optional}, \
+            command
+        for key, action in flags.items():
+            assert action.option_strings == ["--" + key.replace("_", "-")]
+            assert action.required == (len(kinds) == 1 and key in entries[0].required)
+            assert action.default is None
+            assert action.type is (int if key == "fp_iters" else float)
+
+
+@pytest.fixture(scope="module")
+def fp_log(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "fp.csv"
+    io_write_samples(path, simulate_fp(uniform_model(), 2000, 5))
+    return path
+
+
+@pytest.mark.parametrize("mode, flags, key", [
+    ("full", ["--lambda", 1, "--eps", 0.2, "--p", 0.9, "--gamma", 0.5], "p"),
+    ("full", ["--lambda", 1, "--eps", 0.2, "--gamma", 0.5], "gamma"),
+    ("effective", ["--p", 0.3, "--gamma", 0.09, "--lambda", 7], "lambda"),
+], ids=["full --p", "full --gamma", "effective --lambda"])
+def test_cli_estimate_fp_refuses_the_other_modes_flags(mode, flags, key, tmp_path, fp_log,
+                                                      capsys):
+    out = tmp_path / "o.json"
+    code, err = main_exit(["estimate-fp", "--samples", fp_log, "--k", 2, "--mode", mode,
+                           *flags, "--out", out], capsys)
+    assert code == 2 and f"estimator 'fp-{mode}' takes no key '{key}'" in err
+    assert not out.exists()
+
+
+def test_cli_estimate_fp_partial_lipschitz_defaults_to_the_estimators_own(
+        tmp_path, model_file, capsys):
+    outs = [tmp_path / "default.json", tmp_path / "one.json"]
+    for out, extra in zip(outs, ([], ["--lipschitz", 1])):
+        code, err = main_exit(["estimate-fp-partial", "--model", model_file, "--p", 0.5,
+                               "--gamma", 0.5, "--eps", 0.2, "--seed", 3, *extra,
+                               "--out", out], capsys)
+        assert code == 0, err
+    assert outs[0].read_bytes() == outs[1].read_bytes()
