@@ -102,9 +102,11 @@ class SampleSet:
         self.z = np.ascontiguousarray(self.z, dtype=np.int64)
         if self.auction not in (FORMAT_FP, FORMAT_SP):
             raise ValidationError(f"unknown auction format {self.auction!r}")
+        if self.k < 2:
+            raise ValidationError("an auction needs k >= 2 bidders")
         if self.y.shape != self.z.shape or self.y.ndim != 1:
             raise ValidationError("y and z must be 1-D arrays of equal length")
-        if self.y.size and (self.y.min() < 0 or self.y.max() > 1):
+        if self.y.size and not (self.y.min() >= 0 and self.y.max() <= 1):
             raise ValidationError("prices must lie in [0,1]")
         if self.z.size and (self.z.min() < 1 or self.z.max() > self.k):
             raise ValidationError("winner indices must lie in 1..k")

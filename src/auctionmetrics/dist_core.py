@@ -32,8 +32,12 @@ LINEAR = "linear"
 _MONOTONE_TOL = 1e-12
 
 
-def _as_array(x):
-    return np.ascontiguousarray(x, dtype=np.float64)
+def _as_array(x, name):
+    """``x`` as a contiguous float64 array; NaN, infinity or a non-number raises."""
+    arr = np.asarray(x)
+    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+        raise ValidationError(f"{name} must be finite numbers")
+    return np.ascontiguousarray(arr, dtype=np.float64)
 
 
 def _levels(q):
@@ -89,8 +93,8 @@ class StepFunction:
     left_value: float = 0.0
 
     def __post_init__(self):
-        bp = _as_array(self.breakpoints)
-        vals = _as_array(self.values)
+        bp = _as_array(self.breakpoints, "breakpoints")
+        vals = _as_array(self.values, "values")
         if bp.ndim != 1 or vals.ndim != 1 or bp.shape != vals.shape:
             raise ValidationError("breakpoints and values must be 1-D arrays of equal length")
         if np.any(np.diff(bp) <= 0):
@@ -140,8 +144,8 @@ class PiecewiseCdf:
     is_full_cdf: bool = True
 
     def __post_init__(self):
-        bp = _as_array(self.breakpoints)
-        vals = _as_array(self.values)
+        bp = _as_array(self.breakpoints, "breakpoints")
+        vals = _as_array(self.values, "values")
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
         if bp.ndim != 1 or vals.ndim != 1 or bp.shape != vals.shape:
@@ -301,8 +305,11 @@ class BoundedDensityModel:
     _cum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        kn = _as_array(self.knots)
-        de = _as_array(self.density)
+        kn = _as_array(self.knots, "knots")
+        de = _as_array(self.density, "density")
+        _as_array([self.alpha_lo, self.eta_hi], "alpha_lo and eta_hi")
+        if self.lipschitz is not None:
+            _as_array(self.lipschitz, "lipschitz")
         object.__setattr__(self, "knots", kn)
         object.__setattr__(self, "density", de)
         if kn.ndim != 1 or de.ndim != 1 or kn.shape != de.shape or kn.size < 2:

@@ -19,7 +19,7 @@ identity Pr(reserve binds with j winning or unsold) = prod_{l != j} F_l(x).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,10 +39,10 @@ class SpParams:
 
     alpha/eta bound the bid densities; eps is the target sup accuracy;
     theta trims the edges (estimates are pinned to 0/1 outside [theta, 1-theta]);
-    nu is the grid start; micro_delta the micro-cell width; eps_g the uniform
-    empirical-CDF tolerance; fp_iters the iteration count per macro-interval.
-    The macro-interval budget is the direct operator-norm bound of the
-    discretized map over the state box (``_jacobian_budget``).
+    nu is the grid start; micro_delta the micro-cell width; fp_iters the
+    iteration count per macro-interval. The macro-interval budget is the
+    direct operator-norm bound of the discretized map over the state box
+    (``_jacobian_rowsum``), summed over the cells by ``_build_grid``.
     """
 
     alpha: float
@@ -51,7 +51,6 @@ class SpParams:
     theta: float
     nu: float
     micro_delta: float
-    eps_g: float
     fp_iters: int
 
     def __post_init__(self):
@@ -65,8 +64,6 @@ class SpParams:
             raise ValidationError("nu must lie in (0, 1-theta)")
         if not 0.0 < self.micro_delta < self.nu:
             raise ValidationError("micro_delta must lie in (0, nu)")
-        if self.eps_g <= 0.0:
-            raise ValidationError("eps_g must be positive")
         if self.fp_iters < 0:
             raise ValidationError("fp_iters must be >= 0")
 
@@ -75,9 +72,8 @@ class SpParams:
         """Desk-scale defaults sized for finite machines (all overridable)."""
         theta = overrides.pop("theta", max(eps / (16.0 * eta), 0.02))
         nu = overrides.pop("nu", min(0.05, theta / 2.0))
-        eps_g = overrides.pop("eps_g", dkw_band(n, 0.05))
         fp_iters = overrides.pop(
-            "fp_iters", math.ceil(math.log(4.0 / max(eps_g, 1e-9), 4.0))
+            "fp_iters", math.ceil(math.log(4.0 / max(dkw_band(n, 0.05), 1e-9), 4.0))
         )
         # near x = 1-theta a single micro cell contributes about
         # eta^2*delta/(alpha^2*theta) to the contraction budget; keep that
@@ -89,7 +85,7 @@ class SpParams:
         if micro_delta >= nu:
             micro_delta = nu / 10.0
         return cls(alpha=alpha, eta=eta, eps=eps, theta=theta, nu=nu,
-                   micro_delta=micro_delta, eps_g=eps_g, fp_iters=fp_iters,
+                   micro_delta=micro_delta, fp_iters=fp_iters,
                    **overrides)
 
 
@@ -189,23 +185,23 @@ def _h_clip_bounds(params, xs):
     return lo, np.maximum(hi, lo)
 
 
-def _jacobian_rowsum(params, hbar, coarse_vals):
+def _jacobian_rowsum(hbar, box_lo, box_hi):
     """Columnwise bound on the max row sum of dH/dU over the state box.
 
     H_i is the clipped power product prod_{j != i} U_j^{1/(k-1)} / U_i^{(k-2)/(k-1)};
     each partial derivative H_i/((k-1)U_j) is maximized over the box
-    [coarse/(2 eta), 2 coarse/alpha] in closed form (the exponents have fixed
-    signs) and additionally capped by hbar/U_j^min, since the clip zeroes the
-    derivative wherever the product exceeds hbar. For k = 2 the bound is
-    exactly 1: H_1 = U_2 there.
+    [box_lo, box_hi] (lower bounds floored at 1e-12) in closed form (the
+    exponents have fixed signs) and additionally capped by hbar/U_j^min, since
+    the clip zeroes the derivative wherever the product exceeds hbar. For
+    k = 2 the bound is exactly 1: H_1 = U_2 there.
     """
-    k = coarse_vals.shape[0]
-    box_lo = np.maximum(coarse_vals / (2.0 * params.eta), 1e-12)
-    box_hi = np.maximum(coarse_vals * (2.0 / params.alpha), box_lo)
+    k = box_lo.shape[0]
+    box_lo = np.maximum(box_lo, 1e-12)
+    box_hi = np.maximum(box_hi, box_lo)
     log_lo = np.log(box_lo)
     log_hi = np.log(box_hi)
     hi_sum = log_hi.sum(axis=0)
-    rows = np.empty_like(coarse_vals)
+    rows = np.empty_like(box_lo)
     for i in range(k):
         total = np.zeros(hbar.size)
         for j in range(k):
@@ -224,60 +220,54 @@ def _jacobian_rowsum(params, hbar, coarse_vals):
     return rows
 
 
-def _jacobian_budget(params, deltas, hbar, coarse_vals):
-    """Cumulative contraction budget max_i sum_m Delta_{i,m} row_{i,m}/(1-hbar_m)^2."""
-    rows = _jacobian_rowsum(params, hbar, coarse_vals)
-    per_cell = deltas * rows / (1.0 - hbar)[None, :] ** 2
-    return np.cumsum(per_cell, axis=1).max(axis=0)
-
-
 def _build_grid(ghat_list, coarse_list, params):
     """Greedy construction; returns (SpGrid, per-interval budget values).
 
-    The only place the pipeline evaluates G-hat and the coarse U: each
-    macro-interval keeps the first l columns of the arrays that sized it.
+    The only place the pipeline evaluates G-hat and the coarse U, each once
+    on the lattice nu + m*micro_delta up to 1 - theta/2. Each macro-interval
+    is the longest run of lattice cells from its start, within the doubling
+    cap, whose cumulative contraction budget
+    max_i sum_m Delta_{i,m} row_{i,m}/(1-hbar_m)^2 stays within
+    ``CONTRACTIVITY_CAP``; its cell holds views of the lattice arrays.
     """
     delta = params.micro_delta
-    x_prev = params.nu
-    endpoints = [x_prev]
-    cells = []
-    gammas = []
-    target = 1.0 - params.theta
-    v0 = np.array([g.eval(x_prev) for g in ghat_list], dtype=np.float64)
-    while x_prev < target - 1e-12:
-        cap = min(2.0 * x_prev, 1.0 - params.theta / 2.0)
-        l_max = int(math.floor((cap - x_prev) / delta + 1e-9))
-        if l_max < 1:
+    nu = params.nu
+    last = int(math.floor((1.0 - params.theta / 2.0 - nu) / delta + 1e-9))
+    lattice = nu + delta * np.arange(last + 1)
+    ghat = np.vstack([g.eval(lattice) for g in ghat_list])
+    xs = lattice[1:]
+    deltas = np.maximum(np.diff(ghat, axis=1), 0.0)
+    coarse = np.vstack([c.eval(xs) for c in coarse_list])
+    h_lo, h_hi = _h_clip_bounds(params, xs)
+    box_lo = coarse / (2.0 * params.eta)
+    box_hi = np.maximum(coarse * (2.0 / params.alpha), box_lo)
+    rows = _jacobian_rowsum(h_hi, box_lo, box_hi)
+    per_cell = deltas * rows / (1.0 - h_hi)[None, :] ** 2
+    start, endpoints, cells, gammas = 0, [nu], [], []
+    while lattice[start] < 1.0 - params.theta - 1e-12:
+        stop = min(last, int(math.floor((2.0 * lattice[start] - nu) / delta + 1e-9)))
+        if stop <= start:
             raise EstimationError(
-                f"macro-interval construction stalled at x={x_prev:.6g}",
+                f"macro-interval construction stalled at x={lattice[start]:.6g}",
                 diagnostics={"endpoints": endpoints},
             )
-        xs = x_prev + delta * np.arange(1, l_max + 1)
-        prev = np.concatenate([[x_prev], xs[:-1]])
-        deltas = np.vstack([g.eval(xs) - g.eval(prev) for g in ghat_list])
-        deltas = np.maximum(deltas, 0.0)
-        coarse_vals = np.vstack([c.eval(xs) for c in coarse_list])
-        h_lo, h_hi = _h_clip_bounds(params, xs)
-        budget = _jacobian_budget(params, deltas, h_hi, coarse_vals)
-        ok = np.nonzero(budget <= CONTRACTIVITY_CAP)[0]
-        if ok.size == 0:
+        # nondecreasing: every per-cell term is nonnegative
+        budget = np.cumsum(per_cell[:, start:stop], axis=1).max(axis=0)
+        l = int(np.searchsorted(budget, CONTRACTIVITY_CAP, side="right"))
+        if l == 0:
             raise EstimationError(
-                f"no admissible micro cell at x={x_prev:.6g} "
+                f"no admissible micro cell at x={lattice[start]:.6g} "
                 f"(first budget value {budget[0]:.6g} > {CONTRACTIVITY_CAP})",
                 diagnostics={"endpoints": endpoints},
             )
-        l = int(ok[-1] + 1)
-        # copies, so that a cell does not keep the whole candidate window alive
-        coarse = coarse_vals[:, :l].copy()
-        box_lo = coarse / (2.0 * params.eta)
+        cut = slice(start, start + l)
         cells.append(MacroCell(
-            xs=xs[:l].copy(), deltas=deltas[:, :l].copy(), coarse=coarse,
-            h_lo=h_lo[:l].copy(), h_hi=h_hi[:l].copy(), box_lo=box_lo,
-            box_hi=np.maximum(coarse * (2.0 / params.alpha), box_lo)))
-        x_prev = x_prev + l * delta
-        endpoints.append(x_prev)
+            xs=xs[cut], deltas=deltas[:, cut], coarse=coarse[:, cut],
+            h_lo=h_lo[cut], h_hi=h_hi[cut], box_lo=box_lo[:, cut], box_hi=box_hi[:, cut]))
+        start += l
+        endpoints.append(float(lattice[start]))
         gammas.append(float(budget[l - 1]))
-    return SpGrid(endpoints=np.asarray(endpoints), cells=cells, v0=v0), gammas
+    return SpGrid(endpoints=np.asarray(endpoints), cells=cells, v0=ghat[:, 0]), gammas
 
 
 def _power_product(U, k):
@@ -410,12 +400,7 @@ def run_pipeline(ghat_list, coarse_list, params, measure_contraction=0, seed=0):
     cdfs, rec_diag = recover_F(xs, U, params)
     diagnostics = {**fp_diag, **rec_diag,
                    "gamma_per_interval": gammas,
-                   "params": {
-                       "alpha": params.alpha, "eta": params.eta, "eps": params.eps,
-                       "theta": params.theta, "nu": params.nu,
-                       "micro_delta": params.micro_delta, "eps_g": params.eps_g,
-                       "fp_iters": params.fp_iters,
-                   }}
+                   "params": asdict(params)}
     return cdfs, diagnostics
 
 

@@ -156,7 +156,7 @@ def test_08_sp_population_pipeline_sup_error():
     coarse = [CallableEval(lambda x: np.asarray(x, dtype=float) * 1.0)
               for _ in range(2)]
     params = SpParams.desk(1.0, 1.0, 0.02, n=10 ** 6, theta=0.05, nu=0.025,
-                           micro_delta=1e-3, fp_iters=20, eps_g=1e-12)
+                           micro_delta=1e-3, fp_iters=20)
     cdfs, diag = run_pipeline(ghat, coarse, params)
     err = max(kolmogorov(F, UNIFORM, 0.05, 0.95) for F in cdfs)
     assert err <= 0.02

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,18 @@ def test_sample_set_validation():
         SampleSet(y=np.array([0.5]), z=np.array([3]), k=2, auction=FORMAT_FP)
     with pytest.raises(ValidationError):
         SampleSet(y=np.array([1.5]), z=np.array([1]), k=2, auction=FORMAT_SP)
+
+
+def test_sample_set_rejects_nan_prices():
+    # NaN passes a check written as min < 0 or max > 1: both compare False
+    for y in ([math.nan, 0.5], [0.5, math.nan]):
+        with pytest.raises(ValidationError, match="prices must lie in"):
+            SampleSet(y=np.array(y), z=np.array([1, 2]), k=2, auction=FORMAT_SP)
+
+
+def test_sample_set_needs_two_bidders():
+    with pytest.raises(ValidationError, match="k >= 2 bidders"):
+        SampleSet(y=np.array([0.5]), z=np.array([1]), k=1, auction=FORMAT_FP)
 
 
 # -- simulation ---------------------------------------------------------------

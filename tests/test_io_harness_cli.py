@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -650,3 +651,66 @@ def test_cli_estimate_fp_partial_lipschitz_defaults_to_the_estimators_own(
                                "--out", out], capsys)
         assert code == 0, err
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def density_model(**fields):
+    """A model file's dict: two uniform density bidders, with ``fields`` replaced."""
+    d = {"kind": "density", "knots": [0.0, 1.0], "density": [1.0, 1.0],
+         "alpha_lo": 0.5, "eta_hi": 2.0, "lipschitz": None, **fields}
+    return {"bid_dists": [d, d], "value_dists": None}
+
+
+# json reads NaN and Infinity; each of these was accepted, or failed late
+NON_FINITE_MODELS = {
+    "nan density": density_model(density=[1.0, math.nan]),
+    "nan breakpoint": {"bid_dists": [{"kind": "cdf", "interpolation": "linear",
+                                      "breakpoints": [0.0, math.nan, 1.0],
+                                      "values": [0.0, 0.5, 1.0]}] * 2},
+    "string density": density_model(density=[1.0, "q"]),
+    "nan alpha_lo": density_model(alpha_lo=math.nan),
+    "infinite eta_hi": density_model(eta_hi=math.inf),
+    "nan lipschitz": density_model(lipschitz=math.nan),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_MODELS))
+def test_cli_simulate_rejects_a_non_finite_model(case, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(NON_FINITE_MODELS[case]))
+    out = tmp_path / "sp.csv"
+    code, err = main_exit(["simulate", "--model", path, "--format", "sp",
+                           "--n", 100, "--out", out], capsys)
+    assert code == 2 and "must be finite numbers" in err
+    assert not out.exists()
+
+
+def test_cli_probe_command_rejects_a_nan_model_as_input(tmp_path, capsys):
+    # an estimator failure (exit 3) before: the NaN bids made the probe grid degenerate
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(NON_FINITE_MODELS["nan density"]))
+    code, err = main_exit(["estimate-fp-partial", "--model", path, "--p", 0.5,
+                           "--gamma", 0.5, "--eps", 0.2, "--out", tmp_path / "o.json"], capsys)
+    assert code == 2 and "density must be finite numbers" in err
+
+
+@pytest.mark.parametrize("values", [[math.nan, 1.0], [0.0, "q"]], ids=["nan", "string"])
+def test_cli_metric_rejects_a_non_finite_bundle(values, tmp_path, capsys):
+    good = tmp_path / "good.json"
+    io_write_cdfs(good, [uniform_cdf()])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"version": 1, "diagnostics": {}, "cdfs": [
+        {"interpolation": "linear", "breakpoints": [0.0, 1.0], "values": values,
+         "is_full_cdf": True}]}))
+    code, err = main_exit(["metric", "--a", good, "--b", bad, "--kind", "kolmogorov"], capsys)
+    assert (code, err.strip()) == (2, "error: values must be finite numbers")
+
+
+def test_cli_estimate_values_needs_two_bidders(tmp_path, capsys):
+    # --k 1 wrote a bundle before
+    samples = tmp_path / "fp.csv"
+    samples.write_text("y,z\n0.25,1\n0.5,1\n0.75,1\n")
+    out = tmp_path / "values.json"
+    code, err = main_exit(["estimate-values", "--samples", samples, "--k", 1, "--p", 0.2,
+                           "--gamma", 0.05, "--eps", 0.1, "--zeta", 1.0, "--out", out], capsys)
+    assert code == 2 and "k >= 2 bidders" in err
+    assert not out.exists()

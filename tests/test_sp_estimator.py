@@ -29,6 +29,8 @@ from auctionmetrics.sp_estimator import (
     CallableEval,
     SpParams,
     _build_grid,
+    _h_clip_bounds,
+    _jacobian_rowsum,
     _power_product,
     coarse_U,
     empirical_G_sp,
@@ -56,13 +58,13 @@ def hand_sample():
 def test_params_validation():
     with pytest.raises(ValidationError):
         SpParams(alpha=2.0, eta=1.0, eps=0.1, theta=0.05, nu=0.02,
-                 micro_delta=1e-3, eps_g=1e-3, fp_iters=5)
+                 micro_delta=1e-3, fp_iters=5)
     with pytest.raises(ValidationError):
         SpParams(alpha=1.0, eta=1.0, eps=0.1, theta=0.05, nu=0.96,
-                 micro_delta=1e-3, eps_g=1e-3, fp_iters=5)
+                 micro_delta=1e-3, fp_iters=5)
     with pytest.raises(ValidationError):
         SpParams(alpha=1.0, eta=1.0, eps=0.1, theta=0.05, nu=0.02,
-                 micro_delta=0.05, eps_g=1e-3, fp_iters=5)
+                 micro_delta=0.05, fp_iters=5)
 
 
 def test_desk_defaults_are_admissible():
@@ -159,6 +161,69 @@ def test_grid_micro_points_cover_interval():
     assert pts[-1] == pytest.approx(grid.endpoints[-1])
 
 
+def windowed_build_grid(ghat_list, coarse_list, params):
+    """The grid build before the lattice: every macro-interval evaluated G-hat
+    and the coarse U on its own candidate window, from a running-sum start, and
+    kept the first l columns. Returns (endpoints, cell xs, gammas), or the
+    stall's (message, endpoints)."""
+    delta = params.micro_delta
+    x_prev = params.nu
+    endpoints, xs_kept, gammas = [x_prev], [], []
+    while x_prev < 1.0 - params.theta - 1e-12:
+        cap = min(2.0 * x_prev, 1.0 - params.theta / 2.0)
+        l_max = int(math.floor((cap - x_prev) / delta + 1e-9))
+        xs = x_prev + delta * np.arange(1, l_max + 1)
+        prev = np.concatenate([[x_prev], xs[:-1]])
+        deltas = np.maximum(np.vstack([g.eval(xs) - g.eval(prev) for g in ghat_list]), 0.0)
+        coarse = np.vstack([c.eval(xs) for c in coarse_list])
+        _, h_hi = _h_clip_bounds(params, xs)
+        box_lo = coarse / (2.0 * params.eta)
+        rows = _jacobian_rowsum(h_hi, box_lo, coarse * (2.0 / params.alpha))
+        budget = np.cumsum(deltas * rows / (1.0 - h_hi)[None, :] ** 2, axis=1).max(axis=0)
+        ok = np.nonzero(budget <= CONTRACTIVITY_CAP)[0]
+        if ok.size == 0:
+            return f"no admissible micro cell at x={x_prev:.6g}", endpoints
+        l = int(ok[-1] + 1)
+        xs_kept.append(xs[:l])
+        x_prev = x_prev + l * delta
+        endpoints.append(x_prev)
+        gammas.append(float(budget[l - 1]))
+    return np.asarray(endpoints), xs_kept, gammas
+
+
+@pytest.mark.parametrize("case", ["uniform2", "bounded2", "uniform3-stall"])
+def test_lattice_grid_matches_the_windowed_build(case):
+    # lattice points are nu + m*delta, not a running sum, so they move by ulps;
+    # the cuts, and hence T and the micro counts, stay those of the windows
+    model, n, seed, alpha, eta = {
+        "uniform2": (uniform_model(), 40000, 31, 1.0, 1.0),
+        "bounded2": (bounded2_model(), 200000, 0, 0.5, 2.0),
+        "uniform3-stall": (uniform_model(3), 20000, 1, 1.0, 1.0),
+    }[case]
+    s = simulate_sp(model, n, seed)
+    params = SpParams.desk(alpha, eta, 0.1, n=s.n)
+    pieces = sample_pieces(s, params)
+    ref = windowed_build_grid(*pieces, params)
+    ulps = 8 * np.finfo(float).eps
+    if case.endswith("stall"):
+        assert ref[0].startswith("no admissible micro cell")
+        with pytest.raises(EstimationError, match="no admissible micro cell") as info:
+            _build_grid(*pieces, params)
+        # the last endpoint is the x the construction stalled at
+        ends = info.value.diagnostics["endpoints"]
+        np.testing.assert_allclose(ends, ref[1], rtol=0, atol=ulps)
+        assert ends[-1] == pytest.approx(ref[1][-1], rel=1e-12) and ends[-1] > 0.9
+        return
+    ends, xs, gammas = ref
+    grid, got_gammas = _build_grid(*pieces, params)
+    assert grid.T == len(xs) > 1
+    assert grid.micro_counts == [x.size for x in xs]
+    np.testing.assert_allclose(grid.endpoints, ends, rtol=0, atol=ulps)
+    for cell, want in zip(grid.cells, xs):
+        np.testing.assert_allclose(cell.xs, want, rtol=0, atol=ulps)
+    np.testing.assert_allclose(got_gammas, gammas, rtol=1e-12)
+
+
 # -- fixed point -----------------------------------------------------------------
 
 
@@ -204,7 +269,7 @@ def test_population_pipeline_recovers_uniform():
     # exact population inputs: the recovered CDFs should match F(x) = x
     ghat, coarse = population_pieces()
     params = SpParams.desk(1.0, 1.0, 0.02, n=10 ** 6, theta=0.05, nu=0.025,
-                           micro_delta=1e-3, fp_iters=20, eps_g=1e-12)
+                           micro_delta=1e-3, fp_iters=20)
     cdfs, diag = run_pipeline(ghat, coarse, params)
     err = max(kolmogorov(F, uniform_cdf(), 0.05, 0.95) for F in cdfs)
     assert err <= 0.02
@@ -214,7 +279,7 @@ def test_population_pipeline_recovers_uniform():
 def test_recover_F_pins_outside_window():
     ghat, coarse = population_pieces()
     params = SpParams.desk(1.0, 1.0, 0.05, n=10 ** 6, theta=0.05, nu=0.025,
-                           micro_delta=1e-3, fp_iters=15, eps_g=1e-12)
+                           micro_delta=1e-3, fp_iters=15)
     cdfs, _ = run_pipeline(ghat, coarse, params)
     for F in cdfs:
         assert F.eval(0.01) == 0.0            # strictly below theta
@@ -236,20 +301,20 @@ class CountingEval:
 
 
 def test_pipeline_evaluates_each_input_once_per_point():
-    # the grid build is the only reader: per macro-interval one G-hat call at
-    # the micro points and one at their left neighbours, plus one at nu for
-    # the first boundary, and one coarse-U call; the fixed point, the
-    # contraction samples and the recovery read the cells
+    # the grid build is the only reader, with one call per piece on the whole
+    # lattice: G-hat at nu and every micro point, the coarse U at the micro
+    # points; the fixed point, the contraction samples and the recovery read
+    # the cells
     ghat, coarse = population_pieces()
     ghat = [CountingEval(g) for g in ghat]
     coarse = [CountingEval(c) for c in coarse]
     params = SpParams.desk(1.0, 1.0, 0.02, n=10 ** 6, theta=0.05, nu=0.025,
-                           micro_delta=1e-3, fp_iters=20, eps_g=1e-12)
+                           micro_delta=1e-3, fp_iters=20)
     _, diag = run_pipeline(ghat, coarse, params, measure_contraction=2)
     T = diag["T"]
     assert T > 1 and len(diag["contraction_samples"]) == T
-    assert [g.calls for g in ghat] == [2 * T + 1] * 2
-    assert [c.calls for c in coarse] == [T] * 2
+    assert [g.calls for g in ghat] == [1] * 2
+    assert [c.calls for c in coarse] == [1] * 2
 
 
 def bounded2_model():
@@ -259,18 +324,21 @@ def bounded2_model():
 
 
 def test_estimate_sp_is_pinned_per_seed():
-    # digests of the CDFs and diagnostics, taken before the fixed point read
-    # its inputs from the grid build's per-interval arrays; a change that
-    # moves any micro point, iterate, contraction sample or rounding changes
-    # the hash. Uniform k=2 runs the desk defaults; the bounded-density pair
-    # also draws the random contraction states.
+    # digests of the CDFs and diagnostics; a change that moves any micro
+    # point, iterate, contraction sample or rounding changes the hash. Uniform
+    # k=2 runs the desk defaults; the bounded-density pair also draws the
+    # random contraction states. Re-pinned when the grid build moved onto one
+    # lattice: micro points are nu + m*delta, not a running sum, so they, the
+    # endpoints, the budgets and the CDFs move by ulps (T and every micro count
+    # stay), and the unread eps_g left the params diagnostics. The digests
+    # before were 6b286a24... and 7304e1f4...
     cdfs, diag = estimate_sp(simulate_sp(uniform_model(), 100000, 59), 1.0, 1.0, 0.1)
     assert estimate_digest(cdfs, diag) == (
-        "6b286a247663a22fa6544c3d28728f4a0fc9c920618290c2f7c3984a0e129b65")
+        "a3ebdad69ada43239dddab48dc34872102041740a34252851a6361ea2175febb")
     cdfs, diag = estimate_sp(simulate_sp(bounded2_model(), 200000, 0), 0.5, 2.0, 0.1,
                              measure_contraction=5)
     assert estimate_digest(cdfs, diag) == (
-        "7304e1f413839359abf19da9e2732d987bdbcdb017d1a085fd087caf508c9552")
+        "9aae8ef91db58d3857332099e9126832b15685cf77d62e3b5ba3faa169a0054f")
 
 
 def test_estimate_sp_converges_to_uniform():
