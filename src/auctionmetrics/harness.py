@@ -147,6 +147,8 @@ class ExperimentConfig:
         lo, hi = self.support_lo, self.support_hi
         if not 0.0 <= lo < hi <= 1.0:
             raise ValidationError(f"support [{lo}, {hi}] must satisfy 0 <= lo < hi <= 1")
+        if self.metric == "levy" and (lo, hi) != (0.0, 1.0):
+            raise ValidationError(f"metric 'levy' scores on [0, 1], not on [{lo}, {hi}]")
         if entry.truth == DENSITY and not lo < 1.0 - self.estimator_args["h"]:
             raise ValidationError(f"support [{lo}, {hi}] must start below 1 - h, "
                                   "where the density estimate ends")

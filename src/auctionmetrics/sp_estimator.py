@@ -70,23 +70,26 @@ class SpParams:
     @classmethod
     def desk(cls, alpha, eta, eps, n, **overrides):
         """Desk-scale defaults sized for finite machines (all overridable)."""
-        theta = overrides.pop("theta", max(eps / (16.0 * eta), 0.02))
+        fp_iters = overrides.pop("fp_iters", math.ceil(
+            math.log(4.0 / max(dkw_band(n, 0.05), 1e-9), 4.0)))
+        if not 0.0 < alpha <= eta:  # before the trims divide by them
+            raise ValidationError("need 0 < alpha <= eta")
+        # for k = 2 a price of weight 1/n near 1-theta costs 1/(n*(alpha*theta)^2)
+        # of the budget; theta >= 4/(alpha*sqrt(n)) holds that to the cap/4
+        trim = 4.0 / (alpha * math.sqrt(n))
+        if trim >= 0.5 and "theta" not in overrides:
+            raise EstimationError(f"n = {n} is too small: trim 4/(alpha*sqrt(n)) = {trim:.3g}")
+        theta = overrides.pop("theta", max(eps / (16.0 * eta), 0.02, trim))
         nu = overrides.pop("nu", min(0.05, theta / 2.0))
-        fp_iters = overrides.pop(
-            "fp_iters", math.ceil(math.log(4.0 / max(dkw_band(n, 0.05), 1e-9), 4.0))
-        )
         # near x = 1-theta a single micro cell contributes about
         # eta^2*delta/(alpha^2*theta) to the contraction budget; keep that
         # under ~1/8 so the greedy construction can always reach 1-theta
-        micro_delta = overrides.pop(
-            "micro_delta",
-            min(1e-3, CONTRACTIVITY_CAP * alpha * alpha * theta / (2.0 * eta * eta)),
-        )
+        micro_delta = overrides.pop("micro_delta", min(
+            1e-3, CONTRACTIVITY_CAP * alpha * alpha * theta / (2.0 * eta * eta)))
         if micro_delta >= nu:
             micro_delta = nu / 10.0
         return cls(alpha=alpha, eta=eta, eps=eps, theta=theta, nu=nu,
-                   micro_delta=micro_delta, fp_iters=fp_iters,
-                   **overrides)
+                   micro_delta=micro_delta, fp_iters=fp_iters, **overrides)
 
 
 @dataclass(eq=False)

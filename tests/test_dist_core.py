@@ -89,6 +89,10 @@ def test_step_left_limits():
     assert F.eval_left(0.2) == 0.0
     assert F.eval_left(0.5) == 0.3
     assert F.eval_left(0.7) == 1.0
+    # flat at F(1) beyond 1, so a jump at 1 is inside the left limit there
+    assert PiecewiseCdf([0.5, 1.0], [0.5, 1.0]).eval_left(1.5) == 1.0
+    # zero below 0, so a linear table starting above 0 jumps at 0
+    assert PiecewiseCdf([0.2, 1.0], [0.3, 1.0], interpolation=LINEAR).eval_left(0.0) == 0.0
 
 
 def test_linear_eval_interpolates():
@@ -298,10 +302,13 @@ def reference_step_eval(bp, vals, left, x, side):
 
 def reference_cdf_step_eval(F, x, side):
     """PiecewiseCdf.eval (side "right") and eval_left of a staircase, as they
-    were written before they evaluated through StepFunction."""
+    were written before they evaluated through StepFunction, but with the left
+    limit F(1) beyond 1, where the old code gave F(1-)."""
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     idx = np.searchsorted(F.breakpoints, np.minimum(x, 1.0), side=side) - 1
     out = np.where(idx >= 0, F.values[np.maximum(idx, 0)], 0.0)
+    if side == "left":
+        out = np.where(x > 1.0, reference_cdf_step_eval(F, 1.0, "right"), out)
     return np.where(x <= 0.0 if side == "left" else x < 0.0, 0.0, out)
 
 
@@ -643,9 +650,22 @@ def levy_brute(F, G, m=2001):
 
 def test_levy_matches_grid_oracle():
     rng = np.random.default_rng(9)
-    for _ in range(10):
-        F, G = random_staircase(rng), random_staircase(rng)
+    pairs = [(random_staircase(rng), random_staircase(rng)) for _ in range(10)]
+    pairs += [
+        # linear CDFs, one with a jump at 0
+        (uniform_cdf(), PiecewiseCdf([0.2, 0.6, 1.0], [0.3, 0.5, 1.0], interpolation=LINEAR)),
+        (PiecewiseCdf([0.0, 0.4, 1.0], [0.0, 0.7, 1.0], interpolation=LINEAR),
+         staircase([0.3, 0.8], [0.4, 1.0])),
+        # jumps at 0 and at 1
+        (staircase([0.0, 0.5], [0.6, 1.0]), staircase([0.25, 1.0], [0.2, 1.0])),
+        (staircase([0.0, 0.95], [0.08, 1.0]), uniform_cdf()),
+    ]
+    for F, G in pairs:
         assert levy(F, G) == pytest.approx(levy_brute(F, G), abs=2e-3)
+    # a jump at 1 against one at 0.9: the band absorbs the 0.1 shift
+    F, G = PiecewiseCdf([0.5, 1.0], [0.5, 1.0]), PiecewiseCdf([0.5, 0.9], [0.5, 1.0])
+    assert levy(F, G) == pytest.approx(0.1, abs=1e-12)
+    assert levy_brute(F, G) == pytest.approx(0.1, abs=2e-3)
 
 
 def test_levy_identical_is_zero():

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -342,6 +343,18 @@ def test_config_rejects_an_empty_scoring_window(kw, message):
         sweep_config(**kw)
 
 
+def test_levy_sweep_rejects_a_support_other_than_the_unit_interval(
+        tmp_path, model_file, capsys):
+    # levy scores the whole CDFs, so a narrower support would be ignored
+    message = "metric 'levy' scores on [0, 1], not on [0.3, 1.0]"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        sweep_config(metric="levy")
+    path = sweep_file(tmp_path, model_file, metric="levy", support=[0.3, 1.0])
+    code, err = main_exit(["sweep", "--config", path, "--out", tmp_path / "r.json"], capsys)
+    assert code == 2 and message in err
+    assert sweep_config(metric="levy", support_lo=0).metric == "levy"
+
+
 def test_config_rejects_ill_typed_estimator_args():
     with pytest.raises(ValidationError, match="'gamma' must be Real, not str"):
         sweep_config(estimator_args={"p": 0.3, "gamma": "0.09"})
@@ -350,7 +363,7 @@ def test_config_rejects_ill_typed_estimator_args():
 
 
 def test_config_from_dict_inverts_to_dict():
-    config = sweep_config(metric="levy", seed_root=4)
+    config = sweep_config(metric="levy", seed_root=4, support_lo=0.0)
     back = ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict())))
     assert back.to_dict() == config.to_dict()
 

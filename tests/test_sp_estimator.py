@@ -350,6 +350,30 @@ def test_estimate_sp_converges_to_uniform():
     assert diag["isotonic_repair_total"] < 0.05
 
 
+@pytest.mark.parametrize("n", [2000, 5000, 20000])
+def test_estimate_sp_answers_below_the_fixed_trim(n):
+    # at the fixed trim 0.02 one price of weight 1/n near 1 - theta broke the
+    # contraction cap and every seed stalled; theta now grows as 4/(alpha*sqrt(n))
+    model = bounded2_model()
+    for seed in range(4):
+        cdfs, diag = estimate_sp(simulate_sp(model, n, seed), 0.5, 2.0, 0.1)
+        theta = diag["params"]["theta"]
+        assert theta == pytest.approx(4.0 / (0.5 * math.sqrt(n)))
+        for i, F in enumerate(cdfs, start=1):
+            assert kolmogorov(F, model.bid_cdf(i), theta, 1.0 - theta) <= 0.1
+
+
+def test_desk_refuses_what_the_trim_cannot_cover():
+    # bounds that the trims would divide by are rejected before they do
+    for alpha, eta in ((0.0, 1.0), (0.5, 0.0)):
+        with pytest.raises(ValidationError, match="need 0 < alpha <= eta"):
+            SpParams.desk(alpha, eta, 0.1, n=2000)
+    # at n <= 64/alpha^2 the trim 4/(alpha*sqrt(n)) leaves no interval
+    with pytest.raises(EstimationError, match="n = 256 is too small: trim"):
+        estimate_sp(simulate_sp(bounded2_model(), 256, 0), 0.5, 2.0, 0.1)
+    assert SpParams.desk(0.5, 2.0, 0.1, n=256, theta=0.1).theta == 0.1
+
+
 def reference_coarse_eval(samples, i, theta, x):
     """The removed CoarseU.eval on the arrays the old coarse_U built."""
     ys = samples.y[samples.z == i]
