@@ -9,6 +9,7 @@ lower-bound experiments.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,12 +85,12 @@ class AuctionModel:
         )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
     """Sample log of one auction: price y and winner index z (1-based).
 
     ``auction`` is ``FORMAT_FP``, where y is the winning bid, or
-    ``FORMAT_SP``, where y is the second-highest bid.
+    ``FORMAT_SP``, where y is the second-highest bid. Frozen: ``ranked`` cannot go stale.
     """
 
     y: np.ndarray
@@ -98,8 +99,8 @@ class SampleSet:
     auction: str
 
     def __post_init__(self):
-        self.y = np.ascontiguousarray(self.y, dtype=np.float64)
-        self.z = np.ascontiguousarray(self.z, dtype=np.int64)
+        object.__setattr__(self, "y", np.ascontiguousarray(self.y, dtype=np.float64))
+        object.__setattr__(self, "z", np.ascontiguousarray(self.z, dtype=np.int64))
         if self.auction not in (FORMAT_FP, FORMAT_SP):
             raise ValidationError(f"unknown auction format {self.auction!r}")
         if self.k < 2:
@@ -115,11 +116,24 @@ class SampleSet:
     def n(self):
         return self.y.size
 
+    @functools.cached_property
+    def ranked(self):
+        """(prices ascending, their winners), sorted stably once: ties keep log order."""
+        order = np.argsort(self.y, kind="stable")
+        return self.y[order], self.z[order]
+
     def require(self, auction):
         """Raise ``ValidationError`` unless the log is of ``auction``."""
         if self.auction != auction:
             raise ValidationError(
                 f"expected a {auction!r} sample set, got a {self.auction!r} one")
+
+
+def check_seed(seed):
+    """``seed``, unless it is a negative integer, which numpy cannot seed from."""
+    if isinstance(seed, numbers.Integral) and seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, not {seed}")
+    return seed
 
 
 def _bid_matrix(model, n, rng_or_seed):
@@ -134,7 +148,7 @@ def _bid_matrix(model, n, rng_or_seed):
         streams = rng_or_seed.spawn(model.k)
     else:
         streams = [np.random.default_rng(s)
-                   for s in np.random.SeedSequence(rng_or_seed).spawn(model.k)]
+                   for s in np.random.SeedSequence(check_seed(rng_or_seed)).spawn(model.k)]
     x = np.empty((model.k, n))
     for row, d, rng in zip(x, model.bid_dists, streams):
         rng.random(out=row)

@@ -78,6 +78,13 @@ def _step_lookup(breakpoints, values, left_value, x, side):
     return np.where(idx >= 0, values[np.maximum(idx, 0)], left_value)
 
 
+def run_ends(ys):
+    """True at the last entry of each run of equal values in ascending ``ys``."""
+    ends = np.ones(ys.size, dtype=bool)
+    ends[:-1] = ys[1:] != ys[:-1]
+    return ends
+
+
 @dataclass(frozen=True, eq=False)
 class StepFunction:
     """Right-continuous step function with unconstrained values.

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .auction_sim import FORMAT_FP
-from .dist_core import STEP, PiecewiseCdf, StepFunction
+from .auction_sim import FORMAT_FP, check_seed
+from .dist_core import STEP, PiecewiseCdf, StepFunction, run_ends
 from .errors import EstimationError, ValidationError
 
 
@@ -62,24 +62,24 @@ def estimate_ghat(samples, i, config):
     samples.require(FORMAT_FP)
     if not 1 <= i <= samples.k:
         raise ValidationError("bidder index out of range")
-    n = samples.n
-    if n == 0:
+    if samples.n == 0:
         raise ValidationError("empty sample")
-    order = np.sort(samples.y)
-    hhat_at_y = np.searchsorted(order, samples.y, side="right") / n
-    weights = 1.0 / (n * np.maximum(hhat_at_y, config.floor))
-    mask = samples.z == i
-    if not mask.any():  # bidder i never wins: G-hat_i is 0
+    return _tail_sum(samples, samples.ranked[1] == i, config.floor)
+
+
+def _tail_sum(samples, won, floor):
+    """The tail sum of 1/(n max(H-hat(Y_j), floor)) over the prices ``won``
+    marks in the log's price order, as ``estimate_ghat`` returns it."""
+    prices = samples.ranked[0]
+    ys = prices[won]
+    if not ys.size:  # no price is won: the sum is 0
         return StepFunction([], [])
-    ys = samples.y[mask]
-    w = weights[mask]
-    srt = np.argsort(ys, kind="stable")
-    ys = ys[srt]
-    w = w[srt]
-    # collapse duplicates so the step representation stays canonical
-    uniq, start = np.unique(ys, return_index=True)
-    suffix = np.cumsum(np.add.reduceat(w, start)[::-1])[::-1]
-    return StepFunction(uniq, np.append(suffix[1:], 0.0), left_value=suffix[0])
+    n = samples.n
+    w = 1.0 / (n * np.maximum(np.searchsorted(prices, ys, side="right") / n, floor))
+    ends = run_ends(ys)
+    # one summand per run of tied prices keeps the step representation canonical
+    suffix = np.cumsum(np.add.reduceat(w, np.flatnonzero(np.roll(ends, 1)))[::-1])[::-1]
+    return StepFunction(ys[ends], np.append(suffix[1:], 0.0), left_value=suffix[0])
 
 
 def _ghat_to_cdf(ghat):
@@ -287,7 +287,7 @@ def fp_partial_estimate(oracle, p, gamma, eps, lipschitz=1.0,
     _check_probe_args(p, gamma, eps, lipschitz,
                       n_search=n_search, n_point=n_point, n_base=n_base)
     k = oracle.k
-    budget = _OracleBudget(oracle, k, np.random.default_rng(seed))
+    budget = _OracleBudget(oracle, k, np.random.default_rng(check_seed(seed)))
 
     delta_grid = gamma * gamma * eps / 6.0
     eps1 = gamma * gamma * eps / 24.0

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auction_sim import SampleSet
 from .dist_core import STEP, PiecewiseCdf
 from .errors import ValidationError
-from .fp_estimator import FpEstimatorConfig, estimate_ghat, _ghat_to_cdf, full_support_params
+from .fp_estimator import (FpEstimatorConfig, _ghat_to_cdf, _tail_sum, estimate_ghat,
+                           full_support_params)
 from .isotonic import pav_nondecreasing
 
 
@@ -109,12 +109,9 @@ def estimate_value_cdf_effective(samples, config):
     cdfs = []
     repairs = []
     for i in range(1, k + 1):
-        ghat_i = estimate_ghat(samples, i, fp_config)
-        fhat_i = _ghat_to_cdf(ghat_i)
+        fhat_i = _ghat_to_cdf(estimate_ghat(samples, i, fp_config))
         # two-agent relabeling: the "rest" pseudo-bidder wins when Z != i
-        relabeled = _relabel_rest(samples, i)
-        ghat_rest = estimate_ghat(relabeled, 2, fp_config)
-        prod_i = _ghat_to_cdf(ghat_rest)
+        prod_i = _ghat_to_cdf(_tail_sum(samples, samples.ranked[1] != i, fp_config.floor))
         cdf, adjustment = _compose_value_cdf(fhat_i, prod_i, config)
         cdfs.append(cdf)
         repairs.append(adjustment)
@@ -125,12 +122,6 @@ def estimate_value_cdf_effective(samples, config):
         "grid_step": config.v_grid_step,
     }
     return cdfs, diagnostics
-
-
-def _relabel_rest(samples, i):
-    """View the sample as a two-agent auction: agent 1 = bidder i, agent 2 = rest."""
-    z2 = np.where(samples.z == i, 1, 2)
-    return SampleSet(y=samples.y, z=z2, k=2, auction=samples.auction)
 
 
 def estimate_value_cdf_full(samples, lam, eps, zeta, lipschitz=None):

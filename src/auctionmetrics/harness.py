@@ -139,9 +139,12 @@ class ExperimentConfig:
         if entry.truth == VALUE and not self.model.value_dists:
             raise ValidationError(f"estimator {self.estimator!r} is scored against "
                                   "value CDFs, and the model has no value_dists")
-        if not all(isinstance(n, numbers.Integral) for n in self.n_schedule) \
-                or list(self.n_schedule) != sorted(self.n_schedule):
-            raise ValidationError("n schedule must be ascending integers")
+        ns = list(self.n_schedule)
+        if not ns or not all(isinstance(n, numbers.Integral) and n >= 1 for n in ns) \
+                or any(a >= b for a, b in zip(ns, ns[1:])):
+            raise ValidationError(f"n schedule {ns} must be strictly ascending integers >= 1")
+        if not isinstance(self.seed_root, numbers.Integral) or self.seed_root < 0:
+            raise ValidationError(f"seed_root must be an integer >= 0, not {self.seed_root}")
         if self.seeds < 1:
             raise ValidationError("need at least one seed per n")
         lo, hi = self.support_lo, self.support_hi
@@ -297,6 +300,8 @@ def run_lower_bound_experiment(k, eps, lam, n, trials, seed_root=0):
     """
     if trials < 1:
         raise ValidationError(f"need at least one trial, not {trials}")
+    if n < 1:
+        raise ValidationError("n must be >= 1")
     d, dp = lower_bound_fixture(k, eps, lam)
     f1, f1p = d.bid_dists[0], dp.bid_dists[0]
     sep_k = kolmogorov(f1, f1p)

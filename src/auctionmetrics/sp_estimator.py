@@ -23,8 +23,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .auction_sim import FORMAT_SP
-from .dist_core import STEP, PiecewiseCdf, StepFunction, dkw_band, sub_cdf
+from .auction_sim import FORMAT_SP, check_seed
+from .dist_core import STEP, PiecewiseCdf, StepFunction, dkw_band, run_ends, sub_cdf
 from .errors import EstimationError, ValidationError
 from .fp_estimator import _check_probe_args, _OracleBudget, noisy_quantile_search
 from .isotonic import pav_nondecreasing
@@ -84,10 +84,9 @@ class SpParams:
         # near x = 1-theta a single micro cell contributes about
         # eta^2*delta/(alpha^2*theta) to the contraction budget; keep that
         # under ~1/8 so the greedy construction can always reach 1-theta
-        micro_delta = overrides.pop("micro_delta", min(
-            1e-3, CONTRACTIVITY_CAP * alpha * alpha * theta / (2.0 * eta * eta)))
-        if micro_delta >= nu:
-            micro_delta = nu / 10.0
+        micro_delta = min(1e-3, CONTRACTIVITY_CAP * alpha * alpha * theta / (2.0 * eta * eta))
+        # only the default is moved under nu; SpParams rejects a set one at or above it
+        micro_delta = overrides.pop("micro_delta", micro_delta if micro_delta < nu else nu / 10.0)
         return cls(alpha=alpha, eta=eta, eps=eps, theta=theta, nu=nu,
                    micro_delta=micro_delta, fp_iters=fp_iters, **overrides)
 
@@ -155,12 +154,12 @@ def empirical_G_sp(samples, i):
         raise ValidationError("empty sample")
     if not 1 <= i <= samples.k:
         raise ValidationError("bidder index out of range")
-    ys = np.sort(samples.y[samples.z == i])
+    prices, winners = samples.ranked
+    ys = prices[winners == i]
     if ys.size == 0:
         return sub_cdf([0.0], [0.0])
-    uniq, counts = np.unique(ys, return_counts=True)
-    vals = np.cumsum(counts) / samples.n
-    return sub_cdf(uniq, vals)
+    ends = run_ends(ys)
+    return sub_cdf(ys[ends], (np.flatnonzero(ends) + 1) / samples.n)
 
 
 def coarse_U(samples, i, theta):
@@ -171,15 +170,11 @@ def coarse_U(samples, i, theta):
     """
     if samples.n == 0:
         raise ValidationError("empty sample")
-    mask = samples.z == i
-    ys = samples.y[mask]
-    weights = 1.0 / (samples.n * np.maximum(1.0 - ys, theta / 8.0))
-    srt = np.argsort(ys, kind="stable")
-    ys = ys[srt]
-    cum = np.cumsum(weights[srt])
-    run_end = np.ones(ys.size, dtype=bool)
-    run_end[:-1] = ys[1:] != ys[:-1]
-    return StepFunction(ys[run_end], cum[run_end])
+    prices, winners = samples.ranked
+    ys = prices[winners == i]
+    cum = np.cumsum(1.0 / (samples.n * np.maximum(1.0 - ys, theta / 8.0)))
+    ends = run_ends(ys)
+    return StepFunction(ys[ends], cum[ends])
 
 
 def _h_clip_bounds(params, xs):
@@ -454,7 +449,7 @@ def sp_partial_estimate(oracle, p, gamma, eps, lipschitz=1.0,
     summed over bidders.
     """
     _check_probe_args(p, gamma, eps, lipschitz, n_point=n_point)
-    budget = _OracleBudget(oracle, oracle.k, np.random.default_rng(seed))
+    budget = _OracleBudget(oracle, oracle.k, np.random.default_rng(check_seed(seed)))
     levels = np.unique(np.append(np.arange(gamma, 1.0, eps / 2.0), 1.0))
     T = max(1, math.ceil(math.log2(max(4.0 * lipschitz / eps, 2.0))))
 

@@ -32,6 +32,7 @@ from auctionmetrics.fp_estimator import (
     FpEstimatorConfig,
     _ghat_to_cdf,
     _OracleBudget,
+    _tail_sum,
     estimate_bid_cdf_effective,
     estimate_bid_cdf_full,
     estimate_density,
@@ -179,6 +180,12 @@ def test_ghat_left_limit_matches_the_old_tail_sum(prices, winners, extra):
         ys, suffix = reference_ghat(s, i, cfg.floor)
         want = reference_ghat_eval(ys, suffix, x)
         assert estimate_ghat(s, i, cfg).eval_left(x).tobytes() == want.tobytes()
+        # the rest sum of fp_value, against G-hat_2 of the old relabelled
+        # two-agent set, in which agent 2 wins where bidder i does not
+        rest = SampleSet(y=s.y, z=np.where(s.z == i, 1, 2), k=2, auction=FORMAT_FP)
+        want = reference_ghat_eval(*reference_ghat(rest, 2, cfg.floor), x)
+        got = _tail_sum(s, s.ranked[1] != i, cfg.floor).eval_left(x)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_estimate_ghat_rejects_a_second_price_sample_set():

@@ -468,12 +468,30 @@ def test_cli_exit_code_missing_file(tmp_path):
     assert "i/o error" in r.stderr
 
 
-def test_cli_exit_code_validation(tmp_path):
+def test_cli_exit_code_validation(tmp_path, model_file, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"foo": 1}))
     r = run_cli("metric", "--a", bad, "--b", bad, "--kind", "levy")
     assert r.returncode == 2
     assert "error:" in r.stderr
+    # a negative seed or n exited 1 with numpy's ValueError, and a set
+    # --micro-delta at or above nu was replaced by nu/10
+    sp_log = tmp_path / "sp.csv"
+    io_write_samples(sp_log, simulate_sp(uniform_model(), 2000, 0))
+    probe = ["--model", model_file, "--p", 0.5, "--gamma", 0.5, "--eps", 0.2, "--seed", -1]
+    negative_seed = "seed must be a non-negative integer, not -1"
+    for argv, message in [
+        (["simulate", "--model", model_file, "--format", "fp", "--n", 100, "--seed", -1],
+         negative_seed),
+        (["estimate-fp-partial", *probe], negative_seed),
+        (["estimate-sp-partial", *probe], negative_seed),
+        (["lower-bound", "--k", 2, "--eps", 0.1, "--lambda", 0.2, "--n", -5], "n must be >= 1"),
+        (["estimate-sp", "--samples", sp_log, "--k", 2, "--alpha", 1, "--eta", 1, "--eps", 0.1,
+          "--micro-delta", 0.5], "micro_delta must lie in (0, nu)"),
+    ]:
+        out = tmp_path / "out"
+        code, err = main_exit([*argv, "--out", out], capsys)
+        assert (code, err.strip(), out.exists()) == (2, f"error: {message}", False), argv[0]
 
 
 def test_cli_exit_code_malformed_json(tmp_path):
@@ -536,6 +554,12 @@ def test_cli_sweep_rejects_a_bad_config_before_any_cell(case, tmp_path, model_fi
     ("seeds", "2", "sweep config key 'seeds' must be int, not str"),
     ("support", [0.3], "sweep config key 'support' must be a pair of numbers"),
     ("seed", 3, "sweep config takes no key 'seed'"),
+    # each of these ran before: the bad cells failed one by one, or the report was empty
+    ("n_schedule", [0, 100], "n schedule [0, 100] must be strictly ascending integers >= 1"),
+    ("n_schedule", [-5, 100], "n schedule [-5, 100] must be strictly ascending integers >= 1"),
+    ("n_schedule", [], "n schedule [] must be strictly ascending integers >= 1"),
+    ("n_schedule", [100, 100], "n schedule [100, 100] must be strictly ascending integers >= 1"),
+    ("seed_root", -1, "seed_root must be an integer >= 0, not -1"),
 ])
 def test_cli_sweep_config_key_errors_exit_2(key, value, message, tmp_path, model_file,
                                             capsys):

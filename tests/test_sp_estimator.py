@@ -74,6 +74,12 @@ def test_desk_defaults_are_admissible():
     assert p.micro_delta <= 0.25 * 0.5 ** 2 * p.theta / (2 * 2.0 ** 2) + 1e-12
     p2 = SpParams.desk(1.0, 1.0, 0.1, n=100000, micro_delta=5e-4, theta=0.05)
     assert p2.micro_delta == 5e-4 and p2.theta == 0.05
+    # a set micro_delta >= nu is refused; it was silently replaced by nu/10
+    for micro_delta in (0.5, p.nu):
+        with pytest.raises(ValidationError, match=r"micro_delta must lie in \(0, nu\)"):
+            SpParams.desk(0.5, 2.0, 0.1, n=100000, micro_delta=micro_delta)
+    # the computed default (1e-3 here) is still moved under a smaller nu
+    assert SpParams.desk(1.0, 1.0, 0.1, n=100000, nu=1e-3).micro_delta == 1e-4
 
 
 # -- empirical pieces -----------------------------------------------------------
@@ -374,6 +380,15 @@ def test_desk_refuses_what_the_trim_cannot_cover():
     assert SpParams.desk(0.5, 2.0, 0.1, n=256, theta=0.1).theta == 0.1
 
 
+def reference_G_sp(samples, i):
+    """(breakpoints, values) that the old empirical_G_sp built."""
+    ys = np.sort(samples.y[samples.z == i])
+    if ys.size == 0:
+        return np.array([0.0]), np.array([0.0])
+    uniq, counts = np.unique(ys, return_counts=True)
+    return uniq, np.cumsum(counts) / samples.n
+
+
 def reference_coarse_eval(samples, i, theta, x):
     """The removed CoarseU.eval on the arrays the old coarse_U built."""
     ys = samples.y[samples.z == i]
@@ -396,6 +411,9 @@ def test_coarse_U_matches_the_old_step_function(prices, winners, extra):
     for i in (1, 2, 3):
         want = reference_coarse_eval(s, i, 0.2, x)
         assert coarse_U(s, i, theta=0.2).eval(x).tobytes() == want.tobytes()
+        G = empirical_G_sp(s, i)
+        bp, vals = reference_G_sp(s, i)
+        assert (G.breakpoints.tobytes(), G.values.tobytes()) == (bp.tobytes(), vals.tobytes())
 
 
 def test_estimate_sp_rejects_a_first_price_sample_set():
