@@ -10,7 +10,6 @@ from .auction_sim import (
     simulate_fp,
     simulate_sp,
     solve_asymmetric_equilibrium,
-    symmetric_equilibrium_bid,
 )
 from .dist_core import (
     LINEAR,
@@ -91,7 +90,6 @@ __all__ = [
     "solve_asymmetric_equilibrium",
     "sp_partial_estimate",
     "sub_cdf",
-    "symmetric_equilibrium_bid",
     "uniform_cdf",
     "wasserstein1",
 ]

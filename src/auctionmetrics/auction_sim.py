@@ -1,9 +1,9 @@
 """Auction data generation and equilibrium bidding strategies.
 
 Covers the four observation models (first-price, second-price, and the two
-reserve-price probe variants), symmetric and asymmetric Bayes-Nash
-equilibrium computation, and the hard-instance fixture pair used by the
-lower-bound experiments.
+reserve-price probe variants), asymmetric Bayes-Nash equilibrium
+computation, and the hard-instance fixture pair used by the lower-bound
+experiments.
 """
 
 from __future__ import annotations
@@ -182,14 +182,6 @@ def _winner_index(code):
     return np.add(code, 1, dtype=np.int64)
 
 
-def _put(a, value, mask):
-    """``a[mask] = value`` as integer arithmetic; a masked write branches on
-    every element and is several times slower on random masks."""
-    step = np.subtract(value, a)
-    step *= mask
-    a += step
-
-
 def simulate_fp(model, n, seed):
     """n draws of (max bid, argmax bidder); ties go to the lowest index."""
     if n < 1:
@@ -206,66 +198,22 @@ def simulate_sp(model, n, seed):
     return SampleSet(y=y, z=_winner_index(code), k=model.k, auction=FORMAT_SP)
 
 
-def _check_reserve(r, n):
-    """Reject a reserve outside [0,1] (NaN included); an array of reserves
-    must hold one entry per probe."""
-    if np.ndim(r) == 0:
-        ok = 0.0 <= r <= 1.0
-    else:
-        r = np.asarray(r, dtype=np.float64)
-        if r.shape != (n,):
-            raise ValidationError("a reserve array must hold one reserve per probe")
-        ok = not r.size or (r.min() >= 0.0 and r.max() <= 1.0)
-    if not ok:
-        raise ValidationError("reserve must lie in [0,1]")
-
-
-def fp_partial_winners(model, r, n, rng):
-    """Vectorized reserve-price probe: winner indices in 1..k+1 (k+1 = reserve).
-
-    ``r`` is one reserve for all n probes, or a length-n array with one
-    reserve per probe; the bids follow the ``_bid_matrix`` stream contract
-    either way, so a constant array gives the winners of its scalar. The
-    planted bid wins ties, so Pr(winner = k+1) = prod_j F_j(r) exactly.
-    """
-    _check_reserve(r, n)
-    top, code, _ = _scan_bids(_bid_matrix(model, n, rng))
-    winners = _winner_index(code)
-    _put(winners, model.k + 1, top <= r)
-    return winners
-
-
-def sp_partial_outcomes(model, r, n, rng):
-    """Vectorized second-price probe: (winners in 1..k+1, reserve-triggered flags).
-
-    The flag is true iff the reserve binds the transaction, i.e. the
-    second-highest of the k bids is <= r (either some bidder beats r while all
-    others are below it, or all bids fall below r and the reserve wins).
-    ``r`` is a scalar or one reserve per probe, as in ``fp_partial_winners``.
-    """
-    _check_reserve(r, n)
-    top, code, second = _scan_bids(_bid_matrix(model, n, rng), second=True)
-    winners = _winner_index(code)
-    _put(winners, model.k + 1, top <= r)
-    return winners, second <= r
-
-
 def partial_counts(model, auction, reserves, n, rng):
     """Reserve-price probes of an ``auction`` format at several reserves.
 
     The n probes split into ``len(reserves)`` equal consecutive blocks, block
     i probing at ``reserves[i]``, with bids by the ``_bid_matrix`` stream
     contract. Returns a ``(len(reserves), k+2)`` int64 array of counts:
-    column k+1 the planted bid's wins, column 0 zero, column j bidder j's
-    wins, in ``FORMAT_SP`` only those where the reserve bound the price
-    (second-highest bid <= reserve < top bid). Row i is the ``bincount`` of
-    block i of ``fp_partial_winners``, or of ``sp_partial_outcomes`` masked by
-    its flags, at ``np.repeat(reserves, n // len(reserves))``.
+    column k+1 the planted bid's wins (it wins ties, so a probe's chance is
+    prod_j F_j(r) exactly), column 0 zero, column j bidder j's wins (ties for
+    the top bid go to the lowest index), in ``FORMAT_SP`` only those where
+    the reserve bound the price (second-highest bid <= reserve < top bid).
     """
     reserves = np.asarray(reserves, dtype=np.float64)
     if reserves.ndim != 1 or not reserves.size or n % reserves.size:
         raise ValidationError("the probes must split evenly over a 1-D array of reserves")
-    _check_reserve(reserves, reserves.size)
+    if not (reserves.min() >= 0.0 and reserves.max() <= 1.0):  # NaN fails both
+        raise ValidationError("reserve must lie in [0,1]")
     k = model.k
     top, code, second = _scan_bids(_bid_matrix(model, n, rng), second=auction == FORMAT_SP)
     beaten = top.reshape(reserves.size, -1) <= reserves[:, None]
@@ -309,24 +257,6 @@ def make_sp_partial_oracle(model):
 
 
 # -- equilibrium -----------------------------------------------------------
-
-
-def symmetric_equilibrium_bid(value_cdf, k, v, quad_points=4097):
-    """Symmetric first-price equilibrium bid for value v among k bidders.
-
-    beta(v) = v - (integral_0^v F(x)^{k-1} dx) / F(v)^{k-1}, with beta(0)=0.
-    """
-    if not 0.0 <= v <= 1.0:
-        raise ValidationError("v must lie in [0,1]")
-    fv = float(value_cdf.eval(v)) if isinstance(value_cdf, PiecewiseCdf) else float(value_cdf.cdf(v))
-    denom = fv ** (k - 1)
-    if denom <= 0.0 or v == 0.0:
-        return 0.0
-    xs = np.linspace(0.0, v, quad_points)
-    vals = value_cdf.eval(xs) if isinstance(value_cdf, PiecewiseCdf) else value_cdf.cdf(xs)
-    trapz = getattr(np, "trapezoid", None) or np.trapz
-    integral = float(trapz(vals ** (k - 1), xs))
-    return v - integral / denom
 
 
 @dataclass(eq=False)

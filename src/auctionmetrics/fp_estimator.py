@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .auction_sim import FORMAT_FP, check_seed
 from .dist_core import STEP, PiecewiseCdf, StepFunction, run_ends
@@ -165,12 +164,6 @@ def estimate_density(fhat_cdf, h):
     if h <= 0.0:
         raise ValidationError("bandwidth must be positive")
     return DensityEstimate(cdf=fhat_cdf, h=h)
-
-
-def population_bid_cdf(H, hi_density, x, tol=1e-9):
-    """Identification identity with exact callbacks: exp(-int_x^1 h_i/H dz)."""
-    val, _ = quad(lambda z: hi_density(z) / H(z), x, 1.0, epsabs=tol, epsrel=tol, limit=200)
-    return math.exp(-val)
 
 
 # -- partial observations ---------------------------------------------------

@@ -14,13 +14,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from . import fp_estimator, fp_value, sp_estimator
 from .auction_sim import (FORMAT_FP, FORMAT_SP, AuctionModel, lower_bound_fixture,
                           make_fp_partial_oracle, make_sp_partial_oracle, simulate_fp,
                           simulate_sp)
-from .dist_core import dkw_band, kolmogorov, levy, wasserstein1
+from .dist_core import dkw_band, empirical_cdf, kolmogorov, levy, wasserstein1
 from .errors import ValidationError
 from .io import config_hash
 
@@ -323,7 +322,7 @@ def run_lower_bound_experiment(k, eps, lam, n, trials, seed_root=0):
         ya = sd.y[sd.y > eps]
         yb = sdp.y[sdp.y > eps]
         if ya.size and yb.size:
-            stat = float(ks_2samp(ya, yb).statistic)
+            stat = kolmogorov(empirical_cdf(ya), empirical_cdf(yb))
             thresh = 1.358 * np.sqrt((ya.size + yb.size) / (ya.size * yb.size))
             ks_stats.append(stat)
             if stat < thresh:

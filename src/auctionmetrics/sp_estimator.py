@@ -170,6 +170,8 @@ def coarse_U(samples, i, theta):
     """
     if samples.n == 0:
         raise ValidationError("empty sample")
+    if not 1 <= i <= samples.k:
+        raise ValidationError("bidder index out of range")
     prices, winners = samples.ranked
     ys = prices[winners == i]
     cum = np.cumsum(1.0 / (samples.n * np.maximum(1.0 - ys, theta / 8.0)))
@@ -226,7 +228,9 @@ def _build_grid(ghat_list, coarse_list, params):
     is the longest run of lattice cells from its start, within the doubling
     cap, whose cumulative contraction budget
     max_i sum_m Delta_{i,m} row_{i,m}/(1-hbar_m)^2 stays within
-    ``CONTRACTIVITY_CAP``; its cell holds views of the lattice arrays.
+    ``CONTRACTIVITY_CAP``; its cell holds views of the lattice arrays. A
+    start without an admissible cell raises, unless that cell lies past
+    1 - theta, where the grid then ends.
     """
     delta = params.micro_delta
     nu = params.nu
@@ -253,6 +257,9 @@ def _build_grid(ghat_list, coarse_list, params):
         budget = np.cumsum(per_cell[:, start:stop], axis=1).max(axis=0)
         l = int(np.searchsorted(budget, CONTRACTIVITY_CAP, side="right"))
         if l == 0:
+            if cells and xs[start] > 1.0 - params.theta + 1e-12:
+                # recover_F reads no point past 1-theta, so a cell there changes nothing
+                break
             raise EstimationError(
                 f"no admissible micro cell at x={lattice[start]:.6g} "
                 f"(first budget value {budget[0]:.6g} > {CONTRACTIVITY_CAP})",

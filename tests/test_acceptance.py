@@ -32,7 +32,6 @@ from auctionmetrics.fp_estimator import (
     estimate_bid_cdf_full,
     estimate_density,
     fp_partial_estimate,
-    population_bid_cdf,
 )
 from auctionmetrics.fp_value import ValueEstimatorConfig, estimate_value_cdf_effective
 from auctionmetrics.harness import run_lower_bound_experiment
@@ -44,6 +43,7 @@ from auctionmetrics.sp_estimator import (
     sp_partial_estimate,
     sp_partial_pointwise,
 )
+from reference import population_bid_cdf
 
 UNIFORM = uniform_cdf()
 

@@ -11,7 +11,6 @@ from auctionmetrics.auction_sim import (
     _bid_matrix,
     _fast_scalar_cdf_pdf,
     equilibrium_residual,
-    fp_partial_winners,
     lower_bound_fixture,
     make_fp_partial_oracle,
     make_sp_partial_oracle,
@@ -19,8 +18,6 @@ from auctionmetrics.auction_sim import (
     simulate_fp,
     simulate_sp,
     solve_asymmetric_equilibrium,
-    sp_partial_outcomes,
-    symmetric_equilibrium_bid,
 )
 from auctionmetrics.dist_core import (
     LINEAR,
@@ -32,6 +29,7 @@ from auctionmetrics.dist_core import (
     uniform_cdf,
 )
 from auctionmetrics.errors import ValidationError
+from reference import reference_outcomes
 
 UNI_DENSITY = BoundedDensityModel(knots=[0.0, 1.0], density=[1.0, 1.0],
                                   alpha_lo=1.0, eta_hi=1.0)
@@ -145,33 +143,31 @@ def test_simulate_rejects_bad_n():
 def test_fp_partial_reserve_win_probability():
     # planted reserve wins exactly when it beats all bids: prob r^k
     m = uniform_model(3)
-    rng = np.random.default_rng(2)
-    winners = fp_partial_winners(m, 0.7, 60000, rng)
-    assert np.mean(winners == 4) == pytest.approx(0.7 ** 3, abs=0.01)
-    assert np.mean(winners == 1) == pytest.approx((1 - 0.7 ** 3) / 3, abs=0.01)
+    counts = partial_counts(m, FORMAT_FP, [0.7], 60000, np.random.default_rng(2))[0]
+    assert counts[4] / 60000 == pytest.approx(0.7 ** 3, abs=0.01)
+    assert counts[1] / 60000 == pytest.approx((1 - 0.7 ** 3) / 3, abs=0.01)
 
 
 def test_fp_partial_reserve_zero_never_wins():
-    m = uniform_model()
-    rng = np.random.default_rng(3)
-    winners = fp_partial_winners(m, 0.0, 1000, rng)
-    assert np.all(winners <= 2)
+    counts = partial_counts(uniform_model(), FORMAT_FP, [0.0], 1000, np.random.default_rng(3))
+    assert counts[0, 3] == 0 and counts[0].sum() == 1000
 
 
 def test_sp_partial_flag_probability():
-    # q = second-highest of k bids <= r; for k=2 uniforms that is
-    # Pr(min <= r) = 1-(1-r)^2
-    m = uniform_model()
-    rng = np.random.default_rng(4)
-    _, q = sp_partial_outcomes(m, 0.6, 60000, rng)
-    assert np.mean(q) == pytest.approx(1 - 0.16, abs=0.01)
+    # the counted probes are those where the second-highest of k bids is
+    # <= r; for k=2 uniforms that is Pr(min <= r) = 1-(1-r)^2
+    counts = make_sp_partial_oracle(uniform_model())([0.6], 60000, np.random.default_rng(4))
+    assert counts[0].sum() / 60000 == pytest.approx(1 - 0.16, abs=0.01)
 
 
 def test_sp_partial_reserve_win_implies_flag():
+    # every reserve win binds the price, so it is counted, and the counted
+    # probes are exactly those where the second-highest bid is <= r
     m = uniform_model()
-    rng = np.random.default_rng(5)
-    winners, q = sp_partial_outcomes(m, 0.5, 20000, rng)
-    assert np.all(q[winners == 3])
+    counts = make_sp_partial_oracle(m)([0.5], 20000, np.random.default_rng(5))[0]
+    top, _, second = reference_outcomes(_bid_matrix(m, 20000, np.random.default_rng(5)), 0.5)
+    assert counts[3] == np.count_nonzero(top <= 0.5) > 0
+    assert counts.sum() == np.count_nonzero(second <= 0.5)
 
 
 def atom_model(k):
@@ -184,63 +180,19 @@ def atom_model(k):
     return AuctionModel(bid_dists=([atoms, atoms, other, dens] * 2)[:k])
 
 
-def reference_outcomes(x, r):
-    """Naive max/argmax/partition reading of a bid matrix."""
-    k = x.shape[0]
-    top = x.max(axis=0)
-    winners = np.where(r >= top, k + 1, np.argmax(x, axis=0) + 1)
-    second = np.partition(x, -2, axis=0)[-2]
-    return top, winners, second
-
-
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_winner_scan_matches_naive_reference(k):
     m = atom_model(k)
-    n, r = 5000, 0.5
-    x = _bid_matrix(m, n, np.random.default_rng(k))
-    top, ref_winners, second = reference_outcomes(x, r)
-    # the cases the scan must get right do occur in this sample
-    assert np.any(second == top)  # a tie for the top bid
-    assert np.any(top == r)  # the reserve ties the top bid
-    winners = fp_partial_winners(m, r, n, np.random.default_rng(k))
-    assert winners.dtype == ref_winners.dtype
-    np.testing.assert_array_equal(winners, ref_winners)
-    winners, q = sp_partial_outcomes(m, r, n, np.random.default_rng(k))
-    np.testing.assert_array_equal(winners, ref_winners)
-    np.testing.assert_array_equal(q, second <= r)
+    n = 5000
     x = _bid_matrix(m, n, 17)
     top, _, second = reference_outcomes(x, 0.0)
+    # the case the scan must get right does occur in this sample
+    assert np.any(second == top)  # a tie for the top bid
     fp, sp = simulate_fp(m, n, 17), simulate_sp(m, n, 17)
     assert fp.y.tobytes() == top.tobytes()
     assert sp.y.tobytes() == second.tobytes()
     np.testing.assert_array_equal(fp.z, np.argmax(x, axis=0) + 1)
     np.testing.assert_array_equal(sp.z, fp.z)
-
-
-def test_constant_reserve_array_equals_the_scalar_reserve():
-    m = atom_model(3)
-    n = 5000
-    for r in (0.0, 0.5, 1.0):
-        rs = np.full(n, r)
-        a = fp_partial_winners(m, r, n, np.random.default_rng(6))
-        b = fp_partial_winners(m, rs, n, np.random.default_rng(6))
-        assert a.tobytes() == b.tobytes()
-        (wa, qa), (wb, qb) = (sp_partial_outcomes(m, r, n, np.random.default_rng(6)),
-                              sp_partial_outcomes(m, rs, n, np.random.default_rng(6)))
-        assert wa.tobytes() == wb.tobytes() and qa.tobytes() == qb.tobytes()
-
-
-def test_reserve_array_sets_one_reserve_per_probe():
-    m = atom_model(3)
-    n = 6000
-    rs = np.repeat([0.2, 0.5, 0.8], n // 3)
-    x = _bid_matrix(m, n, np.random.default_rng(7))
-    _, ref_winners, second = reference_outcomes(x, rs)
-    winners = fp_partial_winners(m, rs, n, np.random.default_rng(7))
-    np.testing.assert_array_equal(winners, ref_winners)
-    winners, q = sp_partial_outcomes(m, rs, n, np.random.default_rng(7))
-    np.testing.assert_array_equal(winners, ref_winners)
-    np.testing.assert_array_equal(q, second <= rs)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -250,18 +202,13 @@ def test_reserve_array_sets_one_reserve_per_probe():
     ([0.0], 200000),  # the base call at reserve 0
 ])
 def test_win_counts_equal_per_row_bincounts_of_the_winners(k, reserves, n):
-    # n probes at each reserve: the counts are the bincounts of the winners of
-    # the same probes, drawn by the per-probe simulator from the same stream
+    # n probes at each reserve: the counts are the bincounts of the naive
+    # reading of the same bids, which shares no code with the kernel's
+    # winner scan
     m = atom_model(k)
     rs = np.array(reserves)
     counts = partial_counts(m, FORMAT_FP, rs, rs.size * n, np.random.default_rng(k))
-    winners = fp_partial_winners(m, np.repeat(rs, n), rs.size * n,
-                                 np.random.default_rng(k))
     assert counts.shape == (rs.size, k + 2) and counts.dtype == np.int64
-    ref = np.array([np.bincount(w, minlength=k + 2) for w in winners.reshape(rs.size, n)])
-    assert counts.tobytes() == ref.tobytes()
-    # and those of the naive reading of the same bids, which shares no code
-    # with the kernel's winner scan
     x = _bid_matrix(m, rs.size * n, np.random.default_rng(k))
     top, naive, second = reference_outcomes(x, np.repeat(rs, n))
     ref = np.array([np.bincount(w, minlength=k + 2) for w in naive.reshape(rs.size, n)])
@@ -279,21 +226,11 @@ def test_win_counts_equal_per_row_bincounts_of_the_winners(k, reserves, n):
 ])
 def test_sp_counts_equal_per_row_masked_bincounts_of_the_outcomes(k, reserves, n):
     # second price: row i is the bincount of block i's winners where the
-    # reserve bound the price, drawn by the per-probe simulator from the
-    # same stream
+    # reserve bound the price, in the naive reading of the same bids
     m = atom_model(k)
     rs = np.array(reserves)
     counts = make_sp_partial_oracle(m)(rs, rs.size * n, np.random.default_rng(k))
     assert counts.shape == (rs.size, k + 2) and counts.dtype == np.int64
-    winners, q = sp_partial_outcomes(m, np.repeat(rs, n), rs.size * n,
-                                     np.random.default_rng(k))
-    ref = np.array([np.bincount(w[b], minlength=k + 2)
-                    for w, b in zip(winners.reshape(rs.size, n), q.reshape(rs.size, n))])
-    assert counts.tobytes() == ref.tobytes()
-    if rs.size == 1:  # a constant array counts the outcomes of its scalar
-        winners, q = sp_partial_outcomes(m, rs[0], n, np.random.default_rng(k))
-        assert counts.tobytes() == np.bincount(winners[q], minlength=k + 2)[None].tobytes()
-    # and the naive reading of the same bids
     x = _bid_matrix(m, rs.size * n, np.random.default_rng(k))
     top, naive, second = reference_outcomes(x, np.repeat(rs, n))
     bound = second <= np.repeat(rs, n)
@@ -323,16 +260,13 @@ def test_win_counts_reject_bad_reserves():
 
 @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.1])
 def test_reserve_array_rejects_bad_entries(bad):
+    # one bad reserve among a hundred, in either format
     m = uniform_model()
     rs = np.full(100, 0.5)
     rs[37] = bad
-    for probe in (fp_partial_winners, sp_partial_outcomes):
+    for auction in (FORMAT_FP, FORMAT_SP):
         with pytest.raises(ValidationError, match="reserve must lie in"):
-            probe(m, rs, 100, np.random.default_rng(0))
-        with pytest.raises(ValidationError, match="one reserve per probe"):
-            probe(m, np.full(99, 0.5), 100, np.random.default_rng(0))
-        with pytest.raises(ValidationError, match="reserve must lie in"):
-            probe(m, bad, 100, np.random.default_rng(0))
+            partial_counts(m, auction, rs, 100, np.random.default_rng(0))
 
 
 def test_bid_matrix_stream_contract():
@@ -356,6 +290,22 @@ def test_oracle_handles_expose_k():
 
 
 # -- equilibrium --------------------------------------------------------------
+
+
+def symmetric_equilibrium_bid(value_cdf, k, v, quad_points=4097):
+    """Symmetric first-price equilibrium bid for value v among k bidders,
+    the exact oracle of the solver's symmetric cases.
+
+    beta(v) = v - (integral_0^v F(x)^{k-1} dx) / F(v)^{k-1}, with beta(0)=0.
+    """
+    fv = float(value_cdf.eval(v))
+    denom = fv ** (k - 1)
+    if denom <= 0.0 or v == 0.0:
+        return 0.0
+    xs = np.linspace(0.0, v, quad_points)
+    trapz = getattr(np, "trapezoid", None) or np.trapz
+    integral = float(trapz(value_cdf.eval(xs) ** (k - 1), xs))
+    return v - integral / denom
 
 
 def test_symmetric_bid_uniform_closed_form():

@@ -12,7 +12,7 @@ from auctionmetrics.auction_sim import (
     FORMAT_FP,
     AuctionModel,
     SampleSet,
-    fp_partial_winners,
+    _bid_matrix,
     make_fp_partial_oracle,
     simulate_fp,
     simulate_sp,
@@ -40,9 +40,9 @@ from auctionmetrics.fp_estimator import (
     fp_partial_estimate,
     full_support_params,
     noisy_quantile_search,
-    population_bid_cdf,
 )
 from auctionmetrics.sp_estimator import empirical_G_sp
+from reference import population_bid_cdf, reference_outcomes
 
 
 def uniform_model(k=2):
@@ -409,7 +409,7 @@ def test_win_frequencies_equal_the_means_bit_for_bit():
     model = uniform_model(3)
     budget = _OracleBudget(make_fp_partial_oracle(model), 3, np.random.default_rng(3))
     freq = budget.frequencies([0.6], 30001)
-    winners = fp_partial_winners(model, 0.6, 30001, np.random.default_rng(3))
+    _, winners, _ = reference_outcomes(_bid_matrix(model, 30001, np.random.default_rng(3)), 0.6)
     assert freq.shape == (1, 5)
     for i in range(5):
         assert freq[0, i] == (winners == i).mean()
@@ -422,7 +422,8 @@ def test_batched_frequencies_equal_per_row_bincounts():
     budget = _OracleBudget(make_fp_partial_oracle(model), 3, np.random.default_rng(3))
     freq = budget.frequencies(xs, n)
     assert budget.batches == 1
-    winners = fp_partial_winners(model, np.repeat(xs, n), 3 * n, np.random.default_rng(3))
+    _, winners, _ = reference_outcomes(_bid_matrix(model, 3 * n, np.random.default_rng(3)),
+                                       np.repeat(xs, n))
     assert freq.shape == (3, 5)
     for row, f in zip(winners.reshape(3, n), freq):
         assert f.tobytes() == (np.bincount(row, minlength=5) / n).tobytes()
@@ -430,7 +431,7 @@ def test_batched_frequencies_equal_per_row_bincounts():
 
 def test_budget_batches_reserves_in_order_under_the_column_cap():
     # the oracle returns per-reserve win counts; the reference draws the same
-    # calls through the per-probe simulator and counts the winners
+    # calls' bids and counts the winners of their naive reading
     model = uniform_model()
     oracle = make_fp_partial_oracle(model)
     xs = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
@@ -441,7 +442,8 @@ def test_budget_batches_reserves_in_order_under_the_column_cap():
     rng = np.random.default_rng(4)
     rows = []
     for chunk in (xs[:2], xs[2:4], xs[4:]):
-        winners = fp_partial_winners(model, np.repeat(chunk, n), chunk.size * n, rng)
+        _, winners, _ = reference_outcomes(_bid_matrix(model, chunk.size * n, rng),
+                                           np.repeat(chunk, n))
         rows += [np.bincount(w, minlength=4) / n for w in winners.reshape(chunk.size, n)]
     assert freq.tobytes() == np.array(rows).tobytes()
 

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from auctionmetrics import cli
 from auctionmetrics.auction_sim import (
     AuctionModel,
+    lower_bound_fixture,
     make_fp_partial_oracle,
     simulate_fp,
     simulate_sp,
@@ -25,6 +26,7 @@ from auctionmetrics.errors import ValidationError
 from auctionmetrics.harness import (
     ESTIMATORS,
     ExperimentConfig,
+    _cell_seed,
     run_convergence,
     run_lower_bound_experiment,
 )
@@ -375,6 +377,34 @@ def test_lower_bound_experiment_summary():
         result["expected_low_count"], rel=0.5)
     # the uninformative tails look identical to a two-sample KS test
     assert result["ks_below_threshold"] >= 6
+
+
+@pytest.mark.parametrize("k, n, trials", [(2, 2000, 8), (3, 1000, 50)])
+def test_lower_bound_ks_statistic_equals_scipy_ks_2samp(k, n, trials):
+    # the statistic is the Kolmogorov distance of the two empirical CDFs;
+    # scipy's two-sample test, redrawn from the same cell seeds, is the reference
+    from scipy.stats import ks_2samp
+
+    result = run_lower_bound_experiment(k=k, eps=0.1, lam=0.2, n=n, trials=trials)
+    d, dp = lower_bound_fixture(k, 0.1, 0.2)
+    ref, below = [], 0
+    for t in range(trials):
+        ya, yb = (simulate_fp(m, n, _cell_seed(0, n, 2 * t + j)).y for j, m in enumerate((d, dp)))
+        ya, yb = ya[ya > 0.1], yb[yb > 0.1]
+        ref.append(ks_2samp(ya, yb).statistic)
+        below += ref[-1] < 1.358 * np.sqrt((ya.size + yb.size) / (ya.size * yb.size))
+    np.testing.assert_allclose(result["ks_stats"], ref, rtol=0, atol=1e-15)
+    assert result["ks_below_threshold"] == below
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # numpy is the only runtime dependency; scipy is a test-only reference
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, auctionmetrics.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # -- cli ------------------------------------------------------------------------

@@ -11,10 +11,10 @@ from auctionmetrics.auction_sim import (
     FORMAT_SP,
     AuctionModel,
     SampleSet,
+    _bid_matrix,
     make_sp_partial_oracle,
     simulate_fp,
     simulate_sp,
-    sp_partial_outcomes,
 )
 from auctionmetrics.dist_core import (
     BoundedDensityModel,
@@ -40,6 +40,7 @@ from auctionmetrics.sp_estimator import (
     sp_partial_estimate,
     sp_partial_pointwise,
 )
+from reference import reference_outcomes
 
 
 def uniform_model(k=2):
@@ -111,6 +112,17 @@ def test_coarse_U_floors_denominator():
     c = coarse_U(s, 1, theta=0.2)
     # 1 - 0.999 = 0.001 < theta/8 = 0.025, so the floor applies
     assert c.eval(1.0) == pytest.approx(1 / (2 * 0.9) + 1 / (2 * 0.025))
+
+
+def test_coarse_U_rejects_a_bidder_index_out_of_range():
+    # an index past k used to give an empty step function that reads 0;
+    # empirical_G_sp already raised
+    s = hand_sample()
+    for i in (0, 3, 5):
+        with pytest.raises(ValidationError, match="bidder index out of range"):
+            coarse_U(s, i, 0.2)
+        with pytest.raises(ValidationError, match="bidder index out of range"):
+            empirical_G_sp(s, i)
 
 
 def test_power_product_k2_swaps_rows():
@@ -369,6 +381,21 @@ def test_estimate_sp_answers_below_the_fixed_trim(n):
             assert kolmogorov(F, model.bid_cdf(i), theta, 1.0 - theta) <= 0.1
 
 
+@pytest.mark.parametrize("n, seed", [(2000, 891507451), (5000, 1867821177)])
+def test_estimate_sp_answers_when_only_cells_past_the_trim_are_inadmissible(n, seed):
+    # these logs find no admissible micro cell at a start whose cell lies
+    # beyond 1 - theta, where recover_F reads nothing; the grid ends there
+    model = bounded2_model()
+    s = simulate_sp(model, n, seed)
+    params = SpParams.desk(0.5, 2.0, 0.1, n=n)
+    grid, _ = _build_grid(*sample_pieces(s, params), params)
+    assert params.theta < 1.0 - grid.endpoints[-1] < params.theta + params.micro_delta
+    cdfs, diag = estimate_sp(s, 0.5, 2.0, 0.1)
+    theta = diag["params"]["theta"]
+    for i, F in enumerate(cdfs, start=1):
+        assert kolmogorov(F, model.bid_cdf(i), theta, 1.0 - theta) <= 0.1
+
+
 def test_desk_refuses_what_the_trim_cannot_cover():
     # bounds that the trims would divide by are rejected before they do
     for alpha, eta in ((0.0, 1.0), (0.5, 0.0)):
@@ -497,7 +524,9 @@ def test_sp_partial_pointwise_means_are_exact_counts():
     # and the reserve's wins, each the mean of its indicator bit for bit
     oracle = make_sp_partial_oracle(uniform_model(3))
     _, means = pointwise_at(oracle, 0.7, 30001, np.random.default_rng(2))
-    winners, q = sp_partial_outcomes(uniform_model(3), 0.7, 30001, np.random.default_rng(2))
+    x = _bid_matrix(uniform_model(3), 30001, np.random.default_rng(2))
+    _, winners, second = reference_outcomes(x, 0.7)
+    q = second <= 0.7
     for j in range(1, 4):
         ref = np.mean((winners == j) & q) + np.mean((winners == 4) & q)
         assert means[0, j - 1] == ref
