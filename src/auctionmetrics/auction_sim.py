@@ -319,16 +319,20 @@ def _fast_scalar_cdf_pdf(dist):
     return cdf, pdf
 
 
-def _integrate_backward(G, g, k, eta, grid_size):
+# the shooting solver's fixed grid size, boundary-defect tolerance and bisection cap
+_GRID_SIZE, _TOL, _MAX_BISECT = 400, 1e-3, 60
+
+
+def _integrate_backward(G, g, k, eta):
     """RK4 for the inverse-bid ODE system from (eta, 1) down toward b=0.
 
     Returns (grid ascending, alphas k x m, crashed flag). A crash means some
     alpha_i(b) collapsed onto b (terminal bid too high). G and g are
     plain-float callables; the loop stays in Python floats for speed.
     """
-    bs = np.linspace(eta, eta * 1e-4, grid_size)
+    bs = np.linspace(eta, eta * 1e-4, _GRID_SIZE)
     a = [1.0] * k
-    out = np.empty((k, grid_size))
+    out = np.empty((k, _GRID_SIZE))
     out[:, 0] = 1.0
     idx = range(k)
 
@@ -345,7 +349,7 @@ def _integrate_backward(G, g, k, eta, grid_size):
         ]
 
     crashed = False
-    for m in range(1, grid_size):
+    for m in range(1, _GRID_SIZE):
         h = bs[m] - bs[m - 1]  # negative
         b0 = bs[m - 1]
         half = h / 2.0
@@ -367,7 +371,7 @@ def _integrate_backward(G, g, k, eta, grid_size):
     return bs[::-1], out[:, ::-1], crashed
 
 
-def solve_asymmetric_equilibrium(model, grid_size=400, tol=1e-3, max_bisect=60):
+def solve_asymmetric_equilibrium(model):
     """Inverse equilibrium bid functions by shooting on the terminal bid.
 
     Integrates the inverse-bid ODE system backward from alpha_i(eta)=1 on a
@@ -386,18 +390,18 @@ def solve_asymmetric_equilibrium(model, grid_size=400, tol=1e-3, max_bisect=60):
 
     lo, hi = 1e-6, 1.0
     best = None
-    for _ in range(max_bisect):
+    for _ in range(_MAX_BISECT):
         eta = 0.5 * (lo + hi)
-        grid, alphas, crashed = _integrate_backward(G, g, k, eta, grid_size)
+        grid, alphas, crashed = _integrate_backward(G, g, k, eta)
         if crashed:
             hi = eta
             continue
         defect = float(np.max(alphas[:, 0]))
-        if defect <= tol:
+        if defect <= _TOL:
             cand = InverseBidProfile(grid=grid, alphas=alphas, eta_eq=eta, defect=defect)
             if best is None or defect < best.defect:
                 best = cand
-            if defect <= 0.1 * tol:
+            if defect <= 0.1 * _TOL:
                 break
         # smaller eta inflates the defect; push eta upward until it crashes
         lo = eta
@@ -406,7 +410,7 @@ def solve_asymmetric_equilibrium(model, grid_size=400, tol=1e-3, max_bisect=60):
     if best is None:
         raise EstimationError(
             "equilibrium shooting did not converge",
-            diagnostics={"grid_size": grid_size, "tol": tol},
+            diagnostics={"grid_size": _GRID_SIZE, "tol": _TOL},
         )
     return best
 

@@ -38,8 +38,8 @@ def _estimator_keys(kinds):
 
 
 def _add_estimate_parser(p, kinds):
-    """The flags of an estimate command: its input, one flag per argument key
-    of its kinds (``micro_delta`` is ``--micro-delta``) and ``--out``."""
+    """The flags of an estimate command: its input, one number flag per
+    argument key of its kinds and ``--out``."""
     if harness.ESTIMATORS[kinds[0]].observes in (io.FORMAT_FP, io.FORMAT_SP):
         p.add_argument("--samples", required=True)
         p.add_argument("--k", type=int, required=True)
@@ -51,8 +51,7 @@ def _add_estimate_parser(p, kinds):
         p.add_argument("--mode", choices=modes, default=modes[0])
     required = harness.ESTIMATORS[kinds[0]].required if len(kinds) == 1 else ()
     for key in _estimator_keys(kinds):
-        p.add_argument("--" + key.replace("_", "-"), dest=key, required=key in required,
-                       type=int if key in harness._COUNT_KEYS else float)
+        p.add_argument("--" + key, required=key in required, type=float)
     p.add_argument("--out", required=True)
 
 

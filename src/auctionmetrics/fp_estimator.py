@@ -249,8 +249,8 @@ def _check_probe_args(p, gamma, eps, lipschitz, **sizes):
         raise ValidationError("invalid effective-support pair")
     if not 0.0 < eps < 1.0:
         raise ValidationError("eps must lie in (0,1)")
-    if not lipschitz > 0.0:
-        raise ValidationError("lipschitz must be positive")
+    if not 0.0 < lipschitz < math.inf:
+        raise ValidationError("lipschitz must be positive and finite")
     if min(sizes.values()) < 1:
         raise ValidationError(f"{', '.join(sizes)} must be >= 1")
 

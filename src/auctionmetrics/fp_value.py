@@ -52,6 +52,8 @@ class ValueEstimatorConfig:
             raise ValidationError("eps must lie in (0,1)")
         if self.zeta <= 0.0:
             raise ValidationError("zeta must be positive")
+        if self.lipschitz is not None and not self.lipschitz > 0.0:
+            raise ValidationError("lipschitz must be positive")
 
     @property
     def v_grid_step(self):

@@ -8,6 +8,7 @@ reports are byte-identical regardless of the worker-pool size.
 
 from __future__ import annotations
 
+import math
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -69,7 +70,7 @@ ESTIMATORS = {
         lambda s, a, seed: fp_value.estimate_value_cdf_effective(
             s, fp_value.ValueEstimatorConfig(**a)), VALUE),
     "sp": Estimator(
-        FORMAT_SP, ("alpha", "eta", "eps"), ("nu", "theta", "micro_delta", "fp_iters"),
+        FORMAT_SP, ("alpha", "eta", "eps"), (),
         lambda s, a, seed: sp_estimator.estimate_sp(s, measure_contraction=5, **a)),
     "fp-partial": Estimator(
         PROBE_FP, ("p", "gamma", "eps"), ("lipschitz",),
@@ -93,18 +94,18 @@ def _check_keys(owner, given, required, types):
                                   f"not {type(given[key]).__name__}")
 
 
-# argument keys that count iterations; every other key is a real number
-_COUNT_KEYS = ("fp_iters",)
-
-
 def check_estimator_args(kind, args):
-    """The registry entry of ``kind``, once ``args`` fits its argument schema."""
+    """The registry entry of ``kind``, once ``args`` fits its argument schema:
+    every key is a finite real number."""
     if kind not in ESTIMATORS:
         raise ValidationError(f"unknown estimator kind {kind!r}")
     entry = ESTIMATORS[kind]
-    _check_keys(f"estimator {kind!r}", args, entry.required,
-                {key: numbers.Integral if key in _COUNT_KEYS else numbers.Real
-                 for key in entry.required + entry.optional})
+    owner = f"estimator {kind!r}"
+    _check_keys(owner, args, entry.required,
+                dict.fromkeys(entry.required + entry.optional, numbers.Real))
+    for key, value in args.items():
+        if not -math.inf < value < math.inf:  # NaN too; an int of any size passes
+            raise ValidationError(f"{owner} key {key!r} must be finite, not {value}")
     return entry
 
 

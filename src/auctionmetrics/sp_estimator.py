@@ -9,8 +9,8 @@ iterates it to a fixed point per interval, and converts the resulting U
 estimates back into per-bidder CDFs.
 
 The theoretical parameter choices are astronomically small; the pipeline runs
-with overridable desk defaults and verifies the contraction and residual
-properties at run time instead (see diagnostics).
+with desk-scale ones derived from (alpha, eta, eps) and n and verifies the
+contraction and residual properties at run time instead (see diagnostics).
 
 A separate reserve-price probe path recovers F_j(x) pointwise from the
 identity Pr(reserve binds with j winning or unsold) = prod_{l != j} F_l(x).
@@ -40,7 +40,8 @@ class SpParams:
     alpha/eta bound the bid densities; eps is the target sup accuracy;
     theta trims the edges (estimates are pinned to 0/1 outside [theta, 1-theta]);
     nu is the grid start; micro_delta the micro-cell width; fp_iters the
-    iteration count per macro-interval. The macro-interval budget is the
+    iteration count per macro-interval. ``desk`` derives the last four from
+    the first three and the sample size. The macro-interval budget is the
     direct operator-norm bound of the discretized map over the state box
     (``_jacobian_rowsum``), summed over the cells by ``_build_grid``.
     """
@@ -68,27 +69,24 @@ class SpParams:
             raise ValidationError("fp_iters must be >= 0")
 
     @classmethod
-    def desk(cls, alpha, eta, eps, n, **overrides):
-        """Desk-scale defaults sized for finite machines (all overridable)."""
-        fp_iters = overrides.pop("fp_iters", math.ceil(
-            math.log(4.0 / max(dkw_band(n, 0.05), 1e-9), 4.0)))
+    def desk(cls, alpha, eta, eps, n):
+        """Desk-scale parameters for the accuracy (alpha, eta, eps) and n prices."""
+        fp_iters = math.ceil(math.log(4.0 / max(dkw_band(n, 0.05), 1e-9), 4.0))
         if not 0.0 < alpha <= eta:  # before the trims divide by them
             raise ValidationError("need 0 < alpha <= eta")
         # for k = 2 a price of weight 1/n near 1-theta costs 1/(n*(alpha*theta)^2)
         # of the budget; theta >= 4/(alpha*sqrt(n)) holds that to the cap/4
         trim = 4.0 / (alpha * math.sqrt(n))
-        if trim >= 0.5 and "theta" not in overrides:
+        if trim >= 0.5:
             raise EstimationError(f"n = {n} is too small: trim 4/(alpha*sqrt(n)) = {trim:.3g}")
-        theta = overrides.pop("theta", max(eps / (16.0 * eta), 0.02, trim))
-        nu = overrides.pop("nu", min(0.05, theta / 2.0))
+        theta = max(eps / (16.0 * eta), 0.02, trim)
         # near x = 1-theta a single micro cell contributes about
         # eta^2*delta/(alpha^2*theta) to the contraction budget; keep that
-        # under ~1/8 so the greedy construction can always reach 1-theta
+        # under ~1/8 so the greedy construction can always reach 1-theta;
+        # delta <= min(1e-3, theta/8) < nu = min(0.05, theta/2)
         micro_delta = min(1e-3, CONTRACTIVITY_CAP * alpha * alpha * theta / (2.0 * eta * eta))
-        # only the default is moved under nu; SpParams rejects a set one at or above it
-        micro_delta = overrides.pop("micro_delta", micro_delta if micro_delta < nu else nu / 10.0)
-        return cls(alpha=alpha, eta=eta, eps=eps, theta=theta, nu=nu,
-                   micro_delta=micro_delta, fp_iters=fp_iters, **overrides)
+        return cls(alpha=alpha, eta=eta, eps=eps, theta=theta, nu=min(0.05, theta / 2.0),
+                   micro_delta=micro_delta, fp_iters=fp_iters)
 
 
 @dataclass(eq=False)
@@ -110,12 +108,14 @@ class SpGrid:
 
     ``endpoints[0] = nu`` and ``endpoints[tau]`` closes macro-interval tau,
     whose inputs are ``cells[tau-1]``; ``v0`` is G-hat at nu, the left
-    boundary of the first interval.
+    boundary of the first interval. ``lone_cells`` lists the (x, budget) of
+    each one-cell interval whose budget is above the cap and below 1.
     """
 
     endpoints: np.ndarray
     cells: list
     v0: np.ndarray
+    lone_cells: list
 
     @property
     def T(self):
@@ -229,8 +229,9 @@ def _build_grid(ghat_list, coarse_list, params):
     cap, whose cumulative contraction budget
     max_i sum_m Delta_{i,m} row_{i,m}/(1-hbar_m)^2 stays within
     ``CONTRACTIVITY_CAP``; its cell holds views of the lattice arrays. A
-    start without an admissible cell raises, unless that cell lies past
-    1 - theta, where the grid then ends.
+    start without an admissible cell ends the grid if that cell lies past
+    1 - theta; otherwise the cell alone is the interval if its own budget is
+    below 1, still a contraction, and else the build raises.
     """
     delta = params.micro_delta
     nu = params.nu
@@ -245,7 +246,7 @@ def _build_grid(ghat_list, coarse_list, params):
     box_hi = np.maximum(coarse * (2.0 / params.alpha), box_lo)
     rows = _jacobian_rowsum(h_hi, box_lo, box_hi)
     per_cell = deltas * rows / (1.0 - h_hi)[None, :] ** 2
-    start, endpoints, cells, gammas = 0, [nu], [], []
+    start, endpoints, cells, gammas, lone = 0, [nu], [], [], []
     while lattice[start] < 1.0 - params.theta - 1e-12:
         stop = min(last, int(math.floor((2.0 * lattice[start] - nu) / delta + 1e-9)))
         if stop <= start:
@@ -260,11 +261,14 @@ def _build_grid(ghat_list, coarse_list, params):
             if cells and xs[start] > 1.0 - params.theta + 1e-12:
                 # recover_F reads no point past 1-theta, so a cell there changes nothing
                 break
-            raise EstimationError(
-                f"no admissible micro cell at x={lattice[start]:.6g} "
-                f"(first budget value {budget[0]:.6g} > {CONTRACTIVITY_CAP})",
-                diagnostics={"endpoints": endpoints},
-            )
+            if not budget[0] < 1.0:
+                raise EstimationError(
+                    f"no admissible micro cell at x={lattice[start]:.6g} "
+                    f"(first budget value {budget[0]:.6g} >= 1)",
+                    diagnostics={"endpoints": endpoints},
+                )
+            l = 1
+            lone.append([float(xs[start]), float(budget[0])])
         cut = slice(start, start + l)
         cells.append(MacroCell(
             xs=xs[cut], deltas=deltas[:, cut], coarse=coarse[:, cut],
@@ -272,7 +276,7 @@ def _build_grid(ghat_list, coarse_list, params):
         start += l
         endpoints.append(float(lattice[start]))
         gammas.append(float(budget[l - 1]))
-    return SpGrid(endpoints=np.asarray(endpoints), cells=cells, v0=ghat[:, 0]), gammas
+    return SpGrid(np.asarray(endpoints), cells, ghat[:, 0], lone), gammas
 
 
 def _power_product(U, k):
@@ -283,12 +287,8 @@ def _power_product(U, k):
 
 
 def fixed_point_map(U, V, cell):
-    """One application of the discretized map phi^(tau) to the k x l state U
-    with left-boundary k-vector V, on the macro-interval ``cell``."""
-    if U.shape != cell.deltas.shape or V.shape != (U.shape[0],):
-        raise ValidationError("state dimensions do not match the grid")
-    if np.any(U <= 0.0):
-        raise ValidationError("state entries must be positive")
+    """One application of the discretized map phi^(tau) to the positive k x l
+    state U with left-boundary k-vector V, on the macro-interval ``cell``."""
     H = np.clip(_power_product(U, U.shape[0]), cell.h_lo[None, :], cell.h_hi[None, :])
     integ = np.cumsum(cell.deltas / (1.0 - H), axis=1)
     return np.clip(V[:, None] + integ, cell.box_lo, cell.box_hi)
@@ -299,8 +299,7 @@ def _random_box_state(cell, rng):
     u = rng.random(cell.box_lo.shape)
     cand = cell.box_lo + u * (cell.box_hi - cell.box_lo)
     cand = np.maximum.accumulate(cand, axis=1)
-    cand = np.minimum(cand, cell.box_hi)  # bounds are monotone, so this stays valid
-    return np.maximum(cand, 1e-300)
+    return np.minimum(cand, cell.box_hi)  # bounds are monotone, so this stays valid
 
 
 def run_fixed_point(grid, params, measure_contraction=0, seed=0):
@@ -309,8 +308,16 @@ def run_fixed_point(grid, params, measure_contraction=0, seed=0):
     Returns (U, diagnostics): ``U`` is the k x total matrix of U estimates at
     the cells' micro points in order; diagnostics include per-interval
     fixed-point gaps, clip activation rates, box violations, and optional
-    measured contraction ratios.
+    measured contraction ratios. A bidder that wins no price up to a micro
+    point has an empty state box there (coarse U = 0): EstimationError.
     """
+    empty = np.hstack([cell.coarse for cell in grid.cells]) <= 0.0
+    if empty.any():
+        i = int(np.flatnonzero(empty.any(axis=1))[0])
+        x = float(np.concatenate([cell.xs for cell in grid.cells])[empty[i]].max())
+        raise EstimationError(
+            f"bidder {i + 1} wins no price up to x={x:.6g}, so its state box there is empty",
+            diagnostics={"bidder": i + 1, "x": x})
     rng = np.random.default_rng(seed)
     V = grid.v0
     all_U = []
@@ -318,11 +325,8 @@ def run_fixed_point(grid, params, measure_contraction=0, seed=0):
     clip_rates = []
     box_violations = 0
     contraction = []
-    degenerate = 0
     for cell in grid.cells:
-        degenerate += int(np.sum(cell.box_lo <= 0.0))
-        init = np.clip(cell.coarse, np.maximum(cell.box_lo, 1e-300), cell.box_hi)
-        U = np.maximum.accumulate(init, axis=1)
+        U = np.maximum.accumulate(np.clip(cell.coarse, cell.box_lo, cell.box_hi), axis=1)
         gap = 0.0
         for _ in range(params.fp_iters):
             new = fixed_point_map(U, V, cell)
@@ -356,7 +360,6 @@ def run_fixed_point(grid, params, measure_contraction=0, seed=0):
         "fp_gaps": gaps,
         "clip_rates": clip_rates,
         "box_violations": box_violations,
-        "degenerate_lower_clips": degenerate,
         "contraction_samples": contraction,
     }
     return U, diagnostics
@@ -406,14 +409,16 @@ def run_pipeline(ghat_list, coarse_list, params, measure_contraction=0, seed=0):
     diagnostics = {**fp_diag, **rec_diag,
                    "gamma_per_interval": gammas,
                    "params": asdict(params)}
+    if grid.lone_cells:
+        diagnostics["lone_cells"] = grid.lone_cells
     return cdfs, diagnostics
 
 
-def estimate_sp(samples, alpha, eta, eps, measure_contraction=0, seed=0, **overrides):
-    """End-to-end second-price estimation with the ``SpParams.desk`` defaults,
-    which ``overrides`` replace. Returns (list of PiecewiseCdf, diagnostics)."""
+def estimate_sp(samples, alpha, eta, eps, measure_contraction=0, seed=0):
+    """End-to-end second-price estimation with the ``SpParams.desk`` parameters.
+    Returns (list of PiecewiseCdf, diagnostics)."""
     samples.require(FORMAT_SP)
-    params = SpParams.desk(alpha, eta, eps, n=samples.n, **overrides)
+    params = SpParams.desk(alpha, eta, eps, n=samples.n)
     ghat_list = [empirical_G_sp(samples, i) for i in range(1, samples.k + 1)]
     coarse_list = [coarse_U(samples, i, params.theta) for i in range(1, samples.k + 1)]
     return run_pipeline(ghat_list, coarse_list, params,

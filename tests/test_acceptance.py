@@ -155,8 +155,8 @@ def test_08_sp_population_pipeline_sup_error():
             for _ in range(2)]
     coarse = [CallableEval(lambda x: np.asarray(x, dtype=float) * 1.0)
               for _ in range(2)]
-    params = SpParams.desk(1.0, 1.0, 0.02, n=10 ** 6, theta=0.05, nu=0.025,
-                           micro_delta=1e-3, fp_iters=20)
+    params = SpParams(alpha=1.0, eta=1.0, eps=0.02, theta=0.05, nu=0.025,
+                      micro_delta=1e-3, fp_iters=20)
     cdfs, diag = run_pipeline(ghat, coarse, params)
     err = max(kolmogorov(F, UNIFORM, 0.05, 0.95) for F in cdfs)
     assert err <= 0.02

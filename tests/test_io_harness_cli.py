@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auctionmetrics import cli
+from auctionmetrics import cli, harness
 from auctionmetrics.auction_sim import (
     AuctionModel,
     lower_bound_fixture,
@@ -273,8 +273,7 @@ SWEEPS = {
                    {"p": 0.3, "gamma": 0.09, "h": 0.1}),
     "fp-value": (equilibrium_model(), "kolmogorov", (0.3, 1.0),
                  {"p": 0.2, "gamma": 0.04, "eps": 0.1, "zeta": 1.0, "lipschitz": 1.0}),
-    "sp": (uniform_model(), "kolmogorov", (0.02, 0.98),
-           {"alpha": 1.0, "eta": 1.0, "eps": 0.1, "theta": 0.05}),
+    "sp": (uniform_model(), "kolmogorov", (0.02, 0.98), {"alpha": 1.0, "eta": 1.0, "eps": 0.1}),
     "fp-partial": (uniform_model(), "kolmogorov", (0.5, 1.0),
                    {"p": 0.5, "gamma": 0.5, "eps": 0.2}),
     "sp-partial": (uniform_model(), "kolmogorov", (0.5, 1.0),
@@ -293,6 +292,57 @@ def test_convergence_runs_every_estimator_kind(kind):
     assert all(0.0 <= r["error"] < 0.5 for r in report.rows)
     jsonschema.validate(json.loads(json.dumps(report.to_dict())),
                         load_schema("report.schema.json"))
+
+
+# per kind: a model, valid base arguments, and per key a second valid value
+# picked so that the key, if it is read, moves the estimate
+KEY_PROBES = {
+    "fp-effective": (uniform_model(), {"p": 0.3, "gamma": 0.09, "eps": 0.045},
+                     {"p": 0.5, "gamma": 0.2, "eps": 0.02}),
+    # lambda moves it only through the H-hat floor (lambda*eps/2)^k/2, which a
+    # model with density >= lambda keeps below H-hat at every price >= eps/2;
+    # lambda = 4 breaks that bound on the uniform model
+    "fp-full": (uniform_model(), {"lambda": 1.0, "eps": 0.2}, {"lambda": 4.0, "eps": 0.1}),
+    "fp-density": (uniform_model(), {"p": 0.3, "gamma": 0.09, "h": 0.1},
+                   {"p": 0.5, "gamma": 0.2, "h": 0.05}),
+    "fp-value": (equilibrium_model(), {"p": 0.2, "gamma": 0.04, "eps": 0.1, "zeta": 1.0,
+                                       "lipschitz": 1.0},
+                 {"p": 0.3, "gamma": 0.1, "eps": 0.01, "zeta": 2.0, "lipschitz": 4.0}),
+    # eps = 0.9 lifts theta = eps/(16*eta) above the trim 4/(alpha*sqrt(n)),
+    # eta = 8 shrinks the micro cell below 1e-3
+    "sp": (uniform_model(), {"alpha": 1.0, "eta": 1.0, "eps": 0.1},
+           {"alpha": 0.5, "eta": 8.0, "eps": 0.9}),
+    "fp-partial": (uniform_model(), {"p": 0.5, "gamma": 0.5, "eps": 0.2, "lipschitz": 1.0},
+                   {"p": 0.6, "gamma": 0.3, "eps": 0.3, "lipschitz": 8.0}),
+    # lipschitz = 0.05 cuts the search to one step
+    "sp-partial": (uniform_model(), {"p": 0.5, "gamma": 0.5, "eps": 0.2, "lipschitz": 1.0},
+                   {"p": 0.6, "gamma": 0.3, "eps": 0.3, "lipschitz": 0.05}),
+}
+
+
+def estimate_bytes(estimates):
+    """Each estimate's arrays; a density estimate's are its CDF's and its bandwidth."""
+    return [(getattr(e, "cdf", e).breakpoints.tobytes(), getattr(e, "cdf", e).values.tobytes(),
+             getattr(e, "h", None)) for e in estimates]
+
+
+def test_every_registry_key_but_the_known_inert_ones_moves_an_estimate():
+    # the keys that move no estimate yet: fp-effective and fp-density estimate
+    # on [0, 1] whatever p declares, fp-effective's eps and fp-value's zeta and
+    # lipschitz move diagnostics only. A key that joins them, or leaves them,
+    # fails here
+    assert set(KEY_PROBES) == set(ESTIMATORS)
+    inert = set()
+    for kind, (model, base, other) in KEY_PROBES.items():
+        entry = ESTIMATORS[kind]
+        assert set(other) == set(entry.required + entry.optional) == set(base), kind
+        observation = harness._observe(entry.observes, model, 20000, 3)
+        want = estimate_bytes(entry.run(observation, base, 3)[0])
+        for key, value in other.items():
+            if estimate_bytes(entry.run(observation, {**base, key: value}, 3)[0]) == want:
+                inert.add((kind, key))
+    assert inert == {("fp-effective", "p"), ("fp-effective", "eps"), ("fp-density", "p"),
+                     ("fp-value", "zeta"), ("fp-value", "lipschitz")}
 
 
 # configs a sweep used to run and file as estimator failures, or score with
@@ -318,9 +368,14 @@ BAD_SWEEPS = {
     "a float draw count": (dict(estimator="sp-partial", estimator_args={
         "p": 0.5, "gamma": 0.5, "eps": 0.2, "n_point": 2e3}),
         "estimator 'sp-partial' takes no key 'n_point'"),
+    # sp takes alpha, eta and eps only; its iteration count is derived from n
     "a float iteration count": (dict(estimator="sp", estimator_args={
         "alpha": 1.0, "eta": 1.0, "eps": 0.1, "fp_iters": 2.0}),
-        "estimator 'sp' key 'fp_iters' must be Integral, not float"),
+        "estimator 'sp' takes no key 'fp_iters'"),
+    # json reads NaN and Infinity
+    "a non-finite key": (dict(estimator="sp", estimator_args={
+        "alpha": 1.0, "eta": math.inf, "eps": 0.1}),
+        "estimator 'sp' key 'eta' must be finite, not inf"),
 }
 
 
@@ -481,6 +536,19 @@ def test_cli_estimate_sp(tmp_path, model_file):
     assert len(diag["contraction_samples"]) == diag["T"]  # as in a sweep
 
 
+def test_cli_estimate_sp_exits_3_on_a_bidder_without_low_wins(tmp_path, capsys):
+    # bidder 1 bids uniformly on [0.2, 1], so bidder 2 wins no price below 0.2:
+    # a valid log the fixed point cannot start from, so exit 3, not 2
+    late = PiecewiseCdf([0.2, 1.0], [0.0, 1.0], interpolation="linear")
+    log = tmp_path / "sp.csv"
+    io_write_samples(log, simulate_sp(AuctionModel(bid_dists=[late, uniform_cdf()]), 20000, 0))
+    out = tmp_path / "sp.json"
+    code, err = main_exit(["estimate-sp", "--samples", log, "--k", 2, "--alpha", 0.5,
+                           "--eta", 2, "--eps", 0.1, "--out", out], capsys)
+    assert code == 3 and "estimation failed: bidder 2 wins no price up to x=0.19" in err
+    assert not out.exists()
+
+
 def test_cli_metric_output(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -498,26 +566,35 @@ def test_cli_exit_code_missing_file(tmp_path):
     assert "i/o error" in r.stderr
 
 
-def test_cli_exit_code_validation(tmp_path, model_file, capsys):
+def test_cli_exit_code_validation(tmp_path, model_file, fp_log, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"foo": 1}))
     r = run_cli("metric", "--a", bad, "--b", bad, "--kind", "levy")
     assert r.returncode == 2
     assert "error:" in r.stderr
-    # a negative seed or n exited 1 with numpy's ValueError, and a set
-    # --micro-delta at or above nu was replaced by nu/10
+    # each message names the bad input, not a value derived from it
     sp_log = tmp_path / "sp.csv"
     io_write_samples(sp_log, simulate_sp(uniform_model(), 2000, 0))
-    probe = ["--model", model_file, "--p", 0.5, "--gamma", 0.5, "--eps", 0.2, "--seed", -1]
+    probe = ["--model", model_file, "--p", 0.5, "--gamma", 0.5, "--eps", 0.2]
+    values = ["estimate-values", "--samples", fp_log, "--k", 2, "--p", 0.2, "--gamma", 0.05,
+              "--eps", 0.1]
     negative_seed = "seed must be a non-negative integer, not -1"
     for argv, message in [
         (["simulate", "--model", model_file, "--format", "fp", "--n", 100, "--seed", -1],
          negative_seed),
-        (["estimate-fp-partial", *probe], negative_seed),
-        (["estimate-sp-partial", *probe], negative_seed),
+        (["estimate-fp-partial", *probe, "--seed", -1], negative_seed),
+        (["estimate-sp-partial", *probe, "--seed", -1], negative_seed),
         (["lower-bound", "--k", 2, "--eps", 0.1, "--lambda", 0.2, "--n", -5], "n must be >= 1"),
-        (["estimate-sp", "--samples", sp_log, "--k", 2, "--alpha", 1, "--eta", 1, "--eps", 0.1,
-          "--micro-delta", 0.5], "micro_delta must lie in (0, nu)"),
+        ([*values, "--zeta", "nan"], "estimator 'fp-value' key 'zeta' must be finite, not nan"),
+        ([*values, "--zeta", 1, "--lipschitz", -3], "lipschitz must be positive"),
+        (["estimate-fp-partial", *probe, "--lipschitz", "inf"],
+         "estimator 'fp-partial' key 'lipschitz' must be finite, not inf"),
+        (["estimate-sp-partial", *probe, "--lipschitz", "inf"],
+         "estimator 'sp-partial' key 'lipschitz' must be finite, not inf"),
+        (["estimate-sp", "--samples", sp_log, "--k", 2, "--alpha", 1, "--eta", "inf",
+          "--eps", 0.1], "estimator 'sp' key 'eta' must be finite, not inf"),
+        (["estimate-fp", "--samples", fp_log, "--k", 2, "--mode", "full", "--lambda", "nan",
+          "--eps", 0.2], "estimator 'fp-full' key 'lambda' must be finite, not nan"),
     ]:
         out = tmp_path / "out"
         code, err = main_exit([*argv, "--out", out], capsys)
@@ -682,10 +759,13 @@ def test_estimate_flags_are_the_registry_keys():
         assert set(flags) == {key for e in entries for key in e.required + e.optional}, \
             command
         for key, action in flags.items():
-            assert action.option_strings == ["--" + key.replace("_", "-")]
+            assert action.option_strings == ["--" + key]
             assert action.required == (len(kinds) == 1 and key in entries[0].required)
             assert action.default is None
-            assert action.type is (int if key == "fp_iters" else float)
+            assert action.type is float
+    # the second-price estimator is fixed by its accuracy parameters
+    assert (ESTIMATORS["sp"].required, ESTIMATORS["sp"].optional) == (
+        ("alpha", "eta", "eps"), ())
 
 
 @pytest.fixture(scope="module")

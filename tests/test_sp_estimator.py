@@ -35,7 +35,6 @@ from auctionmetrics.sp_estimator import (
     coarse_U,
     empirical_G_sp,
     estimate_sp,
-    fixed_point_map,
     run_pipeline,
     sp_partial_estimate,
     sp_partial_pointwise,
@@ -73,14 +72,13 @@ def test_desk_defaults_are_admissible():
     assert 0 < p.micro_delta < p.nu
     # adaptive width keeps a single cell near 1-theta inside the budget
     assert p.micro_delta <= 0.25 * 0.5 ** 2 * p.theta / (2 * 2.0 ** 2) + 1e-12
-    p2 = SpParams.desk(1.0, 1.0, 0.1, n=100000, micro_delta=5e-4, theta=0.05)
-    assert p2.micro_delta == 5e-4 and p2.theta == 0.05
-    # a set micro_delta >= nu is refused; it was silently replaced by nu/10
-    for micro_delta in (0.5, p.nu):
-        with pytest.raises(ValidationError, match=r"micro_delta must lie in \(0, nu\)"):
-            SpParams.desk(0.5, 2.0, 0.1, n=100000, micro_delta=micro_delta)
-    # the computed default (1e-3 here) is still moved under a smaller nu
-    assert SpParams.desk(1.0, 1.0, 0.1, n=100000, nu=1e-3).micro_delta == 1e-4
+    # delta <= min(1e-3, theta/8) stays under nu = min(0.05, theta/2) for
+    # every accuracy and size desk accepts
+    for alpha, eta in ((0.1, 10.0), (0.5, 2.0), (1.0, 1.0)):
+        for eps in (1e-3, 0.1, 0.999):
+            for n in (int(100.0 / alpha ** 2), 10 ** 9):
+                p = SpParams.desk(alpha, eta, eps, n=n)
+                assert p.micro_delta <= min(1e-3, p.theta / 8.0) < p.nu
 
 
 # -- empirical pieces -----------------------------------------------------------
@@ -182,11 +180,13 @@ def test_grid_micro_points_cover_interval():
 def windowed_build_grid(ghat_list, coarse_list, params):
     """The grid build before the lattice: every macro-interval evaluated G-hat
     and the coarse U on its own candidate window, from a running-sum start, and
-    kept the first l columns. Returns (endpoints, cell xs, gammas), or the
+    kept the first l columns, or the first one alone if its budget is below 1;
+    no cell ends the grid past 1 - theta.
+    Returns (endpoints, cell xs, gammas, lone (x, budget) pairs), or the
     stall's (message, endpoints)."""
     delta = params.micro_delta
     x_prev = params.nu
-    endpoints, xs_kept, gammas = [x_prev], [], []
+    endpoints, xs_kept, gammas, lone = [x_prev], [], [], []
     while x_prev < 1.0 - params.theta - 1e-12:
         cap = min(2.0 * x_prev, 1.0 - params.theta / 2.0)
         l_max = int(math.floor((cap - x_prev) / delta + 1e-9))
@@ -199,24 +199,33 @@ def windowed_build_grid(ghat_list, coarse_list, params):
         rows = _jacobian_rowsum(h_hi, box_lo, coarse * (2.0 / params.alpha))
         budget = np.cumsum(deltas * rows / (1.0 - h_hi)[None, :] ** 2, axis=1).max(axis=0)
         ok = np.nonzero(budget <= CONTRACTIVITY_CAP)[0]
-        if ok.size == 0:
+        if ok.size:
+            l = int(ok[-1] + 1)
+        elif xs_kept and xs[0] > 1.0 - params.theta + 1e-12:
+            break
+        elif budget[0] < 1.0:
+            l = 1
+            lone.append([xs[0], budget[0]])
+        else:
             return f"no admissible micro cell at x={x_prev:.6g}", endpoints
-        l = int(ok[-1] + 1)
         xs_kept.append(xs[:l])
         x_prev = x_prev + l * delta
         endpoints.append(x_prev)
         gammas.append(float(budget[l - 1]))
-    return np.asarray(endpoints), xs_kept, gammas
+    return np.asarray(endpoints), xs_kept, gammas, lone
 
 
-@pytest.mark.parametrize("case", ["uniform2", "bounded2", "uniform3-stall"])
+@pytest.mark.parametrize("case", ["uniform2", "bounded2", "uniform3", "bounded3-stall"])
 def test_lattice_grid_matches_the_windowed_build(case):
     # lattice points are nu + m*delta, not a running sum, so they move by ulps;
-    # the cuts, and hence T and the micro counts, stay those of the windows
+    # the cuts, and hence T and the micro counts, stay those of the windows.
+    # uniform3 takes 7 one-cell intervals from x = 0.950 on; bounded3 stalls
+    # where a single cell's own budget is 1.05
     model, n, seed, alpha, eta = {
         "uniform2": (uniform_model(), 40000, 31, 1.0, 1.0),
         "bounded2": (bounded2_model(), 200000, 0, 0.5, 2.0),
-        "uniform3-stall": (uniform_model(3), 20000, 1, 1.0, 1.0),
+        "uniform3": (uniform_model(3), 20000, 1, 1.0, 1.0),
+        "bounded3-stall": (bounded3_model(), 20000, 0, 0.5, 2.0),
     }[case]
     s = simulate_sp(model, n, seed)
     params = SpParams.desk(alpha, eta, 0.1, n=s.n)
@@ -227,13 +236,17 @@ def test_lattice_grid_matches_the_windowed_build(case):
         assert ref[0].startswith("no admissible micro cell")
         with pytest.raises(EstimationError, match="no admissible micro cell") as info:
             _build_grid(*pieces, params)
-        # the last endpoint is the x the construction stalled at
+        # the last endpoint is the x the construction stalled at; over its
+        # ~900 intervals the windows' running sum drifts by up to an ulp each
         ends = info.value.diagnostics["endpoints"]
-        np.testing.assert_allclose(ends, ref[1], rtol=0, atol=ulps)
+        np.testing.assert_allclose(ends, ref[1], rtol=0, atol=len(ends) * np.finfo(float).eps)
         assert ends[-1] == pytest.approx(ref[1][-1], rel=1e-12) and ends[-1] > 0.9
         return
-    ends, xs, gammas = ref
+    ends, xs, gammas, lone = ref
     grid, got_gammas = _build_grid(*pieces, params)
+    assert len(grid.lone_cells) == len(lone) == (7 if case == "uniform3" else 0)
+    if lone:
+        np.testing.assert_allclose(grid.lone_cells, lone, rtol=1e-12, atol=ulps)
     assert grid.T == len(xs) > 1
     assert grid.micro_counts == [x.size for x in xs]
     np.testing.assert_allclose(grid.endpoints, ends, rtol=0, atol=ulps)
@@ -255,18 +268,20 @@ def population_pieces(k=2):
     return ghat, coarse
 
 
-def test_fixed_point_map_validates_state():
-    s = simulate_sp(uniform_model(), 20000, 43)
-    params = SpParams.desk(1.0, 1.0, 0.1, n=s.n)
-    grid, _ = _build_grid(*sample_pieces(s, params), params)
-    cell = grid.cells[0]
-    l = grid.micro_counts[0]
-    with pytest.raises(ValidationError):
-        fixed_point_map(np.full((2, l + 1), 0.5), np.array([0.0, 0.0]), cell)
-    with pytest.raises(ValidationError):
-        fixed_point_map(np.full((2, l), 0.5), np.array([0.0, 0.0, 0.0]), cell)
-    with pytest.raises(ValidationError):
-        fixed_point_map(np.full((2, l), -1.0), np.array([0.0, 0.0]), cell)
+def late_bidder_log(n=20000, seed=0):
+    """Bidder 1 bids uniformly on [0.2, 1], bidder 2 on [0, 1]: bidder 2 wins
+    no price below 0.2, a valid log on which the state box is empty."""
+    late = PiecewiseCdf([0.2, 1.0], [0.0, 1.0], interpolation="linear")
+    return simulate_sp(AuctionModel(bid_dists=[late, uniform_cdf()]), n, seed)
+
+
+def test_estimate_sp_names_a_bidder_that_wins_no_low_price():
+    # a valid log the fixed point cannot start from is an estimator failure,
+    # not bad input, and the message names the bidder
+    with pytest.raises(EstimationError, match=r"bidder 2 wins no price up to x=0\.19") as info:
+        estimate_sp(late_bidder_log(), 0.5, 2.0, 0.1)
+    assert info.value.diagnostics["bidder"] == 2
+    assert 0.19 < info.value.diagnostics["x"] < 0.2
 
 
 def test_fixed_point_output_stays_in_box_and_monotone():
@@ -286,8 +301,8 @@ def test_measured_contraction_below_cap():
 def test_population_pipeline_recovers_uniform():
     # exact population inputs: the recovered CDFs should match F(x) = x
     ghat, coarse = population_pieces()
-    params = SpParams.desk(1.0, 1.0, 0.02, n=10 ** 6, theta=0.05, nu=0.025,
-                           micro_delta=1e-3, fp_iters=20)
+    params = SpParams(alpha=1.0, eta=1.0, eps=0.02, theta=0.05, nu=0.025,
+                      micro_delta=1e-3, fp_iters=20)
     cdfs, diag = run_pipeline(ghat, coarse, params)
     err = max(kolmogorov(F, uniform_cdf(), 0.05, 0.95) for F in cdfs)
     assert err <= 0.02
@@ -296,8 +311,8 @@ def test_population_pipeline_recovers_uniform():
 
 def test_recover_F_pins_outside_window():
     ghat, coarse = population_pieces()
-    params = SpParams.desk(1.0, 1.0, 0.05, n=10 ** 6, theta=0.05, nu=0.025,
-                           micro_delta=1e-3, fp_iters=15)
+    params = SpParams(alpha=1.0, eta=1.0, eps=0.05, theta=0.05, nu=0.025,
+                      micro_delta=1e-3, fp_iters=15)
     cdfs, _ = run_pipeline(ghat, coarse, params)
     for F in cdfs:
         assert F.eval(0.01) == 0.0            # strictly below theta
@@ -326,8 +341,8 @@ def test_pipeline_evaluates_each_input_once_per_point():
     ghat, coarse = population_pieces()
     ghat = [CountingEval(g) for g in ghat]
     coarse = [CountingEval(c) for c in coarse]
-    params = SpParams.desk(1.0, 1.0, 0.02, n=10 ** 6, theta=0.05, nu=0.025,
-                           micro_delta=1e-3, fp_iters=20)
+    params = SpParams(alpha=1.0, eta=1.0, eps=0.02, theta=0.05, nu=0.025,
+                      micro_delta=1e-3, fp_iters=20)
     _, diag = run_pipeline(ghat, coarse, params, measure_contraction=2)
     T = diag["T"]
     assert T > 1 and len(diag["contraction_samples"]) == T
@@ -349,14 +364,21 @@ def test_estimate_sp_is_pinned_per_seed():
     # lattice: micro points are nu + m*delta, not a running sum, so they, the
     # endpoints, the budgets and the CDFs move by ulps (T and every micro count
     # stay), and the unread eps_g left the params diagnostics. The digests
-    # before were 6b286a24... and 7304e1f4...
+    # before were 6b286a24... and 7304e1f4... Re-pinned when the always-0
+    # degenerate_lower_clips key left the diagnostics (an empty state box now
+    # raises before the fixed point); the CDF-only digests held, and the
+    # digests before were a3ebdad6... and 9aae8ef9...
     cdfs, diag = estimate_sp(simulate_sp(uniform_model(), 100000, 59), 1.0, 1.0, 0.1)
+    assert estimate_digest(cdfs, {}) == (
+        "2e2885649c8f7a1312b47d5130912f6e374d669c7e4659860b676ed0240491ea")
     assert estimate_digest(cdfs, diag) == (
-        "a3ebdad69ada43239dddab48dc34872102041740a34252851a6361ea2175febb")
+        "056bcd4331e994047737b7d5ddcb7beb68bfe5edd22052e93af4e6a63e356af5")
     cdfs, diag = estimate_sp(simulate_sp(bounded2_model(), 200000, 0), 0.5, 2.0, 0.1,
                              measure_contraction=5)
+    assert estimate_digest(cdfs, {}) == (
+        "98344d708419f48b12cb58f2d673286e24cc3c830a728f63940f1279359e8f6c")
     assert estimate_digest(cdfs, diag) == (
-        "9aae8ef91db58d3857332099e9126832b15685cf77d62e3b5ba3faa169a0054f")
+        "46c1bc84da91ae2ef3eae21dbc6fa6b97745e418d1f58a8718b3d24ac96058a0")
 
 
 def test_estimate_sp_converges_to_uniform():
@@ -396,6 +418,22 @@ def test_estimate_sp_answers_when_only_cells_past_the_trim_are_inadmissible(n, s
         assert kolmogorov(F, model.bid_cdf(i), theta, 1.0 - theta) <= 0.1
 
 
+@pytest.mark.parametrize("n, seed", [(2000, 2270173015), (5000, 1760764637),
+                                     (20000, 647311919)])
+def test_estimate_sp_answers_with_a_one_cell_interval_above_the_cap(n, seed):
+    # at one start inside [theta, 1 - theta] no cell fits under the 1/4 cap;
+    # that cell alone has a budget below 1, so it is still a contraction and
+    # becomes a one-cell interval, which the diagnostics list
+    model = bounded2_model()
+    cdfs, diag = estimate_sp(simulate_sp(model, n, seed), 0.5, 2.0, 0.1)
+    theta = diag["params"]["theta"]
+    [(x, budget)] = diag["lone_cells"]
+    assert theta < x < 1.0 - theta and CONTRACTIVITY_CAP < budget < 1.0
+    assert budget in diag["gamma_per_interval"]
+    for i, F in enumerate(cdfs, start=1):
+        assert kolmogorov(F, model.bid_cdf(i), theta, 1.0 - theta) <= 0.1
+
+
 def test_desk_refuses_what_the_trim_cannot_cover():
     # bounds that the trims would divide by are rejected before they do
     for alpha, eta in ((0.0, 1.0), (0.5, 0.0)):
@@ -404,7 +442,6 @@ def test_desk_refuses_what_the_trim_cannot_cover():
     # at n <= 64/alpha^2 the trim 4/(alpha*sqrt(n)) leaves no interval
     with pytest.raises(EstimationError, match="n = 256 is too small: trim"):
         estimate_sp(simulate_sp(bounded2_model(), 256, 0), 0.5, 2.0, 0.1)
-    assert SpParams.desk(0.5, 2.0, 0.1, n=256, theta=0.1).theta == 0.1
 
 
 def reference_G_sp(samples, i):
@@ -506,9 +543,11 @@ def test_sp_partial_estimate_validates_inputs():
         sp_partial_estimate(oracle, p=0.2, gamma=0.0, eps=0.1)
     with pytest.raises(ValidationError):
         sp_partial_estimate(oracle, p=0.2, gamma=0.2, eps=1.5)
-    # a non-positive Lipschitz constant made the search one step long
-    with pytest.raises(ValidationError, match="lipschitz"):
-        sp_partial_estimate(oracle, p=0.2, gamma=0.2, eps=0.1, lipschitz=-1.0)
+    # a non-positive Lipschitz constant made the search one step long, and an
+    # infinite one its length an OverflowError
+    for lipschitz in (-1.0, math.inf):
+        with pytest.raises(ValidationError, match="lipschitz"):
+            sp_partial_estimate(oracle, p=0.2, gamma=0.2, eps=0.1, lipschitz=lipschitz)
     with pytest.raises(ValidationError, match="n_point must be >= 1"):
         sp_partial_estimate(oracle, p=0.2, gamma=0.2, eps=0.1, n_point=0)
 
