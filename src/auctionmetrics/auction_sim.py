@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist_core import LINEAR, BoundedDensityModel, PiecewiseCdf
+from .dist_core import LINEAR, BoundedDensityModel, PiecewiseCdf, run_ends
 from .errors import EstimationError, ValidationError
 
 # The auction format of a sample set: first price or second price.
@@ -119,8 +119,13 @@ class SampleSet:
     @functools.cached_property
     def ranked(self):
         """(prices ascending, their winners), sorted stably once: ties keep log order."""
-        order = np.argsort(self.y, kind="stable")
-        return self.y[order], self.z[order]
+        order = np.argsort(self.y)
+        ys = self.y[order]
+        # without ties the order is unique, so only a tie needs the slower stable sort
+        if not run_ends(ys).all():
+            order = np.argsort(self.y, kind="stable")
+            ys = self.y[order]
+        return ys, self.z[order]
 
     def require(self, auction):
         """Raise ``ValidationError`` unless the log is of ``auction``."""
@@ -142,10 +147,15 @@ def _bid_matrix(model, n, rng_or_seed):
     Stream contract: each call spawns one child stream per bidder, from the
     Generator (``rng.spawn(k)``) or from ``SeedSequence(seed).spawn(k)``, and
     fills row j with ``random(n)`` of child j, in bidder order, mapped through
-    that bidder's ``ppf``. Any rewrite must keep this order to keep outputs.
+    that bidder's ``ppf``. A list of k Generators, spawned by the caller, is
+    taken as those children. Any rewrite must keep this order to keep outputs.
     """
     if isinstance(rng_or_seed, np.random.Generator):
         streams = rng_or_seed.spawn(model.k)
+    elif isinstance(rng_or_seed, list):
+        streams = rng_or_seed
+        if len(streams) != model.k:
+            raise ValidationError(f"need one stream per bidder, {model.k}, not {len(streams)}")
     else:
         streams = [np.random.default_rng(s)
                    for s in np.random.SeedSequence(check_seed(rng_or_seed)).spawn(model.k)]
@@ -203,11 +213,12 @@ def partial_counts(model, auction, reserves, n, rng):
 
     The n probes split into ``len(reserves)`` equal consecutive blocks, block
     i probing at ``reserves[i]``, with bids by the ``_bid_matrix`` stream
-    contract. Returns a ``(len(reserves), k+2)`` int64 array of counts:
-    column k+1 the planted bid's wins (it wins ties, so a probe's chance is
-    prod_j F_j(r) exactly), column 0 zero, column j bidder j's wins (ties for
-    the top bid go to the lowest index), in ``FORMAT_SP`` only those where
-    the reserve bound the price (second-highest bid <= reserve < top bid).
+    contract: ``rng`` is a Generator, a seed or a list of k child Generators.
+    Returns a ``(len(reserves), k+2)`` int64 array of counts: column k+1 the
+    planted bid's wins (it wins ties, so a probe's chance is prod_j F_j(r)
+    exactly), column 0 zero, column j bidder j's wins (ties for the top bid
+    go to the lowest index), in ``FORMAT_SP`` only those where the reserve
+    bound the price (second-highest bid <= reserve < top bid).
     """
     reserves = np.asarray(reserves, dtype=np.float64)
     if reserves.ndim != 1 or not reserves.size or n % reserves.size:
@@ -244,8 +255,10 @@ def _partial_oracle(model, auction):
 def make_fp_partial_oracle(model):
     """Batch oracle handle ``oracle(reserves, n, rng) -> counts`` for estimators:
     ``partial_counts`` in first price. Each call spawns one child stream of
-    ``rng`` per bidder and fills the bids in bidder order (the ``_bid_matrix``
-    contract), so equal ``rng`` states give equal counts."""
+    ``rng`` per bidder, or takes the list of k children it is given, and fills
+    the bids in bidder order (the ``_bid_matrix`` contract), so equal ``rng``
+    states give equal counts. Calls share no state, so several threads may
+    call one handle at once."""
     return _partial_oracle(model, FORMAT_FP)
 
 

@@ -21,6 +21,7 @@ import numpy as np
 from .auction_sim import FORMAT_FP, check_seed
 from .dist_core import STEP, PiecewiseCdf, StepFunction, run_ends
 from .errors import EstimationError, ValidationError
+from .threads import run_leaves
 
 
 @dataclass(frozen=True)
@@ -191,19 +192,28 @@ class _OracleBudget:
 
         Consecutive reserves share one oracle call of at most
         ``_BATCH_COLUMNS`` probes (always at least one reserve per call),
-        in the order of ``xs``. The oracle returns exact integer counts, so
-        ``count / n`` is the mean of the winners' indicators bit for bit.
+        in the order of ``xs``. Call c draws from children c*k .. c*k+k-1 of
+        one ``rng.spawn``, as if each call spawned its own k, so the calls
+        run on the leaf pool (``threads.run_leaves``) and the rows do not
+        depend on the thread count. The oracle may thus be called from
+        several threads at once and must be thread-safe. It returns exact
+        integer counts, so ``count / n`` is the mean of the winners'
+        indicators bit for bit.
         """
         xs = np.asarray(xs, dtype=np.float64)
         out = np.empty((xs.size, self.k + 2))
         per = max(1, _BATCH_COLUMNS // n)
-        for s in range(0, xs.size, per):
-            chunk = xs[s:s + per]
-            m = chunk.size * n
-            counts = self.oracle(chunk, m, self.rng)
-            self.calls += m
-            self.batches += 1
-            out[s:s + chunk.size] = counts / n
+        starts = range(0, xs.size, per)
+        streams = self.rng.spawn(self.k * len(starts))
+
+        def batch(c):
+            chunk = xs[starts[c]:starts[c] + per]
+            counts = self.oracle(chunk, chunk.size * n, streams[c * self.k:(c + 1) * self.k])
+            out[starts[c]:starts[c] + chunk.size] = counts / n
+
+        run_leaves(batch, len(starts))
+        self.calls += xs.size * n
+        self.batches += len(starts)
         return out
 
 
@@ -271,6 +281,8 @@ def fp_partial_estimate(oracle, p, gamma, eps, lipschitz=1.0,
     H and H_i; one pass of point probes over the union of the bidders' grids
     reads H and every H_i at each of its reserves, and G-hat_i is assembled on
     bidder i's grid from those readings. The bidder count is ``oracle.k``.
+    The oracle calls of one reading may run on several threads at once
+    (``_OracleBudget.frequencies``), so ``oracle`` must be thread-safe.
 
     Returns (list of staircases, diagnostics). The diagnostics report the
     budget: ``oracle_calls`` probes drawn in ``oracle_batches`` oracle calls,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -23,6 +22,7 @@ from .auction_sim import (FORMAT_FP, FORMAT_SP, AuctionModel, lower_bound_fixtur
 from .dist_core import dkw_band, empirical_cdf, kolmogorov, levy, wasserstein1
 from .errors import ValidationError
 from .io import config_hash
+from .threads import max_workers as _max_workers
 
 METRICS = ("kolmogorov", "levy", "wasserstein1", "l1-density")
 
@@ -204,16 +204,6 @@ class ExperimentReport:
             "seed_root": self.seed_root,
             "diagnostics": self.diagnostics,
         }
-
-
-def _max_workers():
-    env = os.environ.get("AUCTIONMETRICS_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValidationError(f"AUCTIONMETRICS_THREADS={env!r} is not an integer") from exc
-    return min(8, os.cpu_count() or 1)
 
 
 def _cell_seed(seed_root, n, seed_index):

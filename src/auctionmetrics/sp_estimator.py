@@ -456,6 +456,8 @@ def sp_partial_estimate(oracle, p, gamma, eps, lipschitz=1.0,
     (plus 1) above F-hat_j(p) are located by one noisy binary search over
     every bidder's levels against the pointwise estimator, as in fp.
     F-hat_j is F-hat_j(p) on [p, z_{j,0}) and w_a on [z_{j,a}, z_{j,a+1}).
+    The oracle calls of one reading may run on several threads at once
+    (``_OracleBudget.frequencies``), so ``oracle`` must be thread-safe.
     Returns (staircases, diagnostics); the diagnostics report ``oracle_calls``
     probes drawn in ``oracle_batches`` oracle calls and ``searched_levels``,
     summed over bidders.

@@ -82,6 +82,22 @@ def test_sample_set_rejects_nan_prices():
             SampleSet(y=np.array(y), z=np.array([1, 2]), k=2, auction=FORMAT_SP)
 
 
+@pytest.mark.parametrize("tied", [False, True])
+def test_ranked_is_the_stable_order_byte_for_byte(tied):
+    # without ties the default sort's order is the only one; with a tie
+    # (-0.0 and 0.0 compare equal) ranked falls back to the stable sort
+    rng = np.random.default_rng(7)
+    y = rng.random(5000)
+    if tied:
+        y[:2000] = np.round(y[:2000], 2)
+        y[[10, 20, 30]] = [0.0, -0.0, 0.0]
+    z = rng.integers(1, 4, y.size)
+    ys, zs = SampleSet(y=y, z=z, k=3, auction=FORMAT_SP).ranked
+    order = np.argsort(y, kind="stable")
+    assert ys.tobytes() == y[order].tobytes()
+    assert zs.tobytes() == z[order].tobytes()
+
+
 def test_sample_set_needs_two_bidders():
     with pytest.raises(ValidationError, match="k >= 2 bidders"):
         SampleSet(y=np.array([0.5]), z=np.array([1]), k=1, auction=FORMAT_FP)
@@ -281,6 +297,13 @@ def test_bid_matrix_stream_contract():
     ref = np.vstack([d.ppf(np.random.default_rng(s).random(700))
                      for d, s in zip(m.bid_dists, seeds)])
     assert _bid_matrix(m, 700, 8).tobytes() == ref.tobytes()
+    # children spawned by the caller: one spawn(2k) gives two calls' streams
+    two = np.random.default_rng(4).spawn(6)
+    rng = np.random.default_rng(4)
+    for streams in (two[:3], two[3:]):
+        assert _bid_matrix(m, 700, streams).tobytes() == _bid_matrix(m, 700, rng).tobytes()
+    with pytest.raises(ValidationError, match="one stream per bidder"):
+        _bid_matrix(m, 700, two[:2])
 
 
 def test_oracle_handles_expose_k():

@@ -468,7 +468,9 @@ def exact_power_oracle(powers):
     Bidder j has F_j(x) = x**a_j, so with A = sum(a) the top bid has
     H(x) = x**A and bidder i's winner sub-CDF is H_i(x) = (a_i / A) x**A.
     At reserve x bidder i wins a share H_i(1) - H_i(x), and the planted bid
-    H(x). Every call is logged as (reserves, probes).
+    H(x). Every call is logged as (reserves, probes), in the order the calls
+    end: the calls of one reading may run on several threads, and
+    ``list.append`` is thread-safe.
     """
     a = np.asarray(powers, dtype=np.float64)
     total = a.sum()

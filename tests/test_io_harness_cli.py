@@ -42,6 +42,7 @@ from auctionmetrics.io import (
     io_write_model,
     io_write_samples,
 )
+from auctionmetrics.threads import run_leaves
 
 
 def uniform_model(k=2):
@@ -248,6 +249,52 @@ def test_convergence_deterministic_across_thread_counts(monkeypatch):
     assert serial.config_hash == parallel.config_hash
 
 
+def test_probe_sweeps_sharing_the_leaf_pool_match_one_thread(monkeypatch):
+    # probe cells on several threads hand their oracle batches to one shared
+    # leaf pool; with a short switch interval any mixing of rows or streams
+    # between cells would show as rows that differ from the serial ones
+    configs = [ExperimentConfig(model=uniform_model(), estimator=kind, n_schedule=[1000],
+                                seeds=6, support_lo=0.5, support_hi=1.0,
+                                estimator_args={"p": 0.5, "gamma": 0.5, "eps": 0.2})
+               for kind in ("fp-partial", "sp-partial")]
+    monkeypatch.setenv("AUCTIONMETRICS_THREADS", "1")
+    serial = [run_convergence(c).rows for c in configs]
+    monkeypatch.setenv("AUCTIONMETRICS_THREADS", "3")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        parallel = [run_convergence(c).rows for c in configs]
+    finally:
+        sys.setswitchinterval(interval)
+    assert parallel == serial
+    assert all(len(rows) == 6 * 2 for rows in serial)
+
+
+@pytest.mark.parametrize("threads", ["0", "-1", "abc"])
+def test_cli_rejects_a_thread_count_that_is_not_a_positive_integer(
+        threads, tmp_path, model_file, monkeypatch, capsys):
+    monkeypatch.setenv("AUCTIONMETRICS_THREADS", threads)
+    out = tmp_path / "o.json"
+    code, err = main_exit(["estimate-fp-partial", "--model", model_file, "--p", 0.5,
+                           "--gamma", 0.5, "--eps", 0.2, "--out", out], capsys)
+    assert code == 2 and "error: AUCTIONMETRICS_THREADS" in err
+    assert not out.exists()
+
+
+def test_leaf_tasks_each_run_once_and_the_lowest_failure_is_raised(monkeypatch):
+    monkeypatch.setenv("AUCTIONMETRICS_THREADS", "2")
+    ran = []
+    run_leaves(ran.append, 50)
+    assert sorted(ran) == list(range(50))
+
+    def task(i):
+        if i in (3, 4):
+            raise KeyError(i)
+
+    with pytest.raises(KeyError, match="3"):
+        run_leaves(task, 50)
+
+
 def test_convergence_isolates_failing_cells():
     # gamma too large for eps makes the estimator config invalid per cell
     cfg = sweep_config(estimator_args={"p": 0.3, "gamma": 0.09, "eps": 0.09})
@@ -450,6 +497,16 @@ def test_lower_bound_ks_statistic_equals_scipy_ks_2samp(k, n, trials):
         below += ref[-1] < 1.358 * np.sqrt((ya.size + yb.size) / (ya.size * yb.size))
     np.testing.assert_allclose(result["ks_stats"], ref, rtol=0, atol=1e-15)
     assert result["ks_below_threshold"] == below
+
+
+def test_cli_import_starts_no_thread():
+    # the leaf pool starts on first use, so importing costs no thread
+    out = subprocess.run(
+        [sys.executable, "-c", "import threading, auctionmetrics.cli; "
+         "print(threading.active_count())"],
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "1"
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -683,6 +740,23 @@ def test_cli_probe_commands_reject_a_nonpositive_lipschitz_constant(
                            "--eps", 0.2, "--lipschitz", lipschitz,
                            "--out", tmp_path / "o.json"], capsys)
     assert code == 2 and "lipschitz" in err
+
+
+def test_cli_estimate_fp_partial_writes_the_same_bytes_at_one_and_two_threads(
+        tmp_path, model_file):
+    bundles = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"fpp-{threads}.json"
+        r = subprocess.run(
+            [sys.executable, "-m", "auctionmetrics.cli", "estimate-fp-partial",
+             "--model", str(model_file), "--p", "0.5", "--gamma", "0.5", "--eps", "0.2",
+             "--seed", "4", "--out", str(out)],
+            capture_output=True, text=True,
+            env={**os.environ, "AUCTIONMETRICS_THREADS": threads},
+        )
+        assert r.returncode == 0, r.stderr
+        bundles.append(out.read_bytes())
+    assert bundles[0] == bundles[1]
 
 
 def test_cli_estimate_fp_partial_matches_the_registry_entry(tmp_path, model_file, capsys):

@@ -12,6 +12,7 @@ from auctionmetrics.auction_sim import (
     AuctionModel,
     SampleSet,
     _bid_matrix,
+    make_fp_partial_oracle,
     make_sp_partial_oracle,
     simulate_fp,
     simulate_sp,
@@ -23,7 +24,7 @@ from auctionmetrics.dist_core import (
     uniform_cdf,
 )
 from auctionmetrics.errors import EstimationError, ValidationError
-from auctionmetrics.fp_estimator import _OracleBudget, noisy_quantile_search
+from auctionmetrics.fp_estimator import _OracleBudget, fp_partial_estimate, noisy_quantile_search
 from auctionmetrics.sp_estimator import (
     CONTRACTIVITY_CAP,
     CallableEval,
@@ -598,6 +599,38 @@ def test_sp_partial_estimate_is_pinned_per_seed():
         206000, 8, 33)
     assert estimate_digest(cdfs, diag) == (
         "3f51aa473e83a8589772cddf494a12d685f27ff3abd14c4bd464ee7a0fa19db9")
+
+
+@pytest.mark.parametrize("seed, budget, digest", [
+    (0, (2140000, 37, 33), "0fba4141972e3f912751372ac72323a0322810848d797068c9ae5638474bacab"),
+    (1, (2180000, 40, 34), "2dd12274dcd12220815c2de1b5cac7fadcd39470fa42717e095964d0141a783f"),
+    (2, (2060000, 36, 33), "d5df7b3d3f67db4fbd6d9c757f52733318967dd58acd37709d5cd7761a98f9d2"),
+], ids=["seed0", "seed1", "seed2"])
+def test_sp_partial_estimate_at_the_default_probe_count_is_pinned_per_seed(seed, budget,
+                                                                          digest):
+    # at the default n_point = 20000 an oracle call holds three reserves, so
+    # most readings span several calls, which run on the leaf pool; their
+    # streams and rows must not depend on the order the calls finish in
+    cdfs, diag = sp_partial_estimate(make_sp_partial_oracle(bounded3_model()),
+                                     p=0.5, gamma=0.3, eps=0.1, seed=seed)
+    assert (diag["oracle_calls"], diag["oracle_batches"], diag["searched_levels"]) == budget
+    assert estimate_digest(cdfs, diag) == digest
+
+
+def test_probe_estimates_are_identical_at_every_thread_count(monkeypatch):
+    # the oracle batches of one reading run on the leaf pool; the probe
+    # counts are chosen so that most readings span several batches
+    digests = set()
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("AUCTIONMETRICS_THREADS", threads)
+        fp = fp_partial_estimate(make_fp_partial_oracle(uniform_model()), p=0.5, gamma=0.5,
+                                 eps=0.2, seed=1, n_search=1000, n_point=20000,
+                                 n_base=20000)
+        sp = sp_partial_estimate(make_sp_partial_oracle(uniform_model(3)), p=0.5, gamma=0.3,
+                                 eps=0.1, seed=2)
+        assert (fp[1]["oracle_batches"], sp[1]["oracle_batches"]) == (30, 34)
+        digests.add((estimate_digest(*fp), estimate_digest(*sp)))
+    assert len(digests) == 1
 
 
 def bounded3_model():
