@@ -144,7 +144,7 @@ def _cmd_estimate(args):
 
 
 def _cmd_sweep(args):
-    raw = json.loads(Path(args.config).read_text())
+    raw = json.loads(io.read_text(args.config))
     report = harness.run_convergence(harness.ExperimentConfig.from_dict(raw))
     Path(args.out).write_text(json.dumps(io._jsonable(report.to_dict()), indent=2))
 

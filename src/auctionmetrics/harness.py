@@ -24,10 +24,10 @@ from .errors import ValidationError
 from .io import config_hash
 from .threads import max_workers as _max_workers
 
-METRICS = ("kolmogorov", "levy", "wasserstein1", "l1-density")
+METRICS = ("kolmogorov", "levy", "wasserstein1")
 
 PROBE_FP, PROBE_SP = "fp-probe", "sp-probe"
-BID, VALUE, DENSITY = "bid", "value", "density"
+BID, VALUE = "bid", "value"
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,8 @@ class Estimator:
     """A registry entry: it ``observes`` a log format (``FORMAT_FP``/``FORMAT_SP``)
     or a probe oracle (``PROBE_FP``/``PROBE_SP``), takes every ``required`` and
     any ``optional`` argument key, and ``run(observation, args, seed)`` returns
-    (estimates, diagnostics), scored against ``truth`` (BID, VALUE or DENSITY).
+    (CDF estimates, diagnostics), scored against ``truth`` (the BID or VALUE CDFs).
+    Densities are no kind: ``estimate-fp-density`` derives them from a CDF bundle.
     Each run looks its estimator up on the estimator's module when called."""
 
     observes: str
@@ -50,11 +51,6 @@ def _fp_config(args):
                                           args.get("eps", args["gamma"] / 2.0))
 
 
-def _fp_density(samples, args, seed):
-    fhats, diagnostics = fp_estimator.estimate_bid_cdf_effective(samples, _fp_config(args))
-    return [fp_estimator.estimate_density(F, args["h"]) for F in fhats], diagnostics
-
-
 # Argument keys are the estimators' parameter names. The sp contraction ratio
 # is measured on 5 state pairs per macro-interval, from the estimator's own seed.
 ESTIMATORS = {
@@ -64,7 +60,6 @@ ESTIMATORS = {
     "fp-full": Estimator(
         FORMAT_FP, ("lambda", "eps"), (),
         lambda s, a, seed: fp_estimator.estimate_bid_cdf_full(s, a["lambda"], a["eps"])),
-    "fp-density": Estimator(FORMAT_FP, ("p", "gamma", "h"), (), _fp_density, DENSITY),
     "fp-value": Estimator(
         FORMAT_FP, ("p", "gamma", "eps", "zeta"), ("lipschitz",),
         lambda s, a, seed: fp_value.estimate_value_cdf_effective(
@@ -133,9 +128,6 @@ class ExperimentConfig:
         entry = check_estimator_args(self.estimator, self.estimator_args)
         if self.metric not in METRICS:
             raise ValidationError(f"unknown metric {self.metric!r}")
-        if (self.metric == "l1-density") != (entry.truth == DENSITY):
-            raise ValidationError(f"metric {self.metric!r} cannot score the {entry.truth} "
-                                  f"estimates of estimator {self.estimator!r}")
         if entry.truth == VALUE and not self.model.value_dists:
             raise ValidationError(f"estimator {self.estimator!r} is scored against "
                                   "value CDFs, and the model has no value_dists")
@@ -152,9 +144,6 @@ class ExperimentConfig:
             raise ValidationError(f"support [{lo}, {hi}] must satisfy 0 <= lo < hi <= 1")
         if self.metric == "levy" and (lo, hi) != (0.0, 1.0):
             raise ValidationError(f"metric 'levy' scores on [0, 1], not on [{lo}, {hi}]")
-        if entry.truth == DENSITY and not lo < 1.0 - self.estimator_args["h"]:
-            raise ValidationError(f"support [{lo}, {hi}] must start below 1 - h, "
-                                  "where the density estimate ends")
 
     def to_dict(self):
         return {
@@ -217,16 +206,10 @@ def _observe(observes, model, n, seed):
 
 
 def _error(config, truth, i, est):
-    """Bidder i's estimate against the model under the config's metric."""
+    """Bidder i's CDF estimate against the model's bid or value CDF (``truth``)
+    under the config's metric."""
     model = config.model
     lo, hi = config.support_lo, config.support_hi
-    if truth == DENSITY:
-        dist = model.bid_dists[i - 1]
-        grid = np.linspace(lo, min(hi, 1.0 - est.h), 2001)
-        true_pdf = dist.pdf(grid) if hasattr(dist, "pdf") else np.gradient(
-            model.bid_cdf(i).eval(grid), grid)
-        trapz = getattr(np, "trapezoid", None) or np.trapz
-        return trapz(np.abs(est.eval(grid) - true_pdf), grid)
     F = model.value_dists[i - 1].to_cdf() if truth == VALUE else model.bid_cdf(i)
     if config.metric == "levy":
         return levy(est, F)

@@ -28,6 +28,21 @@ def fmt_float(v):
     return f"{float(v):.17g}"
 
 
+def _utf8(chunks, path):
+    """The text ``chunks`` of the file at ``path``, decoded as they are taken;
+    bytes that are not UTF-8 raise ValidationError naming the file."""
+    try:
+        yield from chunks
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def read_text(path):
+    """The text of a UTF-8 file, in one read; any other file raises ValidationError."""
+    with open(path, encoding="utf-8") as fh:
+        return "".join(_utf8(iter(fh.read, ""), path))
+
+
 def io_write_samples(path, samples):
     """Write a sample log as CSV, headed by the columns of its auction."""
     with open(path, "w", newline="") as fh:
@@ -42,8 +57,8 @@ def io_read_samples(path, fmt, k):
     if fmt not in (FORMAT_FP, FORMAT_SP):
         raise ValidationError(f"unsupported sample format {fmt!r}")
     ys, idxs = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(_utf8(fh, path))
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != _HEADERS[fmt]:
             raise ValidationError(
@@ -82,7 +97,7 @@ def io_write_cdfs(path, cdfs, diagnostics=None):
 
 
 def io_read_cdfs(path):
-    payload = json.loads(Path(path).read_text())
+    payload = json.loads(read_text(path))
     try:
         return [PiecewiseCdf.from_dict(d) for d in payload["cdfs"]]
     except (KeyError, TypeError) as exc:
@@ -95,8 +110,8 @@ def io_write_model(path, model):
 
 def io_read_model(path):
     try:
-        return AuctionModel.from_dict(json.loads(Path(path).read_text()))
-    except (KeyError, TypeError) as exc:
+        return AuctionModel.from_dict(json.loads(read_text(path)))
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ValidationError(f"{path}: not a model file: {exc}") from exc
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auctionmetrics import cli, harness
+from auctionmetrics import cli, fp_estimator, harness
 from auctionmetrics.auction_sim import (
     AuctionModel,
     lower_bound_fixture,
@@ -35,6 +35,7 @@ from auctionmetrics.io import (
     FORMAT_SP,
     _jsonable,
     config_hash,
+    fmt_float,
     io_read_cdfs,
     io_read_model,
     io_read_samples,
@@ -316,8 +317,6 @@ SWEEPS = {
     "fp-effective": (uniform_model(), "kolmogorov", (0.3, 1.0),
                      {"p": 0.3, "gamma": 0.09, "eps": 0.045}),
     "fp-full": (uniform_model(), "wasserstein1", (0.0, 1.0), {"lambda": 1.0, "eps": 0.2}),
-    "fp-density": (uniform_model(), "l1-density", (0.3, 1.0),
-                   {"p": 0.3, "gamma": 0.09, "h": 0.1}),
     "fp-value": (equilibrium_model(), "kolmogorov", (0.3, 1.0),
                  {"p": 0.2, "gamma": 0.04, "eps": 0.1, "zeta": 1.0, "lipschitz": 1.0}),
     "sp": (uniform_model(), "kolmogorov", (0.02, 0.98), {"alpha": 1.0, "eta": 1.0, "eps": 0.1}),
@@ -350,8 +349,6 @@ KEY_PROBES = {
     # model with density >= lambda keeps below H-hat at every price >= eps/2;
     # lambda = 4 breaks that bound on the uniform model
     "fp-full": (uniform_model(), {"lambda": 1.0, "eps": 0.2}, {"lambda": 4.0, "eps": 0.1}),
-    "fp-density": (uniform_model(), {"p": 0.3, "gamma": 0.09, "h": 0.1},
-                   {"p": 0.5, "gamma": 0.2, "h": 0.05}),
     "fp-value": (equilibrium_model(), {"p": 0.2, "gamma": 0.04, "eps": 0.1, "zeta": 1.0,
                                        "lipschitz": 1.0},
                  {"p": 0.3, "gamma": 0.1, "eps": 0.01, "zeta": 2.0, "lipschitz": 4.0}),
@@ -368,14 +365,13 @@ KEY_PROBES = {
 
 
 def estimate_bytes(estimates):
-    """Each estimate's arrays; a density estimate's are its CDF's and its bandwidth."""
-    return [(getattr(e, "cdf", e).breakpoints.tobytes(), getattr(e, "cdf", e).values.tobytes(),
-             getattr(e, "h", None)) for e in estimates]
+    """Each CDF estimate's arrays."""
+    return [(e.breakpoints.tobytes(), e.values.tobytes()) for e in estimates]
 
 
 def test_every_registry_key_but_the_known_inert_ones_moves_an_estimate():
-    # the keys that move no estimate yet: fp-effective and fp-density estimate
-    # on [0, 1] whatever p declares, fp-effective's eps and fp-value's zeta and
+    # the keys that move no estimate yet: fp-effective estimates on [0, 1]
+    # whatever p declares, fp-effective's eps and fp-value's zeta and
     # lipschitz move diagnostics only. A key that joins them, or leaves them,
     # fails here
     assert set(KEY_PROBES) == set(ESTIMATORS)
@@ -388,7 +384,7 @@ def test_every_registry_key_but_the_known_inert_ones_moves_an_estimate():
         for key, value in other.items():
             if estimate_bytes(entry.run(observation, {**base, key: value}, 3)[0]) == want:
                 inert.add((kind, key))
-    assert inert == {("fp-effective", "p"), ("fp-effective", "eps"), ("fp-density", "p"),
+    assert inert == {("fp-effective", "p"), ("fp-effective", "eps"),
                      ("fp-value", "zeta"), ("fp-value", "lipschitz")}
 
 
@@ -401,13 +397,12 @@ BAD_SWEEPS = {
     "unknown key": (dict(estimator="sp", estimator_args={
         "alpha": 1.0, "eta": 1.0, "eps": 0.1, "overrides": {"theta": 0.05}}),
         "estimator 'sp' takes no key 'overrides'"),
+    # densities are no registry kind and no metric: estimate-fp-density
+    # derives them from a stored CDF bundle
     "density scored as a CDF": (dict(estimator="fp-density", metric="kolmogorov",
                                      estimator_args={"p": 0.3, "gamma": 0.09, "h": 0.1}),
-                                "'kolmogorov' cannot score the density estimates of "
-                                "estimator 'fp-density'"),
-    "a CDF scored as a density": (dict(metric="l1-density"),
-                                  "'l1-density' cannot score the bid estimates of "
-                                  "estimator 'fp-effective'"),
+                                "unknown estimator kind 'fp-density'"),
+    "a CDF scored as a density": (dict(metric="l1-density"), "unknown metric 'l1-density'"),
     "values without value_dists": (dict(estimator="fp-value", estimator_args={
         "p": 0.2, "gamma": 0.04, "eps": 0.1, "zeta": 1.0}),
         "'fp-value' is scored against value CDFs, and the model has no value_dists"),
@@ -438,10 +433,7 @@ def test_config_rejects_what_the_registry_cannot_run(case):
     (dict(support_lo=0.5, support_hi=0.5), r"support \[0.5, 0.5\] must satisfy"),
     (dict(support_lo=-0.1), r"support \[-0.1, 1.0\] must satisfy"),
     (dict(support_hi=1.5), r"support \[0.3, 1.5\] must satisfy"),
-    (dict(estimator="fp-density", metric="l1-density",
-          estimator_args={"p": 0.3, "gamma": 0.09, "h": 0.8}),
-     r"support \[0.3, 1.0\] must start below 1 - h"),
-], ids=["reversed", "empty", "below 0", "above 1", "density past 1 - h"])
+], ids=["reversed", "empty", "below 0", "above 1"])
 def test_config_rejects_an_empty_scoring_window(kw, message):
     with pytest.raises(ValidationError, match=message):
         sweep_config(**kw)
@@ -665,6 +657,43 @@ def test_cli_exit_code_malformed_json(tmp_path):
     assert r.returncode == 2
 
 
+# the CLI's four file readers, each given the file at ``path``
+READER_COMMANDS = {
+    "samples": lambda path, out: ["estimate-fp", "--samples", path, "--k", 2, "--p", 0.3,
+                                  "--gamma", 0.09, "--out", out],
+    "cdfs": lambda path, out: ["metric", "--a", path, "--b", path, "--kind", "kolmogorov"],
+    "model": lambda path, out: ["simulate", "--model", path, "--format", "fp", "--n", 10,
+                                "--out", out],
+    "config": lambda path, out: ["sweep", "--config", path, "--out", out],
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READER_COMMANDS))
+def test_cli_exit_code_a_file_that_is_not_utf8(reader, tmp_path, capsys):
+    # a UnicodeDecodeError traceback and exit 1 before
+    path = tmp_path / "utf16.txt"
+    path.write_bytes(b"\xff\xfey\x00,\x00z\x00\n\x00")
+    out = tmp_path / "out"
+    code, err = main_exit(READER_COMMANDS[reader](path, out), capsys)
+    assert code == 2 and f"error: {path}: not UTF-8 text" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate-fp-partial"])
+@pytest.mark.parametrize("model", [[1, 2], {"bid_dists": [1, 2]}, "uniform"],
+                         ids=["a list", "number entries", "a string"])
+def test_cli_exit_code_a_model_file_that_is_not_an_object(command, model, tmp_path, capsys):
+    # an AttributeError traceback and exit 1 before
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    out = tmp_path / "out"
+    flags = ["--format", "fp", "--n", 10] if command == "simulate" \
+        else ["--p", 0.5, "--gamma", 0.5, "--eps", 0.2]
+    code, err = main_exit([command, "--model", path, *flags, "--out", out], capsys)
+    assert code == 2 and f"error: {path}: not a model file" in err
+    assert not out.exists()
+
+
 def test_cli_sweep(tmp_path, model_file):
     cfg = {
         "model": json.loads(model_file.read_text()),
@@ -808,6 +837,24 @@ def test_cli_estimate_fp_density_checks_its_grid(flags, message, tmp_path, capsy
     assert not out.exists()
 
 
+def test_cli_estimate_fp_density_differences_the_stored_bundle(tmp_path, fp_log, capsys):
+    # estimate-fp -> bundle -> estimate-fp-density is the one density path
+    cdfs, density = tmp_path / "cdfs.json", tmp_path / "density.json"
+    code, err = main_exit(["estimate-fp", "--samples", fp_log, "--k", 2, "--mode", "effective",
+                           "--p", 0.3, "--gamma", 0.09, "--out", cdfs], capsys)
+    assert code == 0, err
+    code, err = main_exit(["estimate-fp-density", "--cdf", cdfs, "--p", 0.3, "--h", 0.1,
+                           "--grid", 64, "--out", density], capsys)
+    assert code == 0, err
+    fhats, _ = fp_estimator.estimate_bid_cdf_effective(
+        io_read_samples(fp_log, FORMAT_FP, 2), fp_estimator.FpEstimatorConfig(0.3, 0.09, 0.045))
+    x = np.linspace(0.3, 1.0 - 0.1, 64)
+    assert json.loads(density.read_text())["densities"] == [
+        {"x": [fmt_float(v) for v in x],
+         "density": [fmt_float(v) for v in fp_estimator.estimate_density(F, 0.1).eval(x)]}
+        for F in fhats]
+
+
 # each estimate command and the registry kinds it runs
 ESTIMATE_COMMAND_KINDS = {
     "estimate-fp": ("fp-effective", "fp-full"),
@@ -822,6 +869,9 @@ def test_estimate_flags_are_the_registry_keys():
     sub = cli.build_parser()._subparsers._group_actions[0]
     commands = {name for name in sub.choices if name.startswith("estimate-")}
     assert commands == {"estimate-fp-density", *ESTIMATE_COMMAND_KINDS}
+    # every registry kind is run by exactly one estimate command
+    run = [kind for kinds in ESTIMATE_COMMAND_KINDS.values() for kind in kinds]
+    assert sorted(run) == sorted(ESTIMATORS)
     for command, kinds in ESTIMATE_COMMAND_KINDS.items():
         entries = [ESTIMATORS[kind] for kind in kinds]
         inputs = {"samples", "k"} if entries[0].observes in (FORMAT_FP, FORMAT_SP) \
