@@ -147,15 +147,10 @@ def _bid_matrix(model, n, rng_or_seed):
     Stream contract: each call spawns one child stream per bidder, from the
     Generator (``rng.spawn(k)``) or from ``SeedSequence(seed).spawn(k)``, and
     fills row j with ``random(n)`` of child j, in bidder order, mapped through
-    that bidder's ``ppf``. A list of k Generators, spawned by the caller, is
-    taken as those children. Any rewrite must keep this order to keep outputs.
+    that bidder's ``ppf``. Any rewrite must keep this order to keep outputs.
     """
     if isinstance(rng_or_seed, np.random.Generator):
         streams = rng_or_seed.spawn(model.k)
-    elif isinstance(rng_or_seed, list):
-        streams = rng_or_seed
-        if len(streams) != model.k:
-            raise ValidationError(f"need one stream per bidder, {model.k}, not {len(streams)}")
     else:
         streams = [np.random.default_rng(s)
                    for s in np.random.SeedSequence(check_seed(rng_or_seed)).spawn(model.k)]
@@ -208,65 +203,129 @@ def simulate_sp(model, n, seed):
     return SampleSet(y=y, z=_winner_index(code), k=model.k, auction=FORMAT_SP)
 
 
-def partial_counts(model, auction, reserves, n, rng):
-    """Reserve-price probes of an ``auction`` format at several reserves.
+def _knots(d):
+    """The points where a bid distribution's CDF may jump or change its polynomial."""
+    return d.knots if isinstance(d, BoundedDensityModel) else d.breakpoints
 
-    The n probes split into ``len(reserves)`` equal consecutive blocks, block
-    i probing at ``reserves[i]``, with bids by the ``_bid_matrix`` stream
-    contract: ``rng`` is a Generator, a seed or a list of k child Generators.
-    Returns a ``(len(reserves), k+2)`` int64 array of counts: column k+1 the
-    planted bid's wins (it wins ties, so a probe's chance is prod_j F_j(r)
-    exactly), column 0 zero, column j bidder j's wins (ties for the top bid
-    go to the lowest index), in ``FORMAT_SP`` only those where the reserve
-    bound the price (second-highest bid <= reserve < top bid).
+
+def _cdf(d, x, left=False):
+    """F(x), or the left limit F(x-), of a bid distribution at an array ``x``."""
+    if isinstance(d, BoundedDensityModel):
+        return d.cdf(x)
+    return d.eval_left(x) if left else d.eval(x)
+
+
+def _density(d, x):
+    """The density of the continuous part of a bid distribution at points
+    ``x`` that are none of its knots: the pdf of a density model, the slope of
+    a linear table's segment (0 outside the table), 0 for a step table."""
+    if isinstance(d, BoundedDensityModel):
+        return d.pdf(x)
+    if d.interpolation != LINEAR or d.breakpoints.size < 2:
+        return np.zeros_like(x)
+    slopes = np.concatenate([[0.0], np.diff(d.values) / np.diff(d.breakpoints), [0.0]])
+    return slopes[np.searchsorted(d.breakpoints, x)]
+
+
+def _tie_products(left, right):
+    """Row j: prod_{i<j} left[i] * prod_{i>j} right[i], over the first axis."""
+    ones = np.ones_like(right[:1])
+    below = np.cumprod(np.concatenate([ones, left[:-1]]), axis=0)
+    above = np.cumprod(np.concatenate([ones, right[:0:-1]]), axis=0)[::-1]
+    return below * above
+
+
+class _ProbeLaw:
+    """Batch oracle handle ``oracle(reserves, n, rng) -> counts``: reserve-price
+    probes drawn from their exact multinomial law.
+
+    The n probes split into ``len(reserves)`` equal blocks, block i probing at
+    ``reserves[i]``. Returns a ``(len(reserves), k+2)`` int64 array of counts:
+    column k+1 the planted bid's wins (it wins ties, so a probe's chance is
+    prod_i F_i(r)), column 0 zero, column j bidder j's wins (ties for the top
+    bid go to the lowest index), in ``FORMAT_SP`` only those where the reserve
+    bound the price (second-highest bid <= reserve < top bid), a chance of
+    (1 - F_j(r)) prod_{i!=j} F_i(r). In ``FORMAT_FP`` bidder j wins above r
+    with chance int_(r,1] prod_{i<j} F_i(x-) prod_{i>j} F_i(x) dF_j(x).
+
+    That integral splits over the merged knots of all bidders: each atom of
+    F_j adds its mass times the tie product, and on each open piece between
+    knots the integrand is a polynomial of degree at most 2k-1, which
+    (k+1)-point Gauss-Legendre integrates exactly. The pieces and atoms above
+    each knot are summed once, when the handle is made, so a reading is one
+    ``searchsorted``, one quadrature over the partial pieces and one
+    ``rng.multinomial`` over all its reserves. The rest of the probability,
+    probes that no column counts, is drawn as a last cell and dropped. Equal
+    ``rng`` states give equal counts.
     """
-    reserves = np.asarray(reserves, dtype=np.float64)
-    if reserves.ndim != 1 or not reserves.size or n % reserves.size:
-        raise ValidationError("the probes must split evenly over a 1-D array of reserves")
-    if not (reserves.min() >= 0.0 and reserves.max() <= 1.0):  # NaN fails both
-        raise ValidationError("reserve must lie in [0,1]")
-    k = model.k
-    top, code, second = _scan_bids(_bid_matrix(model, n, rng), second=auction == FORMAT_SP)
-    beaten = top.reshape(reserves.size, -1) <= reserves[:, None]
-    # code j+1 for bidder j's counted wins, else 0
-    code = code.reshape(beaten.shape)
-    code += 1
-    code *= ~beaten
-    if second is not None:
-        code *= second.reshape(beaten.shape) <= reserves[:, None]
-    counts = np.zeros((reserves.size, k + 2), dtype=np.int64)
-    counts[:, k + 1] = _row_counts(beaten)
-    for j in range(1, k + 1):
-        counts[:, j] = _row_counts(code == j)
-    return counts
 
+    def __init__(self, model, auction):
+        self.k = model.k
+        self._dists = model.bid_dists
+        self._auction = auction
+        if auction == FORMAT_FP:
+            self._nodes, self._weights = np.polynomial.legendre.leggauss(self.k + 1)
+            self._fp_tail_sums()
 
-def _row_counts(mask):
-    """True entries in each row of a 2-D boolean mask."""
-    return [np.count_nonzero(row) for row in mask]
+    def _fp_tail_sums(self):
+        """The knots, the end of the piece that starts at each, and each
+        bidder's win chance above each knot (one more 0 at the end)."""
+        knots = np.unique(np.clip(np.concatenate(
+            [[0.0, 1.0]] + [_knots(d) for d in self._dists]), 0.0, 1.0))
+        right = np.array([_cdf(d, knots) for d in self._dists])
+        left = np.array([_cdf(d, knots, left=True) for d in self._dists])
+        atoms = (right - left) * _tie_products(left, right)
+        # the last knot, 1, starts an empty piece
+        ends = np.append(knots[1:], 1.0)
+        pieces = self._piece_integrals(knots, ends)
+        self._knots, self._ends = knots, ends
+        self._above = np.zeros((self.k, knots.size + 1))
+        self._above[:, :-1] = np.cumsum((atoms + pieces)[:, ::-1], axis=1)[:, ::-1]
 
+    def _piece_integrals(self, lo, hi):
+        """k x len(lo): int_lo^hi prod_{i!=j} F_i dF_j on open pieces, where
+        every F_i is one polynomial."""
+        half = 0.5 * (hi - lo)
+        x = (0.5 * (lo + hi))[:, None] + half[:, None] * self._nodes
+        F = np.array([_cdf(d, x) for d in self._dists])
+        f = np.array([_density(d, x) for d in self._dists])
+        return (f * _tie_products(F, F)) @ self._weights * half
 
-def _partial_oracle(model, auction):
-    oracle = functools.partial(partial_counts, model, auction)
-    oracle.k = model.k
-    return oracle
+    def pvals(self, reserves):
+        """(len(reserves), k+3) cell chances: the count columns, then the rest."""
+        F = np.array([_cdf(d, reserves) for d in self._dists])
+        out = np.zeros((reserves.size, self.k + 3))
+        out[:, self.k + 1] = F.prod(axis=0)
+        if self._auction == FORMAT_SP:
+            out[:, 1:self.k + 1] = ((1.0 - F) * _tie_products(F, F)).T
+        else:
+            idx = np.searchsorted(self._knots, reserves, side="right") - 1
+            partial = self._piece_integrals(reserves, self._ends[idx])
+            out[:, 1:self.k + 1] = (partial + self._above[:, idx + 1]).T
+        np.clip(out, 0.0, 1.0, out=out)
+        out[:, -1] = np.maximum(1.0 - out[:, :-1].sum(axis=1), 0.0)
+        return out
+
+    def __call__(self, reserves, n, rng):
+        reserves = np.asarray(reserves, dtype=np.float64)
+        if reserves.ndim != 1 or not reserves.size or n % reserves.size:
+            raise ValidationError("the probes must split evenly over a 1-D array of reserves")
+        if not (reserves.min() >= 0.0 and reserves.max() <= 1.0):  # NaN fails both
+            raise ValidationError("reserve must lie in [0,1]")
+        counts = np.random.default_rng(rng).multinomial(n // reserves.size,
+                                                        self.pvals(reserves))
+        return counts[:, :-1]
 
 
 def make_fp_partial_oracle(model):
-    """Batch oracle handle ``oracle(reserves, n, rng) -> counts`` for estimators:
-    ``partial_counts`` in first price. Each call spawns one child stream of
-    ``rng`` per bidder, or takes the list of k children it is given, and fills
-    the bids in bidder order (the ``_bid_matrix`` contract), so equal ``rng``
-    states give equal counts. Calls share no state, so several threads may
-    call one handle at once."""
-    return _partial_oracle(model, FORMAT_FP)
+    """The first-price probe oracle handle of ``model`` (``_ProbeLaw``)."""
+    return _ProbeLaw(model, FORMAT_FP)
 
 
 def make_sp_partial_oracle(model):
-    """The second-price handle of ``make_fp_partial_oracle``: the same call,
-    stream contract and count rows, with bidder j's column counting only the
-    wins where the reserve bound the price."""
-    return _partial_oracle(model, FORMAT_SP)
+    """The second-price probe oracle handle of ``model`` (``_ProbeLaw``):
+    bidder j's column counts only the wins where the reserve bound the price."""
+    return _ProbeLaw(model, FORMAT_SP)
 
 
 # -- equilibrium -----------------------------------------------------------

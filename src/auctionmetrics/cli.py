@@ -17,7 +17,7 @@ from .auction_sim import (
     simulate_fp,
     simulate_sp,
 )
-from .dist_core import kolmogorov, levy, wasserstein1
+from .dist_core import kolmogorov, levy, wasserstein1  # noqa: F401 (metric kinds)
 from .errors import EstimationError, ValidationError
 
 
@@ -94,8 +94,7 @@ def build_parser():
     p = sub.add_parser("metric", help="distance between two stored CDFs")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--kind", required=True,
-                   choices=["kolmogorov", "levy", "wasserstein1"])
+    p.add_argument("--kind", required=True, choices=harness.METRICS)
     return parser
 
 
@@ -165,9 +164,10 @@ def _cmd_metric(args):
     b = io.io_read_cdfs(args.b)
     if len(a) != len(b):
         raise ValidationError("CDF bundles have different lengths")
-    fns = {"kolmogorov": kolmogorov, "levy": levy, "wasserstein1": wasserstein1}
+    # each kind is a distance of this module, looked up by name when called
+    distance = globals()[args.kind]
     for i, (fa, fb) in enumerate(zip(a, b), start=1):
-        print(f"{i},{io.fmt_float(fns[args.kind](fa, fb))}")
+        print(f"{i},{io.fmt_float(distance(fa, fb))}")
 
 
 _COMMANDS = {

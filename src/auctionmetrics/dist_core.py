@@ -139,8 +139,9 @@ class PiecewiseCdf:
     With ``interpolation="step"`` the function is right-continuous and equals
     ``values[i]`` on ``[breakpoints[i], breakpoints[i+1])``, and 0 below the
     first breakpoint. With ``interpolation="linear"`` it interpolates the
-    knot sequence. ``eval(x) = 0`` for x < 0 and ``eval(x) = eval(1)`` for
-    x > 1 by convention.
+    knot sequence, and is 0 below the first breakpoint too, so that a first
+    value above 0 is an atom there, where ``ppf`` draws it. ``eval(x) = 0``
+    for x < 0 and ``eval(x) = eval(1)`` for x > 1 by convention.
 
     ``is_full_cdf=False`` marks a sub-CDF whose terminal value may be < 1.
     """
@@ -191,11 +192,12 @@ class PiecewiseCdf:
         xq = np.minimum(xv, np.nextafter(1.0, 2.0) if left else 1.0)
         if self.interpolation == STEP:
             out = _step_lookup(self.breakpoints, self.values, 0.0, xq, side)
+            start = 0.0
         else:
-            out = np.interp(xq, self.breakpoints, self.values,
-                            left=self.values[0], right=self.values[-1])
-        # zero below 0, so the left limit is zero at 0 as well
-        out = np.where(xv <= 0.0 if left else xv < 0.0, 0.0, out)
+            out = np.interp(xq, self.breakpoints, self.values, left=0.0, right=self.values[-1])
+            start = max(self.breakpoints[0], 0.0)
+        # zero below 0 and below a linear table, so the left limit is zero there too
+        out = np.where(xv <= start if left else xv < start, 0.0, out)
         return float(out[0]) if x.ndim == 0 else out
 
     def ppf(self, q):

@@ -21,7 +21,6 @@ import numpy as np
 from .auction_sim import FORMAT_FP, check_seed
 from .dist_core import STEP, PiecewiseCdf, StepFunction, run_ends
 from .errors import EstimationError, ValidationError
-from .threads import run_leaves
 
 
 @dataclass(frozen=True)
@@ -170,17 +169,11 @@ def estimate_density(fhat_cdf, h):
 # -- partial observations ---------------------------------------------------
 
 
-# Probe columns one oracle call may hold when the probes of several reserves
-# share it; the k x columns bid buffer is then 1 MB for k = 2.
-_BATCH_COLUMNS = 1 << 16
-
-
 @dataclass(eq=False)
 class _OracleBudget:
     """Win frequencies from a batch oracle, with the probes and calls spent."""
 
     oracle: object
-    k: int
     rng: np.random.Generator
     calls: int = 0  # probes drawn, reported as ``oracle_calls``
     batches: int = 0  # oracle calls
@@ -190,31 +183,15 @@ class _OracleBudget:
         each: the share of probes won by each index 0..k+1 (bidders 1..k,
         the planted bid k+1; index 0 never wins).
 
-        Consecutive reserves share one oracle call of at most
-        ``_BATCH_COLUMNS`` probes (always at least one reserve per call),
-        in the order of ``xs``. Call c draws from children c*k .. c*k+k-1 of
-        one ``rng.spawn``, as if each call spawned its own k, so the calls
-        run on the leaf pool (``threads.run_leaves``) and the rows do not
-        depend on the thread count. The oracle may thus be called from
-        several threads at once and must be thread-safe. It returns exact
-        integer counts, so ``count / n`` is the mean of the winners'
-        indicators bit for bit.
+        One oracle call reads every reserve, from the budget's own
+        Generator. The oracle returns exact integer counts, so ``count / n``
+        is the mean of the winners' indicators bit for bit.
         """
         xs = np.asarray(xs, dtype=np.float64)
-        out = np.empty((xs.size, self.k + 2))
-        per = max(1, _BATCH_COLUMNS // n)
-        starts = range(0, xs.size, per)
-        streams = self.rng.spawn(self.k * len(starts))
-
-        def batch(c):
-            chunk = xs[starts[c]:starts[c] + per]
-            counts = self.oracle(chunk, chunk.size * n, streams[c * self.k:(c + 1) * self.k])
-            out[starts[c]:starts[c] + chunk.size] = counts / n
-
-        run_leaves(batch, len(starts))
+        counts = self.oracle(xs, xs.size * n, self.rng)
         self.calls += xs.size * n
-        self.batches += len(starts)
-        return out
+        self.batches += 1
+        return counts / n
 
 
 def _search_step(val, target, eps1):
@@ -274,15 +251,14 @@ def fp_partial_estimate(oracle, p, gamma, eps, lipschitz=1.0,
     frequency of i at reserve 0 minus at reserve x. Quantile grids of H and of
     every H_i are located by one noisy binary search over all (column, level)
     targets: each search step probes the midpoints of the targets still
-    searching in shared oracle calls, one fresh reading per target. A level
+    searching in one oracle call, one fresh reading per target. A level
     that the reading H_i(0) already sends upward without stopping is sent
     upward by every reading, so it takes no probes and lands where that
     search ends, at 1 - 2^-T. Bidder i's grid merges the located quantiles of
     H and H_i; one pass of point probes over the union of the bidders' grids
     reads H and every H_i at each of its reserves, and G-hat_i is assembled on
-    bidder i's grid from those readings. The bidder count is ``oracle.k``.
-    The oracle calls of one reading may run on several threads at once
-    (``_OracleBudget.frequencies``), so ``oracle`` must be thread-safe.
+    bidder i's grid from those readings. The bidder count is ``oracle.k``,
+    and each reading is one oracle call (``_OracleBudget.frequencies``).
 
     Returns (list of staircases, diagnostics). The diagnostics report the
     budget: ``oracle_calls`` probes drawn in ``oracle_batches`` oracle calls,
@@ -292,7 +268,7 @@ def fp_partial_estimate(oracle, p, gamma, eps, lipschitz=1.0,
     _check_probe_args(p, gamma, eps, lipschitz,
                       n_search=n_search, n_point=n_point, n_base=n_base)
     k = oracle.k
-    budget = _OracleBudget(oracle, k, np.random.default_rng(check_seed(seed)))
+    budget = _OracleBudget(oracle, np.random.default_rng(check_seed(seed)))
 
     delta_grid = gamma * gamma * eps / 6.0
     eps1 = gamma * gamma * eps / 24.0

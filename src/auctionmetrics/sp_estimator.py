@@ -456,14 +456,13 @@ def sp_partial_estimate(oracle, p, gamma, eps, lipschitz=1.0,
     (plus 1) above F-hat_j(p) are located by one noisy binary search over
     every bidder's levels against the pointwise estimator, as in fp.
     F-hat_j is F-hat_j(p) on [p, z_{j,0}) and w_a on [z_{j,a}, z_{j,a+1}).
-    The oracle calls of one reading may run on several threads at once
-    (``_OracleBudget.frequencies``), so ``oracle`` must be thread-safe.
+    Each reading is one oracle call (``_OracleBudget.frequencies``).
     Returns (staircases, diagnostics); the diagnostics report ``oracle_calls``
     probes drawn in ``oracle_batches`` oracle calls and ``searched_levels``,
     summed over bidders.
     """
     _check_probe_args(p, gamma, eps, lipschitz, n_point=n_point)
-    budget = _OracleBudget(oracle, oracle.k, np.random.default_rng(check_seed(seed)))
+    budget = _OracleBudget(oracle, np.random.default_rng(check_seed(seed)))
     levels = np.unique(np.append(np.arange(gamma, 1.0, eps / 2.0), 1.0))
     T = max(1, math.ceil(math.log2(max(4.0 * lipschitz / eps, 2.0))))
 

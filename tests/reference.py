@@ -20,7 +20,44 @@ def reference_outcomes(x, r):
     return top, winners, second
 
 
+def partial_counts(model, auction, reserves, n, rng):
+    """The bid-matrix sampler of reserve-price probes, the reference of the
+    exact-law oracles: n probes split evenly over ``reserves``, their bids
+    drawn by ``_bid_matrix`` (a Generator or a seed) and read by
+    ``reference_outcomes``. Returns the oracles' (len(reserves), k+2) count
+    rows; in second price a bidder's win counts only where the reserve bound
+    the price (second-highest bid <= reserve)."""
+    from auctionmetrics.auction_sim import FORMAT_SP, _bid_matrix
+
+    reserves = np.asarray(reserves, dtype=np.float64)
+    per = n // reserves.size
+    r = np.repeat(reserves, per)
+    _, winners, second = reference_outcomes(_bid_matrix(model, n, rng), r)
+    if auction == FORMAT_SP:
+        winners = np.where(second <= r, winners, 0)
+    counts = np.array([np.bincount(w, minlength=model.k + 2)
+                       for w in winners.reshape(reserves.size, per)])
+    counts[:, 0] = 0
+    return counts
+
+
 def population_bid_cdf(H, hi_density, x, tol=1e-9):
     """Identification identity with exact callbacks: exp(-int_x^1 h_i/H dz)."""
     val, _ = quad(lambda z: hi_density(z) / H(z), x, 1.0, epsabs=tol, epsrel=tol, limit=200)
     return math.exp(-val)
+
+
+def quad_fp_win_chance(closed, j, r, tol=1e-12):
+    """First price: the chance that bidder j (0-based) bids above the reserve
+    r and every other bid, int_r^1 f_j prod_{i!=j} F_i dx, by adaptive
+    quadrature; ``closed`` holds each bidder's continuous (cdf, pdf)."""
+    def integrand(x):
+        out = closed[j][1](x)
+        for i, (cdf, _) in enumerate(closed):
+            if i != j:
+                out *= cdf(x)
+        return out
+
+    val, _ = quad(integrand, r, 1.0, epsabs=tol, epsrel=tol, limit=200,
+                  points=[0.4, 0.5] if r < 0.4 else None)
+    return val

@@ -14,7 +14,6 @@ from auctionmetrics.auction_sim import (
     lower_bound_fixture,
     make_fp_partial_oracle,
     make_sp_partial_oracle,
-    partial_counts,
     simulate_fp,
     simulate_sp,
     solve_asymmetric_equilibrium,
@@ -29,7 +28,7 @@ from auctionmetrics.dist_core import (
     uniform_cdf,
 )
 from auctionmetrics.errors import ValidationError
-from reference import reference_outcomes
+from reference import partial_counts, quad_fp_win_chance, reference_outcomes
 
 UNI_DENSITY = BoundedDensityModel(knots=[0.0, 1.0], density=[1.0, 1.0],
                                   alpha_lo=1.0, eta_hi=1.0)
@@ -159,13 +158,16 @@ def test_simulate_rejects_bad_n():
 def test_fp_partial_reserve_win_probability():
     # planted reserve wins exactly when it beats all bids: prob r^k
     m = uniform_model(3)
-    counts = partial_counts(m, FORMAT_FP, [0.7], 60000, np.random.default_rng(2))[0]
+    oracle = make_fp_partial_oracle(m)
+    counts = oracle([0.7], 60000, np.random.default_rng(2))[0]
     assert counts[4] / 60000 == pytest.approx(0.7 ** 3, abs=0.01)
     assert counts[1] / 60000 == pytest.approx((1 - 0.7 ** 3) / 3, abs=0.01)
+    np.testing.assert_allclose(oracle.pvals(np.array([0.7]))[0, 1:],
+                               [(1 - 0.7 ** 3) / 3] * 3 + [0.7 ** 3, 0.0], atol=1e-15)
 
 
 def test_fp_partial_reserve_zero_never_wins():
-    counts = partial_counts(uniform_model(), FORMAT_FP, [0.0], 1000, np.random.default_rng(3))
+    counts = make_fp_partial_oracle(uniform_model())([0.0], 1000, np.random.default_rng(3))
     assert counts[0, 3] == 0 and counts[0].sum() == 1000
 
 
@@ -178,12 +180,13 @@ def test_sp_partial_flag_probability():
 
 def test_sp_partial_reserve_win_implies_flag():
     # every reserve win binds the price, so it is counted, and the counted
-    # probes are exactly those where the second-highest bid is <= r
-    m = uniform_model()
-    counts = make_sp_partial_oracle(m)([0.5], 20000, np.random.default_rng(5))[0]
-    top, _, second = reference_outcomes(_bid_matrix(m, 20000, np.random.default_rng(5)), 0.5)
-    assert counts[3] == np.count_nonzero(top <= 0.5) > 0
-    assert counts.sum() == np.count_nonzero(second <= 0.5)
+    # probes are exactly those where the second-highest bid is <= r: for
+    # k=2 uniforms at r=1/2 the reserve wins 1/4 and 3/4 are counted
+    oracle = make_sp_partial_oracle(uniform_model())
+    law = oracle.pvals(np.array([0.5]))[0]
+    assert law[3] == 0.25 and law[:4].sum() == 0.75 and law[4] == 0.25
+    counts = oracle([0.5], 20000, np.random.default_rng(5))[0]
+    assert_law(law, counts, 20000)
 
 
 def atom_model(k):
@@ -211,67 +214,132 @@ def test_winner_scan_matches_naive_reference(k):
     np.testing.assert_array_equal(sp.z, fp.z)
 
 
+# -- the exact probe law against the bid-matrix sampler ------------------------
+
+
+def assert_law(pvals, counts, n, bound=5.0):
+    """Each count column is binomial(n, its chance): |z| < bound, and a
+    chance of 0 or 1 gives a count of 0 or n exactly."""
+    p = pvals[..., :counts.shape[-1]]
+    sure = (p == 0.0) | (p == 1.0)
+    np.testing.assert_array_equal(counts[sure], n * p[sure])
+    z = (counts[~sure] - n * p[~sure]) / np.sqrt(n * p[~sure] * (1.0 - p[~sure]))
+    assert np.all(np.abs(z) < bound), z
+
+
+def check_law(model, auction, reserves, n, seed):
+    """The law's chances against the sampler's counts and the handle's own,
+    n probes at each reserve, and the count-row contract."""
+    rs = np.asarray(reserves, dtype=np.float64)
+    make = make_fp_partial_oracle if auction == FORMAT_FP else make_sp_partial_oracle
+    oracle = make(model)
+    law = oracle.pvals(rs)
+    assert law.shape == (rs.size, model.k + 3) and np.all(law >= 0.0)
+    np.testing.assert_allclose(law.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert np.all(law[:, 0] == 0.0)
+    if auction == FORMAT_FP:  # every probe is won by a bidder or the reserve
+        assert np.all(law[:, -1] <= 1e-12)
+    assert_law(law, partial_counts(model, auction, rs, rs.size * n, seed), n)
+    counts = oracle(rs, rs.size * n, np.random.default_rng(seed))
+    assert counts.shape == (rs.size, model.k + 2) and counts.dtype == np.int64
+    assert_law(law, counts, n)
+    return law
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize("reserves, n", [
     ([0.5], 5000),  # one reserve, on an atom
-    ([0.2, 0.5, 0.8, 0.35], 1 << 14),  # a multi-reserve chunk of 2^16 probes
+    ([0.2, 0.5, 0.8, 0.35], 1 << 14),  # atoms and a reserve between them
     ([0.0], 200000),  # the base call at reserve 0
 ])
 def test_win_counts_equal_per_row_bincounts_of_the_winners(k, reserves, n):
-    # n probes at each reserve: the counts are the bincounts of the naive
-    # reading of the same bids, which shares no code with the kernel's
-    # winner scan
-    m = atom_model(k)
-    rs = np.array(reserves)
-    counts = partial_counts(m, FORMAT_FP, rs, rs.size * n, np.random.default_rng(k))
-    assert counts.shape == (rs.size, k + 2) and counts.dtype == np.int64
-    x = _bid_matrix(m, rs.size * n, np.random.default_rng(k))
-    top, naive, second = reference_outcomes(x, np.repeat(rs, n))
-    ref = np.array([np.bincount(w, minlength=k + 2) for w in naive.reshape(rs.size, n)])
-    assert counts.tobytes() == ref.tobytes()
-    # the cases the code must get right occur in these probes
-    assert np.any(second == top)  # a tie for the top bid
-    if 0.5 in reserves:
-        assert np.any(top == 0.5)  # the reserve ties the top bid
+    # first price on step CDFs with tied atoms, a linear table and a
+    # density model: the per-row bincounts of the naive reading's winners
+    # (the sampler) and the handle's counts are draws of the law's cells
+    check_law(atom_model(k), FORMAT_FP, reserves, n, seed=k)
 
 
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("reserves, n", [
     ([0.5], 5000),  # one reserve, on an atom
-    ([0.2, 0.5, 0.8, 0.35], 1 << 14),  # mixed reserves in a 2^16-probe chunk
+    ([0.2, 0.5, 0.8, 0.35], 1 << 14),  # atoms and a reserve between them
 ])
 def test_sp_counts_equal_per_row_masked_bincounts_of_the_outcomes(k, reserves, n):
-    # second price: row i is the bincount of block i's winners where the
-    # reserve bound the price, in the naive reading of the same bids
-    m = atom_model(k)
-    rs = np.array(reserves)
-    counts = make_sp_partial_oracle(m)(rs, rs.size * n, np.random.default_rng(k))
-    assert counts.shape == (rs.size, k + 2) and counts.dtype == np.int64
-    x = _bid_matrix(m, rs.size * n, np.random.default_rng(k))
-    top, naive, second = reference_outcomes(x, np.repeat(rs, n))
-    bound = second <= np.repeat(rs, n)
-    ref = np.array([np.bincount(w[b], minlength=k + 2)
-                    for w, b in zip(naive.reshape(rs.size, n), bound.reshape(rs.size, n))])
-    assert counts.tobytes() == ref.tobytes()
-    # the cases the code must get right occur in these probes
-    assert np.any(second == top) and np.any(~bound)
-    assert np.any(top == 0.5)  # the reserve ties the top bid
+    # second price: the sampler's bincounts of the winners where the reserve
+    # bound the price, and the handle's counts, are draws of the law's cells
+    check_law(atom_model(k), FORMAT_SP, reserves, n, seed=k)
+
+
+def law_models():
+    """The law test's models: the benchmark's k=2 and k=3 models, a model
+    with atoms at 0 (a step table at 0, a linear table's first value) and
+    one whose linear table starts with an atom above 0."""
+    half = PiecewiseCdf([0.0, 0.5], [0.0, 1.0], interpolation=LINEAR)
+    d1 = BoundedDensityModel(knots=[0.0, 1.0], density=[0.75, 1.25], alpha_lo=0.5, eta_hi=2.0)
+    d2 = BoundedDensityModel(knots=[0.0, 1.0], density=[1.25, 0.75], alpha_lo=0.5, eta_hi=2.0)
+    at_zero = PiecewiseCdf([0.0, 0.5, 1.0], [0.4, 0.7, 1.0], interpolation=STEP)
+    lifted = PiecewiseCdf([0.0, 0.6, 1.0], [0.2, 0.5, 1.0], interpolation=LINEAR)
+    return {
+        "uniform2": uniform_model(),
+        "half2": AuctionModel([half, half]),
+        "bounded3": AuctionModel([d1.to_cdf(), d2.to_cdf(), d1.to_cdf()]),  # 4097 knots
+        "bounded3-density": AuctionModel([d1, d2, d1]),
+        "atoms-at-0": AuctionModel([at_zero, lifted]),
+        "linear-atom": AuctionModel([PiecewiseCdf([0.3, 1.0], [0.2, 1.0], interpolation=LINEAR),
+                                     uniform_cdf()]),
+    }
+
+
+@pytest.mark.parametrize("auction", [FORMAT_FP, FORMAT_SP])
+@pytest.mark.parametrize("name", list(law_models()))
+def test_probe_law_matches_the_bid_matrix_sampler(name, auction):
+    rs = [0.0, 0.1, 0.3, 0.45, 0.5, 0.62, 0.8, 0.97, 1.0]
+    law = check_law(law_models()[name], auction, rs, 40000, seed=11)
+    # at reserve 1 the reserve wins every probe
+    assert law[-1, -2] == 1.0
+    if name == "atoms-at-0":
+        # bids of 0 never beat a reserve of 0: the reserve wins when both bid 0
+        assert law[0, -2] == pytest.approx(0.4 * 0.2, abs=1e-15)
+
+
+@pytest.mark.parametrize("name", ["uniform2", "half2", "bounded3-density", "mixed3"])
+def test_fp_law_matches_adaptive_quadrature(name):
+    # int_r^1 prod_{i!=j} F_i dF_j by scipy's adaptive quadrature, from
+    # each model's closed-form CDFs and densities
+    half = PiecewiseCdf([0.0, 0.5], [0.0, 1.0], interpolation=LINEAR)
+    peaked = BoundedDensityModel(knots=[0.0, 0.4, 1.0], density=[0.5, 1.5, 0.5],
+                                 alpha_lo=0.5, eta_hi=2.0)
+    model = {"mixed3": AuctionModel([uniform_cdf(), peaked, half])}.get(name) \
+        or law_models()[name]
+    closed = []
+    for d in model.bid_dists:
+        if isinstance(d, BoundedDensityModel):
+            closed.append((d.cdf, d.pdf))
+        else:  # a linear table from 0 to its last breakpoint b: slope 1/b
+            b = float(d.breakpoints[-1])
+            closed.append((lambda x, b=b: min(max(x / b, 0.0), 1.0),
+                           lambda x, b=b: 1.0 / b if x < b else 0.0))
+    rs = np.array([0.0, 0.05, 0.25, 0.5, 0.7, 0.99])
+    law = make_fp_partial_oracle(model).pvals(rs)
+    for row, r in zip(law, rs):
+        for j in range(model.k):
+            ref = quad_fp_win_chance(closed, j, r)
+            assert row[j + 1] == pytest.approx(ref, abs=1e-10)
 
 
 def test_win_counts_reject_bad_reserves():
     m = uniform_model()
     for bad in (np.nan, -0.1, 1.1):
-        for auction in (FORMAT_FP, FORMAT_SP):
-            with pytest.raises(ValidationError, match="reserve must lie in"):
-                partial_counts(m, auction, [0.5, bad], 200, np.random.default_rng(0))
         for make in (make_fp_partial_oracle, make_sp_partial_oracle):
+            with pytest.raises(ValidationError, match="reserve must lie in"):
+                make(m)(np.array([0.5, bad]), 200, np.random.default_rng(0))
             with pytest.raises(ValidationError, match="reserve must lie in"):
                 make(m)(np.array([bad]), 100, np.random.default_rng(0))
     # a scalar reserve is rejected too: the oracles take arrays only
     for reserves, n in (([0.5, 0.6], 101), ([], 100), ([[0.5]], 100), (0.5, 100)):
-        for auction in (FORMAT_FP, FORMAT_SP):
+        for make in (make_fp_partial_oracle, make_sp_partial_oracle):
             with pytest.raises(ValidationError, match="split evenly"):
-                partial_counts(m, auction, reserves, n, np.random.default_rng(0))
+                make(m)(reserves, n, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.1])
@@ -280,9 +348,9 @@ def test_reserve_array_rejects_bad_entries(bad):
     m = uniform_model()
     rs = np.full(100, 0.5)
     rs[37] = bad
-    for auction in (FORMAT_FP, FORMAT_SP):
+    for make in (make_fp_partial_oracle, make_sp_partial_oracle):
         with pytest.raises(ValidationError, match="reserve must lie in"):
-            partial_counts(m, auction, rs, 100, np.random.default_rng(0))
+            make(m)(rs, 100, np.random.default_rng(0))
 
 
 def test_bid_matrix_stream_contract():
@@ -297,13 +365,6 @@ def test_bid_matrix_stream_contract():
     ref = np.vstack([d.ppf(np.random.default_rng(s).random(700))
                      for d, s in zip(m.bid_dists, seeds)])
     assert _bid_matrix(m, 700, 8).tobytes() == ref.tobytes()
-    # children spawned by the caller: one spawn(2k) gives two calls' streams
-    two = np.random.default_rng(4).spawn(6)
-    rng = np.random.default_rng(4)
-    for streams in (two[:3], two[3:]):
-        assert _bid_matrix(m, 700, streams).tobytes() == _bid_matrix(m, 700, rng).tobytes()
-    with pytest.raises(ValidationError, match="one stream per bidder"):
-        _bid_matrix(m, 700, two[:2])
 
 
 def test_oracle_handles_expose_k():

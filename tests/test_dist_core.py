@@ -91,14 +91,27 @@ def test_step_left_limits():
     assert F.eval_left(0.7) == 1.0
     # flat at F(1) beyond 1, so a jump at 1 is inside the left limit there
     assert PiecewiseCdf([0.5, 1.0], [0.5, 1.0]).eval_left(1.5) == 1.0
-    # zero below 0, so a linear table starting above 0 jumps at 0
-    assert PiecewiseCdf([0.2, 1.0], [0.3, 1.0], interpolation=LINEAR).eval_left(0.0) == 0.0
+    # zero below its first breakpoint, so a linear table starting above 0
+    # jumps there
+    lifted = PiecewiseCdf([0.2, 1.0], [0.3, 1.0], interpolation=LINEAR)
+    assert (lifted.eval_left(0.0), lifted.eval_left(0.2), lifted.eval(0.2)) == (0.0, 0.0, 0.3)
 
 
 def test_linear_eval_interpolates():
     F = PiecewiseCdf([0.0, 0.5, 1.0], [0.0, 0.2, 1.0], interpolation=LINEAR)
     assert F.eval(0.25) == pytest.approx(0.1)
     assert F.eval(0.75) == pytest.approx(0.6)
+
+
+def test_linear_table_above_zero_draws_the_law_it_evaluates():
+    # a linear table is 0 below its first breakpoint, so a first value above
+    # 0 is an atom at that breakpoint, where ppf draws it; eval used to read
+    # 0.3 on [0, 0.2), which no draw reached
+    F = PiecewiseCdf([0.2, 1.0], [0.3, 1.0], interpolation=LINEAR)
+    assert (F.eval(0.1), F.eval(0.2), F.eval(0.6)) == (0.0, 0.3, pytest.approx(0.65))
+    draws = F.ppf(np.random.default_rng(5).random(200000))
+    assert np.mean(draws == 0.2) == pytest.approx(0.3, abs=0.005)
+    assert kolmogorov(empirical_cdf(draws), F) <= dkw_band(draws.size, 1e-4)
 
 
 def test_eval_is_vectorized():

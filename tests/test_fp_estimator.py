@@ -12,7 +12,6 @@ from auctionmetrics.auction_sim import (
     FORMAT_FP,
     AuctionModel,
     SampleSet,
-    _bid_matrix,
     make_fp_partial_oracle,
     simulate_fp,
     simulate_sp,
@@ -27,7 +26,6 @@ from auctionmetrics.dist_core import (
 )
 from auctionmetrics.errors import ValidationError
 from auctionmetrics.fp_estimator import (
-    _BATCH_COLUMNS,
     DensityEstimate,
     FpEstimatorConfig,
     _ghat_to_cdf,
@@ -42,7 +40,7 @@ from auctionmetrics.fp_estimator import (
     noisy_quantile_search,
 )
 from auctionmetrics.sp_estimator import empirical_G_sp
-from reference import population_bid_cdf, reference_outcomes
+from reference import population_bid_cdf
 
 
 def uniform_model(k=2):
@@ -406,46 +404,45 @@ def estimate_digest(cdfs, diagnostics):
 def test_win_frequencies_equal_the_means_bit_for_bit():
     # one reserve, an odd probe count: count / n is the mean of the winners'
     # indicators, since both divide the same exact integer by n
-    model = uniform_model(3)
-    budget = _OracleBudget(make_fp_partial_oracle(model), 3, np.random.default_rng(3))
-    freq = budget.frequencies([0.6], 30001)
-    _, winners, _ = reference_outcomes(_bid_matrix(model, 30001, np.random.default_rng(3)), 0.6)
-    assert freq.shape == (1, 5)
+    # (re-pinned when the oracle moved to the exact law: same law, other draws)
+    oracle = make_fp_partial_oracle(uniform_model(3))
+    freq = _OracleBudget(oracle, np.random.default_rng(3)).frequencies([0.6], 30001)
+    counts = oracle([0.6], 30001, np.random.default_rng(3))[0]
+    winners = np.repeat(np.arange(5), counts)
+    assert freq.shape == (1, 5) and winners.size == 30001
     for i in range(5):
         assert freq[0, i] == (winners == i).mean()
 
 
 def test_batched_frequencies_equal_per_row_bincounts():
+    # every reserve of a reading shares one oracle call, from the budget's
+    # Generator (re-pinned with the exact law: same law, other draws)
     n = 7001
     xs = [0.2, 0.6, 0.9]
-    model = uniform_model(3)
-    budget = _OracleBudget(make_fp_partial_oracle(model), 3, np.random.default_rng(3))
+    oracle = make_fp_partial_oracle(uniform_model(3))
+    budget = _OracleBudget(oracle, np.random.default_rng(3))
     freq = budget.frequencies(xs, n)
     assert budget.batches == 1
-    _, winners, _ = reference_outcomes(_bid_matrix(model, 3 * n, np.random.default_rng(3)),
-                                       np.repeat(xs, n))
+    counts = oracle(xs, 3 * n, np.random.default_rng(3))
     assert freq.shape == (3, 5)
-    for row, f in zip(winners.reshape(3, n), freq):
-        assert f.tobytes() == (np.bincount(row, minlength=5) / n).tobytes()
+    assert freq.tobytes() == (counts / n).tobytes()
 
 
 def test_budget_batches_reserves_in_order_under_the_column_cap():
-    # the oracle returns per-reserve win counts; the reference draws the same
-    # calls' bids and counts the winners of their naive reading
+    # no column cap: a reading of any size is one oracle call over its
+    # reserves in order, and consecutive readings draw from the budget's one
+    # Generator in turn (re-pinned with the exact law: same law, other draws)
     model = uniform_model()
     oracle = make_fp_partial_oracle(model)
     xs = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
-    n = _BATCH_COLUMNS // 2  # two reserves per oracle call
-    budget = _OracleBudget(oracle, 2, np.random.default_rng(4))
+    n = 1 << 15
+    budget = _OracleBudget(oracle, np.random.default_rng(4))
     freq = budget.frequencies(xs, n)
-    assert (budget.calls, budget.batches) == (5 * n, 3)
+    again = budget.frequencies(xs[::-1], n)
+    assert (budget.calls, budget.batches) == (10 * n, 2)
     rng = np.random.default_rng(4)
-    rows = []
-    for chunk in (xs[:2], xs[2:4], xs[4:]):
-        _, winners, _ = reference_outcomes(_bid_matrix(model, chunk.size * n, rng),
-                                           np.repeat(chunk, n))
-        rows += [np.bincount(w, minlength=4) / n for w in winners.reshape(chunk.size, n)]
-    assert freq.tobytes() == np.array(rows).tobytes()
+    assert freq.tobytes() == (oracle(xs, 5 * n, rng) / n).tobytes()
+    assert again.tobytes() == (oracle(xs[::-1], 5 * n, rng) / n).tobytes()
 
 
 @pytest.mark.parametrize("size", ["n_search", "n_point", "n_base"])
@@ -468,9 +465,7 @@ def exact_power_oracle(powers):
     Bidder j has F_j(x) = x**a_j, so with A = sum(a) the top bid has
     H(x) = x**A and bidder i's winner sub-CDF is H_i(x) = (a_i / A) x**A.
     At reserve x bidder i wins a share H_i(1) - H_i(x), and the planted bid
-    H(x). Every call is logged as (reserves, probes), in the order the calls
-    end: the calls of one reading may run on several threads, and
-    ``list.append`` is thread-safe.
+    H(x). Every call is logged as (reserves, probes).
     """
     a = np.asarray(powers, dtype=np.float64)
     total = a.sum()
@@ -494,7 +489,7 @@ def per_bidder_point_loop(oracle, p, gamma, eps, seed, n_search, n_point, n_base
     searches one level at a time, H's first and then each bidder's, and
     point probes on each bidder's own grid. Returns the staircases."""
     k = oracle.k
-    budget = _OracleBudget(oracle, k, np.random.default_rng(seed))
+    budget = _OracleBudget(oracle, np.random.default_rng(seed))
     delta_grid = gamma * gamma * eps / 6.0
     eps1 = gamma * gamma * eps / 24.0
     T = max(1, math.ceil(math.log2(max(2.0 / eps1, 2.0))))
@@ -554,9 +549,9 @@ def test_merged_point_grid_matches_the_per_bidder_loop(powers, p):
         assert got.values.tobytes() == want.values.tobytes()
         assert got.is_full_cdf == want.is_full_cdf
     assert draws_at(oracle, args["n_search"]) == draws_at(ref_oracle, args["n_search"])
-    # one search step reads every column in shared oracle calls (50 and 47
-    # calls when H and each H_i were searched apart)
-    assert diag["oracle_batches"] == {2: 34, 3: 23}[len(powers)]
+    # one oracle call per reading: the base probe, each of the T search
+    # steps and the point pass
+    assert diag["oracle_batches"] == diag["T"] + 2 == 14
     # the point phase is the calls at n_point probes per reserve: it draws
     # n_point probes at each reserve of the merged grid, each reserve once
     point = [(r, n) for r, n in oracle.log if n == args["n_point"] * r.size]
@@ -617,7 +612,7 @@ def test_search_below_prunes_only_what_the_ceiling_decides(ulps, offset, monkeyp
     class CappedBudget:
         # win shares of one bidder: H(x) = x, and H_1(x) = min(x, ceiling)
         # read as H_1(0) less the share won at reserve x
-        def __init__(self, oracle, k, rng):
+        def __init__(self, oracle, rng):
             self.calls = self.batches = 0
 
         def frequencies(self, xs, n):
@@ -681,14 +676,17 @@ def test_fp_partial_estimate_is_pinned_per_seed():
     # step, so the probes draw from other child streams, but each level
     # still takes one fresh reading per step and the law is unchanged
     # (247800 draws, 23 batches, 52 point reserves and digest 40fc6de8...
-    # before; 249400, 13 and 53 now). A change that moves any draw, batch
-    # boundary or rounding changes the hash.
+    # before; 249400, 13 and 53 after). Re-pinned again when the oracle
+    # moved to the exact multinomial law of the counts, one call per
+    # reading: same law, other draws (249400 draws, 13 batches, 120 pruned
+    # levels, 53 point reserves and digest 9c5423ee... before). A change
+    # that moves any draw, call boundary or rounding changes the hash.
     oracle = make_fp_partial_oracle(uniform_model())
     cdfs, diag = fp_partial_estimate(oracle, p=0.5, gamma=0.5, eps=0.2, seed=1,
                                      n_search=200, n_point=2000, n_base=20000)
-    assert diag["oracle_calls"] == 249400
-    assert (diag["oracle_batches"], diag["pruned_levels"]) == (13, 120)
-    assert diag["point_reserves"] == 53
+    assert diag["oracle_calls"] == 255000
+    assert (diag["oracle_batches"], diag["pruned_levels"]) == (12, 121)
+    assert diag["point_reserves"] == 57
     assert "beta" not in diag
     assert estimate_digest(cdfs, diag) == (
-        "9c5423ee299f647a39eb92e5b82c553a7b707bb259178d1756642dc85be3a0e0")
+        "b9e2ff68c70e005acd7aab4cc18b5693f8944078cb8ca0a4ea644760d7e55835")

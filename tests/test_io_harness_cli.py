@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auctionmetrics import cli, fp_estimator, harness
+from auctionmetrics import cli, dist_core, fp_estimator, harness
 from auctionmetrics.auction_sim import (
     AuctionModel,
     lower_bound_fixture,
@@ -43,7 +43,6 @@ from auctionmetrics.io import (
     io_write_model,
     io_write_samples,
 )
-from auctionmetrics.threads import run_leaves
 
 
 def uniform_model(k=2):
@@ -250,10 +249,10 @@ def test_convergence_deterministic_across_thread_counts(monkeypatch):
     assert serial.config_hash == parallel.config_hash
 
 
-def test_probe_sweeps_sharing_the_leaf_pool_match_one_thread(monkeypatch):
-    # probe cells on several threads hand their oracle batches to one shared
-    # leaf pool; with a short switch interval any mixing of rows or streams
-    # between cells would show as rows that differ from the serial ones
+def test_probe_sweeps_match_at_one_and_three_threads(monkeypatch):
+    # probe cells on several threads each draw from their own Generator; with
+    # a short switch interval any mixing of rows or streams between cells
+    # would show as rows that differ from the serial ones
     configs = [ExperimentConfig(model=uniform_model(), estimator=kind, n_schedule=[1000],
                                 seeds=6, support_lo=0.5, support_hi=1.0,
                                 estimator_args={"p": 0.5, "gamma": 0.5, "eps": 0.2})
@@ -274,26 +273,13 @@ def test_probe_sweeps_sharing_the_leaf_pool_match_one_thread(monkeypatch):
 @pytest.mark.parametrize("threads", ["0", "-1", "abc"])
 def test_cli_rejects_a_thread_count_that_is_not_a_positive_integer(
         threads, tmp_path, model_file, monkeypatch, capsys):
+    # the variable sizes the sweep's cell pool, its only reader
     monkeypatch.setenv("AUCTIONMETRICS_THREADS", threads)
-    out = tmp_path / "o.json"
-    code, err = main_exit(["estimate-fp-partial", "--model", model_file, "--p", 0.5,
-                           "--gamma", 0.5, "--eps", 0.2, "--out", out], capsys)
+    out = tmp_path / "r.json"
+    code, err = main_exit(["sweep", "--config", sweep_file(tmp_path, model_file),
+                           "--out", out], capsys)
     assert code == 2 and "error: AUCTIONMETRICS_THREADS" in err
     assert not out.exists()
-
-
-def test_leaf_tasks_each_run_once_and_the_lowest_failure_is_raised(monkeypatch):
-    monkeypatch.setenv("AUCTIONMETRICS_THREADS", "2")
-    ran = []
-    run_leaves(ran.append, 50)
-    assert sorted(ran) == list(range(50))
-
-    def task(i):
-        if i in (3, 4):
-            raise KeyError(i)
-
-    with pytest.raises(KeyError, match="3"):
-        run_leaves(task, 50)
 
 
 def test_convergence_isolates_failing_cells():
@@ -492,7 +478,7 @@ def test_lower_bound_ks_statistic_equals_scipy_ks_2samp(k, n, trials):
 
 
 def test_cli_import_starts_no_thread():
-    # the leaf pool starts on first use, so importing costs no thread
+    # the sweep's cell pool starts with a sweep, so importing costs no thread
     out = subprocess.run(
         [sys.executable, "-c", "import threading, auctionmetrics.cli; "
          "print(threading.active_count())"],
@@ -606,6 +592,19 @@ def test_cli_metric_output(tmp_path):
     r = run_cli("metric", "--a", a, "--b", b, "--kind", "kolmogorov")
     assert r.returncode == 0
     assert r.stdout.strip() == "1,0"
+
+
+@pytest.mark.parametrize("kind", harness.METRICS)
+def test_cli_metric_runs_every_metric_of_the_harness(kind, tmp_path, capsys):
+    # the command's kinds are the sweep metrics, each the distance of its name
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    lifted = PiecewiseCdf([0.0, 0.4, 1.0], [0.0, 0.7, 1.0], interpolation="linear")
+    io_write_cdfs(a, [lifted, uniform_cdf()])
+    io_write_cdfs(b, [uniform_cdf(), uniform_cdf()])
+    code = cli.main(["metric", "--a", str(a), "--b", str(b), "--kind", kind])
+    want = getattr(dist_core, kind)(io_read_cdfs(a)[0], io_read_cdfs(b)[0])
+    assert code == 0 and want > 0.0
+    assert capsys.readouterr().out.splitlines() == [f"1,{fmt_float(want)}", "2,0"]
 
 
 def test_cli_exit_code_missing_file(tmp_path):

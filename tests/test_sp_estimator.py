@@ -11,8 +11,6 @@ from auctionmetrics.auction_sim import (
     FORMAT_SP,
     AuctionModel,
     SampleSet,
-    _bid_matrix,
-    make_fp_partial_oracle,
     make_sp_partial_oracle,
     simulate_fp,
     simulate_sp,
@@ -24,7 +22,7 @@ from auctionmetrics.dist_core import (
     uniform_cdf,
 )
 from auctionmetrics.errors import EstimationError, ValidationError
-from auctionmetrics.fp_estimator import _OracleBudget, fp_partial_estimate, noisy_quantile_search
+from auctionmetrics.fp_estimator import _OracleBudget, noisy_quantile_search
 from auctionmetrics.sp_estimator import (
     CONTRACTIVITY_CAP,
     CallableEval,
@@ -40,7 +38,6 @@ from auctionmetrics.sp_estimator import (
     sp_partial_estimate,
     sp_partial_pointwise,
 )
-from reference import reference_outcomes
 
 
 def uniform_model(k=2):
@@ -498,7 +495,7 @@ def test_estimate_sp_rejects_empty_sample():
 def pointwise_at(oracle, x, n, rng):
     """``sp_partial_pointwise`` of n probes at reserve x, with the shares
     read as the estimator reads them."""
-    return sp_partial_pointwise(_OracleBudget(oracle, oracle.k, rng).frequencies([x], n))
+    return sp_partial_pointwise(_OracleBudget(oracle, rng).frequencies([x], n))
 
 
 def test_sp_partial_pointwise_identity():
@@ -562,13 +559,15 @@ def estimate_digest(cdfs, diagnostics):
 def test_sp_partial_pointwise_means_are_exact_counts():
     # Z_j's mean is the sum of two exact count shares: bidder j's bound wins
     # and the reserve's wins, each the mean of its indicator bit for bit
+    # (re-pinned when the oracle moved to the exact law: same law, other draws)
     oracle = make_sp_partial_oracle(uniform_model(3))
     _, means = pointwise_at(oracle, 0.7, 30001, np.random.default_rng(2))
-    x = _bid_matrix(uniform_model(3), 30001, np.random.default_rng(2))
-    _, winners, second = reference_outcomes(x, 0.7)
-    q = second <= 0.7
+    counts = oracle([0.7], 30001, np.random.default_rng(2))[0]
+    # one outcome per probe: 1..3 a bound win, 4 the reserve's, 0 not counted
+    winners = np.repeat(np.arange(5), counts)
+    winners = np.append(winners, np.zeros(30001 - winners.size, dtype=int))
     for j in range(1, 4):
-        ref = np.mean((winners == j) & q) + np.mean((winners == 4) & q)
+        ref = np.mean(winners == j) + np.mean(winners == 4)
         assert means[0, j - 1] == ref
 
 
@@ -584,53 +583,42 @@ def test_sp_partial_estimate_is_pinned_per_seed():
     # probes draw from other child streams, but each level still takes one
     # fresh reading per step and the law is unchanged. The digests before
     # were d261353f... (130000 draws, 11 batches) and 28d01d4a... (214000
-    # draws, 16 batches). A change that moves any draw, batch boundary or
-    # rounding changes the hash. Uniform k=2 goes through the linear ppf,
-    # the k=3 density model through BoundedDensityModel.ppf.
+    # draws, 16 batches). Re-pinned again when the oracle moved to the
+    # exact multinomial law of the counts, one call per reading: same law,
+    # other draws. The digests before were a8f8a8d4... (130000 draws, 6
+    # calls) and 3f51aa47... (206000 draws, 8 calls). A change that moves
+    # any draw, call boundary or rounding changes the hash. Uniform k=2 reads
+    # linear tables, the k=3 density model its piecewise-quadratic CDFs.
     cdfs, diag = sp_partial_estimate(make_sp_partial_oracle(uniform_model()),
                                      p=0.5, gamma=0.5, eps=0.1, seed=1, n_point=2000)
     assert (diag["oracle_calls"], diag["oracle_batches"], diag["searched_levels"]) == (
-        130000, 6, 21)
+        136000, 7, 21)
     assert estimate_digest(cdfs, diag) == (
-        "a8f8a8d46c179a0e4fe13264a973d20c4807c18ba6c914fe4b92915a27cf2739")
+        "28fc744b9e6963af769fdbc9460f520253565fb92e514e1082297e9530076465")
     cdfs, diag = sp_partial_estimate(make_sp_partial_oracle(bounded3_model()),
                                      p=0.5, gamma=0.3, eps=0.1, seed=2, n_point=2000)
     assert (diag["oracle_calls"], diag["oracle_batches"], diag["searched_levels"]) == (
-        206000, 8, 33)
+        206000, 6, 33)
     assert estimate_digest(cdfs, diag) == (
-        "3f51aa473e83a8589772cddf494a12d685f27ff3abd14c4bd464ee7a0fa19db9")
+        "616f78e2ea83d064eb34a42d5213c24a4317eb2c1bdaee17c2392721f0d5434a")
 
 
 @pytest.mark.parametrize("seed, budget, digest", [
-    (0, (2140000, 37, 33), "0fba4141972e3f912751372ac72323a0322810848d797068c9ae5638474bacab"),
-    (1, (2180000, 40, 34), "2dd12274dcd12220815c2de1b5cac7fadcd39470fa42717e095964d0141a783f"),
-    (2, (2060000, 36, 33), "d5df7b3d3f67db4fbd6d9c757f52733318967dd58acd37709d5cd7761a98f9d2"),
+    (0, (2060000, 6, 33), "4634b33d8d843dcfd8846c3d7549d7431e73b0c0055b52ab8e356123f8c45ae8"),
+    (1, (2040000, 6, 33), "d3b1b098aae65c9b4ae97005835814c5c61198af62333ba2d223944b81a73a15"),
+    (2, (2080000, 6, 33), "ff3b0ab95118e640a2f12458afa62f8a64504a55a2167f12a747b37139867421"),
 ], ids=["seed0", "seed1", "seed2"])
 def test_sp_partial_estimate_at_the_default_probe_count_is_pinned_per_seed(seed, budget,
                                                                           digest):
-    # at the default n_point = 20000 an oracle call holds three reserves, so
-    # most readings span several calls, which run on the leaf pool; their
-    # streams and rows must not depend on the order the calls finish in
+    # at the default n_point = 20000 each reading is still one oracle call.
+    # Re-pinned when the oracle moved to the exact multinomial law: same
+    # law, other draws. Before, a call held three reserves, a reading spanned
+    # several calls (37, 40 and 36 per estimate) and the digests were
+    # 0fba4141..., 2dd12274... and d5df7b3d...
     cdfs, diag = sp_partial_estimate(make_sp_partial_oracle(bounded3_model()),
                                      p=0.5, gamma=0.3, eps=0.1, seed=seed)
     assert (diag["oracle_calls"], diag["oracle_batches"], diag["searched_levels"]) == budget
     assert estimate_digest(cdfs, diag) == digest
-
-
-def test_probe_estimates_are_identical_at_every_thread_count(monkeypatch):
-    # the oracle batches of one reading run on the leaf pool; the probe
-    # counts are chosen so that most readings span several batches
-    digests = set()
-    for threads in ("1", "2", "3"):
-        monkeypatch.setenv("AUCTIONMETRICS_THREADS", threads)
-        fp = fp_partial_estimate(make_fp_partial_oracle(uniform_model()), p=0.5, gamma=0.5,
-                                 eps=0.2, seed=1, n_search=1000, n_point=20000,
-                                 n_base=20000)
-        sp = sp_partial_estimate(make_sp_partial_oracle(uniform_model(3)), p=0.5, gamma=0.3,
-                                 eps=0.1, seed=2)
-        assert (fp[1]["oracle_batches"], sp[1]["oracle_batches"]) == (30, 34)
-        digests.add((estimate_digest(*fp), estimate_digest(*sp)))
-    assert len(digests) == 1
 
 
 def bounded3_model():
@@ -692,7 +680,7 @@ def exact_sp_oracle(powers):
 def per_bidder_sp_searches(oracle, p, gamma, eps, seed, n_point):
     """The estimator before the joint search: one search per bidder, each
     over that bidder's levels above F-hat_j(p). Returns the staircases."""
-    budget = _OracleBudget(oracle, oracle.k, np.random.default_rng(seed))
+    budget = _OracleBudget(oracle, np.random.default_rng(seed))
     levels = np.unique(np.append(np.arange(gamma, 1.0, eps / 2.0), 1.0))
     T = max(1, math.ceil(math.log2(max(4.0 / eps, 2.0))))
 
@@ -727,5 +715,5 @@ def test_sp_partial_estimate_matches_the_per_bidder_searches(powers, p):
         assert got.breakpoints.tobytes() == want.breakpoints.tobytes()
         assert got.values.tobytes() == want.values.tobytes()
     assert diag["oracle_calls"] == sum(n for _, n in ref_oracle.log)
-    # one search step reads every bidder's column in shared oracle calls
-    assert (diag["oracle_batches"], len(ref_oracle.log)) == {2: (7, 12), 3: (7, 15)}[len(powers)]
+    # one search step reads every bidder's column in one oracle call
+    assert (diag["oracle_batches"], len(ref_oracle.log)) == {2: (7, 12), 3: (6, 15)}[len(powers)]
