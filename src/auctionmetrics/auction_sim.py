@@ -135,30 +135,25 @@ class SampleSet:
 
 
 def check_seed(seed):
-    """``seed``, unless it is a negative integer, which numpy cannot seed from."""
-    if isinstance(seed, numbers.Integral) and seed < 0:
+    """``seed``, if it is a non-negative integer; anything else raises ValidationError."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise ValidationError(f"seed must be a non-negative integer, not a {type(seed).__name__}")
+    if seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, not {seed}")
     return seed
 
 
-def _bid_matrix(model, n, rng_or_seed):
+def _bid_matrix(model, n, seed):
     """k x n matrix of independent bids, one substream per bidder.
 
-    Stream contract: each call spawns one child stream per bidder, from the
-    Generator (``rng.spawn(k)``) or from ``SeedSequence(seed).spawn(k)``, and
-    fills row j with ``random(n)`` of child j, in bidder order, mapped through
-    that bidder's ``ppf``. Any rewrite must keep this order to keep outputs.
+    Stream contract: ``SeedSequence(seed).spawn(k)`` gives one child per
+    bidder, and row j is ``random(n)`` of ``default_rng(child j)`` mapped
+    through bidder j's ``ppf``, in bidder order. Any rewrite must keep this
+    order to keep outputs.
     """
-    if isinstance(rng_or_seed, np.random.Generator):
-        streams = rng_or_seed.spawn(model.k)
-    else:
-        streams = [np.random.default_rng(s)
-                   for s in np.random.SeedSequence(check_seed(rng_or_seed)).spawn(model.k)]
-    x = np.empty((model.k, n))
-    for row, d, rng in zip(x, model.bid_dists, streams):
-        rng.random(out=row)
-        row[...] = d.ppf(row)
-    return x
+    children = np.random.SeedSequence(check_seed(seed)).spawn(model.k)
+    return np.array([d.ppf(np.random.default_rng(c).random(n))
+                     for d, c in zip(model.bid_dists, children)])
 
 
 def _scan_bids(x, second=False):

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -125,13 +123,6 @@ class StepFunction:
         return float(out[0]) if x.ndim == 0 else out
 
 
-class _LinearSegments(NamedTuple):
-    """Per-segment slopes of the linear inverse x0 + clip((q - v0) / dv, 0, 1) * dx."""
-
-    dv: np.ndarray
-    dx: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class PiecewiseCdf:
     """A monotone piecewise function on [0,1].
@@ -208,12 +199,20 @@ class PiecewiseCdf:
             idx = np.searchsorted(vals, qv, side="left")
             out = bp.take(idx, mode="clip")
         else:
-            seg = self._segments
+            # x0 + clip((q - v0) / dv, 0, 1) * dx on the segment of each level;
+            # a flat segment has dv = 1 and dx = 0, so it gives its left end
             lo = _piece_index(vals, qv, "left")
+            if bp.size == 1:
+                # one knot: dx = -0.0 returns it exactly, even a knot of -0.0
+                dv, dx = 1.0, -0.0
+            else:
+                dv = np.diff(vals)
+                rising = dv > 0
+                dv, dx = np.where(rising, dv, 1.0)[lo], np.where(rising, np.diff(bp), 0.0)[lo]
             out = np.subtract(qv, vals[lo])
-            np.divide(out, seg.dv[lo], out=out)
+            np.divide(out, dv, out=out)
             out.clip(0.0, 1.0, out=out)
-            np.multiply(out, seg.dx[lo], out=out)
+            np.multiply(out, dx, out=out)
             np.add(out, bp[lo], out=out)
         top = vals[-1] + _MONOTONE_TOL
         low = vals[0] if self.interpolation == LINEAR else 0.0
@@ -224,21 +223,6 @@ class PiecewiseCdf:
                 out[qv <= vals[0]] = bp[0] if vals[0] > 0 else 0.0
             out[qv <= 0.0] = 0.0
         return float(out[0]) if scalar else out
-
-    @cached_property
-    def _segments(self):
-        """Slopes (dv, dx) of each segment [breakpoints[i], breakpoints[i+1]].
-
-        A flat segment gets dv = 1 and dx = 0, so its inverse is its left
-        end. A single knot gets one flat row with dx = -0.0, which adds -0.0
-        and so returns that breakpoint exactly, even a breakpoint of -0.0.
-        """
-        bp, vals = self.breakpoints, self.values
-        if bp.size == 1:
-            return _LinearSegments(np.ones(1), np.array([-0.0]))
-        dv = np.diff(vals)
-        rising = dv > 0
-        return _LinearSegments(np.where(rising, dv, 1.0), np.where(rising, np.diff(bp), 0.0))
 
     # -- serialization ------------------------------------------------------
 
@@ -265,36 +249,6 @@ class PiecewiseCdf:
 
 def sub_cdf(breakpoints, values, interpolation=STEP):
     return PiecewiseCdf(breakpoints, values, interpolation, is_full_cdf=False)
-
-
-class _DensityPieces(NamedTuple):
-    """Per-piece constants of the inverse of a piecewise-quadratic CDF."""
-
-    f0: np.ndarray
-    f0sq: np.ndarray
-    slope2: np.ndarray
-    slope: np.ndarray
-    curved: np.ndarray
-    flat_zero: bool  # some flat piece has zero density
-
-
-def _quadratic_root(pieces, rem, idx):
-    """(sqrt(max(f0^2 + 2*s*rem, 0)) - f0) / s on the pieces ``idx``."""
-    t = np.multiply(pieces.slope2[idx], rem)
-    np.add(t, pieces.f0sq[idx], out=t)
-    np.maximum(t, 0.0, out=t)
-    np.sqrt(t, out=t)
-    np.subtract(t, pieces.f0[idx], out=t)
-    return np.divide(t, pieces.slope[idx], out=t)
-
-
-def _linear_root(pieces, rem, idx):
-    """rem / f0 on the pieces ``idx``; a zero-density piece gives inf, or
-    nan for rem = 0, which ``BoundedDensityModel.ppf`` resolves."""
-    if pieces.flat_zero:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.divide(rem, pieces.f0[idx])
-    return np.divide(rem, pieces.f0[idx])
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,45 +314,29 @@ class BoundedDensityModel:
 
     def ppf(self, q):
         qv, scalar, _, _ = _levels(q)
-        pieces = self._pieces
-        idx = _piece_index(self._cum, qv, "right")
+        kn, cum = self.knots, self._cum
+        idx = _piece_index(cum, qv, "right")
         # solve 0.5*s*t^2 + f0*t = rem for t on the piece: a curved piece takes
-        # the quadratic root, a flat one (|s| <= 1e-14) the linear solution
-        rem = np.subtract(qv, self._cum[idx])
-        if pieces.curved.all():
-            t = _quadratic_root(pieces, rem, idx)
-        elif not pieces.curved.any():
-            t = _linear_root(pieces, rem, idx)
-        else:
-            on_curve = pieces.curved[idx]
-            on_line = ~on_curve
-            t = np.empty_like(rem)
-            t[on_curve] = _quadratic_root(pieces, rem[on_curve], idx[on_curve])
-            t[on_line] = _linear_root(pieces, rem[on_line], idx[on_line])
-        np.add(t, self.knots[idx], out=t)
-        if pieces.flat_zero:
-            # a level equal to the mass up to a zero-density plateau (level 0
-            # on a leading one) lands on the piece after it, and one equal to
-            # the total mass, clipped onto a trailing zero piece, gives 0/0;
-            # the generalised inverse of either is the first knot where the
-            # CDF reaches the level
-            first = np.searchsorted(self._cum, qv, side="left")
-            gap = (first < idx) | np.isnan(t)
-            t[gap] = self.knots[first[gap]]
+        # the quadratic root, a flat one (|s| <= 1e-14) the linear solution,
+        # which is inf, or nan for rem = 0, on a zero-density piece
+        f0 = self.density[:-1]
+        s = (self.density[1:] - f0) / np.diff(kn)
+        f0, s = f0[idx], s[idx]
+        rem = qv - cum[idx]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(np.abs(s) > 1e-14,
+                         (np.sqrt(np.maximum(f0 * f0 + 2.0 * s * rem, 0.0)) - f0) / s,
+                         rem / f0)
+        t += kn[idx]
+        # a level equal to the mass up to a zero-density plateau (level 0 on a
+        # leading one) lands on the piece after it, and one equal to the total
+        # mass, clipped onto a trailing zero piece, gives 0/0; the generalised
+        # inverse of either is the first knot where the CDF reaches the level
+        first = np.searchsorted(cum, qv, side="left")
+        gap = (first < idx) | np.isnan(t)
+        t[gap] = kn[first[gap]]
         out = t.clip(0.0, 1.0, out=t)
         return float(out[0]) if scalar else out
-
-    @cached_property
-    def _pieces(self):
-        """Per-piece constants of the inverse CDF."""
-        kn, de = self.knots, self.density
-        f0 = de[:-1]
-        slope = (de[1:] - f0) / (kn[1:] - kn[:-1])
-        curved = np.abs(slope) > 1e-14
-        return _DensityPieces(
-            f0=f0, f0sq=f0 * f0, slope2=2.0 * slope, slope=slope, curved=curved,
-            flat_zero=bool(np.any(f0[~curved] == 0.0)),
-        )
 
     def to_cdf(self, n_grid=4097):
         """A piecewise-linear PiecewiseCdf approximation on a fine grid."""

@@ -28,19 +28,17 @@ def fmt_float(v):
     return f"{float(v):.17g}"
 
 
-def _utf8(chunks, path):
-    """The text ``chunks`` of the file at ``path``, decoded as they are taken;
-    bytes that are not UTF-8 raise ValidationError naming the file."""
-    try:
-        yield from chunks
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from exc
+def _not_utf8(path, exc):
+    return ValidationError(f"{path}: not UTF-8 text: {exc}")
 
 
 def read_text(path):
     """The text of a UTF-8 file, in one read; any other file raises ValidationError."""
     with open(path, encoding="utf-8") as fh:
-        return "".join(_utf8(iter(fh.read, ""), path))
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from exc
 
 
 def io_write_samples(path, samples):
@@ -58,30 +56,33 @@ def io_read_samples(path, fmt, k):
         raise ValidationError(f"unsupported sample format {fmt!r}")
     ys, idxs = [], []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(_utf8(fh, path))
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != _HEADERS[fmt]:
-            raise ValidationError(
-                f"{path}: line 1: expected header {','.join(_HEADERS[fmt])!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValidationError(f"{path}: line {lineno}: expected 2 fields")
-            try:
-                y = float(row[0])
-                idx = int(row[1])
-            except ValueError as exc:
-                raise ValidationError(f"{path}: line {lineno}: {exc}") from exc
-            if not 0.0 <= y <= 1.0:
-                raise ValidationError(f"{path}: line {lineno}: price {y} outside [0,1]")
-            if not 1 <= idx <= k:
+        try:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header] != _HEADERS[fmt]:
                 raise ValidationError(
-                    f"{path}: line {lineno}: bidder index {idx} outside 1..{k}"
+                    f"{path}: line 1: expected header {','.join(_HEADERS[fmt])!r}"
                 )
-            ys.append(y)
-            idxs.append(idx)
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 2:
+                    raise ValidationError(f"{path}: line {lineno}: expected 2 fields")
+                try:
+                    y = float(row[0])
+                    idx = int(row[1])
+                except ValueError as exc:
+                    raise ValidationError(f"{path}: line {lineno}: {exc}") from exc
+                if not 0.0 <= y <= 1.0:
+                    raise ValidationError(f"{path}: line {lineno}: price {y} outside [0,1]")
+                if not 1 <= idx <= k:
+                    raise ValidationError(
+                        f"{path}: line {lineno}: bidder index {idx} outside 1..{k}"
+                    )
+                ys.append(y)
+                idxs.append(idx)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from exc
     if not ys:
         raise ValidationError(f"{path}: no data rows")
     return SampleSet(y=np.asarray(ys), z=np.asarray(idxs), k=k, auction=fmt)

@@ -318,7 +318,7 @@ def run_fixed_point(grid, params, measure_contraction=0, seed=0):
         raise EstimationError(
             f"bidder {i + 1} wins no price up to x={x:.6g}, so its state box there is empty",
             diagnostics={"bidder": i + 1, "x": x})
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     V = grid.v0
     all_U = []
     gaps = []

@@ -20,10 +20,10 @@ def reference_outcomes(x, r):
     return top, winners, second
 
 
-def partial_counts(model, auction, reserves, n, rng):
+def partial_counts(model, auction, reserves, n, seed):
     """The bid-matrix sampler of reserve-price probes, the reference of the
     exact-law oracles: n probes split evenly over ``reserves``, their bids
-    drawn by ``_bid_matrix`` (a Generator or a seed) and read by
+    drawn by ``_bid_matrix`` from ``seed`` and read by
     ``reference_outcomes``. Returns the oracles' (len(reserves), k+2) count
     rows; in second price a bidder's win counts only where the reserve bound
     the price (second-highest bid <= reserve)."""
@@ -32,7 +32,7 @@ def partial_counts(model, auction, reserves, n, rng):
     reserves = np.asarray(reserves, dtype=np.float64)
     per = n // reserves.size
     r = np.repeat(reserves, per)
-    _, winners, second = reference_outcomes(_bid_matrix(model, n, rng), r)
+    _, winners, second = reference_outcomes(_bid_matrix(model, n, seed), r)
     if auction == FORMAT_SP:
         winners = np.where(second <= r, winners, 0)
     counts = np.array([np.bincount(w, minlength=model.k + 2)

@@ -28,6 +28,8 @@ from auctionmetrics.dist_core import (
     uniform_cdf,
 )
 from auctionmetrics.errors import ValidationError
+from auctionmetrics.fp_estimator import fp_partial_estimate
+from auctionmetrics.sp_estimator import estimate_sp, sp_partial_estimate
 from reference import partial_counts, quad_fp_win_chance, reference_outcomes
 
 UNI_DENSITY = BoundedDensityModel(knots=[0.0, 1.0], density=[1.0, 1.0],
@@ -150,6 +152,29 @@ def test_fp_and_sp_same_seed_share_bids():
 def test_simulate_rejects_bad_n():
     with pytest.raises(ValidationError):
         simulate_fp(uniform_model(), 0, 1)
+
+
+@pytest.mark.parametrize("seed, kind", [(np.random.default_rng(0), "Generator"),
+                                        (1.5, "float"), (True, "bool"), ("3", "str")])
+def test_seed_must_be_a_non_negative_integer(seed, kind):
+    # a seed alone fixes every draw; any other seed is a validation error
+    m = uniform_model()
+    sp_log = simulate_sp(m, 20000, 0)
+    calls = [
+        lambda: simulate_fp(m, 50, seed),
+        lambda: simulate_sp(m, 50, seed),
+        lambda: fp_partial_estimate(make_fp_partial_oracle(m), p=0.5, gamma=0.5, eps=0.2,
+                                    seed=seed),
+        lambda: sp_partial_estimate(make_sp_partial_oracle(m), p=0.5, gamma=0.5, eps=0.2,
+                                    seed=seed),
+        lambda: estimate_sp(sp_log, 1.0, 1.0, 0.1, measure_contraction=5, seed=seed),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError,
+                           match=f"seed must be a non-negative integer, not a {kind}$"):
+            call()
+    # a numpy integer is an integer
+    assert simulate_fp(m, 50, np.int64(3)).y.tobytes() == simulate_fp(m, 50, 3).y.tobytes()
 
 
 # -- partial-observation oracles ----------------------------------------------
@@ -354,13 +379,9 @@ def test_reserve_array_rejects_bad_entries(bad):
 
 
 def test_bid_matrix_stream_contract():
-    # one child stream per bidder per call, spawned from the generator (or
-    # from SeedSequence(seed)) and filled in bidder order
+    # one child stream per bidder per call, spawned from SeedSequence(seed)
+    # and filled in bidder order
     m = atom_model(3)
-    x = _bid_matrix(m, 700, np.random.default_rng(4))
-    streams = np.random.default_rng(4).spawn(3)
-    ref = np.vstack([d.ppf(s.random(700)) for d, s in zip(m.bid_dists, streams)])
-    assert x.tobytes() == ref.tobytes()
     seeds = np.random.SeedSequence(8).spawn(3)
     ref = np.vstack([d.ppf(np.random.default_rng(s).random(700))
                      for d, s in zip(m.bid_dists, seeds)])

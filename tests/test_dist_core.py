@@ -189,8 +189,7 @@ def test_ppf_accepts_an_empty_level_array():
         assert dist.ppf(np.array([])).shape == (0,)
 
 
-# Reference copies of the quantile functions as they were before the
-# single-pass kernel; the kernel must reproduce them bit for bit.
+# The reference quantile functions; ``ppf`` must reproduce them bit for bit.
 
 
 def reference_linear_ppf(F, q):
@@ -222,7 +221,7 @@ def reference_density_ppf(d, q):
         t_lin = rem / f0
     t = np.where(np.abs(slope) > 1e-14, t_quad, t_lin)
     out = x0 + t
-    # changed from the pre-kernel formula in two cases, each now read off the
+    # changed from the original formula in two cases, each now read off the
     # definition inf{x : F(x) >= q}. A level below the total mass that F
     # takes at a knot is first reached at the first such knot (the formula
     # gave the right end of a zero-density plateau, and for level 0 the end
@@ -386,7 +385,7 @@ def density_model(knots, density):
 def assert_density_ppf_matches_reference(d, extra):
     q = levels_around(d._cum, extra)
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the kernel must not warn
+        warnings.simplefilter("error")  # ppf must not warn
         got = d.ppf(q)
     assert_same_bits(got, reference_density_ppf(d, q))
     assert np.all(d.cdf(got) >= q - 1e-12)  # F reaches each level at its ppf
