@@ -38,7 +38,6 @@ from .fp_value import (
     ValueEstimatorConfig,
     best_response,
     estimate_value_cdf_effective,
-    estimate_value_cdf_full,
 )
 from .harness import (
     ExperimentConfig,
@@ -75,7 +74,6 @@ __all__ = [
     "estimate_density",
     "estimate_sp",
     "estimate_value_cdf_effective",
-    "estimate_value_cdf_full",
     "fp_partial_estimate",
     "full_support_params",
     "kolmogorov",

@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 validation error, 3 estimator failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -55,7 +56,9 @@ def _add_estimate_parser(p, kinds):
     p.add_argument("--out", required=True)
 
 
+@functools.cache
 def build_parser():
+    """The CLI's parser, built once per process: every call returns the same one."""
     parser = argparse.ArgumentParser(
         prog="auctionmetrics",
         description="Auction simulation and nonparametric bid/value estimation",

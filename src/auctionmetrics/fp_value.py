@@ -14,14 +14,14 @@ compounding k-1 separate CDF errors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dist_core import STEP, PiecewiseCdf
 from .errors import ValidationError
-from .fp_estimator import (FpEstimatorConfig, _ghat_to_cdf, _tail_sum, estimate_ghat,
-                           full_support_params)
+from .fp_estimator import FpEstimatorConfig, _ghat_to_cdf, _tail_sum, estimate_ghat
 from .isotonic import pav_nondecreasing
 
 
@@ -29,11 +29,10 @@ from .isotonic import pav_nondecreasing
 class ValueEstimatorConfig:
     """Parameters for value-CDF estimation on an effective support.
 
-    (p, gamma) declare prod_i F_i(p) >= gamma; zeta caps the value densities;
-    lipschitz, when present, selects the Lipschitz-case guarantee (sup
-    error); otherwise the general case targets Levy error with interior
-    margin d. Best responses are searched on [0, 1]; the value grid step is
-    min(eps/4, 0.005).
+    (p, gamma) declare prod_i F_i(p) >= gamma; zeta caps the value densities
+    and lipschitz, when present, names the Lipschitz case of the guarantee.
+    Both are validated but move nothing. Best responses are searched on
+    [0, 1]; the value grid step is min(eps/4, 0.005).
     """
 
     p: float
@@ -41,7 +40,6 @@ class ValueEstimatorConfig:
     eps: float
     zeta: float
     lipschitz: float | None = None
-    d: float | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
@@ -50,29 +48,16 @@ class ValueEstimatorConfig:
             raise ValidationError("gamma must lie in (0,1]")
         if not 0.0 < self.eps < 1.0:
             raise ValidationError("eps must lie in (0,1)")
-        if self.zeta <= 0.0:
-            raise ValidationError("zeta must be positive")
-        if self.lipschitz is not None and not self.lipschitz > 0.0:
-            raise ValidationError("lipschitz must be positive")
+        bounds = [("zeta", self.zeta)]
+        if self.lipschitz is not None:
+            bounds.append(("lipschitz", self.lipschitz))
+        for name, x in bounds:
+            if not 0.0 < x < math.inf:  # NaN fails too
+                raise ValidationError(f"{name} must be {'finite' if x > 0.0 else 'positive'}")
 
     @property
     def v_grid_step(self):
         return min(self.eps / 4.0, 0.005)
-
-
-def calibration_constants(config, k):
-    """(eps1, eps0): the inner accuracy targets implied by the proof chain.
-
-    eps1 is the bid-space resolution (eps/(2L) in the Lipschitz case, the
-    interior margin d otherwise); eps0 = eps1^3 gamma^3 / (32 k^2 zeta^2) is
-    the bid-CDF sup accuracy that guarantees it.
-    """
-    if config.lipschitz is not None:
-        eps1 = config.eps / (2.0 * config.lipschitz)
-    else:
-        eps1 = config.d if config.d is not None else config.eps
-    eps0 = (eps1 ** 3) * (config.gamma ** 3) / (32.0 * k * k * config.zeta ** 2)
-    return eps1, eps0
 
 
 def best_response(prod, v, lo=0.0, hi=1.0):
@@ -106,7 +91,6 @@ def estimate_value_cdf_effective(samples, config):
     Returns (list of staircases, diagnostics). Each staircase is 0 below p.
     """
     k = samples.k
-    eps1, eps0 = calibration_constants(config, k)
     fp_config = FpEstimatorConfig(p=config.p, gamma=config.gamma, eps=config.gamma / 2.0)
     cdfs = []
     repairs = []
@@ -117,36 +101,5 @@ def estimate_value_cdf_effective(samples, config):
         cdf, adjustment = _compose_value_cdf(fhat_i, prod_i, config)
         cdfs.append(cdf)
         repairs.append(adjustment)
-    diagnostics = {
-        "eps0_used": eps0,
-        "eps1_used": eps1,
-        "isotonic_repairs": repairs,
-        "grid_step": config.v_grid_step,
-    }
-    return cdfs, diagnostics
+    return cdfs, {"isotonic_repairs": repairs, "grid_step": config.v_grid_step}
 
-
-def estimate_value_cdf_full(samples, lam, eps, zeta, lipschitz=None):
-    """Full-support value estimation via the effective-support reduction.
-
-    Lipschitz case: eta = eps/2, p = eta, gamma = (lam*eta)^k, Wasserstein
-    target eps. General case: p = 8*eta/11, d = 3*eta/11,
-    gamma = (8*lam*eta/11)^k, Levy target eps.
-    """
-    k = samples.k
-    eta = eps / 2.0
-    if lipschitz is not None:
-        _, p, gamma = full_support_params(k, lam, eps)
-        d = None
-    else:
-        p = 8.0 * eta / 11.0
-        d = 3.0 * eta / 11.0
-        gamma = (8.0 * lam * eta / 11.0) ** k
-        if gamma < 1e-300 or gamma == 0.0:
-            raise ValidationError(
-                "effective-support mass underflows; increase eps or reduce k"
-            )
-    config = ValueEstimatorConfig(
-        p=p, gamma=gamma, eps=eps, zeta=zeta, lipschitz=lipschitz, d=d,
-    )
-    return estimate_value_cdf_effective(samples, config)

@@ -4,12 +4,17 @@ A sweep simulates, estimates, and scores one cell per (sample size, seed);
 cells are isolated (an estimator failure is recorded, not fatal) and each
 cell derives its own random substream from (seed root, n, seed index), so
 reports are byte-identical regardless of the worker-pool size.
+
+``AUCTIONMETRICS_THREADS`` is the number of threads one sweep may keep busy
+with its cells. Unset, it is the number of CPUs in the process's affinity
+mask, at most 8.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -22,7 +27,6 @@ from .auction_sim import (FORMAT_FP, FORMAT_SP, AuctionModel, lower_bound_fixtur
 from .dist_core import dkw_band, empirical_cdf, kolmogorov, levy, wasserstein1
 from .errors import ValidationError
 from .io import config_hash
-from .threads import max_workers as _max_workers
 
 METRICS = ("kolmogorov", "levy", "wasserstein1")
 
@@ -226,6 +230,24 @@ def _run_cell(config, n, seed_index):
              "error": float(_error(config, entry.truth, i, est))}
             for i, est in enumerate(estimates, start=1)]
     return rows, diagnostics
+
+
+def _max_workers():
+    """The thread count ``AUCTIONMETRICS_THREADS`` sets, a positive integer."""
+    env = os.environ.get("AUCTIONMETRICS_THREADS")
+    if not env:
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity mask on this platform
+            cpus = os.cpu_count() or 1
+        return min(8, cpus)
+    try:
+        threads = int(env)
+    except ValueError as exc:
+        raise ValidationError(f"AUCTIONMETRICS_THREADS={env!r} is not an integer") from exc
+    if threads < 1:
+        raise ValidationError(f"AUCTIONMETRICS_THREADS must be >= 1, not {threads}")
+    return threads
 
 
 def run_convergence(config):

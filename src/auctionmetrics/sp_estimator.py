@@ -126,25 +126,6 @@ class SpGrid:
         return [cell.xs.size for cell in self.cells]
 
 
-class CallableEval:
-    """Adapter exposing .eval for closed-form population callbacks.
-
-    The pipeline reads its G-hat and coarse-U inputs only through ``eval``,
-    and only while it builds the grid, so tests can substitute exact
-    population functions for the empirical step functions.
-    """
-
-    def __init__(self, fn):
-        self._fn = fn
-
-    def eval(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        out = np.asarray(self._fn(x), dtype=np.float64)
-        if out.shape != x.shape:
-            out = np.broadcast_to(out, x.shape).copy()
-        return float(out) if x.ndim == 0 else out
-
-
 def empirical_G_sp(samples, i):
     """Winner-i empirical sub-CDF of the price: (1/n) #{j : Y_j <= x, Z_j = i}.
 

@@ -41,6 +41,25 @@ def partial_counts(model, auction, reserves, n, seed):
     return counts
 
 
+class CallableEval:
+    """Adapter exposing .eval for closed-form population callbacks.
+
+    ``run_pipeline`` reads its G-hat and coarse-U inputs only through
+    ``eval``, and only while it builds the grid, so tests can substitute exact
+    population functions for the empirical step functions.
+    """
+
+    def __init__(self, fn):
+        self._fn = fn
+
+    def eval(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        out = np.asarray(self._fn(x), dtype=np.float64)
+        if out.shape != x.shape:
+            out = np.broadcast_to(out, x.shape).copy()
+        return float(out) if x.ndim == 0 else out
+
+
 def population_bid_cdf(H, hi_density, x, tol=1e-9):
     """Identification identity with exact callbacks: exp(-int_x^1 h_i/H dz)."""
     val, _ = quad(lambda z: hi_density(z) / H(z), x, 1.0, epsabs=tol, epsrel=tol, limit=200)

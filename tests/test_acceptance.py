@@ -36,14 +36,13 @@ from auctionmetrics.fp_estimator import (
 from auctionmetrics.fp_value import ValueEstimatorConfig, estimate_value_cdf_effective
 from auctionmetrics.harness import run_lower_bound_experiment
 from auctionmetrics.sp_estimator import (
-    CallableEval,
     SpParams,
     estimate_sp,
     run_pipeline,
     sp_partial_estimate,
     sp_partial_pointwise,
 )
-from reference import population_bid_cdf
+from reference import CallableEval, population_bid_cdf
 
 UNIFORM = uniform_cdf()
 

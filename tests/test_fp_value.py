@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,9 +11,7 @@ from auctionmetrics.errors import ValidationError
 from auctionmetrics.fp_value import (
     ValueEstimatorConfig,
     best_response,
-    calibration_constants,
     estimate_value_cdf_effective,
-    estimate_value_cdf_full,
 )
 
 
@@ -30,17 +29,14 @@ def test_config_validation():
     assert cfg.v_grid_step == 0.005  # min(eps/4, 0.005)
 
 
-def test_calibration_constants_lipschitz_case():
-    cfg = ValueEstimatorConfig(p=0.2, gamma=0.5, eps=0.1, zeta=2.0, lipschitz=2.0)
-    eps1, eps0 = calibration_constants(cfg, k=2)
-    assert eps1 == pytest.approx(0.025)
-    assert eps0 == pytest.approx(0.025 ** 3 * 0.5 ** 3 / (32 * 4 * 4))
-
-
-def test_calibration_constants_general_case_uses_margin():
-    cfg = ValueEstimatorConfig(p=0.2, gamma=0.5, eps=0.1, zeta=1.0, d=0.03)
-    eps1, _ = calibration_constants(cfg, k=2)
-    assert eps1 == 0.03
+@pytest.mark.parametrize("key, value", [("zeta", math.nan), ("zeta", math.inf),
+                                        ("lipschitz", math.inf)])
+def test_config_rejects_a_zeta_or_lipschitz_that_is_not_finite_and_positive(key, value):
+    # the registry refuses these at the CLI; the config refuses them for
+    # Python callers
+    args = {"p": 0.2, "gamma": 0.1, "eps": 0.1, "zeta": 1.0, key: value}
+    with pytest.raises(ValidationError, match=key):
+        ValueEstimatorConfig(**args)
 
 
 def test_best_response_calculus_oracle():
@@ -78,7 +74,6 @@ def test_value_estimation_recovers_uniform_values():
     cdfs, diag = estimate_value_cdf_effective(s, cfg)
     err = kolmogorov(cdfs[0], uniform_cdf(), 0.3, 1.0)
     assert err <= 0.05
-    assert diag["eps0_used"] > 0
     assert len(diag["isotonic_repairs"]) == 2
 
 
@@ -107,26 +102,21 @@ def test_value_estimates_are_pinned_per_seed():
     half = PiecewiseCdf([0.0, 0.5], [0.0, 1.0], interpolation="linear")
     two3 = PiecewiseCdf([0.0, 2 / 3], [0.0, 1.0], interpolation="linear")
     s = simulate_fp(AuctionModel(bid_dists=[half, half]), 20000, 31)
+    # lipschitz moves nothing: the two configs give one digest
     lipschitz = ValueEstimatorConfig(p=0.2, gamma=0.04, eps=0.1, zeta=1.0, lipschitz=1.0)
     assert estimate_digest(*estimate_value_cdf_effective(s, lipschitz)) == (
-        "a8c3ddd04ee467449dc52d893a33fe6822f71d5646d2d5dc1a2b1ccf6b763207")
+        "ef36dfe3345cac7c2dd3743a300e421f26db8e2f10a017bc73618ce0d1b8adad")
     general = ValueEstimatorConfig(p=0.2, gamma=0.04, eps=0.1, zeta=1.0)
     assert estimate_digest(*estimate_value_cdf_effective(s, general)) == (
-        "644d10bc7960265c05bbf3a8fee85e57b9406d2bf796e6288f76a20770fd1a77")
+        "ef36dfe3345cac7c2dd3743a300e421f26db8e2f10a017bc73618ce0d1b8adad")
+    # the full-support reduction's general case at lambda 1, eps 0.4 (eta 0.2):
+    # p = 8*eta/11 and gamma = p^k
     s = simulate_fp(AuctionModel(bid_dists=[half, half]), 20000, 37)
-    assert estimate_digest(*estimate_value_cdf_full(s, lam=1.0, eps=0.4, zeta=1.0)) == (
-        "ad34138306ae8d79d7038bf4833b3c23cf7e9a58eac189d8a5e4f7f764a5d555")
+    p = 8.0 * 0.2 / 11.0
+    full = ValueEstimatorConfig(p=p, gamma=p ** 2, eps=0.4, zeta=1.0)
+    assert estimate_digest(*estimate_value_cdf_effective(s, full)) == (
+        "a14a6aecf31123b63a6285e45d7f94ce0802404bfeea5b6fed8fa698f089e225")
     s = simulate_fp(AuctionModel(bid_dists=[two3] * 3), 20000, 41)
     k3 = ValueEstimatorConfig(p=0.3, gamma=0.05, eps=0.1, zeta=1.0, lipschitz=1.0)
     assert estimate_digest(*estimate_value_cdf_effective(s, k3)) == (
-        "d61665128ea46b2a33bd1c8d268bf30277232b7a4d5b41a187604dde96165a86")
-
-
-def test_full_support_value_general_case_parameters():
-    half = PiecewiseCdf([0.0, 0.5], [0.0, 1.0], interpolation="linear")
-    m = AuctionModel(bid_dists=[half, half])
-    s = simulate_fp(m, 5000, 29)
-    cdfs, diag = estimate_value_cdf_full(s, lam=1.0, eps=0.4, zeta=1.0)
-    assert len(cdfs) == 2
-    # general case: eps1 equals the interior margin d = 3*eta/11
-    assert diag["eps1_used"] == pytest.approx(3 * 0.2 / 11)
+        "30b1d7a626829b45f1bf062f4b048e7bad98a53e100812962c3b407e7f472af4")

@@ -357,9 +357,9 @@ def estimate_bytes(estimates):
 
 def test_every_registry_key_but_the_known_inert_ones_moves_an_estimate():
     # the keys that move no estimate yet: fp-effective estimates on [0, 1]
-    # whatever p declares, fp-effective's eps and fp-value's zeta and
-    # lipschitz move diagnostics only. A key that joins them, or leaves them,
-    # fails here
+    # whatever p declares, and fp-effective's eps moves diagnostics only;
+    # fp-value's zeta and lipschitz are validated and move nothing at all. A
+    # key that joins them, or leaves them, fails here
     assert set(KEY_PROBES) == set(ESTIMATORS)
     inert = set()
     for kind, (model, base, other) in KEY_PROBES.items():

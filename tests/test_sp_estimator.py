@@ -25,7 +25,6 @@ from auctionmetrics.errors import EstimationError, ValidationError
 from auctionmetrics.fp_estimator import _OracleBudget, noisy_quantile_search
 from auctionmetrics.sp_estimator import (
     CONTRACTIVITY_CAP,
-    CallableEval,
     SpParams,
     _build_grid,
     _h_clip_bounds,
@@ -38,6 +37,7 @@ from auctionmetrics.sp_estimator import (
     sp_partial_estimate,
     sp_partial_pointwise,
 )
+from reference import CallableEval
 
 
 def uniform_model(k=2):
