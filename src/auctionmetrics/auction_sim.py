@@ -386,15 +386,19 @@ def _fast_scalar_cdf_pdf(dist):
     return cdf, pdf
 
 
-# the shooting solver's fixed grid size, boundary-defect tolerance and bisection cap
-_GRID_SIZE, _TOL, _MAX_BISECT = 400, 1e-3, 60
+# the shooting solver's fixed grid size and boundary-defect tolerance
+_GRID_SIZE, _TOL = 400, 1e-3
+
+
+class _Crash(Exception):
+    """A trajectory met the diagonal: its terminal bid is too high."""
 
 
 def _integrate_backward(G, g, k, eta):
     """RK4 for the inverse-bid ODE system from (eta, 1) down toward b=0.
 
-    Returns (grid ascending, alphas k x m, crashed flag). A crash means some
-    alpha_i(b) collapsed onto b (terminal bid too high). G and g are
+    Returns (grid ascending, alphas k x m). Raises ``_Crash`` where some
+    alpha_i(b) collapses onto b (terminal bid too high). G and g are
     plain-float callables; the loop stays in Python floats for speed.
     """
     bs = np.linspace(eta, eta * 1e-4, _GRID_SIZE)
@@ -404,9 +408,10 @@ def _integrate_backward(G, g, k, eta):
     idx = range(k)
 
     def deriv(b, a):
+        # b > 0, so this also catches a negative alpha
         for ai in a:
-            if ai - b < 1e-12 or ai > 1.0 + 1e-9 or ai < 0.0:
-                return None
+            if ai - b < 1e-12 or ai > 1.0 + 1e-9:
+                raise _Crash
         inv = [1.0 / (a[i] - b) for i in idx]
         s = sum(inv)
         return [
@@ -415,27 +420,20 @@ def _integrate_backward(G, g, k, eta):
             for i in idx
         ]
 
-    crashed = False
     for m in range(1, _GRID_SIZE):
         h = bs[m] - bs[m - 1]  # negative
         b0 = bs[m - 1]
         half = h / 2.0
         k1 = deriv(b0, a)
-        k2 = deriv(b0 + half, [a[i] + half * k1[i] for i in idx]) if k1 else None
-        k3 = deriv(b0 + half, [a[i] + half * k2[i] for i in idx]) if k2 else None
-        k4 = deriv(b0 + h, [a[i] + h * k3[i] for i in idx]) if k3 else None
-        if k4 is None:
-            crashed = True
-            out[:, m:] = np.nan
-            break
+        k2 = deriv(b0 + half, [a[i] + half * k1[i] for i in idx])
+        k3 = deriv(b0 + half, [a[i] + half * k2[i] for i in idx])
+        k4 = deriv(b0 + h, [a[i] + h * k3[i] for i in idx])
         a = [min(a[i] + (h / 6.0) * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i]), 1.0)
              for i in idx]
         if any(a[i] - bs[m] < 1e-12 for i in idx):
-            crashed = True
-            out[:, m:] = np.nan
-            break
+            raise _Crash
         out[:, m] = a
-    return bs[::-1], out[:, ::-1], crashed
+    return bs[::-1], out[:, ::-1]
 
 
 def solve_asymmetric_equilibrium(model):
@@ -443,43 +441,30 @@ def solve_asymmetric_equilibrium(model):
 
     Integrates the inverse-bid ODE system backward from alpha_i(eta)=1 on a
     fixed grid and bisects eta: a trajectory that collapses onto the diagonal
-    means eta is too high; a positive boundary defect at the smallest grid
-    cell means eta is too low.
+    means eta is too high; a boundary defect above ``_TOL`` at the smallest
+    grid cell means eta is too low. Returns the first trajectory that does
+    neither; raises EstimationError once the bracket is below 1e-14.
     """
     if model.value_dists is None:
         raise ValidationError("model has no value distributions")
     k = model.k
-    G, g = [], []
-    for d in model.value_dists:
-        cdf, pdf = _fast_scalar_cdf_pdf(d)
-        G.append(cdf)
-        g.append(pdf)
+    G, g = zip(*(_fast_scalar_cdf_pdf(d) for d in model.value_dists))
 
     lo, hi = 1e-6, 1.0
-    best = None
-    for _ in range(_MAX_BISECT):
+    while hi - lo >= 1e-14:
         eta = 0.5 * (lo + hi)
-        grid, alphas, crashed = _integrate_backward(G, g, k, eta)
-        if crashed:
+        try:
+            grid, alphas = _integrate_backward(G, g, k, eta)
+        except _Crash:
             hi = eta
             continue
         defect = float(np.max(alphas[:, 0]))
         if defect <= _TOL:
-            cand = InverseBidProfile(grid=grid, alphas=alphas, eta_eq=eta, defect=defect)
-            if best is None or defect < best.defect:
-                best = cand
-            if defect <= 0.1 * _TOL:
-                break
+            return InverseBidProfile(grid=grid, alphas=alphas, eta_eq=eta, defect=defect)
         # smaller eta inflates the defect; push eta upward until it crashes
         lo = eta
-        if hi - lo < 1e-14:
-            break
-    if best is None:
-        raise EstimationError(
-            "equilibrium shooting did not converge",
-            diagnostics={"grid_size": _GRID_SIZE, "tol": _TOL},
-        )
-    return best
+    raise EstimationError("equilibrium shooting did not converge",
+                          diagnostics={"grid_size": _GRID_SIZE, "tol": _TOL})
 
 
 def equilibrium_residual(profile, model, i, b_points):
@@ -490,22 +475,16 @@ def equilibrium_residual(profile, model, i, b_points):
     """
     # the vectorised CDFs, not the solver's scalar closures, so that the
     # residual checks the solver independently of the closures it used
-    G = [d.cdf for d in model.value_dists]
-    bs = profile.grid
-    res = []
-    for b in np.atleast_1d(b_points):
-        m = int(np.clip(np.searchsorted(bs, b), 1, bs.size - 2))
-        db = bs[m + 1] - bs[m - 1]
-        total = 0.0
-        for j in range(model.k):
-            if j == i - 1:
-                continue
-            hi_val = G[j](profile.alphas[j, m + 1])
-            lo_val = G[j](profile.alphas[j, m - 1])
-            total += (np.log(max(hi_val, 1e-300)) - np.log(max(lo_val, 1e-300))) / db
-        gap = profile.alphas[i - 1, m] - bs[m]
-        res.append(total - 1.0 / gap)
-    return np.asarray(res)
+    bs, alphas = profile.grid, profile.alphas
+    m = np.clip(np.searchsorted(bs, np.atleast_1d(b_points)), 1, bs.size - 2)
+    db = bs[m + 1] - bs[m - 1]
+    total = 0.0
+    for j, d in enumerate(model.value_dists):
+        if j != i - 1:
+            hi_val = np.maximum(d.cdf(alphas[j, m + 1]), 1e-300)
+            lo_val = np.maximum(d.cdf(alphas[j, m - 1]), 1e-300)
+            total = total + (np.log(hi_val) - np.log(lo_val)) / db
+    return total - 1.0 / (alphas[i - 1, m] - bs[m])
 
 
 # -- lower-bound fixtures ---------------------------------------------------

@@ -31,8 +31,12 @@ _MONOTONE_TOL = 1e-12
 
 
 def _as_array(x, name):
-    """``x`` as a contiguous float64 array; NaN, infinity or a non-number raises."""
-    arr = np.asarray(x)
+    """``x`` as a contiguous float64 array; NaN, infinity, a non-number or a
+    ragged nesting raises."""
+    try:
+        arr = np.asarray(x)
+    except ValueError as exc:  # numpy's "inhomogeneous shape"
+        raise ValidationError(f"{name} must be finite numbers, not a ragged array") from exc
     if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
         raise ValidationError(f"{name} must be finite numbers")
     return np.ascontiguousarray(arr, dtype=np.float64)
@@ -161,6 +165,8 @@ class PiecewiseCdf:
             raise ValidationError("values must lie in [0,1]")
         if self.interpolation not in (STEP, LINEAR):
             raise ValidationError(f"unknown interpolation {self.interpolation!r}")
+        if not isinstance(self.is_full_cdf, (bool, np.bool_)):
+            raise ValidationError(f"is_full_cdf must be true or false, not {self.is_full_cdf!r}")
         if self.is_full_cdf and abs(vals[-1] - 1.0) > 1e-9:
             raise ValidationError("a full CDF must reach 1 at its last breakpoint")
 

@@ -14,6 +14,7 @@ adaptive reserve-price estimator that works from winner identities alone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,13 @@ import numpy as np
 from .auction_sim import FORMAT_FP, check_seed
 from .dist_core import STEP, PiecewiseCdf, StepFunction, run_ends
 from .errors import EstimationError, ValidationError
+
+
+def _check_numbers(**fields):
+    """ValidationError naming the first of ``fields`` that is not a real number."""
+    for name, x in fields.items():
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            raise ValidationError(f"{name} must be a number, not {type(x).__name__}")
 
 
 @dataclass(frozen=True)
@@ -37,6 +45,7 @@ class FpEstimatorConfig:
     eps: float
 
     def __post_init__(self):
+        _check_numbers(p=self.p, gamma=self.gamma, eps=self.eps)
         if not 0.0 <= self.p <= 1.0:
             raise ValidationError("p must lie in [0,1]")
         if not 0.0 < self.gamma <= 1.0:

@@ -21,7 +21,8 @@ import numpy as np
 
 from .dist_core import STEP, PiecewiseCdf
 from .errors import ValidationError
-from .fp_estimator import FpEstimatorConfig, _ghat_to_cdf, _tail_sum, estimate_ghat
+from .fp_estimator import (FpEstimatorConfig, _check_numbers, _ghat_to_cdf, _tail_sum,
+                           estimate_ghat)
 from .isotonic import pav_nondecreasing
 
 
@@ -42,16 +43,17 @@ class ValueEstimatorConfig:
     lipschitz: float | None = None
 
     def __post_init__(self):
+        bounds = {"zeta": self.zeta}
+        if self.lipschitz is not None:
+            bounds["lipschitz"] = self.lipschitz
+        _check_numbers(p=self.p, gamma=self.gamma, eps=self.eps, **bounds)
         if not 0.0 <= self.p <= 1.0:
             raise ValidationError("p must lie in [0,1]")
         if not 0.0 < self.gamma <= 1.0:
             raise ValidationError("gamma must lie in (0,1]")
         if not 0.0 < self.eps < 1.0:
             raise ValidationError("eps must lie in (0,1)")
-        bounds = [("zeta", self.zeta)]
-        if self.lipschitz is not None:
-            bounds.append(("lipschitz", self.lipschitz))
-        for name, x in bounds:
+        for name, x in bounds.items():
             if not 0.0 < x < math.inf:  # NaN fails too
                 raise ValidationError(f"{name} must be {'finite' if x > 0.0 else 'positive'}")
 

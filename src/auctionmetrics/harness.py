@@ -136,7 +136,8 @@ class ExperimentConfig:
             raise ValidationError(f"estimator {self.estimator!r} is scored against "
                                   "value CDFs, and the model has no value_dists")
         ns = list(self.n_schedule)
-        if not ns or not all(isinstance(n, numbers.Integral) and n >= 1 for n in ns) \
+        if not ns or not all(isinstance(n, numbers.Integral) and not isinstance(n, bool)
+                             and n >= 1 for n in ns) \
                 or any(a >= b for a, b in zip(ns, ns[1:])):
             raise ValidationError(f"n schedule {ns} must be strictly ascending integers >= 1")
         if not isinstance(self.seed_root, numbers.Integral) or self.seed_root < 0:

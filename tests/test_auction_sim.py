@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from auctionmetrics import auction_sim
 from auctionmetrics.auction_sim import (
     FORMAT_FP,
     FORMAT_SP,
@@ -27,7 +28,7 @@ from auctionmetrics.dist_core import (
     empirical_cdf,
     uniform_cdf,
 )
-from auctionmetrics.errors import ValidationError
+from auctionmetrics.errors import EstimationError, ValidationError
 from auctionmetrics.fp_estimator import fp_partial_estimate
 from auctionmetrics.sp_estimator import estimate_sp, sp_partial_estimate
 from reference import partial_counts, quad_fp_win_chance, reference_outcomes
@@ -444,15 +445,50 @@ def test_asymmetric_solver_recovers_symmetric_inverse():
                                        atol=1e-3)
 
 
-def test_asymmetric_solver_residual_small():
+def tilted2():
     tilted = BoundedDensityModel(knots=[0.0, 1.0], density=[0.6, 1.4],
                                  alpha_lo=0.5, eta_hi=2.0)
-    m = AuctionModel(bid_dists=[uniform_cdf()] * 2,
-                     value_dists=[UNI_DENSITY, tilted])
+    return AuctionModel(bid_dists=[uniform_cdf()] * 2, value_dists=[UNI_DENSITY, tilted])
+
+
+def count_integrations(monkeypatch, integrate):
+    """Route the solver's integrations through ``integrate``; the list of their etas."""
+    etas = []
+
+    def counted(G, g, k, eta):
+        etas.append(eta)
+        return integrate(G, g, k, eta)
+
+    monkeypatch.setattr(auction_sim, "_integrate_backward", counted)
+    return etas
+
+
+def test_asymmetric_solver_residual_small():
+    m = tilted2()
     prof = solve_asymmetric_equilibrium(m)
     bs = np.linspace(0.1 * prof.eta_eq, 0.9 * prof.eta_eq, 15)
     for i in (1, 2):
         assert np.max(np.abs(equilibrium_residual(prof, m, i, bs))) <= 1e-2
+
+
+def test_solver_returns_the_first_trajectory_within_its_tolerance(monkeypatch):
+    etas = count_integrations(monkeypatch, auction_sim._integrate_backward)
+    prof = solve_asymmetric_equilibrium(tilted2())
+    # the 21st bisection step is the first that neither crashes nor misses _TOL
+    assert len(etas) == 21
+    assert prof.eta_eq == etas[-1] == 0.5321569352812766
+    assert prof.defect <= auction_sim._TOL
+
+
+def test_solver_raises_once_the_bracket_collapses(monkeypatch):
+    def crash(G, g, k, eta):
+        raise auction_sim._Crash
+
+    etas = count_integrations(monkeypatch, crash)
+    with pytest.raises(EstimationError, match="equilibrium shooting did not converge"):
+        solve_asymmetric_equilibrium(tilted2())
+    # every step halves the bracket (1e-6, 1] until it is below 1e-14
+    assert len(etas) <= 48
 
 
 def test_solver_requires_value_distributions():

@@ -76,6 +76,15 @@ def test_config_eps_range():
         FpEstimatorConfig(p=0.3, gamma=1.2, eps=0.1)
 
 
+@pytest.mark.parametrize("key", ["p", "gamma", "eps"])
+def test_config_rejects_a_field_that_is_not_a_number(key):
+    # a bare TypeError from the range comparisons before
+    args = {"p": 0.3, "gamma": 0.09, "eps": 0.045}
+    for value, kind in ((None, "NoneType"), ("0.3", "str"), (True, "bool")):
+        with pytest.raises(ValidationError, match=f"{key} must be a number, not {kind}"):
+            FpEstimatorConfig(**{**args, key: value})
+
+
 def test_config_default_floor_is_half_gamma():
     assert FpEstimatorConfig(p=0.3, gamma=0.2, eps=0.1).floor == 0.1
     # the floor is gamma/2, not a setting

@@ -39,6 +39,17 @@ def test_config_rejects_a_zeta_or_lipschitz_that_is_not_finite_and_positive(key,
         ValueEstimatorConfig(**args)
 
 
+@pytest.mark.parametrize("key", ["p", "gamma", "eps", "zeta", "lipschitz"])
+def test_config_rejects_a_field_that_is_not_a_number(key):
+    # a bare TypeError from the range comparisons before
+    args = {"p": 0.2, "gamma": 0.1, "eps": 0.1, "zeta": 1.0, key: "1"}
+    with pytest.raises(ValidationError, match=f"{key} must be a number, not str"):
+        ValueEstimatorConfig(**args)
+    if key != "lipschitz":
+        with pytest.raises(ValidationError, match=f"{key} must be a number, not NoneType"):
+            ValueEstimatorConfig(**{**args, key: None})
+
+
 def test_best_response_calculus_oracle():
     # k=2, other bidder ~ uniform staircase: utility (v-b)*b maximized at v/2
     prod = fine_uniform_staircase()

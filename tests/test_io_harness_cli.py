@@ -752,6 +752,12 @@ def test_cli_sweep_rejects_a_bad_config_before_any_cell(case, tmp_path, model_fi
     ("n_schedule", [], "n schedule [] must be strictly ascending integers >= 1"),
     ("n_schedule", [100, 100], "n schedule [100, 100] must be strictly ascending integers >= 1"),
     ("seed_root", -1, "seed_root must be an integer >= 0, not -1"),
+    # a bool is an Integral: its cell failed in numpy and was filed as an estimator failure
+    ("n_schedule", [True, 500], "n schedule [True, 500] must be strictly ascending integers >= 1"),
+    # numpy's ValueError: a traceback and exit 1
+    ("model", {"bid_dists": [{"kind": "cdf", "breakpoints": [[0.0], [0.0, 1.0]],
+                              "values": [0.0, 1.0]}] * 2},
+     "breakpoints must be finite numbers, not a ragged array"),
 ])
 def test_cli_sweep_config_key_errors_exit_2(key, value, message, tmp_path, model_file,
                                             capsys):
@@ -940,6 +946,11 @@ NON_FINITE_MODELS = {
     "nan alpha_lo": density_model(alpha_lo=math.nan),
     "infinite eta_hi": density_model(eta_hi=math.inf),
     "nan lipschitz": density_model(lipschitz=math.nan),
+    # numpy's ValueError on a ragged array: a traceback and exit 1 before
+    "ragged knots": density_model(knots=[0.0, [0.5, 1.0]]),
+    "ragged breakpoints": {"bid_dists": [{"kind": "cdf", "interpolation": "linear",
+                                          "breakpoints": [[0.0], [0.0, 1.0]],
+                                          "values": [0.0, 1.0]}] * 2},
 }
 
 
@@ -963,16 +974,24 @@ def test_cli_probe_command_rejects_a_nan_model_as_input(tmp_path, capsys):
     assert code == 2 and "density must be finite numbers" in err
 
 
-@pytest.mark.parametrize("values", [[math.nan, 1.0], [0.0, "q"]], ids=["nan", "string"])
-def test_cli_metric_rejects_a_non_finite_bundle(values, tmp_path, capsys):
+@pytest.mark.parametrize("fields, message", [
+    ({"values": [math.nan, 1.0]}, "values must be finite numbers"),
+    ({"values": [0.0, "q"]}, "values must be finite numbers"),
+    # numpy's ValueError: a traceback and exit 1 before
+    ({"breakpoints": [[0.0], [0.0, 1.0]]},
+     "breakpoints must be finite numbers, not a ragged array"),
+    # read as true before
+    ({"is_full_cdf": "no"}, "is_full_cdf must be true or false, not 'no'"),
+], ids=["nan", "string", "ragged", "string is_full_cdf"])
+def test_cli_metric_rejects_a_non_finite_bundle(fields, message, tmp_path, capsys):
     good = tmp_path / "good.json"
     io_write_cdfs(good, [uniform_cdf()])
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"version": 1, "diagnostics": {}, "cdfs": [
-        {"interpolation": "linear", "breakpoints": [0.0, 1.0], "values": values,
-         "is_full_cdf": True}]}))
+        {"interpolation": "linear", "breakpoints": [0.0, 1.0], "values": [0.0, 1.0],
+         "is_full_cdf": True, **fields}]}))
     code, err = main_exit(["metric", "--a", good, "--b", bad, "--kind", "kolmogorov"], capsys)
-    assert (code, err.strip()) == (2, "error: values must be finite numbers")
+    assert (code, err.strip()) == (2, f"error: {message}")
 
 
 def test_cli_estimate_values_needs_two_bidders(tmp_path, capsys):
