@@ -9,13 +9,12 @@ experiments.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dist_core import LINEAR, BoundedDensityModel, PiecewiseCdf, run_ends
-from .errors import EstimationError, ValidationError
+from .errors import EstimationError, ValidationError, check_number
 
 # The auction format of a sample set: first price or second price.
 FORMAT_FP = "fp"
@@ -134,15 +133,6 @@ class SampleSet:
                 f"expected a {auction!r} sample set, got a {self.auction!r} one")
 
 
-def check_seed(seed):
-    """``seed``, if it is a non-negative integer; anything else raises ValidationError."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise ValidationError(f"seed must be a non-negative integer, not a {type(seed).__name__}")
-    if seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, not {seed}")
-    return seed
-
-
 def _bid_matrix(model, n, seed):
     """k x n matrix of independent bids, one substream per bidder.
 
@@ -151,7 +141,7 @@ def _bid_matrix(model, n, seed):
     through bidder j's ``ppf``, in bidder order. Any rewrite must keep this
     order to keep outputs.
     """
-    children = np.random.SeedSequence(check_seed(seed)).spawn(model.k)
+    children = np.random.SeedSequence(check_number("seed", seed, 0, integer=True)).spawn(model.k)
     return np.array([d.ppf(np.random.default_rng(c).random(n))
                      for d, c in zip(model.bid_dists, children)])
 
@@ -184,16 +174,14 @@ def _winner_index(code):
 
 def simulate_fp(model, n, seed):
     """n draws of (max bid, argmax bidder); ties go to the lowest index."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    check_number("n", n, 1, integer=True)
     y, code, _ = _scan_bids(_bid_matrix(model, n, seed))
     return SampleSet(y=y, z=_winner_index(code), k=model.k, auction=FORMAT_FP)
 
 
 def simulate_sp(model, n, seed):
     """n draws of (second-highest bid, argmax bidder)."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    check_number("n", n, 1, integer=True)
     _, code, y = _scan_bids(_bid_matrix(model, n, seed), second=True)
     return SampleSet(y=y, z=_winner_index(code), k=model.k, auction=FORMAT_SP)
 
@@ -497,8 +485,9 @@ def lower_bound_fixture(k, eps, lam):
     Unif[3/4,1]; the first bidder's distribution hides (1-lam) mass either in
     [0, eps/4] (D) or [3*eps/4, eps] (D'). Both CDFs are piecewise linear.
     """
-    if not (0.0 < eps < 0.5 and 0.0 < lam < 0.5):
-        raise ValidationError("eps and lambda must lie in (0, 1/2)")
+    check_number("k", k, 2, integer=True)
+    check_number("eps", eps, 0.0, 0.5, "()")
+    check_number("lambda", lam, 0.0, 0.5, "()")
     base = PiecewiseCdf(
         [0.0, 0.75, 1.0], [0.0, 0.75 * lam, 1.0],
         interpolation=LINEAR, is_full_cdf=True,

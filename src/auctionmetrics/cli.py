@@ -193,6 +193,8 @@ def main(argv=None):
         return 2
     except EstimationError as exc:
         print(f"estimation failed: {exc}", file=sys.stderr)
+        if exc.diagnostics:
+            print(json.dumps(io._jsonable(exc.diagnostics)), file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_number
 
 STEP = "step"
 LINEAR = "linear"
@@ -432,10 +432,8 @@ def levy(F, G):
 
 def dkw_band(n, delta):
     """Uniform empirical-CDF deviation bound sqrt(ln(2/delta)/(2n))."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    if not 0.0 < delta < 1.0:
-        raise ValidationError("delta must lie in (0,1)")
+    check_number("n", n, 1, integer=True)
+    check_number("delta", delta, 0.0, 1.0, "()")
     return math.sqrt(math.log(2.0 / delta) / (2.0 * n))
 
 

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one number check.
 
 The CLI maps these onto exit codes: validation problems (bad parameters,
 malformed inputs) exit 2, estimator failures exit 3, I/O problems exit 4.
 """
+
+import math
+import numbers
 
 
 class AuctionMetricsError(Exception):
@@ -22,3 +25,21 @@ class EstimationError(AuctionMetricsError, RuntimeError):
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
         self.diagnostics = diagnostics or {}
+
+
+def check_number(name, x, lo=-math.inf, hi=math.inf, bounds="[]", integer=False):
+    """``x``, if it is a finite real number (an integer if ``integer``) between
+    ``lo`` and ``hi``, each end closed by ``[``/``]`` or opened by ``(``/``)``
+    in ``bounds``; otherwise ValidationError naming ``name``. A bool is not a
+    number (``np.bool_`` is no ``numbers.Real``); numpy numbers are."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral if integer else numbers.Real):
+        raise ValidationError(f"{name} must be {'an integer' if integer else 'a number'}, "
+                              f"not {type(x).__name__}")
+    if not -math.inf < x < math.inf:  # NaN too; an int of any size passes
+        raise ValidationError(f"{name} must be finite, not {x}")
+    left, right = bounds
+    if not (lo < x if left == "(" else lo <= x) or not (x < hi if right == ")" else x <= hi):
+        need = f"{'>' if left == '(' else '>='} {lo:g}" if hi == math.inf \
+            else f"in {left}{lo:g}, {hi:g}{right}"
+        raise ValidationError(f"{name} must be {need}, not {x}")
+    return x

@@ -14,21 +14,13 @@ adaptive reserve-price estimator that works from winner identities alone.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .auction_sim import FORMAT_FP, check_seed
+from .auction_sim import FORMAT_FP
 from .dist_core import STEP, PiecewiseCdf, StepFunction, run_ends
-from .errors import EstimationError, ValidationError
-
-
-def _check_numbers(**fields):
-    """ValidationError naming the first of ``fields`` that is not a real number."""
-    for name, x in fields.items():
-        if isinstance(x, bool) or not isinstance(x, numbers.Real):
-            raise ValidationError(f"{name} must be a number, not {type(x).__name__}")
+from .errors import EstimationError, ValidationError, check_number
 
 
 @dataclass(frozen=True)
@@ -45,13 +37,9 @@ class FpEstimatorConfig:
     eps: float
 
     def __post_init__(self):
-        _check_numbers(p=self.p, gamma=self.gamma, eps=self.eps)
-        if not 0.0 <= self.p <= 1.0:
-            raise ValidationError("p must lie in [0,1]")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValidationError("gamma must lie in (0,1]")
-        if not 0.0 < self.eps <= self.gamma / 2.0 + 1e-12:
-            raise ValidationError("eps must lie in (0, gamma/2]")
+        check_number("p", self.p, 0.0, 1.0)
+        check_number("gamma", self.gamma, 0.0, 1.0, "(]")
+        check_number("eps", self.eps, 0.0, self.gamma / 2.0 + 1e-12, "(]")
 
     @property
     def floor(self):
@@ -115,10 +103,8 @@ def estimate_bid_cdf_effective(samples, config):
 
 def full_support_params(k, lam, eps):
     """Plug-in (eta, p, gamma) for the full-support reduction."""
-    if lam <= 0.0:
-        raise ValidationError("lambda must be positive")
-    if not 0.0 < eps < 1.0:
-        raise ValidationError("eps must lie in (0,1)")
+    check_number("lambda", lam, 0.0, bounds="()")
+    check_number("eps", eps, 0.0, 1.0, "()")
     eta = eps / 2.0
     gamma = (lam * eta) ** k
     if gamma < 1e-300 or gamma == 0.0:
@@ -170,9 +156,7 @@ class DensityEstimate:
 
 def estimate_density(fhat_cdf, h):
     """Forward-difference density estimator with bandwidth h."""
-    if h <= 0.0:
-        raise ValidationError("bandwidth must be positive")
-    return DensityEstimate(cdf=fhat_cdf, h=h)
+    return DensityEstimate(cdf=fhat_cdf, h=check_number("h", h, 0.0, bounds="()"))
 
 
 # -- partial observations ---------------------------------------------------
@@ -238,17 +222,16 @@ def noisy_quantile_search(read, targets, columns, T, eps1, lo=0.0, hi=1.0):
     return mid
 
 
-def _check_probe_args(p, gamma, eps, lipschitz, **sizes):
+def _check_probe_args(p, gamma, eps, lipschitz, seed, **sizes):
     """The argument checks both reserve-probe estimators share; ``sizes``
     name their probe counts."""
-    if not (0.0 < gamma <= 1.0 and 0.0 <= p <= 1.0):
-        raise ValidationError("invalid effective-support pair")
-    if not 0.0 < eps < 1.0:
-        raise ValidationError("eps must lie in (0,1)")
-    if not 0.0 < lipschitz < math.inf:
-        raise ValidationError("lipschitz must be positive and finite")
-    if min(sizes.values()) < 1:
-        raise ValidationError(f"{', '.join(sizes)} must be >= 1")
+    check_number("seed", seed, 0, integer=True)
+    check_number("p", p, 0.0, 1.0)
+    check_number("gamma", gamma, 0.0, 1.0, "(]")
+    check_number("eps", eps, 0.0, 1.0, "()")
+    check_number("lipschitz", lipschitz, 0.0, bounds="()")
+    for name, size in sizes.items():
+        check_number(name, size, 1, integer=True)
 
 
 def fp_partial_estimate(oracle, p, gamma, eps, lipschitz=1.0,
@@ -274,10 +257,10 @@ def fp_partial_estimate(oracle, p, gamma, eps, lipschitz=1.0,
     ``pruned_levels`` sub-CDF levels answered without probes and
     ``point_reserves`` reserves in the union grid of the point probes.
     """
-    _check_probe_args(p, gamma, eps, lipschitz,
+    _check_probe_args(p, gamma, eps, lipschitz, seed,
                       n_search=n_search, n_point=n_point, n_base=n_base)
     k = oracle.k
-    budget = _OracleBudget(oracle, np.random.default_rng(check_seed(seed)))
+    budget = _OracleBudget(oracle, np.random.default_rng(seed))
 
     delta_grid = gamma * gamma * eps / 6.0
     eps1 = gamma * gamma * eps / 24.0

@@ -14,15 +14,13 @@ compounding k-1 separate CDF errors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dist_core import STEP, PiecewiseCdf
-from .errors import ValidationError
-from .fp_estimator import (FpEstimatorConfig, _check_numbers, _ghat_to_cdf, _tail_sum,
-                           estimate_ghat)
+from .errors import check_number
+from .fp_estimator import FpEstimatorConfig, _ghat_to_cdf, _tail_sum, estimate_ghat
 from .isotonic import pav_nondecreasing
 
 
@@ -43,19 +41,12 @@ class ValueEstimatorConfig:
     lipschitz: float | None = None
 
     def __post_init__(self):
-        bounds = {"zeta": self.zeta}
+        check_number("p", self.p, 0.0, 1.0)
+        check_number("gamma", self.gamma, 0.0, 1.0, "(]")
+        check_number("eps", self.eps, 0.0, 1.0, "()")
+        check_number("zeta", self.zeta, 0.0, bounds="()")
         if self.lipschitz is not None:
-            bounds["lipschitz"] = self.lipschitz
-        _check_numbers(p=self.p, gamma=self.gamma, eps=self.eps, **bounds)
-        if not 0.0 <= self.p <= 1.0:
-            raise ValidationError("p must lie in [0,1]")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValidationError("gamma must lie in (0,1]")
-        if not 0.0 < self.eps < 1.0:
-            raise ValidationError("eps must lie in (0,1)")
-        for name, x in bounds.items():
-            if not 0.0 < x < math.inf:  # NaN fails too
-                raise ValidationError(f"{name} must be {'finite' if x > 0.0 else 'positive'}")
+            check_number("lipschitz", self.lipschitz, 0.0, bounds="()")
 
     @property
     def v_grid_step(self):

@@ -12,7 +12,6 @@ mask, at most 8.
 
 from __future__ import annotations
 
-import math
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -25,7 +24,7 @@ from .auction_sim import (FORMAT_FP, FORMAT_SP, AuctionModel, lower_bound_fixtur
                           make_fp_partial_oracle, make_sp_partial_oracle, simulate_fp,
                           simulate_sp)
 from .dist_core import dkw_band, empirical_cdf, kolmogorov, levy, wasserstein1
-from .errors import ValidationError
+from .errors import ValidationError, check_number
 from .io import config_hash
 
 METRICS = ("kolmogorov", "levy", "wasserstein1")
@@ -103,8 +102,7 @@ def check_estimator_args(kind, args):
     _check_keys(owner, args, entry.required,
                 dict.fromkeys(entry.required + entry.optional, numbers.Real))
     for key, value in args.items():
-        if not -math.inf < value < math.inf:  # NaN too; an int of any size passes
-            raise ValidationError(f"{owner} key {key!r} must be finite, not {value}")
+        check_number(f"{owner} key {key!r}", value)
     return entry
 
 
@@ -140,11 +138,10 @@ class ExperimentConfig:
                              and n >= 1 for n in ns) \
                 or any(a >= b for a, b in zip(ns, ns[1:])):
             raise ValidationError(f"n schedule {ns} must be strictly ascending integers >= 1")
-        if not isinstance(self.seed_root, numbers.Integral) or self.seed_root < 0:
-            raise ValidationError(f"seed_root must be an integer >= 0, not {self.seed_root}")
-        if self.seeds < 1:
-            raise ValidationError("need at least one seed per n")
-        lo, hi = self.support_lo, self.support_hi
+        check_number("seed_root", self.seed_root, 0, integer=True)
+        check_number("seeds", self.seeds, 1, integer=True)
+        lo = check_number("support_lo", self.support_lo)
+        hi = check_number("support_hi", self.support_hi)
         if not 0.0 <= lo < hi <= 1.0:
             raise ValidationError(f"support [{lo}, {hi}] must satisfy 0 <= lo < hi <= 1")
         if self.metric == "levy" and (lo, hi) != (0.0, 1.0):
@@ -170,7 +167,7 @@ class ExperimentConfig:
             raise ValidationError("a sweep config must be a JSON object")
         _check_keys("sweep config", raw, list(_CONFIG_TYPES)[:4], _CONFIG_TYPES)
         support = raw.get("support", [0.0, 1.0])
-        if len(support) != 2 or not all(type(v) in (int, float) for v in support):
+        if len(support) != 2:
             raise ValidationError("sweep config key 'support' must be a pair of numbers")
         try:
             model = AuctionModel.from_dict(raw["model"])
@@ -246,9 +243,7 @@ def _max_workers():
         threads = int(env)
     except ValueError as exc:
         raise ValidationError(f"AUCTIONMETRICS_THREADS={env!r} is not an integer") from exc
-    if threads < 1:
-        raise ValidationError(f"AUCTIONMETRICS_THREADS must be >= 1, not {threads}")
-    return threads
+    return check_number("AUCTIONMETRICS_THREADS", threads, 1)
 
 
 def run_convergence(config):
@@ -294,10 +289,8 @@ def run_lower_bound_experiment(k, eps, lam, n, trials, seed_root=0):
     the analytic scale, and a two-sample KS comparison of the samples
     conditioned on the uninformative event Y > eps.
     """
-    if trials < 1:
-        raise ValidationError(f"need at least one trial, not {trials}")
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    check_number("trials", trials, 1, integer=True)
+    check_number("n", n, 1, integer=True)
     d, dp = lower_bound_fixture(k, eps, lam)
     f1, f1p = d.bid_dists[0], dp.bid_dists[0]
     sep_k = kolmogorov(f1, f1p)

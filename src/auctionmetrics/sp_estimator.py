@@ -23,14 +23,21 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .auction_sim import FORMAT_SP, check_seed
+from .auction_sim import FORMAT_SP
 from .dist_core import STEP, PiecewiseCdf, StepFunction, dkw_band, run_ends, sub_cdf
-from .errors import EstimationError, ValidationError
+from .errors import EstimationError, ValidationError, check_number
 from .fp_estimator import _check_probe_args, _OracleBudget, noisy_quantile_search
 from .isotonic import pav_nondecreasing
 
 # the contraction bound every macro-interval's Jacobian budget must meet
 CONTRACTIVITY_CAP = 0.25
+
+
+def _check_accuracy(alpha, eta, eps):
+    """The density bounds 0 < alpha <= eta and the accuracy eps in (0, 1)."""
+    if not 0.0 < check_number("alpha", alpha) <= check_number("eta", eta):
+        raise ValidationError("need 0 < alpha <= eta")
+    check_number("eps", eps, 0.0, 1.0, "()")
 
 
 @dataclass(frozen=True)
@@ -55,25 +62,17 @@ class SpParams:
     fp_iters: int
 
     def __post_init__(self):
-        if not 0.0 < self.alpha <= self.eta:
-            raise ValidationError("need 0 < alpha <= eta")
-        if not 0.0 < self.eps < 1.0:
-            raise ValidationError("eps must lie in (0,1)")
-        if not 0.0 < self.theta < 0.5:
-            raise ValidationError("theta must lie in (0, 0.5)")
-        if not 0.0 < self.nu < 1.0 - self.theta:
-            raise ValidationError("nu must lie in (0, 1-theta)")
-        if not 0.0 < self.micro_delta < self.nu:
-            raise ValidationError("micro_delta must lie in (0, nu)")
-        if self.fp_iters < 0:
-            raise ValidationError("fp_iters must be >= 0")
+        _check_accuracy(self.alpha, self.eta, self.eps)
+        check_number("theta", self.theta, 0.0, 0.5, "()")
+        check_number("nu", self.nu, 0.0, 1.0 - self.theta, "()")
+        check_number("micro_delta", self.micro_delta, 0.0, self.nu, "()")
+        check_number("fp_iters", self.fp_iters, 0, integer=True)
 
     @classmethod
     def desk(cls, alpha, eta, eps, n):
         """Desk-scale parameters for the accuracy (alpha, eta, eps) and n prices."""
+        _check_accuracy(alpha, eta, eps)  # before the trims divide by them
         fp_iters = math.ceil(math.log(4.0 / max(dkw_band(n, 0.05), 1e-9), 4.0))
-        if not 0.0 < alpha <= eta:  # before the trims divide by them
-            raise ValidationError("need 0 < alpha <= eta")
         # for k = 2 a price of weight 1/n near 1-theta costs 1/(n*(alpha*theta)^2)
         # of the budget; theta >= 4/(alpha*sqrt(n)) holds that to the cap/4
         trim = 4.0 / (alpha * math.sqrt(n))
@@ -299,7 +298,8 @@ def run_fixed_point(grid, params, measure_contraction=0, seed=0):
         raise EstimationError(
             f"bidder {i + 1} wins no price up to x={x:.6g}, so its state box there is empty",
             diagnostics={"bidder": i + 1, "x": x})
-    rng = np.random.default_rng(check_seed(seed))
+    check_number("measure_contraction", measure_contraction, 0, integer=True)
+    rng = np.random.default_rng(check_number("seed", seed, 0, integer=True))
     V = grid.v0
     all_U = []
     gaps = []
@@ -442,8 +442,8 @@ def sp_partial_estimate(oracle, p, gamma, eps, lipschitz=1.0,
     probes drawn in ``oracle_batches`` oracle calls and ``searched_levels``,
     summed over bidders.
     """
-    _check_probe_args(p, gamma, eps, lipschitz, n_point=n_point)
-    budget = _OracleBudget(oracle, np.random.default_rng(check_seed(seed)))
+    _check_probe_args(p, gamma, eps, lipschitz, seed, n_point=n_point)
+    budget = _OracleBudget(oracle, np.random.default_rng(seed))
     levels = np.unique(np.append(np.arange(gamma, 1.0, eps / 2.0), 1.0))
     T = max(1, math.ceil(math.log2(max(4.0 * lipschitz / eps, 2.0))))
 

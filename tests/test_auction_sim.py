@@ -172,7 +172,7 @@ def test_seed_must_be_a_non_negative_integer(seed, kind):
     ]
     for call in calls:
         with pytest.raises(ValidationError,
-                           match=f"seed must be a non-negative integer, not a {kind}$"):
+                           match=f"seed must be an integer, not {kind}$"):
             call()
     # a numpy integer is an integer
     assert simulate_fp(m, 50, np.int64(3)).y.tobytes() == simulate_fp(m, 50, 3).y.tobytes()

@@ -18,11 +18,17 @@ from auctionmetrics.auction_sim import (
     AuctionModel,
     lower_bound_fixture,
     make_fp_partial_oracle,
+    make_sp_partial_oracle,
     simulate_fp,
     simulate_sp,
 )
-from auctionmetrics.dist_core import BoundedDensityModel, PiecewiseCdf, uniform_cdf
-from auctionmetrics.errors import ValidationError
+from auctionmetrics.dist_core import BoundedDensityModel, PiecewiseCdf, dkw_band, uniform_cdf
+from auctionmetrics.errors import ValidationError, check_number
+from auctionmetrics.fp_estimator import (
+    estimate_bid_cdf_full,
+    estimate_density,
+    fp_partial_estimate,
+)
 from auctionmetrics.harness import (
     ESTIMATORS,
     ExperimentConfig,
@@ -43,6 +49,7 @@ from auctionmetrics.io import (
     io_write_model,
     io_write_samples,
 )
+from auctionmetrics.sp_estimator import SpParams, estimate_sp, sp_partial_estimate
 
 
 def uniform_model(k=2):
@@ -497,6 +504,111 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+# -- argument checks ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("x, lo, hi, bounds, message", [
+    (0.0, 0.0, 1.0, "(]", "in (0, 1], not 0.0"),
+    (1.0, 0.0, 1.0, "[)", "in [0, 1), not 1.0"),
+    (-0.5, 0.0, 1.0, "[]", "in [0, 1], not -0.5"),
+    (1.5, 0.0, 1.0, "[]", "in [0, 1], not 1.5"),
+    (0, 0, math.inf, "(]", "> 0, not 0"),
+    (-1, 0, math.inf, "[]", ">= 0, not -1"),
+    (math.nan, 0.0, 1.0, "[]", "finite, not nan"),
+    (math.inf, 0.0, math.inf, "[]", "finite, not inf"),
+    (-math.inf, -math.inf, 1.0, "[]", "finite, not -inf"),
+])
+def test_check_number_rejects_a_value_outside_its_interval(x, lo, hi, bounds, message):
+    with pytest.raises(ValidationError, match=re.escape(f"x must be {message}") + "$"):
+        check_number("x", x, lo, hi, bounds)
+
+
+def test_check_number_returns_what_it_accepts():
+    # each closed end accepts its own value, and numpy numbers are numbers
+    for x, bounds in ((0.0, "[)"), (1.0, "(]"), (0.5, "()")):
+        assert check_number("x", x, 0.0, 1.0, bounds) == x
+    for x in (np.int64(3), np.float64(0.25), 10 ** 400):
+        assert check_number("x", x) is x
+    assert check_number("seed", np.int64(0), 0, integer=True) == 0
+    # a bool is no number, numpy's neither, and a float is no integer
+    for x, integer, kind in ((True, False, "a number, not bool"),
+                             (np.bool_(True), False, "a number, not bool"),
+                             (True, True, "an integer, not bool"),
+                             (np.float64(2.0), True, "an integer, not float64"),
+                             (None, False, "a number, not NoneType")):
+        with pytest.raises(ValidationError, match=f"x must be {kind}"):
+            check_number("x", x, integer=integer)
+
+
+def _bad_arguments():
+    """(call, message) cases, each a bare TypeError, an accepted value or a
+    message naming another argument before every entry point checked its
+    numbers with ``check_number``."""
+    model = uniform_model()
+    fp_oracle, sp_oracle = make_fp_partial_oracle(model), make_sp_partial_oracle(model)
+    probe = {"p": 0.5, "gamma": 0.5, "eps": 0.2}
+    fp_log, sp_log = simulate_fp(model, 200, 0), simulate_sp(model, 200, 0)
+    return {
+        "fp-partial p None": (lambda: fp_partial_estimate(fp_oracle, **{**probe, "p": None}),
+                              "p must be a number, not NoneType"),
+        "sp-partial p None": (lambda: sp_partial_estimate(sp_oracle, **{**probe, "p": None}),
+                              "p must be a number, not NoneType"),
+        "fp-partial n_search True": (lambda: fp_partial_estimate(fp_oracle, **probe,
+                                                                 n_search=True),
+                                     "n_search must be an integer, not bool"),
+        "fp-partial n_point 2.5": (lambda: fp_partial_estimate(fp_oracle, **probe,
+                                                               n_point=2.5),
+                                   "n_point must be an integer, not float"),
+        "sp-partial n_point True": (lambda: sp_partial_estimate(sp_oracle, **probe,
+                                                                n_point=True),
+                                    "n_point must be an integer, not bool"),
+        "sp alpha None": (lambda: estimate_sp(sp_log, None, 1.0, 0.1),
+                          "alpha must be a number, not NoneType"),
+        "sp eps None": (lambda: estimate_sp(sp_log, 1.0, 1.0, None),
+                        "eps must be a number, not NoneType"),
+        "sp measure_contraction 2.5": (lambda: estimate_sp(sp_log, 1.0, 1.0, 0.1,
+                                                           measure_contraction=2.5),
+                                       "measure_contraction must be an integer, not float"),
+        "sp fp_iters 2.5": (lambda: SpParams(alpha=1.0, eta=1.0, eps=0.1, theta=0.05, nu=0.02,
+                                             micro_delta=1e-3, fp_iters=2.5),
+                            "fp_iters must be an integer, not float"),
+        "fp-full lambda None": (lambda: estimate_bid_cdf_full(fp_log, None, 0.2),
+                                "lambda must be a number, not NoneType"),
+        "fp-full lambda nan": (lambda: estimate_bid_cdf_full(fp_log, math.nan, 0.2),
+                               "lambda must be finite, not nan"),
+        "density h None": (lambda: estimate_density(uniform_cdf(), None),
+                           "h must be a number, not NoneType"),
+        "density h nan": (lambda: estimate_density(uniform_cdf(), math.nan),
+                          "h must be finite, not nan"),
+        "dkw delta None": (lambda: dkw_band(10, None), "delta must be a number, not NoneType"),
+        "dkw n 2.5": (lambda: dkw_band(2.5, 0.05), "n must be an integer, not float"),
+        "simulate n 2.5": (lambda: simulate_fp(model, 2.5, 1),
+                           "n must be an integer, not float"),
+        "fixture k 2.5": (lambda: lower_bound_fixture(2.5, 0.1, 0.2),
+                          "k must be an integer, not float"),
+        "lower bound trials 1.5": (lambda: run_lower_bound_experiment(2, 0.1, 0.2, 100,
+                                                                      trials=1.5),
+                                   "trials must be an integer, not float"),
+        "lower bound n 1.5": (lambda: run_lower_bound_experiment(2, 0.1, 0.2, 1.5, trials=1),
+                              "n must be an integer, not float"),
+        "config seeds True": (lambda: sweep_config(seeds=True),
+                              "seeds must be an integer, not bool"),
+        "config seeds 1.5": (lambda: sweep_config(seeds=1.5),
+                             "seeds must be an integer, not float"),
+        "config seed_root True": (lambda: sweep_config(seed_root=True),
+                                  "seed_root must be an integer, not bool"),
+        "config support_lo None": (lambda: sweep_config(support_lo=None),
+                                   "support_lo must be a number, not NoneType"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_arguments()))
+def test_every_entry_point_names_a_bad_number(case):
+    call, message = _bad_arguments()[case]
+    with pytest.raises(ValidationError, match=re.escape(message) + "$"):
+        call()
+
+
 # -- cli ------------------------------------------------------------------------
 
 
@@ -581,6 +693,11 @@ def test_cli_estimate_sp_exits_3_on_a_bidder_without_low_wins(tmp_path, capsys):
     code, err = main_exit(["estimate-sp", "--samples", log, "--k", 2, "--alpha", 0.5,
                            "--eta", 2, "--eps", 0.1, "--out", out], capsys)
     assert code == 3 and "estimation failed: bidder 2 wins no price up to x=0.19" in err
+    # the diagnostics follow the message as one JSON line
+    message, line = err.splitlines()
+    diagnostics = json.loads(line)
+    assert list(diagnostics) == ["bidder", "x"] and diagnostics["bidder"] == 2
+    assert f"x={diagnostics['x']:.6g}," in message
     assert not out.exists()
 
 
@@ -626,15 +743,16 @@ def test_cli_exit_code_validation(tmp_path, model_file, fp_log, capsys):
     probe = ["--model", model_file, "--p", 0.5, "--gamma", 0.5, "--eps", 0.2]
     values = ["estimate-values", "--samples", fp_log, "--k", 2, "--p", 0.2, "--gamma", 0.05,
               "--eps", 0.1]
-    negative_seed = "seed must be a non-negative integer, not -1"
+    negative_seed = "seed must be >= 0, not -1"
     for argv, message in [
         (["simulate", "--model", model_file, "--format", "fp", "--n", 100, "--seed", -1],
          negative_seed),
         (["estimate-fp-partial", *probe, "--seed", -1], negative_seed),
         (["estimate-sp-partial", *probe, "--seed", -1], negative_seed),
-        (["lower-bound", "--k", 2, "--eps", 0.1, "--lambda", 0.2, "--n", -5], "n must be >= 1"),
+        (["lower-bound", "--k", 2, "--eps", 0.1, "--lambda", 0.2, "--n", -5],
+         "n must be >= 1, not -5"),
         ([*values, "--zeta", "nan"], "estimator 'fp-value' key 'zeta' must be finite, not nan"),
-        ([*values, "--zeta", 1, "--lipschitz", -3], "lipschitz must be positive"),
+        ([*values, "--zeta", 1, "--lipschitz", -3], "lipschitz must be > 0, not -3.0"),
         (["estimate-fp-partial", *probe, "--lipschitz", "inf"],
          "estimator 'fp-partial' key 'lipschitz' must be finite, not inf"),
         (["estimate-sp-partial", *probe, "--lipschitz", "inf"],
@@ -751,7 +869,7 @@ def test_cli_sweep_rejects_a_bad_config_before_any_cell(case, tmp_path, model_fi
     ("n_schedule", [-5, 100], "n schedule [-5, 100] must be strictly ascending integers >= 1"),
     ("n_schedule", [], "n schedule [] must be strictly ascending integers >= 1"),
     ("n_schedule", [100, 100], "n schedule [100, 100] must be strictly ascending integers >= 1"),
-    ("seed_root", -1, "seed_root must be an integer >= 0, not -1"),
+    ("seed_root", -1, "seed_root must be >= 0, not -1"),
     # a bool is an Integral: its cell failed in numpy and was filed as an estimator failure
     ("n_schedule", [True, 500], "n schedule [True, 500] must be strictly ascending integers >= 1"),
     # numpy's ValueError: a traceback and exit 1
@@ -822,7 +940,7 @@ def test_cli_lower_bound_needs_a_trial(trials, tmp_path, capsys):
     out = tmp_path / "lb.json"
     code, err = main_exit(["lower-bound", "--k", 2, "--eps", 0.1, "--lambda", 0.2,
                            "--n", 100, "--trials", trials, "--out", out], capsys)
-    assert code == 2 and "need at least one trial" in err
+    assert code == 2 and "trials must be >= 1" in err
     assert not out.exists()
 
 
