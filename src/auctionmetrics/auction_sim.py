@@ -126,6 +126,14 @@ class SampleSet:
             ys = self.y[order]
         return ys, self.z[order]
 
+    def wins(self, i):
+        """Mask of bidder i's wins in ``ranked``; ValidationError unless n > 0 and 1 <= i <= k."""
+        if self.n == 0:
+            raise ValidationError("empty sample")
+        if not 1 <= i <= self.k:
+            raise ValidationError("bidder index out of range")
+        return self.ranked[1] == i
+
     def require(self, auction):
         """Raise ``ValidationError`` unless the log is of ``auction``."""
         if self.auction != auction:

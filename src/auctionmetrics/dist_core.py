@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, check_number
+from .errors import ValidationError, check_number, check_window
 
 STEP = "step"
 LINEAR = "linear"
@@ -346,6 +346,7 @@ class BoundedDensityModel:
 
     def to_cdf(self, n_grid=4097):
         """A piecewise-linear PiecewiseCdf approximation on a fine grid."""
+        check_number("n_grid", n_grid, 2, integer=True)
         xs = np.union1d(np.linspace(0.0, 1.0, n_grid), self.knots)
         vals = self.cdf(xs)
         vals[-1] = 1.0
@@ -375,7 +376,8 @@ class BoundedDensityModel:
 # -- distances --------------------------------------------------------------
 
 
-def _union_breakpoints(F, G, lo=0.0, hi=1.0):
+def _union_breakpoints(F, G, lo, hi):
+    check_window(lo, hi)
     pts = np.union1d(F.breakpoints, G.breakpoints)
     pts = pts[(pts >= lo) & (pts <= hi)]
     return np.union1d(pts, [lo, hi])

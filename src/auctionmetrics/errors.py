@@ -43,3 +43,14 @@ def check_number(name, x, lo=-math.inf, hi=math.inf, bounds="[]", integer=False)
             else f"in {left}{lo:g}, {hi:g}{right}"
         raise ValidationError(f"{name} must be {need}, not {x}")
     return x
+
+
+def check_window(lo, hi, name="window", point=False):
+    """(lo, hi) if both are numbers with 0 <= lo < hi <= 1 (or lo == hi, if
+    ``point``); otherwise ValidationError naming ``name``."""
+    check_number("lo", lo)
+    check_number("hi", hi)
+    if not 0.0 <= lo <= hi <= 1.0 or (lo == hi and not point):
+        raise ValidationError(f"{name} [{lo}, {hi}] must satisfy "
+                              f"0 <= lo {'<=' if point else '<'} hi <= 1")
+    return lo, hi

@@ -56,11 +56,7 @@ def estimate_ghat(samples, i, config):
     own weight.
     """
     samples.require(FORMAT_FP)
-    if not 1 <= i <= samples.k:
-        raise ValidationError("bidder index out of range")
-    if samples.n == 0:
-        raise ValidationError("empty sample")
-    return _tail_sum(samples, samples.ranked[1] == i, config.floor)
+    return _tail_sum(samples, samples.wins(i), config.floor)
 
 
 def _tail_sum(samples, won, floor):

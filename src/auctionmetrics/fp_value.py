@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist_core import STEP, PiecewiseCdf
-from .errors import check_number
+from .errors import check_number, check_window
 from .fp_estimator import FpEstimatorConfig, _ghat_to_cdf, _tail_sum, estimate_ghat
 from .isotonic import pav_nondecreasing
 
@@ -60,6 +60,7 @@ def best_response(prod, v, lo=0.0, hi=1.0):
     an array of values. Candidates are the staircase's breakpoints plus the
     interval ends; ties go to the smallest bid.
     """
+    check_window(lo, hi, point=True)
     bp = prod.breakpoints
     cand = np.union1d(bp[(bp >= lo) & (bp <= hi)], [lo, hi])
     pv = prod.eval(cand)

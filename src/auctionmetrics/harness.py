@@ -24,7 +24,7 @@ from .auction_sim import (FORMAT_FP, FORMAT_SP, AuctionModel, lower_bound_fixtur
                           make_fp_partial_oracle, make_sp_partial_oracle, simulate_fp,
                           simulate_sp)
 from .dist_core import dkw_band, empirical_cdf, kolmogorov, levy, wasserstein1
-from .errors import ValidationError, check_number
+from .errors import ValidationError, check_number, check_window
 from .io import config_hash
 
 METRICS = ("kolmogorov", "levy", "wasserstein1")
@@ -54,8 +54,7 @@ def _fp_config(args):
                                           args.get("eps", args["gamma"] / 2.0))
 
 
-# Argument keys are the estimators' parameter names. The sp contraction ratio
-# is measured on 5 state pairs per macro-interval, from the estimator's own seed.
+# Argument keys are the estimators' parameter names.
 ESTIMATORS = {
     "fp-effective": Estimator(
         FORMAT_FP, ("p", "gamma"), ("eps",),
@@ -69,7 +68,7 @@ ESTIMATORS = {
             s, fp_value.ValueEstimatorConfig(**a)), VALUE),
     "sp": Estimator(
         FORMAT_SP, ("alpha", "eta", "eps"), (),
-        lambda s, a, seed: sp_estimator.estimate_sp(s, measure_contraction=5, **a)),
+        lambda s, a, seed: sp_estimator.estimate_sp(s, **a)),
     "fp-partial": Estimator(
         PROBE_FP, ("p", "gamma", "eps"), ("lipschitz",),
         lambda o, a, seed: fp_estimator.fp_partial_estimate(o, seed=seed, **a)),
@@ -140,10 +139,8 @@ class ExperimentConfig:
             raise ValidationError(f"n schedule {ns} must be strictly ascending integers >= 1")
         check_number("seed_root", self.seed_root, 0, integer=True)
         check_number("seeds", self.seeds, 1, integer=True)
-        lo = check_number("support_lo", self.support_lo)
-        hi = check_number("support_hi", self.support_hi)
-        if not 0.0 <= lo < hi <= 1.0:
-            raise ValidationError(f"support [{lo}, {hi}] must satisfy 0 <= lo < hi <= 1")
+        lo, hi = check_window(check_number("support_lo", self.support_lo),
+                              check_number("support_hi", self.support_hi), "support")
         if self.metric == "levy" and (lo, hi) != (0.0, 1.0):
             raise ValidationError(f"metric 'levy' scores on [0, 1], not on [{lo}, {hi}]")
 

@@ -108,7 +108,7 @@ class SpGrid:
     ``endpoints[0] = nu`` and ``endpoints[tau]`` closes macro-interval tau,
     whose inputs are ``cells[tau-1]``; ``v0`` is G-hat at nu, the left
     boundary of the first interval. ``lone_cells`` lists the (x, budget) of
-    each one-cell interval whose budget is above the cap and below 1.
+    each one-cell interval above the cap (budget below 1): the fixed point samples those.
     """
 
     endpoints: np.ndarray
@@ -130,12 +130,7 @@ def empirical_G_sp(samples, i):
 
     The same in both auction formats (H_i in first price, G_i in second).
     """
-    if samples.n == 0:
-        raise ValidationError("empty sample")
-    if not 1 <= i <= samples.k:
-        raise ValidationError("bidder index out of range")
-    prices, winners = samples.ranked
-    ys = prices[winners == i]
+    ys = samples.ranked[0][samples.wins(i)]
     if ys.size == 0:
         return sub_cdf([0.0], [0.0])
     ends = run_ends(ys)
@@ -148,12 +143,7 @@ def coarse_U(samples, i, theta):
     The step function (1/n) sum 1/(1 - Y_j) over wins by bidder i with
     Y_j <= x; a run of tied prices keeps the cumulative sum at its end.
     """
-    if samples.n == 0:
-        raise ValidationError("empty sample")
-    if not 1 <= i <= samples.k:
-        raise ValidationError("bidder index out of range")
-    prices, winners = samples.ranked
-    ys = prices[winners == i]
+    ys = samples.ranked[0][samples.wins(i)]
     cum = np.cumsum(1.0 / (samples.n * np.maximum(1.0 - ys, theta / 8.0)))
     ends = run_ends(ys)
     return StepFunction(ys[ends], cum[ends])
@@ -282,14 +272,31 @@ def _random_box_state(cell, rng):
     return np.minimum(cand, cell.box_hi)  # bounds are monotone, so this stays valid
 
 
-def run_fixed_point(grid, params, measure_contraction=0, seed=0):
+def sample_contraction(cell, V, pairs, rng):
+    """Max over ``pairs`` random state pairs (a, b) of ``cell``'s box of the
+    sup-norm ratio |phi(a) - phi(b)| / |a - b| of its map with left boundary
+    V (0 if every pair coincides): a lower estimate of its Lipschitz constant."""
+    ratios = [0.0]
+    for _ in range(pairs):
+        a = _random_box_state(cell, rng)
+        b = _random_box_state(cell, rng)
+        dist = float(np.max(np.abs(a - b)))
+        if dist >= 1e-12:
+            fa, fb = fixed_point_map(a, V, cell), fixed_point_map(b, V, cell)
+            ratios.append(float(np.max(np.abs(fa - fb))) / dist)
+    return max(ratios)
+
+
+def run_fixed_point(grid, params):
     """Iterate the discretized map across all macro-intervals.
 
     Returns (U, diagnostics): ``U`` is the k x total matrix of U estimates at
     the cells' micro points in order; diagnostics include per-interval
-    fixed-point gaps, clip activation rates, box violations, and optional
-    measured contraction ratios. A bidder that wins no price up to a micro
-    point has an empty state box there (coarse U = 0): EstimationError.
+    fixed-point gaps, clip activation rates and box violations. No budget
+    certifies the ``grid.lone_cells``, so if there are any, diagnostics list
+    them and, in ``contraction_samples``, each one's sampled contraction (5
+    pairs, one ``default_rng(0)`` per run). A bidder that wins no price up to
+    a micro point has an empty state box there (coarse U = 0): EstimationError.
     """
     empty = np.hstack([cell.coarse for cell in grid.cells]) <= 0.0
     if empty.any():
@@ -298,14 +305,9 @@ def run_fixed_point(grid, params, measure_contraction=0, seed=0):
         raise EstimationError(
             f"bidder {i + 1} wins no price up to x={x:.6g}, so its state box there is empty",
             diagnostics={"bidder": i + 1, "x": x})
-    check_number("measure_contraction", measure_contraction, 0, integer=True)
-    rng = np.random.default_rng(check_number("seed", seed, 0, integer=True))
-    V = grid.v0
-    all_U = []
-    gaps = []
-    clip_rates = []
-    box_violations = 0
-    contraction = []
+    lone = {x for x, _ in grid.lone_cells}
+    rng = np.random.default_rng(0)
+    V, all_U, gaps, clip_rates, box_violations, contraction = grid.v0, [], [], [], 0, []
     for cell in grid.cells:
         U = np.maximum.accumulate(np.clip(cell.coarse, cell.box_lo, cell.box_hi), axis=1)
         gap = 0.0
@@ -319,18 +321,8 @@ def run_fixed_point(grid, params, measure_contraction=0, seed=0):
         box_violations += int(np.sum((U < cell.box_lo - 1e-9)
                                      | (U > cell.box_hi + 1e-9)))
         box_violations += int(np.sum(np.diff(U, axis=1) < -1e-9))
-        if measure_contraction:
-            ratios = []
-            for _ in range(measure_contraction):
-                a = _random_box_state(cell, rng)
-                b = _random_box_state(cell, rng)
-                dist = float(np.max(np.abs(a - b)))
-                if dist < 1e-12:
-                    continue
-                fa = fixed_point_map(a, V, cell)
-                fb = fixed_point_map(b, V, cell)
-                ratios.append(float(np.max(np.abs(fa - fb))) / dist)
-            contraction.append(max(ratios) if ratios else 0.0)
+        if cell.xs[0] in lone:  # each lone cell is the only micro point of its interval
+            contraction.append(sample_contraction(cell, V, 5, rng))
         all_U.append(U)
         V = U[:, -1].copy()
     U = np.hstack(all_U)
@@ -341,8 +333,9 @@ def run_fixed_point(grid, params, measure_contraction=0, seed=0):
         "fp_gaps": gaps,
         "clip_rates": clip_rates,
         "box_violations": box_violations,
-        "contraction_samples": contraction,
     }
+    if lone:
+        diagnostics.update(lone_cells=grid.lone_cells, contraction_samples=contraction)
     return U, diagnostics
 
 
@@ -370,40 +363,32 @@ def recover_F(xs, U, params):
         fv = np.concatenate([[fitted[0]], fitted, [1.0]])
         cdfs.append(PiecewiseCdf(bp, np.maximum.accumulate(fv[idx]),
                                  interpolation=STEP, is_full_cdf=True))
-    diagnostics = {
-        "isotonic_repairs": repairs,
-        "isotonic_repair_total": max(repairs) if repairs else 0.0,
-    }
-    return cdfs, diagnostics
+    return cdfs, {"isotonic_repairs": repairs,
+                  "isotonic_repair_total": max(repairs) if repairs else 0.0}
 
 
-def run_pipeline(ghat_list, coarse_list, params, measure_contraction=0, seed=0):
+def run_pipeline(ghat_list, coarse_list, params):
     """Grid construction + fixed point + CDF recovery from eval-ables.
 
-    Returns (list of PiecewiseCdf, diagnostics).
+    Returns (list of PiecewiseCdf, diagnostics), with each interval's budget
+    in ``gamma_per_interval``.
     """
     grid, gammas = _build_grid(ghat_list, coarse_list, params)
-    U, fp_diag = run_fixed_point(grid, params, measure_contraction=measure_contraction,
-                                 seed=seed)
+    U, fp_diag = run_fixed_point(grid, params)
     xs = np.concatenate([cell.xs for cell in grid.cells])
     cdfs, rec_diag = recover_F(xs, U, params)
-    diagnostics = {**fp_diag, **rec_diag,
-                   "gamma_per_interval": gammas,
-                   "params": asdict(params)}
-    if grid.lone_cells:
-        diagnostics["lone_cells"] = grid.lone_cells
-    return cdfs, diagnostics
+    return cdfs, {**fp_diag, **rec_diag, "gamma_per_interval": gammas,
+                  "params": asdict(params)}
 
 
-def estimate_sp(samples, alpha, eta, eps, measure_contraction=0, seed=0):
+def estimate_sp(samples, alpha, eta, eps):
     """End-to-end second-price estimation with the ``SpParams.desk`` parameters.
     Returns (list of PiecewiseCdf, diagnostics)."""
     samples.require(FORMAT_SP)
     params = SpParams.desk(alpha, eta, eps, n=samples.n)
     ghat_list = [empirical_G_sp(samples, i) for i in range(1, samples.k + 1)]
     coarse_list = [coarse_U(samples, i, params.theta) for i in range(1, samples.k + 1)]
-    return run_pipeline(ghat_list, coarse_list, params,
-                        measure_contraction=measure_contraction, seed=seed)
+    return run_pipeline(ghat_list, coarse_list, params)
 
 
 # -- reserve-price probes ----------------------------------------------------

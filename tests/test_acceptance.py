@@ -43,6 +43,7 @@ from auctionmetrics.sp_estimator import (
     sp_partial_pointwise,
 )
 from reference import CallableEval, population_bid_cdf
+from test_sp_estimator import interval_contractions
 
 UNIFORM = uniform_cdf()
 
@@ -142,9 +143,9 @@ def test_07_sp_measured_contraction_below_quarter():
     d1, d2 = bounded_pair()
     m = AuctionModel(bid_dists=[d1.to_cdf(), d2.to_cdf()])
     s = simulate_sp(m, 10 ** 6, 101)
-    _, diag = estimate_sp(s, 0.5, 2.0, 0.1, measure_contraction=100, seed=11)
-    assert max(diag["contraction_samples"]) <= 0.25
-    assert max(diag["gamma_per_interval"]) <= 0.25 + 1e-12
+    ratios, gammas = zip(*interval_contractions(s, 0.5, 2.0, 0.1, pairs=100, seed=11))
+    assert max(ratios) <= 0.25
+    assert max(gammas) <= 0.25 + 1e-12
 
 
 def test_08_sp_population_pipeline_sup_error():

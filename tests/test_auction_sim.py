@@ -30,7 +30,7 @@ from auctionmetrics.dist_core import (
 )
 from auctionmetrics.errors import EstimationError, ValidationError
 from auctionmetrics.fp_estimator import fp_partial_estimate
-from auctionmetrics.sp_estimator import estimate_sp, sp_partial_estimate
+from auctionmetrics.sp_estimator import sp_partial_estimate
 from reference import partial_counts, quad_fp_win_chance, reference_outcomes
 
 UNI_DENSITY = BoundedDensityModel(knots=[0.0, 1.0], density=[1.0, 1.0],
@@ -160,7 +160,6 @@ def test_simulate_rejects_bad_n():
 def test_seed_must_be_a_non_negative_integer(seed, kind):
     # a seed alone fixes every draw; any other seed is a validation error
     m = uniform_model()
-    sp_log = simulate_sp(m, 20000, 0)
     calls = [
         lambda: simulate_fp(m, 50, seed),
         lambda: simulate_sp(m, 50, seed),
@@ -168,7 +167,6 @@ def test_seed_must_be_a_non_negative_integer(seed, kind):
                                     seed=seed),
         lambda: sp_partial_estimate(make_sp_partial_oracle(m), p=0.5, gamma=0.5, eps=0.2,
                                     seed=seed),
-        lambda: estimate_sp(sp_log, 1.0, 1.0, 0.1, measure_contraction=5, seed=seed),
     ]
     for call in calls:
         with pytest.raises(ValidationError,

@@ -22,13 +22,21 @@ from auctionmetrics.auction_sim import (
     simulate_fp,
     simulate_sp,
 )
-from auctionmetrics.dist_core import BoundedDensityModel, PiecewiseCdf, dkw_band, uniform_cdf
+from auctionmetrics.dist_core import (
+    BoundedDensityModel,
+    PiecewiseCdf,
+    dkw_band,
+    kolmogorov,
+    uniform_cdf,
+    wasserstein1,
+)
 from auctionmetrics.errors import ValidationError, check_number
 from auctionmetrics.fp_estimator import (
     estimate_bid_cdf_full,
     estimate_density,
     fp_partial_estimate,
 )
+from auctionmetrics.fp_value import best_response
 from auctionmetrics.harness import (
     ESTIMATORS,
     ExperimentConfig,
@@ -541,13 +549,15 @@ def test_check_number_returns_what_it_accepts():
 
 
 def _bad_arguments():
-    """(call, message) cases, each a bare TypeError, an accepted value or a
-    message naming another argument before every entry point checked its
-    numbers with ``check_number``."""
+    """(call, message) cases, each a bare TypeError, numpy's own error, an
+    accepted value or a message naming another argument before every entry
+    point checked its numbers with ``check_number``."""
     model = uniform_model()
     fp_oracle, sp_oracle = make_fp_partial_oracle(model), make_sp_partial_oracle(model)
     probe = {"p": 0.5, "gamma": 0.5, "eps": 0.2}
     fp_log, sp_log = simulate_fp(model, 200, 0), simulate_sp(model, 200, 0)
+    staircase = PiecewiseCdf([0.2, 0.5, 0.9], [0.3, 0.6, 1.0], interpolation="step")
+    density = BoundedDensityModel(knots=[0.0, 1.0], density=[1.0, 1.0], alpha_lo=0.5, eta_hi=2.0)
     return {
         "fp-partial p None": (lambda: fp_partial_estimate(fp_oracle, **{**probe, "p": None}),
                               "p must be a number, not NoneType"),
@@ -566,9 +576,6 @@ def _bad_arguments():
                           "alpha must be a number, not NoneType"),
         "sp eps None": (lambda: estimate_sp(sp_log, 1.0, 1.0, None),
                         "eps must be a number, not NoneType"),
-        "sp measure_contraction 2.5": (lambda: estimate_sp(sp_log, 1.0, 1.0, 0.1,
-                                                           measure_contraction=2.5),
-                                       "measure_contraction must be an integer, not float"),
         "sp fp_iters 2.5": (lambda: SpParams(alpha=1.0, eta=1.0, eps=0.1, theta=0.05, nu=0.02,
                                              micro_delta=1e-3, fp_iters=2.5),
                             "fp_iters must be an integer, not float"),
@@ -599,6 +606,22 @@ def _bad_arguments():
                                   "seed_root must be an integer, not bool"),
         "config support_lo None": (lambda: sweep_config(support_lo=None),
                                    "support_lo must be a number, not NoneType"),
+        "kolmogorov reversed": (lambda: kolmogorov(uniform_cdf(), staircase, 0.8, 0.2),
+                                "window [0.8, 0.2] must satisfy 0 <= lo < hi <= 1"),
+        "kolmogorov empty": (lambda: kolmogorov(uniform_cdf(), staircase, 0.5, 0.5),
+                             "window [0.5, 0.5] must satisfy 0 <= lo < hi <= 1"),
+        "kolmogorov lo None": (lambda: kolmogorov(uniform_cdf(), staircase, None, 1.0),
+                               "lo must be a number, not NoneType"),
+        "wasserstein1 reversed": (lambda: wasserstein1(uniform_cdf(), staircase, 0.8, 0.2),
+                                  "window [0.8, 0.2] must satisfy 0 <= lo < hi <= 1"),
+        "wasserstein1 hi 1.5": (lambda: wasserstein1(uniform_cdf(), staircase, 0.0, 1.5),
+                                "window [0.0, 1.5] must satisfy 0 <= lo < hi <= 1"),
+        "best_response reversed": (lambda: best_response(staircase, 0.7, 0.8, 0.2),
+                                   "window [0.8, 0.2] must satisfy 0 <= lo <= hi <= 1"),
+        "best_response hi None": (lambda: best_response(staircase, 0.7, 0.0, None),
+                                  "hi must be a number, not NoneType"),
+        "to_cdf n_grid -1": (lambda: density.to_cdf(-1), "n_grid must be >= 2, not -1"),
+        "to_cdf n_grid 2.5": (lambda: density.to_cdf(2.5), "n_grid must be an integer, not float"),
     }
 
 
@@ -680,7 +703,8 @@ def test_cli_estimate_sp(tmp_path, model_file):
     assert r.returncode == 0, r.stderr
     assert len(io_read_cdfs(out)) == 2
     diag = json.loads(out.read_text())["diagnostics"]
-    assert len(diag["contraction_samples"]) == diag["T"]  # as in a sweep
+    # no interval needs a lone cell, so no contraction is sampled
+    assert "lone_cells" not in diag and "contraction_samples" not in diag
 
 
 def test_cli_estimate_sp_exits_3_on_a_bidder_without_low_wins(tmp_path, capsys):

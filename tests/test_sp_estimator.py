@@ -33,7 +33,9 @@ from auctionmetrics.sp_estimator import (
     coarse_U,
     empirical_G_sp,
     estimate_sp,
+    run_fixed_point,
     run_pipeline,
+    sample_contraction,
     sp_partial_estimate,
     sp_partial_pointwise,
 )
@@ -290,10 +292,23 @@ def test_fixed_point_output_stays_in_box_and_monotone():
     assert max(diag["fp_gaps"]) < 1e-6
 
 
+def interval_contractions(s, alpha, eta, eps, pairs, seed):
+    """(sampled ratio, budget) per macro-interval of ``estimate_sp`` on s: the
+    map of every interval sampled on ``pairs`` state pairs, in order, from one
+    generator seeded ``seed``, at the left boundary the fixed point gave it."""
+    params = SpParams.desk(alpha, eta, eps, n=s.n)
+    grid, gammas = _build_grid(*sample_pieces(s, params), params)
+    U, _ = run_fixed_point(grid, params)
+    lefts = [grid.v0] + [U[:, end - 1] for end in np.cumsum(grid.micro_counts)[:-1]]
+    rng = np.random.default_rng(seed)
+    return [(sample_contraction(cell, V, pairs, rng), gamma)
+            for cell, V, gamma in zip(grid.cells, lefts, gammas)]
+
+
 def test_measured_contraction_below_cap():
     s = simulate_sp(uniform_model(), 20000, 53)
-    _, diag = estimate_sp(s, 1.0, 1.0, 0.1, measure_contraction=5, seed=7)
-    assert max(diag["contraction_samples"]) <= 0.25
+    ratios = interval_contractions(s, 1.0, 1.0, 0.1, pairs=5, seed=7)
+    assert max(ratio for ratio, _ in ratios) <= 0.25
 
 
 def test_population_pipeline_recovers_uniform():
@@ -334,16 +349,16 @@ class CountingEval:
 def test_pipeline_evaluates_each_input_once_per_point():
     # the grid build is the only reader, with one call per piece on the whole
     # lattice: G-hat at nu and every micro point, the coarse U at the micro
-    # points; the fixed point, the contraction samples and the recovery read
-    # the cells
+    # points; the fixed point and the recovery read the cells. No interval
+    # needs a lone cell here, so no contraction is sampled
     ghat, coarse = population_pieces()
     ghat = [CountingEval(g) for g in ghat]
     coarse = [CountingEval(c) for c in coarse]
     params = SpParams(alpha=1.0, eta=1.0, eps=0.02, theta=0.05, nu=0.025,
                       micro_delta=1e-3, fp_iters=20)
-    _, diag = run_pipeline(ghat, coarse, params, measure_contraction=2)
-    T = diag["T"]
-    assert T > 1 and len(diag["contraction_samples"]) == T
+    _, diag = run_pipeline(ghat, coarse, params)
+    assert diag["T"] > 1
+    assert "lone_cells" not in diag and "contraction_samples" not in diag
     assert [g.calls for g in ghat] == [1] * 2
     assert [c.calls for c in coarse] == [1] * 2
 
@@ -356,27 +371,29 @@ def bounded2_model():
 
 def test_estimate_sp_is_pinned_per_seed():
     # digests of the CDFs and diagnostics; a change that moves any micro
-    # point, iterate, contraction sample or rounding changes the hash. Uniform
-    # k=2 runs the desk defaults; the bounded-density pair also draws the
-    # random contraction states. Re-pinned when the grid build moved onto one
-    # lattice: micro points are nu + m*delta, not a running sum, so they, the
-    # endpoints, the budgets and the CDFs move by ulps (T and every micro count
-    # stay), and the unread eps_g left the params diagnostics. The digests
+    # point, iterate or rounding changes the hash. Uniform k=2 and the
+    # bounded-density pair run the desk defaults. Re-pinned when the grid
+    # build moved onto one lattice: micro points are nu + m*delta, not a
+    # running sum, so they, the endpoints, the budgets and the CDFs move by
+    # ulps (T and every micro count stay), and the unread eps_g left the
+    # params diagnostics. The digests
     # before were 6b286a24... and 7304e1f4... Re-pinned when the always-0
     # degenerate_lower_clips key left the diagnostics (an empty state box now
     # raises before the fixed point); the CDF-only digests held, and the
-    # digests before were a3ebdad6... and 9aae8ef9...
+    # digests before were a3ebdad6... and 9aae8ef9... Re-pinned when the
+    # contraction sample moved onto the lone cells: neither log has one, so
+    # contraction_samples left the diagnostics; each digest is the one before
+    # (056bcd43... and 46c1bc84...) taken with that key popped
     cdfs, diag = estimate_sp(simulate_sp(uniform_model(), 100000, 59), 1.0, 1.0, 0.1)
     assert estimate_digest(cdfs, {}) == (
         "2e2885649c8f7a1312b47d5130912f6e374d669c7e4659860b676ed0240491ea")
     assert estimate_digest(cdfs, diag) == (
-        "056bcd4331e994047737b7d5ddcb7beb68bfe5edd22052e93af4e6a63e356af5")
-    cdfs, diag = estimate_sp(simulate_sp(bounded2_model(), 200000, 0), 0.5, 2.0, 0.1,
-                             measure_contraction=5)
+        "54ae081b0b6be7b702e53f64cac76c6198a3ba0065d33605e6ac5dc5133e3d3b")
+    cdfs, diag = estimate_sp(simulate_sp(bounded2_model(), 200000, 0), 0.5, 2.0, 0.1)
     assert estimate_digest(cdfs, {}) == (
         "98344d708419f48b12cb58f2d673286e24cc3c830a728f63940f1279359e8f6c")
     assert estimate_digest(cdfs, diag) == (
-        "46c1bc84da91ae2ef3eae21dbc6fa6b97745e418d1f58a8718b3d24ac96058a0")
+        "513817c80d3e61f0824b49a5e7b1d11df66d45de3fe4d9b2804aff2bc72a39d0")
 
 
 def test_estimate_sp_converges_to_uniform():
@@ -416,8 +433,10 @@ def test_estimate_sp_answers_when_only_cells_past_the_trim_are_inadmissible(n, s
         assert kolmogorov(F, model.bid_cdf(i), theta, 1.0 - theta) <= 0.1
 
 
-@pytest.mark.parametrize("n, seed", [(2000, 2270173015), (5000, 1760764637),
-                                     (20000, 647311919)])
+ONE_CELL_LOGS = [(2000, 2270173015), (5000, 1760764637), (20000, 647311919)]
+
+
+@pytest.mark.parametrize("n, seed", ONE_CELL_LOGS)
 def test_estimate_sp_answers_with_a_one_cell_interval_above_the_cap(n, seed):
     # at one start inside [theta, 1 - theta] no cell fits under the 1/4 cap;
     # that cell alone has a budget below 1, so it is still a contraction and
@@ -430,6 +449,17 @@ def test_estimate_sp_answers_with_a_one_cell_interval_above_the_cap(n, seed):
     assert budget in diag["gamma_per_interval"]
     for i, F in enumerate(cdfs, start=1):
         assert kolmogorov(F, model.bid_cdf(i), theta, 1.0 - theta) <= 0.1
+
+
+@pytest.mark.parametrize("n, seed", ONE_CELL_LOGS)
+def test_estimate_sp_samples_the_contraction_of_each_lone_cell(n, seed):
+    # no budget below the cap certifies a lone cell, so its map is sampled;
+    # the sampled ratio is a lower estimate of a Lipschitz constant that the
+    # cell's own budget bounds
+    _, diag = estimate_sp(simulate_sp(bounded2_model(), n, seed), 0.5, 2.0, 0.1)
+    assert len(diag["contraction_samples"]) == len(diag["lone_cells"])
+    for ratio, (_, budget) in zip(diag["contraction_samples"], diag["lone_cells"]):
+        assert 0.0 < ratio <= budget
 
 
 def test_desk_refuses_what_the_trim_cannot_cover():
