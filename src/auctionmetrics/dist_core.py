@@ -65,9 +65,47 @@ def _piece_index(keys, q, side):
     """
     if keys.size <= 2:
         return 0
-    idx = np.searchsorted(keys, q, side=side)
+    idx = _guided_search(keys, q, side)
     idx -= 1
     return idx.clip(0, keys.size - 2, out=idx)
+
+
+# the most keys one bucket of a guide table may hold before the search falls back
+_GUIDE_WIDTH = 8
+
+
+def _guided_search(keys, q, side):
+    """``searchsorted(keys, q, side)`` for levels ``q`` in [0, 1], through a
+    guide table of M = 2*len(keys) uniform buckets built for this call (Chen &
+    Asau, "On generating random variates from an empirical distribution",
+    AIIE Trans. 1974).
+
+    The bucket of x is trunc(x*M) clipped to [0, M], nondecreasing in x in
+    floating point too. So a key in a lower bucket than a level lies below it,
+    one in a higher bucket above it, and only the keys of the level's own
+    bucket, which follow the count of keys in lower buckets, are compared.
+    Plain ``searchsorted`` serves fewer levels than keys, unsorted keys, and
+    a table with a bucket of more than ``_GUIDE_WIDTH`` keys.
+    """
+    m = keys.size
+    if q.size < m or np.any(keys[1:] < keys[:-1]):
+        return np.searchsorted(keys, q, side=side)
+    M = 2 * m
+    buckets = np.multiply(keys, M).astype(np.intp)
+    counts = np.bincount(buckets.clip(0, M, out=buckets), minlength=M + 1)
+    width = int(counts.max())
+    if width > _GUIDE_WIDTH:
+        return np.searchsorted(keys, q, side=side)
+    start = np.cumsum(counts)
+    start -= counts
+    idx = start[np.multiply(q, M).astype(np.intp)]
+    # step over the bucket's keys below the level (at or below, side "right");
+    # keys past the bucket exceed every level in it, and so does the padding
+    padded = np.concatenate([keys, np.full(width, np.inf)])
+    below = np.less if side == "left" else np.less_equal
+    for _ in range(width):
+        idx += below(padded[idx], q)
+    return idx
 
 
 def _step_lookup(breakpoints, values, left_value, x, side):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -148,6 +149,20 @@ def test_fp_and_sp_same_seed_share_bids():
     sp = simulate_sp(m, 500, 9)
     np.testing.assert_array_equal(fp.z, sp.z)  # same winner draw
     assert np.all(sp.y <= fp.y)  # price is below the winning bid
+
+
+@pytest.mark.parametrize("simulate, seed, digest", [
+    (simulate_fp, 3, "bdbf3df323a3f15d111c493a63895afec52fcb0fa079ca61057a8a38553ad7e0"),
+    (simulate_sp, 4, "ffba753e2102db05878317e1fbfa52eecffe3e94f4ceef5a80d32814b8f4349b"),
+])
+def test_draws_from_4097_knot_tables_are_pinned_per_seed(simulate, seed, digest):
+    # the bounded2 pair as to_cdf() tables, the tables the benchmark draws
+    # from; digests of the price and winner bytes, taken while ppf still
+    # found each level's segment by plain searchsorted
+    d1 = BoundedDensityModel(knots=[0.0, 1.0], density=[0.75, 1.25], alpha_lo=0.5, eta_hi=2.0)
+    d2 = BoundedDensityModel(knots=[0.0, 1.0], density=[1.25, 0.75], alpha_lo=0.5, eta_hi=2.0)
+    s = simulate(AuctionModel([d1.to_cdf(), d2.to_cdf()]), 50000, seed)
+    assert hashlib.sha256(s.y.tobytes() + s.z.tobytes()).hexdigest() == digest
 
 
 def test_simulate_rejects_bad_n():

@@ -10,11 +10,13 @@ from scipy.integrate import quad
 
 from auctionmetrics.auction_sim import AuctionModel
 from auctionmetrics.dist_core import (
+    _GUIDE_WIDTH,
     LINEAR,
     STEP,
     BoundedDensityModel,
     PiecewiseCdf,
     StepFunction,
+    _guided_search,
     dkw_band,
     empirical_cdf,
     kolmogorov,
@@ -289,13 +291,86 @@ def test_linear_ppf_matches_reference_on_long_tables():
     # tables of many knots, around and well above the sizes the other tests
     # draw, must agree with the reference too
     rng = np.random.default_rng(5)
-    for m in (31, 32, 33, 400):
+    for m in (31, 32, 33, 400, 4097):
         bp = np.unique(rng.random(m))
-        vals = np.sort(np.round(rng.random(bp.size), 2))
+        # 4097 knots, as in to_cdf(), with at least as many levels take the
+        # guide table; values to 2 digits would crowd its buckets
+        vals = np.sort(np.round(rng.random(bp.size), 2 if m < 4097 else 6))
         vals[-1] = 1.0
         F = PiecewiseCdf(bp, vals, interpolation=LINEAR)
         q = levels_around(vals, rng.random(2000))
         assert_same_bits(F.ppf(q), reference_linear_ppf(F, q))
+    assert q.size >= 4097 and guided(vals, q)
+
+
+def guided(keys, q):
+    """Whether ``_guided_search`` uses its guide table for these keys and levels."""
+    M = 2 * keys.size
+    counts = np.bincount(np.clip(np.multiply(keys, M).astype(np.intp), 0, M))
+    return q.size >= keys.size and np.all(np.diff(keys) >= 0) and counts.max() <= _GUIDE_WIDTH
+
+
+def assert_searches_agree(keys, q):
+    for side in ("left", "right"):
+        got = _guided_search(keys, q, side)
+        assert got.dtype == np.intp
+        assert_same_bits(got, np.searchsorted(keys, q, side=side))
+
+
+def bucket_edges(M):
+    """Each bucket edge b/M of a table of M/2 keys, its neighbours, 0 and 1."""
+    edges = np.arange(M + 1) / M
+    near = np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)])
+    return near[(near >= 0.0) & (near <= 1.0)]
+
+
+def test_guided_search_matches_searchsorted_on_the_bounded2_tables():
+    for density in ([0.75, 1.25], [1.25, 0.75]):
+        keys = BoundedDensityModel(knots=[0.0, 1.0], density=density, alpha_lo=0.5,
+                                   eta_hi=2.0).to_cdf().values
+        assert keys.size == 4097
+        rng = np.random.default_rng(11)
+        for q in (rng.random(50000), levels_around(keys, bucket_edges(2 * keys.size))):
+            assert guided(keys, q)
+            assert_searches_agree(keys, q)
+
+
+def test_guided_search_matches_searchsorted_on_random_tables():
+    # flat runs, a first value above 0, and ends 1e-12 outside [0, 1]
+    rng = np.random.default_rng(13)
+    taken = 0
+    for trial in range(60):
+        m = int(rng.integers(3, 300))
+        keys = np.sort(np.round(rng.random(m), int(rng.integers(2, 7))))
+        keys = np.repeat(keys, rng.integers(1, 4, size=m))[:m]  # flat runs
+        if trial % 3 == 0:
+            keys[0], keys[-1] = -1e-12, 1.0 + 1e-12
+        elif trial % 3 == 1:
+            keys = 0.1 + 0.9 * keys  # first value above 0
+        q = np.concatenate([levels_around(keys, rng.random(m)), bucket_edges(2 * m)])
+        taken += guided(keys, q)
+        assert_searches_agree(keys, q)
+    assert taken >= 40
+    # a level equal to a key in each bucket, on a table that fills every
+    # bucket, and on one with ends well outside [0, 1], in the end buckets
+    keys = np.arange(4 * 64 + 1) / (4 * 64)
+    for table in (keys, np.concatenate([[-0.3, -0.1], keys[1:-1], [1.2, 1.4]])):
+        q = levels_around(table, bucket_edges(2 * table.size))
+        assert guided(table, q)
+        assert_searches_agree(table, q)
+
+
+def test_guided_search_falls_back_on_a_dense_bucket_and_on_few_levels():
+    rng = np.random.default_rng(17)
+    dense = np.sort(np.concatenate([np.full(_GUIDE_WIDTH + 1, 0.5), rng.random(100)]))
+    q = levels_around(dense, rng.random(500))
+    assert not guided(dense, q)
+    assert_searches_agree(dense, q)
+    keys = BoundedDensityModel(knots=[0.0, 1.0], density=[0.75, 1.25], alpha_lo=0.5,
+                               eta_hi=2.0).to_cdf().values
+    q = rng.random(keys.size - 1)
+    assert not guided(keys, q)
+    assert_searches_agree(keys, q)
 
 
 # -- step functions -----------------------------------------------------------

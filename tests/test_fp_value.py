@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from auctionmetrics import fp_value
 from auctionmetrics.auction_sim import AuctionModel, simulate_fp
-from auctionmetrics.dist_core import PiecewiseCdf, kolmogorov, uniform_cdf
+from auctionmetrics.dist_core import BoundedDensityModel, PiecewiseCdf, kolmogorov, uniform_cdf
 from auctionmetrics.errors import ValidationError
 from auctionmetrics.fp_value import (
     ValueEstimatorConfig,
@@ -73,6 +74,102 @@ def test_best_response_tie_goes_to_smallest_bid():
     # flat product: any b gives (v-b)*c decreasing in b -> picks the interval's low end
     F2 = PiecewiseCdf([0.0], [1.0])
     assert best_response(F2, 0.5, lo=0.1) == 0.1
+
+
+def reference_best_response(prod, v, lo=0.0, hi=1.0):
+    """The per-value scan ``best_response`` replaced: for each value x in
+    turn, the first argmax of (x - b) * prod(b) over every candidate."""
+    bp = prod.breakpoints
+    cand = np.union1d(bp[(bp >= lo) & (bp <= hi)], [lo, hi])
+    pv = prod.eval(cand)
+    v = np.asarray(v, dtype=np.float64)
+    out = cand[[int(np.argmax((x - cand) * pv)) for x in np.atleast_1d(v)]]
+    return float(out[0]) if v.ndim == 0 else out
+
+
+def tied_values(prod, v, lo, hi):
+    """How many of the values ``v`` have a utility maximum that two candidates share."""
+    bp = prod.breakpoints
+    cand = np.union1d(bp[(bp >= lo) & (bp <= hi)], [lo, hi])
+    utility = (np.asarray(v)[:, None] - cand) * prod.eval(cand)
+    return int(np.sum((utility == utility.max(axis=1, keepdims=True)).sum(axis=1) > 1))
+
+
+def assert_same_bids(prod, v, lo=0.0, hi=1.0):
+    got, want = best_response(prod, v, lo, hi), reference_best_response(prod, v, lo, hi)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_best_response_matches_the_per_value_scan_on_tied_staircases():
+    # breakpoints on a grid of 1/20, values on one of 1/8 and values v on one
+    # of 1/40, unsorted and with repeats, so that many utilities tie exactly
+    rng = np.random.default_rng(3)
+    ties = 0
+    for trial in range(300):
+        bp = np.unique(rng.integers(0, 21, size=rng.integers(1, 12))) / 20.0
+        vals = np.sort(rng.integers(1, 9, size=bp.size)) / 8.0
+        prod = PiecewiseCdf(bp, vals, interpolation="step", is_full_cdf=False)
+        lo, hi = (0.0, 1.0) if trial % 2 else tuple(np.sort(rng.integers(0, 21, 2)) / 20.0)
+        v = rng.integers(0, 41, size=rng.integers(1, 60)) / 40.0
+        assert_same_bids(prod, v, lo, hi)
+        assert_same_bids(prod, float(v[0]), lo, hi)
+        ties += tied_values(prod, v, lo, hi)
+    assert ties >= 300
+
+
+def test_best_response_matches_the_per_value_scan_on_random_staircases():
+    rng = np.random.default_rng(4)
+    for _ in range(100):
+        m = int(rng.integers(1, 500))
+        bp = np.unique(rng.random(m))
+        prod = PiecewiseCdf(bp, np.sort(rng.random(bp.size)), is_full_cdf=False)
+        v = rng.random(int(rng.integers(1, 200)))
+        v = np.concatenate([v, v[: v.size // 3], bp[:5]])  # repeats, values at breakpoints
+        lo = float(rng.random() * 0.5)
+        assert_same_bids(prod, v)
+        assert_same_bids(prod, v, lo, lo + 0.4)
+        assert_same_bids(prod, v, lo, lo)  # a one-point window
+        assert_same_bids(prod, float(v[-1]))
+    assert_same_bids(prod, np.array([]))
+
+
+def test_best_response_names_a_value_that_is_not_a_finite_number():
+    # NaN gave bid 0.0 silently, inf bid 0.0 with a RuntimeWarning, and a
+    # string a bare ValueError; a NaN would also break the sorted search
+    prod = fine_uniform_staircase()
+    for v in (math.nan, math.inf, -math.inf, "a", [0.3, math.nan], [[0.3], [0.5, 0.7]]):
+        with pytest.raises(ValidationError, match="^v must be finite numbers"):
+            best_response(prod, v)
+
+
+def value_models():
+    """(model, config) of the benchmark's fp-value model half2 and of its
+    4097-knot bounded3 model."""
+    half = PiecewiseCdf([0.0, 0.5], [0.0, 1.0], interpolation="linear")
+    rising = BoundedDensityModel(knots=[0.0, 1.0], density=[0.75, 1.25],
+                                 alpha_lo=0.5, eta_hi=2.0).to_cdf()
+    falling = BoundedDensityModel(knots=[0.0, 1.0], density=[1.25, 0.75],
+                                  alpha_lo=0.5, eta_hi=2.0).to_cdf()
+    return {
+        "half2": (AuctionModel(bid_dists=[half, half]),
+                  ValueEstimatorConfig(p=0.2, gamma=0.04, eps=0.1, zeta=1.0, lipschitz=1.0)),
+        "bounded3": (AuctionModel(bid_dists=[rising, falling, rising]),
+                     ValueEstimatorConfig(p=0.4, gamma=0.05, eps=0.1, zeta=1.0)),
+    }
+
+
+@pytest.mark.parametrize("name", ["half2", "bounded3"])
+def test_value_cdfs_equal_those_of_the_per_value_scan(name, monkeypatch):
+    # 25 logs per model, n from 50 to 2e4: the same CDF and diagnostics bytes
+    model, config = value_models()[name]
+    for seed in range(25):
+        s = simulate_fp(model, (50, 200, 2000, 20000)[seed % 4], seed)
+        fast = estimate_digest(*estimate_value_cdf_effective(s, config))
+        with monkeypatch.context() as patched:
+            patched.setattr(fp_value, "best_response", reference_best_response)
+            assert estimate_digest(*estimate_value_cdf_effective(s, config)) == fast
 
 
 def test_value_estimation_recovers_uniform_values():

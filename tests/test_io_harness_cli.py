@@ -620,6 +620,12 @@ def _bad_arguments():
                                    "window [0.8, 0.2] must satisfy 0 <= lo <= hi <= 1"),
         "best_response hi None": (lambda: best_response(staircase, 0.7, 0.0, None),
                                   "hi must be a number, not NoneType"),
+        "best_response v nan": (lambda: best_response(staircase, math.nan),
+                                "v must be finite numbers"),
+        "best_response v inf": (lambda: best_response(staircase, math.inf),
+                                "v must be finite numbers"),
+        "best_response v str": (lambda: best_response(staircase, "a"),
+                                "v must be finite numbers"),
         "to_cdf n_grid -1": (lambda: density.to_cdf(-1), "n_grid must be >= 2, not -1"),
         "to_cdf n_grid 2.5": (lambda: density.to_cdf(2.5), "n_grid must be an integer, not float"),
     }

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from auctionmetrics import sp_estimator
 from auctionmetrics.auction_sim import (
     FORMAT_SP,
     AuctionModel,
@@ -25,6 +27,7 @@ from auctionmetrics.errors import EstimationError, ValidationError
 from auctionmetrics.fp_estimator import _OracleBudget, noisy_quantile_search
 from auctionmetrics.sp_estimator import (
     CONTRACTIVITY_CAP,
+    SpGrid,
     SpParams,
     _build_grid,
     _h_clip_bounds,
@@ -460,6 +463,107 @@ def test_estimate_sp_samples_the_contraction_of_each_lone_cell(n, seed):
     assert len(diag["contraction_samples"]) == len(diag["lone_cells"])
     for ratio, (_, budget) in zip(diag["contraction_samples"], diag["lone_cells"]):
         assert 0.0 < ratio <= budget
+
+
+def reference_fixed_point_map(U, V, cell):
+    """``fixed_point_map`` as it was, clipping through ``np.clip``."""
+    H = np.clip(_power_product(U, U.shape[0]), cell.h_lo[None, :], cell.h_hi[None, :])
+    integ = np.cumsum(cell.deltas / (1.0 - H), axis=1)
+    return np.clip(V[:, None] + integ, cell.box_lo, cell.box_hi)
+
+
+def reference_fixed_point(grid, params):
+    """(U, fp_gaps, clip_rates, box_violations, contraction_samples) of the
+    per-interval loop ``run_fixed_point`` replaced: a gap at every iteration,
+    and each interval's diagnostics on its own state and box."""
+    lone = {x for x, _ in grid.lone_cells}
+    rng = np.random.default_rng(0)
+    V, all_U, gaps, clip_rates, box_violations, contraction = grid.v0, [], [], [], 0, []
+    for cell in grid.cells:
+        U = np.maximum.accumulate(np.clip(cell.coarse, cell.box_lo, cell.box_hi), axis=1)
+        gap = 0.0
+        for _ in range(params.fp_iters):
+            new = reference_fixed_point_map(U, V, cell)
+            gap = float(np.max(np.abs(new - U)))
+            U = new
+        gaps.append(gap)
+        at_bound = (np.isclose(U, cell.box_lo) | np.isclose(U, cell.box_hi))
+        clip_rates.append(float(at_bound.mean()))
+        box_violations += int(np.sum((U < cell.box_lo - 1e-9) | (U > cell.box_hi + 1e-9)))
+        box_violations += int(np.sum(np.diff(U, axis=1) < -1e-9))
+        if cell.xs[0] in lone:
+            contraction.append(sample_contraction(cell, V, 5, rng))
+        all_U.append(U)
+        V = U[:, -1].copy()
+    return np.hstack(all_U), gaps, clip_rates, box_violations, contraction
+
+
+def assert_fixed_point_matches_the_reference(grid, params, monkeypatch):
+    U, diag = run_fixed_point(grid, params)
+    with monkeypatch.context() as patched:  # the contraction sample maps through it too
+        patched.setattr(sp_estimator, "fixed_point_map", reference_fixed_point_map)
+        want_U, *want = reference_fixed_point(grid, params)
+    assert U.tobytes() == want_U.tobytes()
+    assert [diag["fp_gaps"], diag["clip_rates"], diag["box_violations"],
+            diag.get("contraction_samples", [])] == want
+    return diag
+
+
+def log_grid(model, n, seed, alpha, eta):
+    s = simulate_sp(model, n, seed)
+    params = SpParams.desk(alpha, eta, 0.1, n=s.n)
+    return _build_grid(*sample_pieces(s, params), params)[0], params
+
+
+@pytest.mark.parametrize("case", ["bounded2", "uniform2", "one-cell"])
+def test_fixed_point_diagnostics_equal_the_per_interval_loop(case, monkeypatch):
+    logs = {"bounded2": [(bounded2_model(), n, seed, 0.5, 2.0)
+                         for n in (2000, 20000) for seed in range(3)],
+            "uniform2": [(uniform_model(), n, seed, 1.0, 1.0)
+                         for n in (2000, 20000) for seed in range(3)],
+            "one-cell": [(bounded2_model(), n, seed, 0.5, 2.0) for n, seed in ONE_CELL_LOGS]}
+    for log in logs[case]:
+        grid, params = log_grid(*log)
+        diag = assert_fixed_point_matches_the_reference(grid, params, monkeypatch)
+        assert ("contraction_samples" in diag) == (case == "one-cell")
+        # no iteration: every gap is 0.0
+        idle = dataclasses.replace(params, fp_iters=0)
+        diag = assert_fixed_point_matches_the_reference(grid, idle, monkeypatch)
+        assert diag["fp_gaps"] == [0.0] * grid.T
+
+
+def test_fixed_point_diagnostics_equal_the_per_interval_loop_on_broken_boxes(monkeypatch):
+    # boxes that the state cannot respect: a column whose upper bound lies
+    # below its lower one (outside the box, and a fall inside the interval)
+    # and an interval lowered below its left neighbour (a fall between
+    # intervals, which is not a violation)
+    grid, params = log_grid(bounded2_model(), 20000, 1, 0.5, 2.0)
+    cells = []
+    for tau, cell in enumerate(grid.cells):
+        box_lo, box_hi = cell.box_lo.copy(), cell.box_hi.copy()
+        mid = box_hi.shape[1] // 2
+        if tau % 3 == 0 and mid > 0:
+            box_hi[:, mid] = 0.5 * box_lo[:, mid]
+        elif tau % 3 == 1:
+            box_lo *= 0.5
+            box_hi = 1.01 * box_lo
+        cells.append(dataclasses.replace(cell, box_lo=box_lo, box_hi=box_hi))
+    broken = SpGrid(grid.endpoints, cells, grid.v0, grid.lone_cells)
+    diag = assert_fixed_point_matches_the_reference(broken, params, monkeypatch)
+    assert diag["box_violations"] > 0 and max(diag["clip_rates"]) == 1.0
+
+
+@pytest.mark.parametrize("n, seed", [(20000, 0), ONE_CELL_LOGS[0]])
+def test_fixed_point_maps_T_times_fp_iters_plus_the_lone_samples(n, seed, monkeypatch):
+    calls = []
+    inner = sp_estimator.fixed_point_map
+    monkeypatch.setattr(sp_estimator, "fixed_point_map",
+                        lambda *args: calls.append(1) or inner(*args))
+    _, diag = estimate_sp(simulate_sp(bounded2_model(), n, seed), 0.5, 2.0, 0.1)
+    # each lone cell maps both states of each of its 5 pairs
+    lone = len(diag.get("lone_cells", []))
+    assert len(calls) == diag["T"] * diag["params"]["fp_iters"] + 2 * 5 * lone
+    assert lone == (seed != 0)
 
 
 def test_desk_refuses_what_the_trim_cannot_cover():
