@@ -84,13 +84,12 @@ def _guided_search(keys, q, side):
     floating point too. So a key in a lower bucket than a level lies below it,
     one in a higher bucket above it, and only the keys of the level's own
     bucket, which follow the count of keys in lower buckets, are compared.
-    Plain ``searchsorted`` serves fewer levels than keys, unsorted keys, and
-    a table with a bucket of more than ``_GUIDE_WIDTH`` keys.
+    Plain ``searchsorted`` serves unsorted keys and a table with a bucket of
+    more than ``_GUIDE_WIDTH`` keys.
     """
-    m = keys.size
-    if q.size < m or np.any(keys[1:] < keys[:-1]):
+    if np.any(keys[1:] < keys[:-1]):
         return np.searchsorted(keys, q, side=side)
-    M = 2 * m
+    M = 2 * keys.size
     buckets = np.multiply(keys, M).astype(np.intp)
     counts = np.bincount(buckets.clip(0, M, out=buckets), minlength=M + 1)
     width = int(counts.max())

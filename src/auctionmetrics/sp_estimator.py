@@ -260,13 +260,10 @@ def fixed_point_map(U, V, cell):
     """One application of the discretized map phi^(tau) to the positive k x l
     state U with left-boundary k-vector V, on the macro-interval ``cell``."""
     H = _power_product(U, U.shape[0])
-    np.maximum(H, cell.h_lo, out=H)
-    np.minimum(H, cell.h_hi, out=H)
-    np.subtract(1.0, H, out=H)
-    integ = np.cumsum(np.divide(cell.deltas, H, out=H), axis=1, out=H)
+    H.clip(cell.h_lo, cell.h_hi, out=H)
+    integ = np.cumsum(cell.deltas / np.subtract(1.0, H, out=H), axis=1)
     integ += V[:, None]
-    np.maximum(integ, cell.box_lo, out=integ)
-    return np.minimum(integ, cell.box_hi, out=integ)
+    return integ.clip(cell.box_lo, cell.box_hi, out=integ)
 
 
 def _random_box_state(cell, rng):

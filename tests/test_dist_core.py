@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -293,28 +294,28 @@ def test_linear_ppf_matches_reference_on_long_tables():
     rng = np.random.default_rng(5)
     for m in (31, 32, 33, 400, 4097):
         bp = np.unique(rng.random(m))
-        # 4097 knots, as in to_cdf(), with at least as many levels take the
-        # guide table; values to 2 digits would crowd its buckets
+        # 4097 knots, as in to_cdf(), take the guide table; values to 2
+        # digits would crowd its buckets
         vals = np.sort(np.round(rng.random(bp.size), 2 if m < 4097 else 6))
         vals[-1] = 1.0
         F = PiecewiseCdf(bp, vals, interpolation=LINEAR)
         q = levels_around(vals, rng.random(2000))
         assert_same_bits(F.ppf(q), reference_linear_ppf(F, q))
-    assert q.size >= 4097 and guided(vals, q)
+    assert search_agrees(vals, q)
 
 
-def guided(keys, q):
-    """Whether ``_guided_search`` uses its guide table for these keys and levels."""
-    M = 2 * keys.size
-    counts = np.bincount(np.clip(np.multiply(keys, M).astype(np.intp), 0, M))
-    return q.size >= keys.size and np.all(np.diff(keys) >= 0) and counts.max() <= _GUIDE_WIDTH
-
-
-def assert_searches_agree(keys, q):
+def search_agrees(keys, q):
+    """Check ``_guided_search`` against ``searchsorted`` on both sides; return
+    whether its guide table ran, that is, it never called ``searchsorted``."""
+    tabled = []
     for side in ("left", "right"):
-        got = _guided_search(keys, q, side)
+        with mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as plain:
+            got = _guided_search(keys, q, side)
+        tabled.append(not plain.called)
         assert got.dtype == np.intp
         assert_same_bits(got, np.searchsorted(keys, q, side=side))
+    assert tabled[0] == tabled[1]
+    return tabled[0]
 
 
 def bucket_edges(M):
@@ -330,9 +331,10 @@ def test_guided_search_matches_searchsorted_on_the_bounded2_tables():
                                    eta_hi=2.0).to_cdf().values
         assert keys.size == 4097
         rng = np.random.default_rng(11)
-        for q in (rng.random(50000), levels_around(keys, bucket_edges(2 * keys.size))):
-            assert guided(keys, q)
-            assert_searches_agree(keys, q)
+        # fewer levels than keys take the table too
+        for q in (rng.random(50000), levels_around(keys, bucket_edges(2 * keys.size)),
+                  rng.random(100)):
+            assert search_agrees(keys, q)
 
 
 def test_guided_search_matches_searchsorted_on_random_tables():
@@ -348,29 +350,20 @@ def test_guided_search_matches_searchsorted_on_random_tables():
         elif trial % 3 == 1:
             keys = 0.1 + 0.9 * keys  # first value above 0
         q = np.concatenate([levels_around(keys, rng.random(m)), bucket_edges(2 * m)])
-        taken += guided(keys, q)
-        assert_searches_agree(keys, q)
+        taken += search_agrees(keys, q)
     assert taken >= 40
     # a level equal to a key in each bucket, on a table that fills every
     # bucket, and on one with ends well outside [0, 1], in the end buckets
     keys = np.arange(4 * 64 + 1) / (4 * 64)
     for table in (keys, np.concatenate([[-0.3, -0.1], keys[1:-1], [1.2, 1.4]])):
-        q = levels_around(table, bucket_edges(2 * table.size))
-        assert guided(table, q)
-        assert_searches_agree(table, q)
+        assert search_agrees(table, levels_around(table, bucket_edges(2 * table.size)))
 
 
-def test_guided_search_falls_back_on_a_dense_bucket_and_on_few_levels():
+def test_guided_search_falls_back_on_a_dense_bucket_and_on_unsorted_keys():
     rng = np.random.default_rng(17)
     dense = np.sort(np.concatenate([np.full(_GUIDE_WIDTH + 1, 0.5), rng.random(100)]))
-    q = levels_around(dense, rng.random(500))
-    assert not guided(dense, q)
-    assert_searches_agree(dense, q)
-    keys = BoundedDensityModel(knots=[0.0, 1.0], density=[0.75, 1.25], alpha_lo=0.5,
-                               eta_hi=2.0).to_cdf().values
-    q = rng.random(keys.size - 1)
-    assert not guided(keys, q)
-    assert_searches_agree(keys, q)
+    assert not search_agrees(dense, levels_around(dense, rng.random(500)))
+    assert not search_agrees(np.array([0.0, 0.6, 0.4, 1.0]), rng.random(10))
 
 
 # -- step functions -----------------------------------------------------------
