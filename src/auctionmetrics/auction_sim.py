@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist_core import LINEAR, BoundedDensityModel, PiecewiseCdf, run_ends
+from .dist_core import LINEAR, BoundedDensityModel, PiecewiseCdf, run_ends, window_grid
 from .errors import EstimationError, ValidationError, check_number
 
 # The auction format of a sample set: first price or second price.
@@ -261,8 +261,7 @@ class _ProbeLaw:
     def _fp_tail_sums(self):
         """The knots, the end of the piece that starts at each, and each
         bidder's win chance above each knot (one more 0 at the end)."""
-        knots = np.unique(np.clip(np.concatenate(
-            [[0.0, 1.0]] + [_knots(d) for d in self._dists]), 0.0, 1.0))
+        knots = window_grid(0.0, 1.0, *[_knots(d) for d in self._dists])
         right = np.array([_cdf(d, knots) for d in self._dists])
         left = np.array([_cdf(d, knots, left=True) for d in self._dists])
         atoms = (right - left) * _tie_products(left, right)

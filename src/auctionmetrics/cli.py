@@ -19,7 +19,7 @@ from .auction_sim import (
     simulate_sp,
 )
 from .dist_core import kolmogorov, levy, wasserstein1  # noqa: F401 (metric kinds)
-from .errors import EstimationError, ValidationError
+from .errors import EstimationError, ValidationError, check_grid_size
 
 
 # each estimate command's registry kinds; estimate-fp's --mode picks "fp-<mode>"
@@ -113,6 +113,7 @@ def _cmd_simulate(args):
 def _cmd_estimate_fp_density(args):
     if args.grid < 1:
         raise ValidationError(f"--grid must be at least 1, not {args.grid}")
+    check_grid_size(f"--grid {args.grid}", args.grid, 1.0)
     if not 0.0 <= args.p <= 1.0 - args.h:
         raise ValidationError(f"need 0 <= p <= 1 - h for the grid [p, 1 - h], "
                               f"not p = {args.p}, h = {args.h}")

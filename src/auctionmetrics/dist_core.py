@@ -7,7 +7,10 @@ functions; linear interpolation exists only so that smooth ground truths can
 be represented and compared against. ``StepFunction`` is the one step
 primitive: the empirical tail sums of both estimators are step functions with
 unconstrained values, and the step branch of ``PiecewiseCdf`` evaluates
-through its kernel.
+through its kernel. Breakpoints are merged by the window grid
+(``window_grid``: the distinct points in a window, and its ends, from one sort)
+and the staircase builder (``staircase``: a full step CDF from breakpoints in
+any order).
 
 Three distances are provided: Kolmogorov (sup norm), Wasserstein-1 (L1 norm of
 the CDF difference, by the one-dimensional Kantorovich identity), and Levy
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, check_number, check_window
+from .errors import ValidationError, check_grid_size, check_number, check_window
 
 STEP = "step"
 LINEAR = "linear"
@@ -122,6 +125,13 @@ def run_ends(ys):
     ends = np.ones(ys.size, dtype=bool)
     ends[:-1] = ys[1:] != ys[:-1]
     return ends
+
+
+def window_grid(lo, hi, *breakpoints):
+    """The distinct points of the ``breakpoints`` arrays that lie in [lo, hi],
+    and lo and hi, ascending."""
+    pts = np.concatenate([*breakpoints, [lo, hi]])
+    return np.unique(pts[(pts >= lo) & (pts <= hi)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,6 +304,14 @@ def sub_cdf(breakpoints, values, interpolation=STEP):
     return PiecewiseCdf(breakpoints, values, interpolation, is_full_cdf=False)
 
 
+def staircase(breakpoints, values):
+    """The full step CDF through breakpoints given in any order: at a repeated
+    breakpoint the last value given holds, and each value is raised to the
+    running maximum of those at lower breakpoints."""
+    bp, idx = np.unique(np.asarray(breakpoints)[::-1], return_index=True)
+    return PiecewiseCdf(bp, np.maximum.accumulate(np.asarray(values)[::-1][idx]))
+
+
 @dataclass(frozen=True, eq=False)
 class BoundedDensityModel:
     """Piecewise-linear density on [0,1] with declared bounds.
@@ -384,6 +402,7 @@ class BoundedDensityModel:
     def to_cdf(self, n_grid=4097):
         """A piecewise-linear PiecewiseCdf approximation on a fine grid."""
         check_number("n_grid", n_grid, 2, integer=True)
+        check_grid_size(f"the grid of n_grid = {n_grid}", n_grid, 1.0)
         xs = np.union1d(np.linspace(0.0, 1.0, n_grid), self.knots)
         vals = self.cdf(xs)
         vals[-1] = 1.0
@@ -413,30 +432,24 @@ class BoundedDensityModel:
 # -- distances --------------------------------------------------------------
 
 
-def _union_breakpoints(F, G, lo, hi):
+def _differences(F, G, lo, hi):
+    """The window grid of F and G, F - G at its points and the left limits of
+    F - G at its points after lo (one at lo would read values below lo)."""
     check_window(lo, hi)
-    pts = np.union1d(F.breakpoints, G.breakpoints)
-    pts = pts[(pts >= lo) & (pts <= hi)]
-    return np.union1d(pts, [lo, hi])
+    pts = window_grid(lo, hi, F.breakpoints, G.breakpoints)
+    return pts, F.eval(pts) - G.eval(pts), F.eval_left(pts[1:]) - G.eval_left(pts[1:])
 
 
 def kolmogorov(F, G, lo=0.0, hi=1.0):
     """sup_{x in [lo,hi]} |F(x) - G(x)|, exact over breakpoint unions."""
-    pts = _union_breakpoints(F, G, lo, hi)
-    d_right = np.abs(F.eval(pts) - G.eval(pts))
-    # left limits at the window's lower endpoint would measure values below lo
-    inner = pts[pts > lo]
-    d_left = np.abs(F.eval_left(inner) - G.eval_left(inner))
-    return float(max(d_right.max(), d_left.max() if d_left.size else 0.0))
+    _, right, left = _differences(F, G, lo, hi)
+    return float(max(np.abs(right).max(), np.abs(left).max()))
 
 
 def wasserstein1(F, G, lo=0.0, hi=1.0):
     """Integral of |F - G| over [lo,hi], closed form per linear segment."""
-    pts = _union_breakpoints(F, G, lo, hi)
-    a, b = pts[:-1], pts[1:]
-    w = b - a
-    da = F.eval(a) - G.eval(a)
-    db = F.eval_left(b) - G.eval_left(b)
+    pts, right, db = _differences(F, G, lo, hi)
+    w, da = np.diff(pts), right[:-1]
     same = da * db >= 0
     area_same = 0.5 * w * (np.abs(da) + np.abs(db))
     denom = np.abs(da) + np.abs(db)

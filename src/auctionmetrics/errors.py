@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package, and the one number check.
+"""Exception hierarchy shared across the package, the one number check and
+the one grid size check.
 
 The CLI maps these onto exit codes: validation problems (bad parameters,
 malformed inputs) exit 2, estimator failures exit 3, I/O problems exit 4.
@@ -54,3 +55,18 @@ def check_window(lo, hi, name="window", point=False):
         raise ValidationError(f"{name} [{lo}, {hi}] must satisfy "
                               f"0 <= lo {'<=' if point else '<'} hi <= 1")
     return lo, hi
+
+
+# the most points a grid may hold: over 500 times the largest grid that a test
+# or a benchmark workload builds (a second-price lattice of 17,590 points)
+MAX_GRID_POINTS = 10**7
+
+
+def check_grid_size(what, span, step):
+    """ValidationError naming ``what``, a grid at ``step`` over ``span``, and
+    its point count span/step if that is above ``MAX_GRID_POINTS``. A step
+    that underflowed to 0 counts as too small."""
+    size = span / step if step > 0.0 else math.inf
+    if not size <= MAX_GRID_POINTS:
+        raise ValidationError(f"{what} would hold {size:.3g} points, more than the "
+                              f"{MAX_GRID_POINTS:,} a grid may hold")

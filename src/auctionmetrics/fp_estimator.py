@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .auction_sim import FORMAT_FP
-from .dist_core import STEP, PiecewiseCdf, StepFunction, run_ends
-from .errors import EstimationError, ValidationError, check_number
+from .dist_core import STEP, PiecewiseCdf, StepFunction, run_ends, staircase
+from .errors import EstimationError, ValidationError, check_grid_size, check_number
 
 
 @dataclass(frozen=True)
@@ -112,12 +112,10 @@ def full_support_params(k, lam, eps):
 
 
 def _zero_below(F, cut):
-    """Restrict a staircase to 0 on [0, cut)."""
+    """Restrict a full staircase to 0 on [0, cut)."""
     keep = F.breakpoints >= cut
-    bp = np.concatenate([[cut], F.breakpoints[keep]])
-    vals = np.concatenate([[F.eval(cut)], F.values[keep]])
-    bp, idx = np.unique(bp, return_index=True)
-    return PiecewiseCdf(bp, vals[idx], interpolation=STEP, is_full_cdf=F.is_full_cdf)
+    return staircase(np.concatenate([[cut], F.breakpoints[keep]]),
+                     np.concatenate([[F.eval(cut)], F.values[keep]]))
 
 
 def estimate_bid_cdf_full(samples, lam, eps):
@@ -259,6 +257,8 @@ def fp_partial_estimate(oracle, p, gamma, eps, lipschitz=1.0,
     budget = _OracleBudget(oracle, np.random.default_rng(seed))
 
     delta_grid = gamma * gamma * eps / 6.0
+    check_grid_size(f"the {k + 1} search grids of gamma = {gamma:g} and eps = {eps:g}",
+                    (k + 1) * (1.0 - gamma), delta_grid)
     eps1 = gamma * gamma * eps / 24.0
     T = max(1, math.ceil(math.log2(max(2.0 * lipschitz / eps1, 2.0))))
 

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist_core import STEP, PiecewiseCdf, _as_array
-from .errors import check_number, check_window
+from .dist_core import STEP, PiecewiseCdf, _as_array, window_grid
+from .errors import check_grid_size, check_number, check_window
 from .fp_estimator import FpEstimatorConfig, _ghat_to_cdf, _tail_sum, estimate_ghat
 from .isotonic import pav_nondecreasing
 
@@ -31,7 +31,8 @@ class ValueEstimatorConfig:
     (p, gamma) declare prod_i F_i(p) >= gamma; zeta caps the value densities
     and lipschitz, when present, names the Lipschitz case of the guarantee.
     Both are validated but move nothing. Best responses are searched on
-    [0, 1]; the value grid step is min(eps/4, 0.005).
+    [0, 1]; the value grid on [p, 1] has step min(eps/4, 0.005) and at most
+    ``MAX_GRID_POINTS`` points (``errors.check_grid_size``).
     """
 
     p: float
@@ -47,6 +48,8 @@ class ValueEstimatorConfig:
         check_number("zeta", self.zeta, 0.0, bounds="()")
         if self.lipschitz is not None:
             check_number("lipschitz", self.lipschitz, 0.0, bounds="()")
+        check_grid_size(f"the value grid of p = {self.p:g} and eps = {self.eps:g}",
+                        1.0 - self.p, self.v_grid_step)
 
     @property
     def v_grid_step(self):
@@ -71,8 +74,7 @@ def best_response(prod, v, lo=0.0, hi=1.0):
     """
     check_window(lo, hi, point=True)
     values = _as_array(v, "v")  # at least 1-D
-    bp = prod.breakpoints
-    cand = np.union1d(bp[(bp >= lo) & (bp <= hi)], [lo, hi])
+    cand = window_grid(lo, hi, prod.breakpoints)
     pv = prod.eval(cand)
     order = np.argsort(values, axis=None)
     xs = values.ravel()[order]

@@ -24,8 +24,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .auction_sim import FORMAT_SP
-from .dist_core import STEP, PiecewiseCdf, StepFunction, dkw_band, run_ends, sub_cdf
-from .errors import EstimationError, ValidationError, check_number
+from .dist_core import StepFunction, dkw_band, run_ends, staircase, sub_cdf
+from .errors import EstimationError, ValidationError, check_grid_size, check_number
 from .fp_estimator import _check_probe_args, _OracleBudget, noisy_quantile_search
 from .isotonic import pav_nondecreasing
 
@@ -50,7 +50,9 @@ class SpParams:
     iteration count per macro-interval. ``desk`` derives the last four from
     the first three and the sample size. The macro-interval budget is the
     direct operator-norm bound of the discretized map over the state box
-    (``_jacobian_rowsum``), summed over the cells by ``_build_grid``.
+    (``_jacobian_rowsum``), summed over the cells by ``_build_grid``. The
+    lattice nu + m*micro_delta up to 1 - theta/2 holds at most
+    ``MAX_GRID_POINTS`` points (``errors.check_grid_size``).
     """
 
     alpha: float
@@ -67,6 +69,9 @@ class SpParams:
         check_number("nu", self.nu, 0.0, 1.0 - self.theta, "()")
         check_number("micro_delta", self.micro_delta, 0.0, self.nu, "()")
         check_number("fp_iters", self.fp_iters, 0, integer=True)
+        check_grid_size(f"the lattice of nu = {self.nu:g}, theta = {self.theta:g} and "
+                        f"micro_delta = {self.micro_delta:g}",
+                        1.0 - self.theta / 2.0 - self.nu, self.micro_delta)
 
     @classmethod
     def desk(cls, alpha, eta, eps, n):
@@ -171,22 +176,16 @@ def _jacobian_rowsum(hbar, box_lo, box_hi):
     log_lo = np.log(box_lo)
     log_hi = np.log(box_hi)
     hi_sum = log_hi.sum(axis=0)
-    rows = np.empty_like(box_lo)
-    for i in range(k):
-        total = np.zeros(hbar.size)
-        for j in range(k):
-            if j == i:
-                continue
-            log_b = ((hi_sum - log_hi[i] - log_hi[j]) / (k - 1.0)
-                     + (2.0 - k) / (k - 1.0) * log_lo[j]
-                     - (k - 2.0) / (k - 1.0) * log_lo[i])
-            total += np.minimum(np.exp(log_b), hbar / box_lo[j]) / (k - 1.0)
-        if k > 2:
-            log_bii = ((hi_sum - log_hi[i]) / (k - 1.0)
-                       - ((k - 2.0) / (k - 1.0) + 1.0) * log_lo[i])
-            total += ((k - 2.0) / (k - 1.0)
-                      * np.minimum(np.exp(log_bii), hbar / box_lo[i]))
-        rows[i] = total
+    # bound[j, i] on the partial of H_i in U_j, and 0 for j = i
+    bound = np.minimum(np.exp((hi_sum - log_hi - log_hi[:, None]) / (k - 1.0)
+                              + (2.0 - k) / (k - 1.0) * log_lo[:, None]
+                              - (k - 2.0) / (k - 1.0) * log_lo),
+                       (hbar / box_lo)[:, None]) / (k - 1.0)
+    bound[np.arange(k), np.arange(k)] = 0.0
+    rows = bound.sum(axis=0)  # adds the rows j = 0, 1, ... in turn; the bytes depend on it
+    if k > 2:
+        log_bii = (hi_sum - log_hi) / (k - 1.0) - ((k - 2.0) / (k - 1.0) + 1.0) * log_lo
+        rows += (k - 2.0) / (k - 1.0) * np.minimum(np.exp(log_bii), hbar / box_lo)
     return rows
 
 
@@ -360,16 +359,13 @@ def recover_F(xs, U, params):
     # on the boundary the nearest interior estimate applies
     top = max(1.0 - params.theta, float(xs[keep][-1]))
     bp = np.concatenate([[params.theta], xs[keep], [np.nextafter(top, 1.0)]])
-    bp, idx = np.unique(bp, return_index=True)
     cdfs = []
     repairs = []
     for vals in ratios[:, keep]:
         fitted, adjustment = pav_nondecreasing(vals)
         repairs.append(adjustment)
         fitted = np.clip(fitted, 0.0, 1.0)
-        fv = np.concatenate([[fitted[0]], fitted, [1.0]])
-        cdfs.append(PiecewiseCdf(bp, np.maximum.accumulate(fv[idx]),
-                                 interpolation=STEP, is_full_cdf=True))
+        cdfs.append(staircase(bp, np.concatenate([[fitted[0]], fitted, [1.0]])))
     return cdfs, {"isotonic_repairs": repairs,
                   "isotonic_repair_total": max(repairs) if repairs else 0.0}
 
@@ -435,6 +431,7 @@ def sp_partial_estimate(oracle, p, gamma, eps, lipschitz=1.0,
     summed over bidders.
     """
     _check_probe_args(p, gamma, eps, lipschitz, seed, n_point=n_point)
+    check_grid_size(f"the levels of gamma = {gamma:g} and eps = {eps:g}", 1.0 - gamma, eps / 2.0)
     budget = _OracleBudget(oracle, np.random.default_rng(seed))
     levels = np.unique(np.append(np.arange(gamma, 1.0, eps / 2.0), 1.0))
     T = max(1, math.ceil(math.log2(max(4.0 * lipschitz / eps, 2.0))))
@@ -451,11 +448,8 @@ def sp_partial_estimate(oracle, p, gamma, eps, lipschitz=1.0,
     cdfs = []
     for j, (f_p, levels_j) in enumerate(zip(start, above)):
         bp = np.concatenate([[p], np.maximum.accumulate(found[columns == j])])
-        vals = np.concatenate([[f_p], levels_j])
-        # collapse duplicate locations, keeping the highest level
-        uniq, idx = np.unique(bp[::-1], return_index=True)
-        cdfs.append(PiecewiseCdf(uniq, np.maximum.accumulate(vals[::-1][idx]),
-                                 interpolation=STEP, is_full_cdf=True))
+        # at a location found twice the higher level holds
+        cdfs.append(staircase(bp, np.concatenate([[f_p], levels_j])))
 
     diagnostics = {
         "oracle_calls": budget.calls,

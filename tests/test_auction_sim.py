@@ -309,6 +309,18 @@ def test_sp_counts_equal_per_row_masked_bincounts_of_the_outcomes(k, reserves, n
     check_law(atom_model(k), FORMAT_SP, reserves, n, seed=k)
 
 
+def test_fp_law_of_a_table_that_starts_just_below_zero_is_pinned():
+    # a linear table may start up to 1e-12 below 0: its first knot merges
+    # into the knot at 0. The digest of the chances was taken when the knots
+    # were clipped to [0, 1] rather than cut to it
+    table = PiecewiseCdf([-1e-12, 0.3, 0.7, 1.0], [0.0, 0.2, 0.6, 1.0], interpolation=LINEAR)
+    law = make_fp_partial_oracle(AuctionModel([table, uniform_cdf(), table]))
+    assert law._knots.tolist() == [0.0, 0.3, 0.7, 1.0]
+    pvals = law.pvals(np.linspace(0.0, 1.0, 101))
+    assert hashlib.sha256(pvals.tobytes()).hexdigest() == (
+        "d9096235f8d1e95b04a3ee240f9ab7a4063b66e2aac34a60218435e4bf42a65f")
+
+
 def law_models():
     """The law test's models: the benchmark's k=2 and k=3 models, a model
     with atoms at 0 (a step table at 0, a linear table's first value) and

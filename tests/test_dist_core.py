@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from auctionmetrics import dist_core
 from auctionmetrics.auction_sim import AuctionModel
 from auctionmetrics.dist_core import (
     _GUIDE_WIDTH,
@@ -25,6 +26,7 @@ from auctionmetrics.dist_core import (
     sub_cdf,
     uniform_cdf,
     wasserstein1,
+    window_grid,
 )
 from auctionmetrics.errors import ValidationError
 
@@ -713,6 +715,113 @@ def test_wasserstein_sign_change_segment():
     G = PiecewiseCdf([0.0, 1.0], [0.5, 0.5], is_full_cdf=False)
     # integral of |x - 0.5| = 0.25
     assert wasserstein1(F, G) == pytest.approx(0.25, abs=1e-12)
+
+
+def random_points(rng):
+    """Breakpoints in any order, with repeats, -0.0 and points 1e-12 outside [0, 1]."""
+    pts = np.round(rng.random(int(rng.integers(0, 12))), int(rng.integers(1, 4)))
+    edges = rng.choice([-0.0, 0.0, -1e-12, 1.0, 1.0 + 1e-12, 0.5], size=int(rng.integers(0, 4)))
+    return rng.permutation(np.concatenate([pts, pts[: pts.size // 2], edges]))
+
+
+def random_window(rng, trial):
+    """A window [lo, hi] on a coarse grid; every fourth one is a point, every
+    seventh starts at -0.0."""
+    lo, hi = np.sort(np.round(rng.random(2), 1))
+    if trial % 4 == 0:
+        hi = lo
+    if trial % 7 == 0:
+        lo = -0.0
+    return float(lo), float(hi)
+
+
+def two_sort_grid(lo, hi, *breakpoints):
+    """The construction ``window_grid`` replaced: the union of the breakpoints,
+    cut to the window, and a second union with its ends."""
+    pts = np.union1d(*breakpoints) if len(breakpoints) == 2 else np.unique(breakpoints[0])
+    pts = pts[(pts >= lo) & (pts <= hi)]
+    return np.union1d(pts, [lo, hi])
+
+
+def test_window_grid_is_the_two_sort_union():
+    rng = np.random.default_rng(11)
+    for trial in range(2000):
+        a, b = random_points(rng), random_points(rng)
+        lo, hi = random_window(rng, trial)
+        assert np.array_equal(window_grid(lo, hi, a, b), two_sort_grid(lo, hi, a, b))
+        assert np.array_equal(window_grid(lo, hi, a), two_sort_grid(lo, hi, a))
+    assert window_grid(0.25, 0.25).tolist() == [0.25]
+    assert window_grid(0.0, 1.0, [0.5, -1e-12, 0.5, 1.0 + 1e-12]).tolist() == [0.0, 0.5, 1.0]
+
+
+def last_value_staircase(bp, vals):
+    """The construction ``sp_partial_estimate`` had: the reversed arrays'
+    keep-first ``np.unique``, then a running maximum."""
+    uniq, idx = np.unique(bp[::-1], return_index=True)
+    return uniq, np.maximum.accumulate(vals[::-1][idx])
+
+
+def test_staircase_keeps_the_last_value_at_a_repeat_and_the_running_maximum():
+    F = dist_core.staircase([0.5, 0.2, 0.7, 0.5], [0.9, 0.6, 1.0, 0.4])
+    assert (F.breakpoints.tolist(), F.values.tolist()) == ([0.2, 0.5, 0.7], [0.6, 0.6, 1.0])
+    assert (F.interpolation, F.is_full_cdf) == (STEP, True)
+    rng = np.random.default_rng(12)
+    for _ in range(2000):
+        bp = random_points(rng)
+        if not bp.size:
+            continue
+        vals = rng.choice([-0.0, 0.0, 0.25, 0.5], size=bp.size) if rng.random() < 0.3 \
+            else rng.random(bp.size)
+        vals[bp == bp.max()] = 1.0
+        F = dist_core.staircase(bp, vals)
+        want_bp, want_vals = last_value_staircase(bp, vals)
+        assert np.array_equal(F.breakpoints, want_bp)
+        assert np.array_equal(F.values, want_vals)
+
+
+def random_table(rng):
+    """A step or linear CDF, full or not, on breakpoints from ``random_points``."""
+    bp = np.unique(random_points(rng))
+    if not bp.size:
+        bp = np.array([0.5])
+    vals = np.sort(rng.random(bp.size))
+    full = rng.random() < 0.5
+    if full:
+        vals[-1] = 1.0
+    return PiecewiseCdf(bp, vals, interpolation=STEP if rng.random() < 0.5 else LINEAR,
+                        is_full_cdf=full)
+
+
+def two_sort_distances(F, G, lo, hi):
+    """``kolmogorov`` and ``wasserstein1`` as they were computed on
+    ``two_sort_grid``, each reading F and G on its own."""
+    pts = two_sort_grid(lo, hi, F.breakpoints, G.breakpoints)
+    d_right = np.abs(F.eval(pts) - G.eval(pts))
+    inner = pts[pts > lo]
+    d_left = np.abs(F.eval_left(inner) - G.eval_left(inner))
+    sup = float(max(d_right.max(), d_left.max() if d_left.size else 0.0))
+    a, b = pts[:-1], pts[1:]
+    w = b - a
+    da = F.eval(a) - G.eval(a)
+    db = F.eval_left(b) - G.eval_left(b)
+    same = da * db >= 0
+    area_same = 0.5 * w * (np.abs(da) + np.abs(db))
+    denom = np.abs(da) + np.abs(db)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        area_cross = 0.5 * w * (da * da + db * db) / np.where(denom > 0, denom, 1.0)
+    return sup, float(np.sum(np.where(same, area_same, area_cross)))
+
+
+def test_distances_equal_the_two_sort_construction_bit_for_bit():
+    rng = np.random.default_rng(13)
+    for trial in range(600):
+        F, G = random_table(rng), random_table(rng)
+        lo, hi = random_window(rng, trial)
+        if lo == hi:
+            lo, hi = 0.0, 1.0
+        sup, area = two_sort_distances(F, G, lo, hi)
+        assert kolmogorov(F, G, lo, hi).hex() == sup.hex()
+        assert wasserstein1(F, G, lo, hi).hex() == area.hex()
 
 
 def levy_brute(F, G, m=2001):

@@ -31,6 +31,7 @@ from auctionmetrics.fp_estimator import (
     _ghat_to_cdf,
     _OracleBudget,
     _tail_sum,
+    _zero_below,
     estimate_bid_cdf_effective,
     estimate_bid_cdf_full,
     estimate_density,
@@ -246,6 +247,44 @@ def test_full_estimator_zeroes_below_eta():
     for F in cdfs:
         assert F.eval(0.05) == 0.0  # below eta = 0.1
         assert wasserstein1(F, uniform_cdf()) < 0.05
+
+
+def keep_first_zero_below(F, cut):
+    """The construction ``_zero_below`` replaced: a keep-first ``np.unique``
+    of the cut and the breakpoints at or above it."""
+    keep = F.breakpoints >= cut
+    bp = np.concatenate([[cut], F.breakpoints[keep]])
+    vals = np.concatenate([[F.eval(cut)], F.values[keep]])
+    bp, idx = np.unique(bp, return_index=True)
+    return PiecewiseCdf(bp, vals[idx], interpolation=STEP, is_full_cdf=F.is_full_cdf)
+
+
+def test_zero_below_matches_the_keep_first_construction():
+    # full staircases on breakpoints that may start at -0.0 or 1e-12 below 0
+    # and end 1e-12 above 1, cut in [0, 1] (the estimator cuts at eta in
+    # (0, 1/2)) or at -0.0: at a breakpoint, between two, below the first and
+    # at 1; and the estimator's own staircases
+    rng = np.random.default_rng(21)
+    cases = []
+    for _ in range(1000):
+        bp = np.unique(np.round(rng.random(int(rng.integers(1, 15))), 2))
+        bp[0] = rng.choice([bp[0], -0.0, -1e-12])
+        if rng.random() < 0.3:
+            bp[-1] = 1.0 + 1e-12
+        vals = np.sort(rng.random(bp.size))
+        vals[-1] = 1.0
+        F = PiecewiseCdf(bp, vals, interpolation=STEP)
+        inside = bp[(bp >= 0.0) & (bp <= 1.0)]
+        cut = rng.choice([*inside, float(np.round(rng.random(), 2)), 0.0, -0.0, 1.0])
+        cases.append((F, float(cut)))
+    s = simulate_fp(uniform_model(3), 3000, 4)
+    cdfs, _ = estimate_bid_cdf_effective(s, FpEstimatorConfig(*full_support_params(3, 1.0, 0.3)))
+    cases += [(F, 0.15) for F in cdfs] + [(F, float(F.breakpoints[3])) for F in cdfs]
+    for F, cut in cases:
+        got, want = _zero_below(F, cut), keep_first_zero_below(F, cut)
+        assert np.array_equal(got.breakpoints, want.breakpoints)
+        assert np.array_equal(got.values, want.values)
+        assert (got.interpolation, got.is_full_cdf) == (STEP, True)
 
 
 # -- density ----------------------------------------------------------------------

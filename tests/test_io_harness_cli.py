@@ -36,7 +36,11 @@ from auctionmetrics.fp_estimator import (
     estimate_density,
     fp_partial_estimate,
 )
-from auctionmetrics.fp_value import best_response
+from auctionmetrics.fp_value import (
+    ValueEstimatorConfig,
+    best_response,
+    estimate_value_cdf_effective,
+)
 from auctionmetrics.harness import (
     ESTIMATORS,
     ExperimentConfig,
@@ -297,6 +301,46 @@ def test_cli_rejects_a_thread_count_that_is_not_a_positive_integer(
     assert not out.exists()
 
 
+def benchmark_families():
+    """kind -> (model, metric, window, arguments) of the four sweep families
+    of the ``sweep-small`` benchmark workload (``benchmarks/workloads.py``)."""
+    half = PiecewiseCdf([0.0, 0.5], [0.0, 1.0], interpolation="linear")
+    uni_v = BoundedDensityModel([0.0, 1.0], [1.0, 1.0], alpha_lo=1.0, eta_hi=1.0)
+    d1 = BoundedDensityModel([0.0, 1.0], [0.75, 1.25], alpha_lo=0.5, eta_hi=2.0)
+    d2 = BoundedDensityModel([0.0, 1.0], [1.25, 0.75], alpha_lo=0.5, eta_hi=2.0)
+    c1, c2 = d1.to_cdf(), d2.to_cdf()
+    bounded2 = AuctionModel(bid_dists=[c1, c2])
+    return {
+        "fp-effective": (AuctionModel(bid_dists=[c1, c2, c1]), "kolmogorov", (0.4, 1.0),
+                         {"p": 0.4, "gamma": 0.05, "eps": 0.025}),
+        "fp-value": (AuctionModel(bid_dists=[half, half], value_dists=[uni_v, uni_v]),
+                     "kolmogorov", (0.3, 1.0),
+                     {"p": 0.2, "gamma": 0.04, "eps": 0.1, "zeta": 1.0, "lipschitz": 1.0}),
+        "sp": (bounded2, "kolmogorov", (0.02, 0.98), {"alpha": 0.5, "eta": 2.0, "eps": 0.1}),
+        "fp-full": (bounded2, "levy", (0.0, 1.0), {"lambda": 0.5, "eps": 0.2}),
+    }
+
+
+@pytest.mark.parametrize("kind, digest", [
+    ("fp-effective", "76cca5deada7f00b7278c1dedf9a043bb2364328397afb1f928dfc69d2009601"),
+    ("fp-value", "2f9714c8ec1dcf45904ddc0c9dfc6c648c5b0b4b1d2708295b4ef06e3398ba6c"),
+    ("sp", "55799ee2d51c6575111e753a0661a5ccb518accc505543f232294ced1e3ffffd"),
+    ("fp-full", "2487f2a4bffdeff8daab474cf3c003f1d1989195b8c97ffdc938e7514b58f5e4"),
+])
+def test_benchmark_family_reports_are_pinned(kind, digest):
+    # the report bytes as the benchmark stores them, at n 2000 and 5000 with
+    # 2 seeds from seed root 1; pinned before the window grid and the
+    # staircase builder replaced the hand-written breakpoint merges. A change
+    # that moves any estimate, score or diagnostic changes the hash
+    model, metric, (lo, hi), args = benchmark_families()[kind]
+    report = run_convergence(ExperimentConfig(
+        model=model, estimator=kind, n_schedule=[2000, 5000], seeds=2, metric=metric,
+        support_lo=lo, support_hi=hi, seed_root=1, estimator_args=args))
+    assert not [d for d in report.diagnostics if "error" in d]
+    blob = json.dumps(_jsonable(report.to_dict()), indent=2)
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
 def test_convergence_isolates_failing_cells():
     # gamma too large for eps makes the estimator config invalid per cell
     cfg = sweep_config(estimator_args={"p": 0.3, "gamma": 0.09, "eps": 0.09})
@@ -551,7 +595,9 @@ def test_check_number_returns_what_it_accepts():
 def _bad_arguments():
     """(call, message) cases, each a bare TypeError, numpy's own error, an
     accepted value or a message naming another argument before every entry
-    point checked its numbers with ``check_number``."""
+    point checked its numbers with ``check_number``. The "above the cap"
+    cases ask for grids of more than 2^48 bytes, a MemoryError at once
+    before ``check_grid_size``."""
     model = uniform_model()
     fp_oracle, sp_oracle = make_fp_partial_oracle(model), make_sp_partial_oracle(model)
     probe = {"p": 0.5, "gamma": 0.5, "eps": 0.2}
@@ -628,7 +674,28 @@ def _bad_arguments():
                                 "v must be finite numbers"),
         "to_cdf n_grid -1": (lambda: density.to_cdf(-1), "n_grid must be >= 2, not -1"),
         "to_cdf n_grid 2.5": (lambda: density.to_cdf(2.5), "n_grid must be an integer, not float"),
+        # 2^50 points, 8 PiB
+        "to_cdf n_grid above the cap": (
+            lambda: density.to_cdf(2 ** 50),
+            f"the grid of n_grid = {2 ** 50} would hold 1.13e+15 points, {CAP}"),
+        # a step of eps/4 over [0.2, 1]: 3.2e14 points, 2.6 PB
+        "fp-value grid above the cap": (
+            lambda: estimate_value_cdf_effective(
+                fp_log, ValueEstimatorConfig(p=0.2, gamma=0.04, eps=1e-14, zeta=1.0)),
+            f"the value grid of p = 0.2 and eps = 1e-14 would hold 3.2e+14 points, {CAP}"),
+        # 3 grids of (1 - gamma)/(gamma^2 eps/6) = 5.9e14 levels, 4.7 PB each
+        "fp-partial grids above the cap": (
+            lambda: fp_partial_estimate(fp_oracle, p=0.5, gamma=0.01, eps=1e-10),
+            f"the 3 search grids of gamma = 0.01 and eps = 1e-10 would hold 1.78e+15 points, "
+            f"{CAP}"),
+        # (1 - gamma)/(eps/2) = 1.4e15 levels, 11 PB
+        "sp-partial levels above the cap": (
+            lambda: sp_partial_estimate(sp_oracle, p=0.5, gamma=0.3, eps=1e-15),
+            f"the levels of gamma = 0.3 and eps = 1e-15 would hold 1.4e+15 points, {CAP}"),
     }
+
+
+CAP = "more than the 10,000,000 a grid may hold"
 
 
 @pytest.mark.parametrize("case", sorted(_bad_arguments()))
@@ -728,6 +795,18 @@ def test_cli_estimate_sp_exits_3_on_a_bidder_without_low_wins(tmp_path, capsys):
     diagnostics = json.loads(line)
     assert list(diagnostics) == ["bidder", "x"] and diagnostics["bidder"] == 2
     assert f"x={diagnostics['x']:.6g}," in message
+    assert not out.exists()
+
+
+def test_cli_estimate_sp_exits_2_on_a_lattice_above_the_size_cap(tmp_path, capsys):
+    # eta = 1e6 at n = 2e4 asks for a lattice of 5.3e14 points, about 4.3e15
+    # bytes: a bad argument (exit 2), not a MemoryError
+    log = tmp_path / "sp.csv"
+    io_write_samples(log, simulate_sp(uniform_model(), 20000, 7))
+    out = tmp_path / "sp.json"
+    code, err = main_exit(["estimate-sp", "--samples", log, "--k", 2, "--alpha", 0.5,
+                           "--eta", 1e6, "--eps", 0.1, "--out", out], capsys)
+    assert code == 2 and "micro_delta = 1.76777e-15 would hold 5.34e+14 points" in err
     assert not out.exists()
 
 
@@ -979,7 +1058,9 @@ def test_cli_lower_bound_needs_a_trial(trials, tmp_path, capsys):
     (["--p", 0.3, "--h", 0.1, "--grid", 0], "--grid must be at least 1"),
     (["--p", 0.5, "--h", 0.9], "need 0 <= p <= 1 - h"),
     (["--p", -0.1, "--h", 0.1], "need 0 <= p <= 1 - h"),
-], ids=["grid -3", "grid 0", "p above 1 - h", "p below 0"])
+    # 2^50 points would take 8 PiB
+    (["--p", 0.3, "--h", 0.1, "--grid", 2 ** 50], "--grid 1125899906842624 would hold 1.13e+15"),
+], ids=["grid -3", "grid 0", "p above 1 - h", "p below 0", "grid 2^50"])
 def test_cli_estimate_fp_density_checks_its_grid(flags, message, tmp_path, capsys):
     cdf = tmp_path / "cdf.json"
     io_write_cdfs(cdf, [uniform_cdf()])

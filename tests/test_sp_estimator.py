@@ -36,6 +36,7 @@ from auctionmetrics.sp_estimator import (
     coarse_U,
     empirical_G_sp,
     estimate_sp,
+    recover_F,
     run_fixed_point,
     run_pipeline,
     sample_contraction,
@@ -337,6 +338,89 @@ def test_recover_F_pins_outside_window():
         assert F.is_full_cdf
 
 
+def keep_first_recover_F(xs, U, params):
+    """The construction ``recover_F`` replaced: a keep-first ``np.unique`` of
+    the breakpoints, then a running maximum of each bidder's values."""
+    keep = (xs >= params.theta - 1e-12) & (xs <= 1.0 - params.theta + 1e-12)
+    ratios = np.clip(_power_product(np.maximum(U, 1e-300), U.shape[0]), 0.0, 1.0)
+    top = max(1.0 - params.theta, float(xs[keep][-1]))
+    bp = np.concatenate([[params.theta], xs[keep], [np.nextafter(top, 1.0)]])
+    bp, idx = np.unique(bp, return_index=True)
+    cdfs, repairs = [], []
+    for vals in ratios[:, keep]:
+        fitted, adjustment = sp_estimator.pav_nondecreasing(vals)
+        repairs.append(adjustment)
+        fitted = np.clip(fitted, 0.0, 1.0)
+        fv = np.concatenate([[fitted[0]], fitted, [1.0]])
+        cdfs.append(PiecewiseCdf(bp, np.maximum.accumulate(fv[idx]),
+                                 interpolation="step", is_full_cdf=True))
+    return cdfs, {"isotonic_repairs": repairs, "isotonic_repair_total": max(repairs)}
+
+
+def test_recover_F_matches_the_keep_first_construction():
+    # micro points that start at theta, within 1e-12 below it, or off it, and
+    # end inside, at, within 1e-12 past or well past 1 - theta; states with
+    # zeros and with ratios above 1
+    rng = np.random.default_rng(31)
+    for _ in range(400):
+        theta = float(rng.choice([0.05, 0.1, 0.2]))
+        params = SpParams(alpha=0.5, eta=2.0, eps=0.1, theta=theta, nu=theta / 2.0,
+                          micro_delta=1e-3, fp_iters=5)
+        first = theta + float(rng.choice([0.0, -5e-13, -1e-12, 1e-3, -1e-3]))
+        last = float(rng.choice([0.5, 1.0 - theta, 1.0 - theta + 1e-12, 1.0 - theta / 2.0]))
+        xs = np.unique(np.concatenate([[first, last], rng.uniform(first, last, 20)]))
+        U = rng.uniform(0.0, 2.0, (int(rng.integers(2, 5)), xs.size))
+        U[rng.random(U.shape) < 0.1] = 0.0
+        got, got_diag = recover_F(xs, U, params)
+        want, want_diag = keep_first_recover_F(xs, U, params)
+        assert got_diag == want_diag
+        for F, G in zip(got, want, strict=True):
+            assert np.array_equal(F.breakpoints, G.breakpoints)
+            assert np.array_equal(F.values, G.values)
+            assert (F.interpolation, F.is_full_cdf) == ("step", True)
+
+
+def loop_jacobian_rowsum(hbar, box_lo, box_hi):
+    """The double loop over (i, j) that ``_jacobian_rowsum`` replaced."""
+    k = box_lo.shape[0]
+    box_lo = np.maximum(box_lo, 1e-12)
+    box_hi = np.maximum(box_hi, box_lo)
+    log_lo = np.log(box_lo)
+    log_hi = np.log(box_hi)
+    hi_sum = log_hi.sum(axis=0)
+    rows = np.empty_like(box_lo)
+    for i in range(k):
+        total = np.zeros(hbar.size)
+        for j in range(k):
+            if j == i:
+                continue
+            log_b = ((hi_sum - log_hi[i] - log_hi[j]) / (k - 1.0)
+                     + (2.0 - k) / (k - 1.0) * log_lo[j]
+                     - (k - 2.0) / (k - 1.0) * log_lo[i])
+            total += np.minimum(np.exp(log_b), hbar / box_lo[j]) / (k - 1.0)
+        if k > 2:
+            log_bii = ((hi_sum - log_hi[i]) / (k - 1.0)
+                       - ((k - 2.0) / (k - 1.0) + 1.0) * log_lo[i])
+            total += ((k - 2.0) / (k - 1.0)
+                      * np.minimum(np.exp(log_bii), hbar / box_lo[i]))
+        rows[i] = total
+    return rows
+
+
+def test_jacobian_rowsum_equals_the_double_loop_bit_for_bit():
+    # random boxes for k = 2..6 over 1 to 40 points, with zero lower bounds
+    # and upper bounds below the lower ones, which both floor and lift
+    rng = np.random.default_rng(32)
+    for trial in range(1500):
+        k, m = 2 + trial % 5, int(rng.integers(1, 41))
+        box_lo = rng.random((k, m)) * 10.0 ** rng.uniform(-13.0, 0.0, (k, 1))
+        box_lo[rng.random((k, m)) < 0.2] = 0.0
+        box_hi = box_lo * rng.uniform(0.5, 40.0, (k, m))
+        hbar = rng.random(m)
+        got = _jacobian_rowsum(hbar, box_lo, box_hi)
+        assert got.tobytes() == loop_jacobian_rowsum(hbar, box_lo, box_hi).tobytes()
+
+
 class CountingEval:
     """An eval-able that counts the calls made on the piece it wraps."""
 
@@ -574,6 +658,17 @@ def test_desk_refuses_what_the_trim_cannot_cover():
     # at n <= 64/alpha^2 the trim 4/(alpha*sqrt(n)) leaves no interval
     with pytest.raises(EstimationError, match="n = 256 is too small: trim"):
         estimate_sp(simulate_sp(bounded2_model(), 256, 0), 0.5, 2.0, 0.1)
+
+
+def test_estimate_sp_refuses_a_lattice_above_the_size_cap():
+    # at eta = 1e6 and n = 2000 desk's micro_delta = alpha^2 theta/(8 eta^2)
+    # is 5.6e-15: a lattice of 1.5e14 points, about 1.2e15 bytes
+    message = (r"the lattice of nu = 0\.05, theta = 0\.178885 and micro_delta = "
+               r"5\.59017e-15 would hold 1\.54e\+14 points, more than the 10,000,000")
+    with pytest.raises(ValidationError, match=message):
+        estimate_sp(simulate_sp(bounded2_model(), 2000, 0), 0.5, 1e6, 0.1)
+    with pytest.raises(ValidationError, match=message):
+        SpParams.desk(0.5, 1e6, 0.1, n=2000)
 
 
 def reference_G_sp(samples, i):
