@@ -126,6 +126,13 @@ class SampleSet:
             ys = self.y[order]
         return ys, self.z[order]
 
+    @functools.cached_property
+    def at_or_below(self):
+        """The number of prices at or below each price of ``ranked``: one past
+        the end of its run of tied prices."""
+        ends = np.flatnonzero(run_ends(self.ranked[0])) + 1
+        return np.repeat(ends, np.diff(ends, prepend=0))
+
     def wins(self, i):
         """Mask of bidder i's wins in ``ranked``; ValidationError unless n > 0 and 1 <= i <= k."""
         if self.n == 0:
@@ -358,6 +365,7 @@ def _fast_scalar_cdf_pdf(dist):
     de = dist.density.tolist()
     cu = dist._cum.tolist()
     last = len(kn) - 2
+    slope = [(de[j + 1] - de[j]) / (kn[j + 1] - kn[j]) for j in range(last + 1)]
 
     def cdf(x):
         if x <= 0.0:
@@ -366,8 +374,7 @@ def _fast_scalar_cdf_pdf(dist):
             return 1.0
         j = min(bisect_right(kn, x) - 1, last)
         dx = x - kn[j]
-        s = (de[j + 1] - de[j]) / (kn[j + 1] - kn[j])
-        return cu[j] + de[j] * dx + 0.5 * s * dx * dx
+        return cu[j] + de[j] * dx + 0.5 * slope[j] * dx * dx
 
     def pdf(x):
         if x <= 0.0:
@@ -375,8 +382,7 @@ def _fast_scalar_cdf_pdf(dist):
         if x >= 1.0:
             return de[-1]
         j = min(bisect_right(kn, x) - 1, last)
-        s = (de[j + 1] - de[j]) / (kn[j + 1] - kn[j])
-        return de[j] + s * (x - kn[j])
+        return de[j] + slope[j] * (x - kn[j])
 
     return cdf, pdf
 
@@ -394,9 +400,11 @@ def _integrate_backward(G, g, k, eta):
 
     Returns (grid ascending, alphas k x m). Raises ``_Crash`` where some
     alpha_i(b) collapses onto b (terminal bid too high). G and g are
-    plain-float callables; the loop stays in Python floats for speed.
+    plain-float callables, and the grid is stepped through as Python floats:
+    the loop does no numpy scalar arithmetic, and its doubles are the same.
     """
     bs = np.linspace(eta, eta * 1e-4, _GRID_SIZE)
+    steps = bs.tolist()
     a = [1.0] * k
     out = np.empty((k, _GRID_SIZE))
     out[:, 0] = 1.0
@@ -408,7 +416,9 @@ def _integrate_backward(G, g, k, eta):
             if ai - b < 1e-12 or ai > 1.0 + 1e-9:
                 raise _Crash
         inv = [1.0 / (a[i] - b) for i in idx]
-        s = sum(inv)
+        s = inv[0]
+        for v in inv[1:]:  # left to right: sum() of floats is compensated on Python 3.12+
+            s += v
         return [
             (G[i](a[i]) / max(g[i](a[i]), 1e-12))
             * ((s - (k - 1) * inv[i]) / (k - 1))
@@ -416,8 +426,8 @@ def _integrate_backward(G, g, k, eta):
         ]
 
     for m in range(1, _GRID_SIZE):
-        h = bs[m] - bs[m - 1]  # negative
-        b0 = bs[m - 1]
+        h = steps[m] - steps[m - 1]  # negative
+        b0 = steps[m - 1]
         half = h / 2.0
         k1 = deriv(b0, a)
         k2 = deriv(b0 + half, [a[i] + half * k1[i] for i in idx])
@@ -425,7 +435,7 @@ def _integrate_backward(G, g, k, eta):
         k4 = deriv(b0 + h, [a[i] + h * k3[i] for i in idx])
         a = [min(a[i] + (h / 6.0) * (k1[i] + 2 * k2[i] + 2 * k3[i] + k4[i]), 1.0)
              for i in idx]
-        if any(a[i] - bs[m] < 1e-12 for i in idx):
+        if any(a[i] - steps[m] < 1e-12 for i in idx):
             raise _Crash
         out[:, m] = a
     return bs[::-1], out[:, ::-1]

@@ -212,6 +212,10 @@ class PiecewiseCdf:
             raise ValidationError("values must lie in [0,1]")
         if self.interpolation not in (STEP, LINEAR):
             raise ValidationError(f"unknown interpolation {self.interpolation!r}")
+        if self.interpolation == STEP and bp[-1] > 1.0:
+            # read as flat at F(1) beyond 1, such a staircase never reaches its last value
+            raise ValidationError(f"a step CDF's breakpoints must not exceed 1, "
+                                  f"and the last is {float(bp[-1])!r}")
         if not isinstance(self.is_full_cdf, (bool, np.bool_)):
             raise ValidationError(f"is_full_cdf must be true or false, not {self.is_full_cdf!r}")
         if self.is_full_cdf and abs(vals[-1] - 1.0) > 1e-9:
@@ -440,10 +444,44 @@ def _differences(F, G, lo, hi):
     return pts, F.eval(pts) - G.eval(pts), F.eval_left(pts[1:]) - G.eval_left(pts[1:])
 
 
+def _jump_differences(S, L, lo, hi):
+    """S - L at S's breakpoints in [lo, hi], read by index, and at lo and hi,
+    read by lookup; left limits only at the jumps after lo. ``S`` is a step
+    table and ``L`` a nondecreasing linear one.
+
+    L is 0 below its first knot, where ``interp`` reads 0 too, and may jump
+    there. Its left limit at that knot is 0, not the atom ``interp`` reads, so
+    none is taken at a jump of S there: S's value before the jump meets L = 0
+    at the previous point read, lo or a jump. Where hi is no jump, its left
+    limit is its value.
+    """
+    check_window(lo, hi)
+    bp, vals = S.breakpoints, S.values
+    i0, i1 = bp.searchsorted(lo, "left"), bp.searchsorted(hi, "right")
+    jumps = bp[i0:i1]
+    at = np.interp(jumps, L.breakpoints, L.values, left=0.0, right=L.values[-1])
+    after = (jumps > lo) & (jumps != max(L.breakpoints[0], 0.0))
+    below = np.concatenate([[0.0], vals])[i0:i1]
+    return vals[i0:i1] - at, below[after] - at[after], S.eval([lo, hi]) - L.eval([lo, hi])
+
+
 def kolmogorov(F, G, lo=0.0, hi=1.0):
-    """sup_{x in [lo,hi]} |F(x) - G(x)|, exact over breakpoint unions."""
-    _, right, left = _differences(F, G, lo, hi)
-    return float(max(np.abs(right).max(), np.abs(left).max()))
+    """sup_{x in [lo,hi]} |F(x) - G(x)|.
+
+    For a step table against a nondecreasing linear one, in either order,
+    F - G is monotone between the step side's jumps, so the sup is read at
+    those jumps (value and left limit) and at lo and hi: the linear table's
+    knots, its atom at the first one included, add nothing. Any other pair
+    is read at every point of the window grid of both tables.
+    """
+    for S, L in ((F, G), (G, F)):
+        if (S.interpolation, L.interpolation) == (STEP, LINEAR) \
+                and np.all(L.values[1:] >= L.values[:-1]):
+            diffs = _jump_differences(S, L, lo, hi)
+            break
+    else:
+        diffs = _differences(F, G, lo, hi)[1:]
+    return float(max(np.abs(d).max(initial=0.0) for d in diffs))
 
 
 def wasserstein1(F, G, lo=0.0, hi=1.0):
@@ -463,9 +501,16 @@ def _rotated_graph(F):
     vertical segment up each jump, y = F(1) beyond 1. u never decreases along
     it, so w is a 1-Lipschitz piecewise-linear function of u; the tail knots
     u = -1 and u = 3 lie beyond every other knot of a CDF on [0, 1]."""
-    xs = np.concatenate([[0.0], np.clip(F.breakpoints, 0.0, 1.0), [1.0]])
+    bp, vals = F.breakpoints, F.values
+    xs = np.concatenate([[0.0], np.clip(bp, 0.0, 1.0), [1.0]])
+    if F.interpolation == STEP and bp[0] > 0.0 and bp[-1] < 1.0:
+        # a staircase inside (0, 1): each left limit is the value before it
+        left = np.concatenate([[0.0, 0.0], vals])
+        right = np.concatenate([[0.0], vals, vals[-1:]])
+    else:
+        left, right = F.eval_left(xs), F.eval(xs)
     x = np.repeat(xs, 2)
-    y = np.column_stack([F.eval_left(xs), F.eval(xs)]).ravel()
+    y = np.column_stack([left, right]).ravel()
     return (np.concatenate([[-1.0], x + y, [3.0]]),
             np.concatenate([[1.0], y - x, [2.0 * y[-1] - 3.0]]))
 

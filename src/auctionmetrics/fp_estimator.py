@@ -62,12 +62,11 @@ def estimate_ghat(samples, i, config):
 def _tail_sum(samples, won, floor):
     """The tail sum of 1/(n max(H-hat(Y_j), floor)) over the prices ``won``
     marks in the log's price order, as ``estimate_ghat`` returns it."""
-    prices = samples.ranked[0]
-    ys = prices[won]
+    ys = samples.ranked[0][won]
     if not ys.size:  # no price is won: the sum is 0
         return StepFunction([], [])
     n = samples.n
-    w = 1.0 / (n * np.maximum(np.searchsorted(prices, ys, side="right") / n, floor))
+    w = 1.0 / (n * np.maximum(samples.at_or_below[won] / n, floor))
     ends = run_ends(ys)
     # one summand per run of tied prices keeps the step representation canonical
     suffix = np.cumsum(np.add.reduceat(w, np.flatnonzero(np.roll(ends, 1)))[::-1])[::-1]

@@ -12,6 +12,7 @@ mask, at most 8.
 
 from __future__ import annotations
 
+import functools
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -144,6 +145,15 @@ class ExperimentConfig:
         if self.metric == "levy" and (lo, hi) != (0.0, 1.0):
             raise ValidationError(f"metric 'levy' scores on [0, 1], not on [{lo}, {hi}]")
 
+    @functools.cached_property
+    def truths(self):
+        """Each bidder's truth CDF: its value CDF table for an estimator scored
+        on values, else its bid CDF."""
+        model = self.model
+        if ESTIMATORS[self.estimator].truth == VALUE:
+            return [d.to_cdf() for d in model.value_dists]
+        return [model.bid_cdf(i) for i in range(1, model.k + 1)]
+
     def to_dict(self):
         return {
             "model": self.model.to_dict(),
@@ -204,14 +214,11 @@ def _observe(observes, model, n, seed):
     return (make_fp_partial_oracle if observes == PROBE_FP else make_sp_partial_oracle)(model)
 
 
-def _error(config, truth, i, est):
-    """Bidder i's CDF estimate against the model's bid or value CDF (``truth``)
-    under the config's metric."""
-    model = config.model
-    lo, hi = config.support_lo, config.support_hi
-    F = model.value_dists[i - 1].to_cdf() if truth == VALUE else model.bid_cdf(i)
+def _error(config, est, F):
+    """A CDF estimate against its truth ``F`` under the config's metric."""
     if config.metric == "levy":
         return levy(est, F)
+    lo, hi = config.support_lo, config.support_hi
     return (kolmogorov if config.metric == "kolmogorov" else wasserstein1)(est, F, lo, hi)
 
 
@@ -222,8 +229,8 @@ def _run_cell(config, n, seed_index):
     observation = _observe(entry.observes, config.model, n, seed)
     estimates, diagnostics = entry.run(observation, config.estimator_args, seed)
     rows = [{"n": int(n), "seed": seed_index, "bidder": i,
-             "error": float(_error(config, entry.truth, i, est))}
-            for i, est in enumerate(estimates, start=1)]
+             "error": float(_error(config, est, F))}
+            for i, (est, F) in enumerate(zip(estimates, config.truths, strict=True), start=1)]
     return rows, diagnostics
 
 
@@ -244,8 +251,15 @@ def _max_workers():
 
 
 def run_convergence(config):
-    """Simulate -> estimate -> score each (n, seed) cell of the sweep."""
+    """Simulate -> estimate -> score each (n, seed) cell of the sweep.
+
+    The truth CDFs are built once, before any cell. Cells are handed to the
+    pool largest n first, so that the sweep does not end on its slowest cells;
+    rows and diagnostics keep the (n, seed) order.
+    """
     cells = [(n, s) for n in config.n_schedule for s in range(config.seeds)]
+    largest_first = sorted(cells, key=lambda cell: -cell[0])
+    config.truths  # built once, here, not by the first cells side by side
 
     def work(cell):
         try:
@@ -256,9 +270,11 @@ def run_convergence(config):
 
     rows, diags = [], []
     with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        for (n, s), (cell_rows, outcome) in zip(cells, pool.map(work, cells)):
-            rows.extend(cell_rows)
-            diags.append({"n": int(n), "seed": s, **outcome})
+        outcomes = dict(zip(largest_first, pool.map(work, largest_first)))
+    for n, s in cells:
+        cell_rows, outcome = outcomes[n, s]
+        rows.extend(cell_rows)
+        diags.append({"n": int(n), "seed": s, **outcome})
 
     aggregates = {}
     for n in config.n_schedule:

@@ -9,23 +9,25 @@ def pav_nondecreasing(y):
     """Least-squares nondecreasing fit to y; returns (fitted, max_adjustment).
 
     Standard pool-adjacent-violators: maintain a stack of blocks with their
-    means and merge while the means decrease.
+    means and merge while the means decrease. Nondecreasing input is returned
+    as a copy. The stack holds Python floats, whose arithmetic is numpy's
+    float64 arithmetic without the per-scalar overhead.
     """
     y = np.asarray(y, dtype=np.float64)
-    n = y.size
-    if n == 0:
+    if not y.size:
         return y.copy(), 0.0
-    means = np.empty(n)
-    counts = np.empty(n, dtype=np.int64)
-    top = 0
-    for v in y:
-        means[top] = v
-        counts[top] = 1
-        top += 1
-        while top > 1 and means[top - 2] > means[top - 1]:
-            total = means[top - 2] * counts[top - 2] + means[top - 1] * counts[top - 1]
-            counts[top - 2] += counts[top - 1]
-            means[top - 2] = total / counts[top - 2]
-            top -= 1
-    out = np.repeat(means[:top], counts[:top])
+    if np.all(y[1:] >= y[:-1]):
+        out = y.copy()
+    else:
+        means, counts = [], []
+        for mean in y.tolist():
+            count = 1
+            while means and means[-1] > mean:
+                prev = counts.pop()
+                total = means.pop() * prev + mean * count
+                count += prev
+                mean = total / count
+            means.append(mean)
+            counts.append(count)
+        out = np.repeat(means, counts)
     return out, float(np.max(np.abs(out - y)))

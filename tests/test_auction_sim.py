@@ -101,6 +101,19 @@ def test_ranked_is_the_stable_order_byte_for_byte(tied):
     assert zs.tobytes() == z[order].tobytes()
 
 
+@pytest.mark.parametrize("n", [0, 1, 7, 5000])
+def test_at_or_below_is_the_searchsorted_rank_of_each_price(n):
+    # the tail sums' H-hat(Y_j) counts, on prices rounded to 2 digits (ties),
+    # with -0.0 and 0.0 and a price of 1 among them
+    rng = np.random.default_rng(n)
+    y = np.round(rng.random(n), 2)
+    y[: min(n, 3)] = [0.0, -0.0, 1.0][: min(n, 3)]
+    s = SampleSet(y=y, z=rng.integers(1, 3, n), k=2, auction=FORMAT_FP)
+    prices = s.ranked[0]
+    want = np.searchsorted(prices, prices, side="right")
+    assert s.at_or_below.dtype == want.dtype and np.array_equal(s.at_or_below, want)
+
+
 def test_sample_set_needs_two_bidders():
     with pytest.raises(ValidationError, match="k >= 2 bidders"):
         SampleSet(y=np.array([0.5]), z=np.array([1]), k=1, auction=FORMAT_FP)
@@ -514,6 +527,36 @@ def test_solver_raises_once_the_bracket_collapses(monkeypatch):
         solve_asymmetric_equilibrium(tilted2())
     # every step halves the bracket (1e-6, 1] until it is below 1e-14
     assert len(etas) <= 48
+
+
+def profile_digest(prof):
+    h = hashlib.sha256()
+    for a in (prof.grid, prof.alphas, np.float64(prof.eta_eq), np.float64(prof.defect)):
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+# sha256 of (grid, alphas, eta_eq, defect) from the shooting loop on numpy
+# scalars, before it stepped through Python floats
+EQUILIBRIUM_PINS = {
+    "tilted2": "ffaa7f1b4a10e9f6bf82a0e4f1cb246d47593959804289f86519cfa3f30a8bbc",
+    "half2": "f863cf0af266b8565245144c7ea7b6225a151cd90d77ec7b5df8286968e5b852",
+    "peaked2": "500cac932e89bd2b42481d55c171fb993893f05768bf185cab61ab87019aca41",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EQUILIBRIUM_PINS))
+def test_equilibrium_profiles_are_pinned(name):
+    # half2 is the benchmark's uniform-value pair; peaked2 reads a 4-knot
+    # density through the closures' slope table
+    peaked = BoundedDensityModel(knots=[0.0, 0.3, 0.5, 1.0], density=[0.6, 1.2, 1.4, 0.48],
+                                 alpha_lo=0.4, eta_hi=2.0)
+    model = {"tilted2": tilted2(),
+             "half2": AuctionModel(bid_dists=[uniform_cdf()] * 2,
+                                   value_dists=[UNI_DENSITY] * 2),
+             "peaked2": AuctionModel(bid_dists=[uniform_cdf()] * 2,
+                                     value_dists=[UNI_DENSITY, peaked])}[name]
+    assert profile_digest(solve_asymmetric_equilibrium(model)) == EQUILIBRIUM_PINS[name]
 
 
 def test_solver_requires_value_distributions():

@@ -63,6 +63,18 @@ def test_rejects_breakpoints_outside_unit_interval():
         PiecewiseCdf([0.0, 1.5], [0.0, 1.0])
 
 
+def test_rejects_a_step_breakpoint_above_one():
+    # read as flat at F(1) beyond 1, it would never reach 1 on [0, 1]: 0.8 at
+    # 1.0, and a Kolmogorov distance of 0.2 from the same staircase ending at 1
+    with pytest.raises(ValidationError, match=r"exceed 1, and the last is 1\.000000000001$"):
+        PiecewiseCdf([0.3, 1 + 1e-12], [0.8, 1.0])
+    with pytest.raises(ValidationError, match="must not exceed 1"):
+        sub_cdf([0.3, 1 + 1e-12], [0.2, 0.5])
+    # a linear table keeps the 1e-12 tolerance that ``to_cdf`` knots may need
+    PiecewiseCdf([0.3, 1 + 1e-12], [0.8, 1.0], interpolation=LINEAR)
+    assert PiecewiseCdf([0.3, 1.0], [0.8, 1.0]).eval(1.0) == 1.0
+
+
 def test_full_cdf_must_terminate_at_one():
     with pytest.raises(ValidationError):
         PiecewiseCdf([0.0, 1.0], [0.0, 0.7], is_full_cdf=True)
@@ -773,6 +785,10 @@ def test_staircase_keeps_the_last_value_at_a_repeat_and_the_running_maximum():
         vals = rng.choice([-0.0, 0.0, 0.25, 0.5], size=bp.size) if rng.random() < 0.3 \
             else rng.random(bp.size)
         vals[bp == bp.max()] = 1.0
+        if bp.max() > 1.0:
+            with pytest.raises(ValidationError, match="must not exceed 1"):
+                dist_core.staircase(bp, vals)
+            continue
         F = dist_core.staircase(bp, vals)
         want_bp, want_vals = last_value_staircase(bp, vals)
         assert np.array_equal(F.breakpoints, want_bp)
@@ -780,16 +796,19 @@ def test_staircase_keeps_the_last_value_at_a_repeat_and_the_running_maximum():
 
 
 def random_table(rng):
-    """A step or linear CDF, full or not, on breakpoints from ``random_points``."""
+    """A step or linear CDF, full or not, on breakpoints from ``random_points``;
+    a step table drops those above 1, which it refuses."""
     bp = np.unique(random_points(rng))
+    interpolation = STEP if rng.random() < 0.5 else LINEAR
+    if interpolation == STEP:
+        bp = bp[bp <= 1.0]
     if not bp.size:
         bp = np.array([0.5])
     vals = np.sort(rng.random(bp.size))
     full = rng.random() < 0.5
     if full:
         vals[-1] = 1.0
-    return PiecewiseCdf(bp, vals, interpolation=STEP if rng.random() < 0.5 else LINEAR,
-                        is_full_cdf=full)
+    return PiecewiseCdf(bp, vals, interpolation=interpolation, is_full_cdf=full)
 
 
 def two_sort_distances(F, G, lo, hi):
@@ -822,6 +841,133 @@ def test_distances_equal_the_two_sort_construction_bit_for_bit():
         sup, area = two_sort_distances(F, G, lo, hi)
         assert kolmogorov(F, G, lo, hi).hex() == sup.hex()
         assert wasserstein1(F, G, lo, hi).hex() == area.hex()
+
+
+def union_kolmogorov(F, G, lo, hi):
+    """``kolmogorov`` as every pair was read before the jumps route: on the
+    window grid of both tables, with left limits after lo."""
+    pts = window_grid(lo, hi, F.breakpoints, G.breakpoints)
+    right = np.abs(F.eval(pts) - G.eval(pts))
+    left = np.abs(F.eval_left(pts[1:]) - G.eval_left(pts[1:]))
+    return float(max(right.max(), left.max()))
+
+
+def random_step_linear_pair(rng):
+    """A step table, full or a sub-CDF: the empirical CDF of rounded (tied)
+    samples, or a staircase on rounded points, either with 0, -0.0, -1e-13 or 1
+    among its breakpoints; and a linear table on a coarse grid that may share
+    those points, start at -1e-13, -0.0 or 0, with an atom at its first knot,
+    or end 1e-12 above 1."""
+    xs = np.round(rng.random(int(rng.integers(1, 40))), int(rng.integers(1, 4)))
+    edges = rng.choice([0.0, -0.0, -1e-13, 1.0], size=int(rng.integers(0, 3)))
+    if rng.random() < 0.4:
+        S = empirical_cdf(np.concatenate([xs, edges]))
+    else:
+        bp = np.unique(np.concatenate([xs, edges]))
+        vals = np.sort(np.round(rng.random(bp.size), int(rng.integers(1, 4))))
+        full = rng.random() < 0.5
+        if full:
+            vals[-1] = 1.0
+        S = PiecewiseCdf(bp, vals, interpolation=STEP, is_full_cdf=full)
+    knots = np.round(rng.random(int(rng.integers(1, 30))), int(rng.integers(1, 4)))
+    shared = rng.choice(S.breakpoints, size=int(rng.integers(0, 4)))
+    first = rng.choice([-1e-13, -0.0, 0.0, knots.min()], size=1)
+    last = rng.choice([1.0, 1.0 + 1e-12, knots.max()], size=1)
+    kn = np.unique(np.concatenate([knots, shared, first, last]))
+    kn = kn[(kn >= first[0]) & (kn <= last[0])]
+    vals = np.sort(rng.random(kn.size))
+    if rng.random() < 0.5:
+        vals[0] = 0.0  # no atom at the first knot
+    full = rng.random() < 0.5
+    if full:
+        vals[-1] = 1.0
+    return S, PiecewiseCdf(kn, vals, interpolation=LINEAR, is_full_cdf=full)
+
+
+def step_linear_window(rng, S, L, trial):
+    """A window on a coarse grid, or one that starts or ends at a jump of the
+    step side, starts at -0.0 or at the linear side's first knot."""
+    jumps = S.breakpoints[(S.breakpoints > 0.0) & (S.breakpoints < 1.0)]
+    lo, hi = np.sort(np.round(rng.random(2), 1))
+    kind = trial % 6
+    if kind == 1 and jumps.size:
+        lo = rng.choice(jumps)
+    elif kind == 2 and jumps.size:
+        hi = rng.choice(jumps)
+    elif kind == 3:
+        lo = -0.0
+    elif kind == 4 and 0.0 <= L.breakpoints[0] < 1.0:
+        lo = L.breakpoints[0]
+    if not lo < hi:
+        lo, hi = 0.0, 1.0
+    return float(lo), float(hi)
+
+
+def test_kolmogorov_from_the_step_jumps_equals_the_union_grid_bit_for_bit():
+    rng = np.random.default_rng(36)
+    with mock.patch.object(dist_core, "_jump_differences",
+                           wraps=dist_core._jump_differences) as jumps:
+        for trial in range(2000):
+            S, L = random_step_linear_pair(rng)
+            lo, hi = step_linear_window(rng, S, L, trial)
+            want = union_kolmogorov(S, L, lo, hi).hex()
+            assert kolmogorov(S, L, lo, hi).hex() == want, (trial, lo, hi)
+            assert kolmogorov(L, S, lo, hi).hex() == want, (trial, lo, hi)
+            assert kolmogorov(S, L).hex() == union_kolmogorov(S, L, 0.0, 1.0).hex()
+    assert jumps.call_count == 3 * 2000
+
+
+def test_kolmogorov_reads_the_union_grid_when_the_linear_side_dips():
+    # a linear table may fall by up to 1e-12; then F - G is not monotone
+    # between the jumps, and the dip at 0.6 is only on the union grid
+    L = PiecewiseCdf([0.0, 0.5, 0.6, 1.0], [0.0, 0.5, 0.5 - 1e-12, 1.0], interpolation=LINEAR)
+    S = PiecewiseCdf([0.2, 0.9], [0.5, 1.0])
+    want = union_kolmogorov(S, L, 0.0, 1.0)
+    assert kolmogorov(S, L) == kolmogorov(L, S) == want
+    with mock.patch.object(dist_core, "_jump_differences") as jumps:
+        kolmogorov(S, L)
+    jumps.assert_not_called()
+
+
+def test_kolmogorov_reads_the_linear_atom_and_the_window_ends():
+    # G jumps from 0 to 0.4 at its first knot 0.3; F is flat at 0.1 there
+    F = PiecewiseCdf([0.1, 0.8], [0.1, 1.0])
+    G = PiecewiseCdf([0.3, 1.0], [0.4, 1.0], interpolation=LINEAR)
+    assert kolmogorov(F, G, 0.2, 0.7) == union_kolmogorov(F, G, 0.2, 0.7)
+    # F jumps to G's atom at G's first knot: the left limit there is F's 0
+    # against G's 0, not against the atom; the sup is G(0.35) - 0.4 = 0.6/14
+    F2 = PiecewiseCdf([0.3, 1.0], [0.4, 1.0])
+    assert kolmogorov(F2, G, 0.2, 0.35) == union_kolmogorov(F2, G, 0.2, 0.35)
+    assert kolmogorov(G, F2, 0.2, 0.35) == pytest.approx(0.6 / 14, abs=1e-15)
+    # a window that starts at a jump ignores the left limit there (0.1 against
+    # G(0.8) = 0.83), and reads 1 - G(0.8) = 0.17 instead
+    assert kolmogorov(F, G, 0.8, 0.9) == union_kolmogorov(F, G, 0.8, 0.9) < 0.2
+    # no jump of F in the window: lo and hi alone
+    assert kolmogorov(F, G, 0.85, 0.95) == union_kolmogorov(F, G, 0.85, 0.95)
+
+
+def lookup_rotated_graph(F):
+    """``_rotated_graph`` as it was read for every CDF: the value and the left
+    limit by lookup at 0, at each breakpoint clipped to [0, 1], and at 1."""
+    xs = np.concatenate([[0.0], np.clip(F.breakpoints, 0.0, 1.0), [1.0]])
+    x = np.repeat(xs, 2)
+    y = np.column_stack([F.eval_left(xs), F.eval(xs)]).ravel()
+    return (np.concatenate([[-1.0], x + y, [3.0]]),
+            np.concatenate([[1.0], y - x, [2.0 * y[-1] - 3.0]]))
+
+
+def test_rotated_graph_by_index_equals_the_lookups_bit_for_bit():
+    rng = np.random.default_rng(37)
+    tables = [random_table(rng) for _ in range(1500)]
+    tables += [S for S, _ in (random_step_linear_pair(rng) for _ in range(1500))]
+    tables += [PiecewiseCdf([0.5], [1.0]), PiecewiseCdf([1e-300, 1.0 - 1e-16], [-0.0, 1.0]),
+               sub_cdf([0.25, 0.75], [0.0, 0.5]), empirical_cdf([0.5, 0.5, 0.5])]
+    inside = 0
+    for F in tables:
+        inside += F.interpolation == STEP and 0.0 < F.breakpoints[0] <= F.breakpoints[-1] < 1.0
+        for got, want in zip(dist_core._rotated_graph(F), lookup_rotated_graph(F)):
+            assert got.tobytes() == want.tobytes()
+    assert inside > 500
 
 
 def levy_brute(F, G, m=2001):

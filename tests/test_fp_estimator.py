@@ -261,9 +261,9 @@ def keep_first_zero_below(F, cut):
 
 def test_zero_below_matches_the_keep_first_construction():
     # full staircases on breakpoints that may start at -0.0 or 1e-12 below 0
-    # and end 1e-12 above 1, cut in [0, 1] (the estimator cuts at eta in
-    # (0, 1/2)) or at -0.0: at a breakpoint, between two, below the first and
-    # at 1; and the estimator's own staircases
+    # (one that ends 1e-12 above 1 is refused), cut in [0, 1] (the estimator
+    # cuts at eta in (0, 1/2)) or at -0.0: at a breakpoint, between two, below
+    # the first and at 1; and the estimator's own staircases
     rng = np.random.default_rng(21)
     cases = []
     for _ in range(1000):
@@ -273,6 +273,10 @@ def test_zero_below_matches_the_keep_first_construction():
             bp[-1] = 1.0 + 1e-12
         vals = np.sort(rng.random(bp.size))
         vals[-1] = 1.0
+        if bp[-1] > 1.0:
+            with pytest.raises(ValidationError, match="must not exceed 1"):
+                PiecewiseCdf(bp, vals, interpolation=STEP)
+            continue
         F = PiecewiseCdf(bp, vals, interpolation=STEP)
         inside = bp[(bp >= 0.0) & (bp <= 1.0)]
         cut = rng.choice([*inside, float(np.round(rng.random(), 2)), 0.0, -0.0, 1.0])

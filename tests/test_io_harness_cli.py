@@ -194,6 +194,17 @@ def test_config_hash_is_order_insensitive_and_stable():
     assert config_hash({"x": 2, "y": [1.0, 2.0]}) != a
 
 
+def test_jsonable_passes_a_plain_float_list_through_and_converts_any_other():
+    floats = [0.5, -0.0, math.inf]
+    assert _jsonable(floats) is floats
+    # one item that is not exactly a float sends the list down the per-item path
+    out = _jsonable([0.5, True, np.float64(0.25), 2])
+    assert out == [0.5, 1, 0.25, 2] and [type(v) for v in out] == [float, int, float, int]
+    assert json.dumps(_jsonable([0.5, True])) == "[0.5, 1]"
+    assert _jsonable((0.5, 1.5)) == [0.5, 1.5]
+    assert _jsonable(np.array([[0.5], [1.5]])) == [[0.5], [1.5]]
+
+
 def decimal17_jsonable(obj):
     """``_jsonable`` as it was, with each float round-tripped through 17 digits."""
     if isinstance(obj, dict):
@@ -266,6 +277,45 @@ def test_convergence_deterministic_across_thread_counts(monkeypatch):
     parallel = run_convergence(sweep_config())
     assert serial.rows == parallel.rows
     assert serial.config_hash == parallel.config_hash
+
+
+def test_sweep_runs_largest_cells_first_and_reports_in_cell_order(monkeypatch):
+    # one worker takes the cells in the order they are handed to the pool
+    monkeypatch.setenv("AUCTIONMETRICS_THREADS", "1")
+    ran, run_cell = [], harness._run_cell
+
+    def cell(config, n, seed_index):
+        ran.append((n, seed_index))
+        return run_cell(config, n, seed_index)
+
+    monkeypatch.setattr(harness, "_run_cell", cell)
+    config = sweep_config(n_schedule=[500, 1000, 4000])
+    report = run_convergence(config)
+    assert ran == [(4000, 0), (4000, 1), (1000, 0), (1000, 1), (500, 0), (500, 1)]
+    assert [(d["n"], d["seed"]) for d in report.diagnostics] == sorted(ran)
+    assert [(r["n"], r["seed"], r["bidder"]) for r in report.rows] == \
+        [(n, s, i) for n, s in sorted(ran) for i in (1, 2)]
+
+
+def test_sweep_builds_each_truth_table_once(monkeypatch):
+    # fp-value cells are scored on value CDF tables, one per bidder per sweep
+    built = []
+    to_cdf = BoundedDensityModel.to_cdf
+
+    def counted(self, *args, **kw):
+        built.append(self)
+        return to_cdf(self, *args, **kw)
+
+    monkeypatch.setattr(BoundedDensityModel, "to_cdf", counted)
+    values = [BoundedDensityModel(knots=[0.0, 1.0], density=[1.0, 1.0], alpha_lo=1.0,
+                                  eta_hi=1.0)] * 2
+    half = PiecewiseCdf([0.0, 0.5], [0.0, 1.0], interpolation="linear")
+    config = ExperimentConfig(model=AuctionModel(bid_dists=[half, half], value_dists=values),
+                              estimator="fp-value", n_schedule=[500, 2000], seeds=3,
+                              support_lo=0.3, support_hi=1.0,
+                              estimator_args={"p": 0.2, "gamma": 0.04, "eps": 0.1, "zeta": 1.0})
+    report = run_convergence(config)
+    assert len(report.rows) == 2 * 3 * 2 and len(built) == 2
 
 
 def test_probe_sweeps_match_at_one_and_three_threads(monkeypatch):
@@ -1221,6 +1271,18 @@ def test_cli_metric_rejects_a_non_finite_bundle(fields, message, tmp_path, capsy
          "is_full_cdf": True, **fields}]}))
     code, err = main_exit(["metric", "--a", good, "--b", bad, "--kind", "kolmogorov"], capsys)
     assert (code, err.strip()) == (2, f"error: {message}")
+
+
+def test_cli_metric_rejects_a_step_bundle_ending_above_one(tmp_path, capsys):
+    # it read 0.8 at 1 before, and a distance of 0.2 from the same staircase ending at 1
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    io_write_cdfs(good, [PiecewiseCdf([0.3, 1.0], [0.8, 1.0])])
+    bad.write_text(json.dumps({"version": 1, "diagnostics": {}, "cdfs": [
+        {"interpolation": "step", "breakpoints": [0.3, 1 + 1e-12], "values": [0.8, 1.0],
+         "is_full_cdf": True}]}))
+    code, err = main_exit(["metric", "--a", good, "--b", bad, "--kind", "kolmogorov"], capsys)
+    assert (code, err.strip()) == (
+        2, "error: a step CDF's breakpoints must not exceed 1, and the last is 1.000000000001")
 
 
 def test_cli_estimate_values_needs_two_bidders(tmp_path, capsys):
