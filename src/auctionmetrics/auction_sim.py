@@ -401,7 +401,7 @@ def _integrate_backward(G, g, k, eta):
     Returns (grid ascending, alphas k x m). Raises ``_Crash`` where some
     alpha_i(b) collapses onto b (terminal bid too high). G and g are
     plain-float callables, and the grid is stepped through as Python floats:
-    the loop does no numpy scalar arithmetic, and its doubles are the same.
+    numpy scalar arithmetic would give the same doubles, only more slowly.
     """
     bs = np.linspace(eta, eta * 1e-4, _GRID_SIZE)
     steps = bs.tolist()
