@@ -357,8 +357,8 @@ class InverseBidProfile:
 
 
 def _fast_scalar_cdf_pdf(dist):
-    """Plain-float (cdf, pdf) closures of a density model for the ODE
-    integrator's hot loop."""
+    """A plain-float closure x -> (cdf(x), pdf(x)) of a density model for the
+    ODE integrator's hot loop: one piece lookup serves both values."""
     from bisect import bisect_right
 
     kn = dist.knots.tolist()
@@ -367,24 +367,16 @@ def _fast_scalar_cdf_pdf(dist):
     last = len(kn) - 2
     slope = [(de[j + 1] - de[j]) / (kn[j + 1] - kn[j]) for j in range(last + 1)]
 
-    def cdf(x):
+    def cdf_pdf(x):
         if x <= 0.0:
-            return 0.0
+            return 0.0, de[0]
         if x >= 1.0:
-            return 1.0
+            return 1.0, de[-1]
         j = min(bisect_right(kn, x) - 1, last)
         dx = x - kn[j]
-        return cu[j] + de[j] * dx + 0.5 * slope[j] * dx * dx
+        return cu[j] + de[j] * dx + 0.5 * slope[j] * dx * dx, de[j] + slope[j] * dx
 
-    def pdf(x):
-        if x <= 0.0:
-            return de[0]
-        if x >= 1.0:
-            return de[-1]
-        j = min(bisect_right(kn, x) - 1, last)
-        return de[j] + slope[j] * (x - kn[j])
-
-    return cdf, pdf
+    return cdf_pdf
 
 
 # the shooting solver's fixed grid size and boundary-defect tolerance
@@ -395,13 +387,14 @@ class _Crash(Exception):
     """A trajectory met the diagonal: its terminal bid is too high."""
 
 
-def _integrate_backward(G, g, k, eta):
+def _integrate_backward(cdf_pdf, k, eta):
     """RK4 for the inverse-bid ODE system from (eta, 1) down toward b=0.
 
     Returns (grid ascending, alphas k x m). Raises ``_Crash`` where some
-    alpha_i(b) collapses onto b (terminal bid too high). G and g are
-    plain-float callables, and the grid is stepped through as Python floats:
-    numpy scalar arithmetic would give the same doubles, only more slowly.
+    alpha_i(b) collapses onto b (terminal bid too high). ``cdf_pdf`` holds
+    each bidder's plain-float closure v -> (G(v), g(v)), read once per stage,
+    and the grid is stepped through as Python floats: numpy scalar
+    arithmetic would give the same doubles, only more slowly.
     """
     bs = np.linspace(eta, eta * 1e-4, _GRID_SIZE)
     steps = bs.tolist()
@@ -419,11 +412,11 @@ def _integrate_backward(G, g, k, eta):
         s = inv[0]
         for v in inv[1:]:  # left to right: sum() of floats is compensated on Python 3.12+
             s += v
-        return [
-            (G[i](a[i]) / max(g[i](a[i]), 1e-12))
-            * ((s - (k - 1) * inv[i]) / (k - 1))
-            for i in idx
-        ]
+        rates = []
+        for i in idx:
+            G, g = cdf_pdf[i](a[i])
+            rates.append((G / max(g, 1e-12)) * ((s - (k - 1) * inv[i]) / (k - 1)))
+        return rates
 
     for m in range(1, _GRID_SIZE):
         h = steps[m] - steps[m - 1]  # negative
@@ -453,13 +446,13 @@ def solve_asymmetric_equilibrium(model):
     if model.value_dists is None:
         raise ValidationError("model has no value distributions")
     k = model.k
-    G, g = zip(*(_fast_scalar_cdf_pdf(d) for d in model.value_dists))
+    cdf_pdf = [_fast_scalar_cdf_pdf(d) for d in model.value_dists]
 
     lo, hi = 1e-6, 1.0
     while hi - lo >= 1e-14:
         eta = 0.5 * (lo + hi)
         try:
-            grid, alphas = _integrate_backward(G, g, k, eta)
+            grid, alphas = _integrate_backward(cdf_pdf, k, eta)
         except _Crash:
             hi = eta
             continue

@@ -212,9 +212,9 @@ class PiecewiseCdf:
             raise ValidationError("values must lie in [0,1]")
         if self.interpolation not in (STEP, LINEAR):
             raise ValidationError(f"unknown interpolation {self.interpolation!r}")
-        if self.interpolation == STEP and bp[-1] > 1.0:
-            # read as flat at F(1) beyond 1, such a staircase never reaches its last value
-            raise ValidationError(f"a step CDF's breakpoints must not exceed 1, "
+        if bp[-1] > 1.0:
+            # read as flat at F(1) beyond 1, such a table never reaches its last value
+            raise ValidationError(f"a {self.interpolation} CDF's breakpoints must not exceed 1, "
                                   f"and the last is {float(bp[-1])!r}")
         if not isinstance(self.is_full_cdf, (bool, np.bool_)):
             raise ValidationError(f"is_full_cdf must be true or false, not {self.is_full_cdf!r}")
@@ -407,7 +407,8 @@ class BoundedDensityModel:
         """A piecewise-linear PiecewiseCdf approximation on a fine grid."""
         check_number("n_grid", n_grid, 2, integer=True)
         check_grid_size(f"the grid of n_grid = {n_grid}", n_grid, 1.0)
-        xs = np.union1d(np.linspace(0.0, 1.0, n_grid), self.knots)
+        # a last knot up to 1e-12 past 1 is read at 1
+        xs = np.union1d(np.linspace(0.0, 1.0, n_grid), np.minimum(self.knots, 1.0))
         vals = self.cdf(xs)
         vals[-1] = 1.0
         return PiecewiseCdf(xs, vals, interpolation=LINEAR, is_full_cdf=True)

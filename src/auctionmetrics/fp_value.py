@@ -108,12 +108,14 @@ def estimate_value_cdf_effective(samples, config):
     """
     k = samples.k
     fp_config = FpEstimatorConfig(p=config.p, gamma=config.gamma, eps=config.gamma / 2.0)
+    fhats = [_ghat_to_cdf(estimate_ghat(samples, i, fp_config)) for i in range(1, k + 1)]
     cdfs = []
     repairs = []
-    for i in range(1, k + 1):
-        fhat_i = _ghat_to_cdf(estimate_ghat(samples, i, fp_config))
-        # two-agent relabeling: the "rest" pseudo-bidder wins when Z != i
-        prod_i = _ghat_to_cdf(_tail_sum(samples, samples.ranked[1] != i, fp_config.floor))
+    for i, fhat_i in enumerate(fhats, start=1):
+        # two-agent relabeling: the "rest" pseudo-bidder wins when Z != i; for
+        # k = 2 that mask is the other bidder's win mask, so the product is its F-hat
+        prod_i = fhats[2 - i] if k == 2 else _ghat_to_cdf(
+            _tail_sum(samples, samples.ranked[1] != i, fp_config.floor))
         cdf, adjustment = _compose_value_cdf(fhat_i, prod_i, config)
         cdfs.append(cdf)
         repairs.append(adjustment)

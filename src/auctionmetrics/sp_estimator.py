@@ -4,13 +4,19 @@ With observations (Y, W) = (price, winner), the winner-i sub-CDF
 G_i(x) = Pr(W = i, Y <= x) identifies U*_i(x) = prod_{j != i} F_j(x) through
 a fixed-point relation: U*_i(x) = U*_i(nu) + int_nu^x g_i(z) / (1 - H_i(z)) dz
 where H_i is a power-product of the U*_j. The pipeline discretizes [nu, 1-theta]
-into macro-intervals on which the discretized map is a 1/4-contraction,
-iterates it to a fixed point per interval, and converts the resulting U
-estimates back into per-bidder CDFs.
+on a lattice, cuts it into fixed windows, iterates the discretized map on each
+window until its step settles, and converts the resulting U estimates back
+into per-bidder CDFs.
 
-The theoretical parameter choices are astronomically small; the pipeline runs
-with desk-scale ones derived from (alpha, eta, eps) and n and verifies the
-contraction and residual properties at run time instead (see diagnostics).
+The discretized map is a Volterra operator: column m of its output reads only
+columns <= m of its input. So the fixed point is the implicit scan
+U_m = U_{m-1} + Delta_m / (1 - H(U_m)) column by column, and Picard iteration
+on a window converges to it wherever each column's own map contracts, with
+no certificate over the window as a whole (P. Linz, "Analytical and Numerical
+Methods for Volterra Equations", SIAM 1985). The theoretical parameter choices
+are astronomically small; the pipeline runs with desk-scale ones derived from
+(alpha, eta, eps) and n and checks the residual of every window at run time
+instead (see diagnostics).
 
 A separate reserve-price probe path recovers F_j(x) pointwise from the
 identity Pr(reserve binds with j winning or unsold) = prod_{l != j} F_l(x).
@@ -24,13 +30,18 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .auction_sim import FORMAT_SP
-from .dist_core import StepFunction, dkw_band, run_ends, staircase, sub_cdf
+from .dist_core import StepFunction, run_ends, staircase, sub_cdf
 from .errors import EstimationError, ValidationError, check_grid_size, check_number
 from .fp_estimator import _check_probe_args, _OracleBudget, noisy_quantile_search
 from .isotonic import pav_nondecreasing
 
-# the contraction bound every macro-interval's Jacobian budget must meet
-CONTRACTIVITY_CAP = 0.25
+# desk's lattice width keeps one cell's own map, about eta^2*delta/(alpha^2*theta)
+# near 1-theta, at this factor over 2
+CELL_WIDTH_FACTOR = 0.25
+# lattice cells per fixed-point window
+WINDOW_CELLS = 512
+# each window iterates until its sup-norm step is below FP_TOL, within FP_MAX_STEPS
+FP_TOL, FP_MAX_STEPS = 1e-13, 500
 
 
 def _check_accuracy(alpha, eta, eps):
@@ -46,13 +57,10 @@ class SpParams:
 
     alpha/eta bound the bid densities; eps is the target sup accuracy;
     theta trims the edges (estimates are pinned to 0/1 outside [theta, 1-theta]);
-    nu is the grid start; micro_delta the micro-cell width; fp_iters the
-    iteration count per macro-interval. ``desk`` derives the last four from
-    the first three and the sample size. The macro-interval budget is the
-    direct operator-norm bound of the discretized map over the state box
-    (``_jacobian_rowsum``), summed over the cells by ``_build_grid``. The
-    lattice nu + m*micro_delta up to 1 - theta/2 holds at most
-    ``MAX_GRID_POINTS`` points (``errors.check_grid_size``).
+    nu is the lattice start and micro_delta its cell width. ``desk`` derives
+    the last three from the first three and the sample size. The lattice
+    nu + m*micro_delta up to 1 - theta/2 holds at most ``MAX_GRID_POINTS``
+    points (``errors.check_grid_size``); the pipeline reads it up to 1 - theta.
     """
 
     alpha: float
@@ -61,14 +69,12 @@ class SpParams:
     theta: float
     nu: float
     micro_delta: float
-    fp_iters: int
 
     def __post_init__(self):
         _check_accuracy(self.alpha, self.eta, self.eps)
         check_number("theta", self.theta, 0.0, 0.5, "()")
         check_number("nu", self.nu, 0.0, 1.0 - self.theta, "()")
         check_number("micro_delta", self.micro_delta, 0.0, self.nu, "()")
-        check_number("fp_iters", self.fp_iters, 0, integer=True)
         check_grid_size(f"the lattice of nu = {self.nu:g}, theta = {self.theta:g} and "
                         f"micro_delta = {self.micro_delta:g}",
                         1.0 - self.theta / 2.0 - self.nu, self.micro_delta)
@@ -77,25 +83,21 @@ class SpParams:
     def desk(cls, alpha, eta, eps, n):
         """Desk-scale parameters for the accuracy (alpha, eta, eps) and n prices."""
         _check_accuracy(alpha, eta, eps)  # before the trims divide by them
-        fp_iters = math.ceil(math.log(4.0 / max(dkw_band(n, 0.05), 1e-9), 4.0))
-        # for k = 2 a price of weight 1/n near 1-theta costs 1/(n*(alpha*theta)^2)
-        # of the budget; theta >= 4/(alpha*sqrt(n)) holds that to the cap/4
+        # for k = 2 a price of weight 1/n near 1-theta moves one cell's map by
+        # about 1/(n*(alpha*theta)^2); theta >= 4/(alpha*sqrt(n)) holds that to 1/16
         trim = 4.0 / (alpha * math.sqrt(n))
         if trim >= 0.5:
             raise EstimationError(f"n = {n} is too small: trim 4/(alpha*sqrt(n)) = {trim:.3g}")
         theta = max(eps / (16.0 * eta), 0.02, trim)
-        # near x = 1-theta a single micro cell contributes about
-        # eta^2*delta/(alpha^2*theta) to the contraction budget; keep that
-        # under ~1/8 so the greedy construction can always reach 1-theta;
         # delta <= min(1e-3, theta/8) < nu = min(0.05, theta/2)
-        micro_delta = min(1e-3, CONTRACTIVITY_CAP * alpha * alpha * theta / (2.0 * eta * eta))
+        micro_delta = min(1e-3, CELL_WIDTH_FACTOR * alpha * alpha * theta / (2.0 * eta * eta))
         return cls(alpha=alpha, eta=eta, eps=eps, theta=theta, nu=min(0.05, theta / 2.0),
-                   micro_delta=micro_delta, fp_iters=fp_iters)
+                   micro_delta=micro_delta)
 
 
 @dataclass(eq=False)
 class MacroCell:
-    """Macro-interval tau as the fixed point reads it, built by ``_build_grid``."""
+    """One window of lattice cells as the fixed point reads it, built by ``_build_grid``."""
 
     xs: np.ndarray          # the l micro endpoints x_{tau,1..l}
     deltas: np.ndarray      # k x l nonnegative increments of G-hat
@@ -108,18 +110,16 @@ class MacroCell:
 
 @dataclass(eq=False)
 class SpGrid:
-    """Macro/micro interval layout on [nu, 1-theta].
+    """Window layout on [nu, 1-theta].
 
-    ``endpoints[0] = nu`` and ``endpoints[tau]`` closes macro-interval tau,
-    whose inputs are ``cells[tau-1]``; ``v0`` is G-hat at nu, the left
-    boundary of the first interval. ``lone_cells`` lists the (x, budget) of
-    each one-cell interval above the cap (budget below 1): the fixed point samples those.
+    ``endpoints[0] = nu`` and ``endpoints[tau]`` closes window tau, whose
+    inputs are ``cells[tau-1]``; ``v0`` is G-hat at nu, the left boundary of
+    the first window.
     """
 
     endpoints: np.ndarray
     cells: list
     v0: np.ndarray
-    lone_cells: list
 
     @property
     def T(self):
@@ -160,52 +160,19 @@ def _h_clip_bounds(params, xs):
     return lo, np.maximum(hi, lo)
 
 
-def _jacobian_rowsum(hbar, box_lo, box_hi):
-    """Columnwise bound on the max row sum of dH/dU over the state box.
-
-    H_i is the clipped power product prod_{j != i} U_j^{1/(k-1)} / U_i^{(k-2)/(k-1)};
-    each partial derivative H_i/((k-1)U_j) is maximized over the box
-    [box_lo, box_hi] (lower bounds floored at 1e-12) in closed form (the
-    exponents have fixed signs) and additionally capped by hbar/U_j^min, since
-    the clip zeroes the derivative wherever the product exceeds hbar. For
-    k = 2 the bound is exactly 1: H_1 = U_2 there.
-    """
-    k = box_lo.shape[0]
-    box_lo = np.maximum(box_lo, 1e-12)
-    box_hi = np.maximum(box_hi, box_lo)
-    log_lo = np.log(box_lo)
-    log_hi = np.log(box_hi)
-    hi_sum = log_hi.sum(axis=0)
-    # bound[j, i] on the partial of H_i in U_j, and 0 for j = i
-    bound = np.minimum(np.exp((hi_sum - log_hi - log_hi[:, None]) / (k - 1.0)
-                              + (2.0 - k) / (k - 1.0) * log_lo[:, None]
-                              - (k - 2.0) / (k - 1.0) * log_lo),
-                       (hbar / box_lo)[:, None]) / (k - 1.0)
-    bound[np.arange(k), np.arange(k)] = 0.0
-    rows = bound.sum(axis=0)  # adds the rows j = 0, 1, ... in turn; the bytes depend on it
-    if k > 2:
-        log_bii = (hi_sum - log_hi) / (k - 1.0) - ((k - 2.0) / (k - 1.0) + 1.0) * log_lo
-        rows += (k - 2.0) / (k - 1.0) * np.minimum(np.exp(log_bii), hbar / box_lo)
-    return rows
-
-
 def _build_grid(ghat_list, coarse_list, params):
-    """Greedy construction; returns (SpGrid, per-interval budget values).
+    """The lattice and its windows; returns (SpGrid, micro points).
 
-    The only place the pipeline evaluates G-hat and the coarse U, each once
-    on the lattice nu + m*micro_delta up to 1 - theta/2. Each macro-interval
-    is the longest run of lattice cells from its start, within the doubling
-    cap, whose cumulative contraction budget
-    max_i sum_m Delta_{i,m} row_{i,m}/(1-hbar_m)^2 stays within
-    ``CONTRACTIVITY_CAP``; its cell holds views of the lattice arrays. A
-    start without an admissible cell ends the grid if that cell lies past
-    1 - theta; otherwise the cell alone is the interval if its own budget is
-    below 1, still a contraction, and else the build raises.
+    The lattice nu + m*micro_delta runs up to its first point at or past
+    1 - theta, and its cells are cut into windows of ``WINDOW_CELLS`` (the
+    last one shorter). This is the only place the pipeline evaluates G-hat
+    and the coarse U, each once on the lattice; each window's cell holds
+    views of the lattice arrays. The micro points are every lattice point
+    after nu, the concatenation of the windows' ``xs``.
     """
-    delta = params.micro_delta
-    nu = params.nu
-    last = int(math.floor((1.0 - params.theta / 2.0 - nu) / delta + 1e-9))
-    lattice = nu + delta * np.arange(last + 1)
+    delta, nu = params.micro_delta, params.nu
+    lattice = nu + delta * np.arange(math.ceil((1.0 - params.theta - nu) / delta) + 2)
+    lattice = lattice[:int(np.searchsorted(lattice, 1.0 - params.theta - 1e-12)) + 1]
     ghat = np.vstack([g.eval(lattice) for g in ghat_list])
     xs = lattice[1:]
     deltas = np.maximum(np.diff(ghat, axis=1), 0.0)
@@ -213,39 +180,13 @@ def _build_grid(ghat_list, coarse_list, params):
     h_lo, h_hi = _h_clip_bounds(params, xs)
     box_lo = coarse / (2.0 * params.eta)
     box_hi = np.maximum(coarse * (2.0 / params.alpha), box_lo)
-    rows = _jacobian_rowsum(h_hi, box_lo, box_hi)
-    per_cell = deltas * rows / (1.0 - h_hi)[None, :] ** 2
-    start, endpoints, cells, gammas, lone = 0, [nu], [], [], []
-    while lattice[start] < 1.0 - params.theta - 1e-12:
-        stop = min(last, int(math.floor((2.0 * lattice[start] - nu) / delta + 1e-9)))
-        if stop <= start:
-            raise EstimationError(
-                f"macro-interval construction stalled at x={lattice[start]:.6g}",
-                diagnostics={"endpoints": endpoints},
-            )
-        # nondecreasing: every per-cell term is nonnegative
-        budget = np.cumsum(per_cell[:, start:stop], axis=1).max(axis=0)
-        l = int(np.searchsorted(budget, CONTRACTIVITY_CAP, side="right"))
-        if l == 0:
-            if cells and xs[start] > 1.0 - params.theta + 1e-12:
-                # recover_F reads no point past 1-theta, so a cell there changes nothing
-                break
-            if not budget[0] < 1.0:
-                raise EstimationError(
-                    f"no admissible micro cell at x={lattice[start]:.6g} "
-                    f"(first budget value {budget[0]:.6g} >= 1)",
-                    diagnostics={"endpoints": endpoints},
-                )
-            l = 1
-            lone.append([float(xs[start]), float(budget[0])])
-        cut = slice(start, start + l)
-        cells.append(MacroCell(
-            xs=xs[cut], deltas=deltas[:, cut], coarse=coarse[:, cut],
-            h_lo=h_lo[cut], h_hi=h_hi[cut], box_lo=box_lo[:, cut], box_hi=box_hi[:, cut]))
-        start += l
-        endpoints.append(float(lattice[start]))
-        gammas.append(float(budget[l - 1]))
-    return SpGrid(np.asarray(endpoints), cells, ghat[:, 0], lone), gammas
+    starts = range(0, xs.size, WINDOW_CELLS)
+    cells = [MacroCell(xs=xs[cut], deltas=deltas[:, cut], coarse=coarse[:, cut],
+                       h_lo=h_lo[cut], h_hi=h_hi[cut],
+                       box_lo=box_lo[:, cut], box_hi=box_hi[:, cut])
+             for cut in (slice(s, s + WINDOW_CELLS) for s in starts)]
+    endpoints = lattice[np.append(starts, xs.size)]
+    return SpGrid(endpoints, cells, ghat[:, 0]), xs
 
 
 def _power_product(U, k):
@@ -257,7 +198,7 @@ def _power_product(U, k):
 
 def fixed_point_map(U, V, cell):
     """One application of the discretized map phi^(tau) to the positive k x l
-    state U with left-boundary k-vector V, on the macro-interval ``cell``."""
+    state U with left-boundary k-vector V, on the window ``cell``."""
     H = _power_product(U, U.shape[0])
     H.clip(cell.h_lo, cell.h_hi, out=H)
     integ = np.cumsum(cell.deltas / np.subtract(1.0, H, out=H), axis=1)
@@ -265,43 +206,22 @@ def fixed_point_map(U, V, cell):
     return integ.clip(cell.box_lo, cell.box_hi, out=integ)
 
 
-def _random_box_state(cell, rng):
-    """A random monotone-row element of S^(tau)."""
-    u = rng.random(cell.box_lo.shape)
-    cand = cell.box_lo + u * (cell.box_hi - cell.box_lo)
-    cand = np.maximum.accumulate(cand, axis=1)
-    return np.minimum(cand, cell.box_hi)  # bounds are monotone, so this stays valid
+def run_fixed_point(grid):
+    """Iterate the discretized map on each window until it settles.
 
-
-def sample_contraction(cell, V, pairs, rng):
-    """Max over ``pairs`` random state pairs (a, b) of ``cell``'s box of the
-    sup-norm ratio |phi(a) - phi(b)| / |a - b| of its map with left boundary
-    V (0 if every pair coincides): a lower estimate of its Lipschitz constant."""
-    ratios = [0.0]
-    for _ in range(pairs):
-        a = _random_box_state(cell, rng)
-        b = _random_box_state(cell, rng)
-        dist = float(np.max(np.abs(a - b)))
-        if dist >= 1e-12:
-            fa, fb = fixed_point_map(a, V, cell), fixed_point_map(b, V, cell)
-            ratios.append(float(np.max(np.abs(fa - fb))) / dist)
-    return max(ratios)
-
-
-def run_fixed_point(grid, params):
-    """Iterate the discretized map across all macro-intervals.
-
-    Returns (U, diagnostics): ``U`` is the k x total matrix of U estimates at
-    the cells' micro points in order. Diagnostics list per interval the
-    sup-norm step of its last iteration (``fp_gaps``, 0 with no iteration)
-    and the share of its state within ``np.isclose`` of a box bound
-    (``clip_rates``), and count the state entries more than 1e-9 outside
-    their box or below their left neighbour in the same interval
-    (``box_violations``); all three are read off the final state. No budget
-    certifies the ``grid.lone_cells``, so if there are any, diagnostics list
-    them and, in ``contraction_samples``, each one's sampled contraction (5
-    pairs, one ``default_rng(0)`` per run). A bidder that wins no price up to
-    a micro point has an empty state box there (coarse U = 0): EstimationError.
+    Each window starts from its coarse U, clipped to the box and made
+    monotone, with the last column of the window before as its left
+    boundary, and maps until the sup-norm step falls below ``FP_TOL``; a
+    window that has not settled after ``FP_MAX_STEPS`` raises EstimationError
+    naming the micro point with the largest last step. Returns (U,
+    diagnostics): ``U`` is the k x total matrix of U estimates at the
+    windows' micro points in order. Diagnostics list per window the number
+    of steps (``fp_steps``), the last step (``fp_gaps``) and the share of its
+    state within ``np.isclose`` of a box bound (``clip_rates``), and count the
+    state entries more than 1e-9 outside their box or below their left
+    neighbour in the same window (``box_violations``). A bidder that wins no
+    price up to a micro point has an empty state box there (coarse U = 0):
+    EstimationError.
     """
     empty = np.hstack([cell.coarse for cell in grid.cells]) <= 0.0
     if empty.any():
@@ -310,17 +230,21 @@ def run_fixed_point(grid, params):
         raise EstimationError(
             f"bidder {i + 1} wins no price up to x={x:.6g}, so its state box there is empty",
             diagnostics={"bidder": i + 1, "x": x})
-    lone = {x for x, _ in grid.lone_cells}
-    rng = np.random.default_rng(0)
-    V, all_U, gaps, contraction = grid.v0, [], [], []
+    V, all_U, steps, gaps = grid.v0, [], [], []
     for cell in grid.cells:
         U = np.maximum.accumulate(np.clip(cell.coarse, cell.box_lo, cell.box_hi), axis=1)
-        prev = U
-        for _ in range(params.fp_iters):
+        for step in range(1, FP_MAX_STEPS + 1):
             prev, U = U, fixed_point_map(U, V, cell)
-        gaps.append(float(np.max(np.abs(U - prev))))
-        if cell.xs[0] in lone:  # each lone cell is the only micro point of its interval
-            contraction.append(sample_contraction(cell, V, 5, rng))
+            gap = float(np.max(np.abs(U - prev)))
+            if gap < FP_TOL:
+                break
+        else:
+            x = float(cell.xs[np.argmax(np.abs(U - prev).max(axis=0))])
+            raise EstimationError(
+                f"the fixed point did not settle within {FP_MAX_STEPS} steps at x={x:.6g} "
+                f"(last step {gap:.3g})", diagnostics={"x": x, "fp_gap": gap})
+        steps.append(step)
+        gaps.append(gap)
         all_U.append(U)
         V = U[:, -1].copy()
     U = np.hstack(all_U)
@@ -331,17 +255,16 @@ def run_fixed_point(grid, params):
     at_bound = (np.isclose(U, box_lo) | np.isclose(U, box_hi)).sum(axis=0)
     outside = (U < box_lo - 1e-9) | (U > box_hi + 1e-9)
     falls = np.diff(U, axis=1) < -1e-9
-    falls[:, starts[1:] - 1] = False  # a step from one interval into the next
+    falls[:, starts[1:] - 1] = False  # a step from one window into the next
     diagnostics = {
         "T": grid.T,
         "macro_endpoints": grid.endpoints.tolist(),
         "total_micro_points": int(U.shape[1]),
+        "fp_steps": steps,
         "fp_gaps": gaps,
         "clip_rates": (np.add.reduceat(at_bound, starts) / (U.shape[0] * counts)).tolist(),
         "box_violations": int(outside.sum() + falls.sum()),
     }
-    if lone:
-        diagnostics.update(lone_cells=grid.lone_cells, contraction_samples=contraction)
     return U, diagnostics
 
 
@@ -372,16 +295,11 @@ def recover_F(xs, U, params):
 
 def run_pipeline(ghat_list, coarse_list, params):
     """Grid construction + fixed point + CDF recovery from eval-ables.
-
-    Returns (list of PiecewiseCdf, diagnostics), with each interval's budget
-    in ``gamma_per_interval``.
-    """
-    grid, gammas = _build_grid(ghat_list, coarse_list, params)
-    U, fp_diag = run_fixed_point(grid, params)
-    xs = np.concatenate([cell.xs for cell in grid.cells])
+    Returns (list of PiecewiseCdf, diagnostics)."""
+    grid, xs = _build_grid(ghat_list, coarse_list, params)
+    U, fp_diag = run_fixed_point(grid)
     cdfs, rec_diag = recover_F(xs, U, params)
-    return cdfs, {**fp_diag, **rec_diag, "gamma_per_interval": gammas,
-                  "params": asdict(params)}
+    return cdfs, {**fp_diag, **rec_diag, "params": asdict(params)}
 
 
 def estimate_sp(samples, alpha, eta, eps):
@@ -392,6 +310,7 @@ def estimate_sp(samples, alpha, eta, eps):
     ghat_list = [empirical_G_sp(samples, i) for i in range(1, samples.k + 1)]
     coarse_list = [coarse_U(samples, i, params.theta) for i in range(1, samples.k + 1)]
     return run_pipeline(ghat_list, coarse_list, params)
+
 
 
 # -- reserve-price probes ----------------------------------------------------

@@ -36,6 +36,8 @@ from auctionmetrics.fp_estimator import (
 from auctionmetrics.fp_value import ValueEstimatorConfig, estimate_value_cdf_effective
 from auctionmetrics.harness import run_lower_bound_experiment
 from auctionmetrics.sp_estimator import (
+    FP_MAX_STEPS,
+    FP_TOL,
     SpParams,
     estimate_sp,
     run_pipeline,
@@ -43,7 +45,7 @@ from auctionmetrics.sp_estimator import (
     sp_partial_pointwise,
 )
 from reference import CallableEval, population_bid_cdf
-from test_sp_estimator import interval_contractions
+from test_sp_estimator import column_contractions
 
 UNIFORM = uniform_cdf()
 
@@ -139,13 +141,15 @@ def bounded_pair():
 
 
 def test_07_sp_measured_contraction_below_quarter():
-    # 100 random state pairs per macro-interval, all contraction ratios <= 1/4
+    # 100 random state pairs per micro point, all contraction ratios of the
+    # column maps the implicit scan solves <= 1/4, and every window settled
     d1, d2 = bounded_pair()
     m = AuctionModel(bid_dists=[d1.to_cdf(), d2.to_cdf()])
     s = simulate_sp(m, 10 ** 6, 101)
-    ratios, gammas = zip(*interval_contractions(s, 0.5, 2.0, 0.1, pairs=100, seed=11))
-    assert max(ratios) <= 0.25
-    assert max(gammas) <= 0.25 + 1e-12
+    _, ratios = column_contractions(s, 0.5, 2.0, 0.1, pairs=100, seed=11)
+    assert 0.0 < ratios.max() <= 0.25
+    _, diag = estimate_sp(s, 0.5, 2.0, 0.1)
+    assert max(diag["fp_gaps"]) < FP_TOL and max(diag["fp_steps"]) < FP_MAX_STEPS
 
 
 def test_08_sp_population_pipeline_sup_error():
@@ -156,7 +160,7 @@ def test_08_sp_population_pipeline_sup_error():
     coarse = [CallableEval(lambda x: np.asarray(x, dtype=float) * 1.0)
               for _ in range(2)]
     params = SpParams(alpha=1.0, eta=1.0, eps=0.02, theta=0.05, nu=0.025,
-                      micro_delta=1e-3, fp_iters=20)
+                      micro_delta=1e-3)
     cdfs, diag = run_pipeline(ghat, coarse, params)
     err = max(kolmogorov(F, UNIFORM, 0.05, 0.95) for F in cdfs)
     assert err <= 0.02

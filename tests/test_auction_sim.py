@@ -493,9 +493,9 @@ def count_integrations(monkeypatch, integrate):
     """Route the solver's integrations through ``integrate``; the list of their etas."""
     etas = []
 
-    def counted(G, g, k, eta):
+    def counted(cdf_pdf, k, eta):
         etas.append(eta)
-        return integrate(G, g, k, eta)
+        return integrate(cdf_pdf, k, eta)
 
     monkeypatch.setattr(auction_sim, "_integrate_backward", counted)
     return etas
@@ -519,7 +519,7 @@ def test_solver_returns_the_first_trajectory_within_its_tolerance(monkeypatch):
 
 
 def test_solver_raises_once_the_bracket_collapses(monkeypatch):
-    def crash(G, g, k, eta):
+    def crash(cdf_pdf, k, eta):
         raise auction_sim._Crash
 
     etas = count_integrations(monkeypatch, crash)
@@ -615,10 +615,11 @@ def test_solver_scalar_closures_match_the_vectorised_distributions():
                             alpha_lo=0.2, eta_hi=3.0),
     ]
     for d in dists:
-        cdf, pdf = _fast_scalar_cdf_pdf(d)
+        cdf_pdf = _fast_scalar_cdf_pdf(d)
         xs = np.concatenate([np.linspace(-0.5, 1.5, 4001), d.knots,
                              np.nextafter(d.knots, -1.0), np.nextafter(d.knots, 2.0)])
-        np.testing.assert_allclose([cdf(float(x)) for x in xs], d.cdf(xs), rtol=0, atol=1e-12)
+        np.testing.assert_allclose([cdf_pdf(float(x))[0] for x in xs], d.cdf(xs),
+                                   rtol=0, atol=1e-12)
         inner = np.linspace(0.0005, 0.9995, 400)
-        np.testing.assert_allclose([pdf(float(x)) for x in inner], d.pdf(inner),
+        np.testing.assert_allclose([cdf_pdf(float(x))[1] for x in inner], d.pdf(inner),
                                    rtol=0, atol=1e-12)

@@ -70,9 +70,24 @@ def test_rejects_a_step_breakpoint_above_one():
         PiecewiseCdf([0.3, 1 + 1e-12], [0.8, 1.0])
     with pytest.raises(ValidationError, match="must not exceed 1"):
         sub_cdf([0.3, 1 + 1e-12], [0.2, 0.5])
-    # a linear table keeps the 1e-12 tolerance that ``to_cdf`` knots may need
-    PiecewiseCdf([0.3, 1 + 1e-12], [0.8, 1.0], interpolation=LINEAR)
     assert PiecewiseCdf([0.3, 1.0], [0.8, 1.0]).eval(1.0) == 1.0
+
+
+def test_rejects_a_linear_breakpoint_above_one():
+    # read as flat at F(1) beyond 1, it never reached 1 either: 0.9999999999997142
+    # at 1 and at 2
+    for full in (True, False):
+        with pytest.raises(ValidationError,
+                           match=r"^a linear CDF's breakpoints must not exceed 1, and the last "
+                                 r"is 1\.000000000001$"):
+            PiecewiseCdf([0.3, 1 + 1e-12], [0.8, 1.0], interpolation=LINEAR, is_full_cdf=full)
+    assert PiecewiseCdf([0.3, 1.0], [0.8, 1.0], interpolation=LINEAR).eval(2.0) == 1.0
+    # a density model may end its knots up to 1e-12 past 1; its table ends at 1
+    model = BoundedDensityModel(knots=[0.0, 0.5, 1.0 + 5e-13], density=[1.0, 1.0, 1.0],
+                                alpha_lo=0.5, eta_hi=2.0)
+    F = model.to_cdf()
+    assert F.breakpoints[-1] == 1.0 and F.eval(1.0) == 1.0
+    assert np.array_equal(F.breakpoints, np.linspace(0.0, 1.0, 4097))
 
 
 def test_full_cdf_must_terminate_at_one():
@@ -797,11 +812,10 @@ def test_staircase_keeps_the_last_value_at_a_repeat_and_the_running_maximum():
 
 def random_table(rng):
     """A step or linear CDF, full or not, on breakpoints from ``random_points``;
-    a step table drops those above 1, which it refuses."""
+    it drops those above 1, which both kinds refuse."""
     bp = np.unique(random_points(rng))
     interpolation = STEP if rng.random() < 0.5 else LINEAR
-    if interpolation == STEP:
-        bp = bp[bp <= 1.0]
+    bp = bp[bp <= 1.0]
     if not bp.size:
         bp = np.array([0.5])
     vals = np.sort(rng.random(bp.size))
@@ -856,8 +870,8 @@ def random_step_linear_pair(rng):
     """A step table, full or a sub-CDF: the empirical CDF of rounded (tied)
     samples, or a staircase on rounded points, either with 0, -0.0, -1e-13 or 1
     among its breakpoints; and a linear table on a coarse grid that may share
-    those points, start at -1e-13, -0.0 or 0, with an atom at its first knot,
-    or end 1e-12 above 1."""
+    those points, start at -1e-13, -0.0 or 0, or have an atom at its first
+    knot; a last knot drawn 1e-12 above 1 is dropped, as the table refuses it."""
     xs = np.round(rng.random(int(rng.integers(1, 40))), int(rng.integers(1, 4)))
     edges = rng.choice([0.0, -0.0, -1e-13, 1.0], size=int(rng.integers(0, 3)))
     if rng.random() < 0.4:
@@ -874,7 +888,7 @@ def random_step_linear_pair(rng):
     first = rng.choice([-1e-13, -0.0, 0.0, knots.min()], size=1)
     last = rng.choice([1.0, 1.0 + 1e-12, knots.max()], size=1)
     kn = np.unique(np.concatenate([knots, shared, first, last]))
-    kn = kn[(kn >= first[0]) & (kn <= last[0])]
+    kn = kn[(kn >= first[0]) & (kn <= min(last[0], 1.0))]
     vals = np.sort(rng.random(kn.size))
     if rng.random() < 0.5:
         vals[0] = 0.0  # no atom at the first knot

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from auctionmetrics import fp_value
-from auctionmetrics.auction_sim import AuctionModel, simulate_fp
+from auctionmetrics.auction_sim import AuctionModel, SampleSet, simulate_fp
 from auctionmetrics.dist_core import BoundedDensityModel, PiecewiseCdf, kolmogorov, uniform_cdf
 from auctionmetrics.errors import ValidationError
 from auctionmetrics.fp_value import (
@@ -170,6 +170,34 @@ def test_value_cdfs_equal_those_of_the_per_value_scan(name, monkeypatch):
         with monkeypatch.context() as patched:
             patched.setattr(fp_value, "best_response", reference_best_response)
             assert estimate_digest(*estimate_value_cdf_effective(s, config)) == fast
+
+
+def test_k2_products_are_the_other_bidders_estimates(monkeypatch):
+    # for k = 2 the relabelled "rest" of bidder i is bidder 3 - i, so the
+    # estimator hands its F-hat to the best response as the product: the
+    # same arrays as the relabelled tail sum's, on logs with and without
+    # tied prices (a 200-point price grid), n from 50 to 2e4
+    from auctionmetrics.fp_estimator import FpEstimatorConfig, _ghat_to_cdf, _tail_sum
+
+    model, config = value_models()["half2"]
+    floor = FpEstimatorConfig(p=config.p, gamma=config.gamma, eps=config.gamma / 2.0).floor
+    seen = []
+    compose = fp_value._compose_value_cdf
+    monkeypatch.setattr(fp_value, "_compose_value_cdf",
+                        lambda fhat, prod, cfg: seen.append(prod) or compose(fhat, prod, cfg))
+    for seed in range(12):
+        s = simulate_fp(model, (50, 200, 2000, 20000)[seed % 4], seed)
+        if seed % 3 == 0:
+            s = SampleSet(y=np.round(s.y * 200.0) / 200.0, z=s.z, k=2, auction=s.auction)
+        seen.clear()
+        estimate_value_cdf_effective(s, config)
+        for i, prod in enumerate(seen, start=1):
+            want = _ghat_to_cdf(_tail_sum(s, s.ranked[1] != i, floor))
+            assert prod.breakpoints.tobytes() == want.breakpoints.tobytes()
+            assert prod.values.tobytes() == want.values.tobytes()
+            assert (prod.interpolation, prod.is_full_cdf) == (want.interpolation,
+                                                              want.is_full_cdf)
+        assert len(seen) == 2
 
 
 def test_value_estimation_recovers_uniform_values():

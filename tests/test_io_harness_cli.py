@@ -374,14 +374,17 @@ def benchmark_families():
 @pytest.mark.parametrize("kind, digest", [
     ("fp-effective", "76cca5deada7f00b7278c1dedf9a043bb2364328397afb1f928dfc69d2009601"),
     ("fp-value", "2f9714c8ec1dcf45904ddc0c9dfc6c648c5b0b4b1d2708295b4ef06e3398ba6c"),
-    ("sp", "55799ee2d51c6575111e753a0661a5ccb518accc505543f232294ced1e3ffffd"),
+    ("sp", "50ce1c857a2fb445c697684eaa6313996d835412efe980af081b652b39223631"),
     ("fp-full", "2487f2a4bffdeff8daab474cf3c003f1d1989195b8c97ffdc938e7514b58f5e4"),
 ])
 def test_benchmark_family_reports_are_pinned(kind, digest):
     # the report bytes as the benchmark stores them, at n 2000 and 5000 with
     # 2 seeds from seed root 1; pinned before the window grid and the
     # staircase builder replaced the hand-written breakpoint merges. A change
-    # that moves any estimate, score or diagnostic changes the hash
+    # that moves any estimate, score or diagnostic changes the hash. The sp
+    # digest was re-pinned (55799ee2... before) when fixed windows solved to
+    # their fixed point replaced the contraction budget grid: its CDFs move by
+    # up to about 2e-6 and its diagnostics list windows, not intervals
     model, metric, (lo, hi), args = benchmark_families()[kind]
     report = run_convergence(ExperimentConfig(
         model=model, estimator=kind, n_schedule=[2000, 5000], seeds=2, metric=metric,
@@ -672,9 +675,9 @@ def _bad_arguments():
                           "alpha must be a number, not NoneType"),
         "sp eps None": (lambda: estimate_sp(sp_log, 1.0, 1.0, None),
                         "eps must be a number, not NoneType"),
-        "sp fp_iters 2.5": (lambda: SpParams(alpha=1.0, eta=1.0, eps=0.1, theta=0.05, nu=0.02,
-                                             micro_delta=1e-3, fp_iters=2.5),
-                            "fp_iters must be an integer, not float"),
+        "sp theta None": (lambda: SpParams(alpha=1.0, eta=1.0, eps=0.1, theta=None, nu=0.02,
+                                           micro_delta=1e-3),
+                          "theta must be a number, not NoneType"),
         "fp-full lambda None": (lambda: estimate_bid_cdf_full(fp_log, None, 0.2),
                                 "lambda must be a number, not NoneType"),
         "fp-full lambda nan": (lambda: estimate_bid_cdf_full(fp_log, math.nan, 0.2),
@@ -826,8 +829,9 @@ def test_cli_estimate_sp(tmp_path, model_file):
     assert r.returncode == 0, r.stderr
     assert len(io_read_cdfs(out)) == 2
     diag = json.loads(out.read_text())["diagnostics"]
-    # no interval needs a lone cell, so no contraction is sampled
-    assert "lone_cells" not in diag and "contraction_samples" not in diag
+    # one step count and one last step per window, each window settled
+    assert len(diag["fp_steps"]) == len(diag["fp_gaps"]) == diag["T"]
+    assert max(diag["fp_gaps"]) < 1e-13
 
 
 def test_cli_estimate_sp_exits_3_on_a_bidder_without_low_wins(tmp_path, capsys):
@@ -1283,6 +1287,18 @@ def test_cli_metric_rejects_a_step_bundle_ending_above_one(tmp_path, capsys):
     code, err = main_exit(["metric", "--a", good, "--b", bad, "--kind", "kolmogorov"], capsys)
     assert (code, err.strip()) == (
         2, "error: a step CDF's breakpoints must not exceed 1, and the last is 1.000000000001")
+
+
+def test_cli_metric_rejects_a_linear_bundle_ending_above_one(tmp_path, capsys):
+    # it read 0.9999999999997142 at 1 and beyond before
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    io_write_cdfs(good, [PiecewiseCdf([0.3, 1.0], [0.8, 1.0], interpolation="linear")])
+    bad.write_text(json.dumps({"version": 1, "diagnostics": {}, "cdfs": [
+        {"interpolation": "linear", "breakpoints": [0.3, 1 + 1e-12], "values": [0.8, 1.0],
+         "is_full_cdf": True}]}))
+    code, err = main_exit(["metric", "--a", good, "--b", bad, "--kind", "kolmogorov"], capsys)
+    assert (code, err.strip()) == (
+        2, "error: a linear CDF's breakpoints must not exceed 1, and the last is 1.000000000001")
 
 
 def test_cli_estimate_values_needs_two_bidders(tmp_path, capsys):
