@@ -351,10 +351,6 @@ class InverseBidProfile:
         if np.any(self.alphas < self.grid - 1e-9):
             raise ValidationError("inverse bids must satisfy alpha_i(b) >= b")
 
-    def alpha(self, i, b):
-        """Interpolated alpha_i(b) (1-based bidder index)."""
-        return np.interp(b, self.grid, self.alphas[i - 1])
-
 
 def _fast_scalar_cdf_pdf(dist):
     """A plain-float closure x -> (cdf(x), pdf(x)) of a density model for the

@@ -45,9 +45,13 @@ FP_TOL, FP_MAX_STEPS = 1e-13, 500
 
 
 def _check_accuracy(alpha, eta, eps):
-    """The density bounds 0 < alpha <= eta and the accuracy eps in (0, 1)."""
-    if not 0.0 < check_number("alpha", alpha) <= check_number("eta", eta):
-        raise ValidationError("need 0 < alpha <= eta")
+    """The density bounds 0 < alpha <= 1 <= eta and the accuracy eps in (0, 1).
+
+    A bid density on [0, 1] integrates to 1, so no density lies in [alpha, eta]
+    unless alpha <= 1 <= eta."""
+    if not 0.0 < check_number("alpha", alpha) <= 1.0 <= check_number("eta", eta):
+        raise ValidationError("need 0 < alpha <= 1 <= eta (a bid density on [0, 1] "
+                              f"integrates to 1), not alpha = {alpha}, eta = {eta}")
     check_number("eps", eps, 0.0, 1.0, "()")
 
 
@@ -59,8 +63,8 @@ class SpParams:
     theta trims the edges (estimates are pinned to 0/1 outside [theta, 1-theta]);
     nu is the lattice start and micro_delta its cell width. ``desk`` derives
     the last three from the first three and the sample size. The lattice
-    nu + m*micro_delta up to 1 - theta/2 holds at most ``MAX_GRID_POINTS``
-    points (``errors.check_grid_size``); the pipeline reads it up to 1 - theta.
+    nu + m*micro_delta, up to its first point at or past 1 - theta, spans at
+    most ``MAX_GRID_POINTS`` cells (``errors.check_grid_size``).
     """
 
     alpha: float
@@ -77,7 +81,7 @@ class SpParams:
         check_number("micro_delta", self.micro_delta, 0.0, self.nu, "()")
         check_grid_size(f"the lattice of nu = {self.nu:g}, theta = {self.theta:g} and "
                         f"micro_delta = {self.micro_delta:g}",
-                        1.0 - self.theta / 2.0 - self.nu, self.micro_delta)
+                        1.0 - self.theta - self.nu, self.micro_delta)
 
     @classmethod
     def desk(cls, alpha, eta, eps, n):
@@ -96,38 +100,38 @@ class SpParams:
 
 
 @dataclass(eq=False)
-class MacroCell:
-    """One window of lattice cells as the fixed point reads it, built by ``_build_grid``."""
-
-    xs: np.ndarray          # the l micro endpoints x_{tau,1..l}
-    deltas: np.ndarray      # k x l nonnegative increments of G-hat
-    coarse: np.ndarray      # k x l coarse U at xs
-    h_lo: np.ndarray        # clip bounds of H at xs
-    h_hi: np.ndarray
-    box_lo: np.ndarray      # k x l state bounds of S^(tau)
-    box_hi: np.ndarray
-
-
-@dataclass(eq=False)
 class SpGrid:
-    """Window layout on [nu, 1-theta].
+    """The lattice on [nu, 1-theta] and the fixed point's inputs on it.
 
-    ``endpoints[0] = nu`` and ``endpoints[tau]`` closes window tau, whose
-    inputs are ``cells[tau-1]``; ``v0`` is G-hat at nu, the left boundary of
-    the first window.
+    ``lattice[0] = nu``. Column m of the other arrays belongs to the micro
+    point ``lattice[m + 1]``: the k x M G-hat increments over the cell that
+    it closes (``deltas``), the coarse U (``coarse``) and the state box
+    (``box_lo``, ``box_hi``), and the clip bounds of H (``h_lo``, ``h_hi``).
+    ``v0`` is G-hat at nu. Windows are column slices of ``WINDOW_CELLS``
+    (the last one shorter); ``cuts`` are their first columns, then M.
     """
 
-    endpoints: np.ndarray
-    cells: list
+    lattice: np.ndarray
+    deltas: np.ndarray
+    coarse: np.ndarray
+    h_lo: np.ndarray
+    h_hi: np.ndarray
+    box_lo: np.ndarray
+    box_hi: np.ndarray
     v0: np.ndarray
 
     @property
+    def cuts(self):
+        M = self.coarse.shape[1]
+        return np.append(np.arange(0, M, WINDOW_CELLS), M)
+
+    @property
     def T(self):
-        return len(self.cells)
+        return self.cuts.size - 1
 
     @property
     def micro_counts(self):
-        return [cell.xs.size for cell in self.cells]
+        return np.diff(self.cuts).tolist()
 
 
 def empirical_G_sp(samples, i):
@@ -154,39 +158,27 @@ def coarse_U(samples, i, theta):
     return StepFunction(ys[ends], cum[ends])
 
 
-def _h_clip_bounds(params, xs):
-    lo = params.alpha * xs
-    hi = np.minimum(1.0 - params.alpha * (1.0 - xs), params.eta * xs)
-    return lo, np.maximum(hi, lo)
-
-
 def _build_grid(ghat_list, coarse_list, params):
-    """The lattice and its windows; returns (SpGrid, micro points).
+    """The lattice and the fixed point's inputs on it; returns (SpGrid, micro points).
 
     The lattice nu + m*micro_delta runs up to its first point at or past
-    1 - theta, and its cells are cut into windows of ``WINDOW_CELLS`` (the
-    last one shorter). This is the only place the pipeline evaluates G-hat
-    and the coarse U, each once on the lattice; each window's cell holds
-    views of the lattice arrays. The micro points are every lattice point
-    after nu, the concatenation of the windows' ``xs``.
+    1 - theta. This is the only place the pipeline evaluates G-hat and the
+    coarse U, each once on the lattice. The micro points are every lattice
+    point after nu. alpha <= 1 <= eta order both bounds without a guard:
+    alpha*x <= 1 - alpha*(1 - x) and alpha*x <= eta*x for H (at alpha = 1 the
+    first may round an ulp below x, where 1 - H is fl(1 - x) all the same),
+    and coarse/(2*eta) <= 2*coarse/alpha for the state.
     """
-    delta, nu = params.micro_delta, params.nu
+    delta, nu, alpha, eta = params.micro_delta, params.nu, params.alpha, params.eta
     lattice = nu + delta * np.arange(math.ceil((1.0 - params.theta - nu) / delta) + 2)
     lattice = lattice[:int(np.searchsorted(lattice, 1.0 - params.theta - 1e-12)) + 1]
     ghat = np.vstack([g.eval(lattice) for g in ghat_list])
     xs = lattice[1:]
-    deltas = np.maximum(np.diff(ghat, axis=1), 0.0)
     coarse = np.vstack([c.eval(xs) for c in coarse_list])
-    h_lo, h_hi = _h_clip_bounds(params, xs)
-    box_lo = coarse / (2.0 * params.eta)
-    box_hi = np.maximum(coarse * (2.0 / params.alpha), box_lo)
-    starts = range(0, xs.size, WINDOW_CELLS)
-    cells = [MacroCell(xs=xs[cut], deltas=deltas[:, cut], coarse=coarse[:, cut],
-                       h_lo=h_lo[cut], h_hi=h_hi[cut],
-                       box_lo=box_lo[:, cut], box_hi=box_hi[:, cut])
-             for cut in (slice(s, s + WINDOW_CELLS) for s in starts)]
-    endpoints = lattice[np.append(starts, xs.size)]
-    return SpGrid(endpoints, cells, ghat[:, 0]), xs
+    grid = SpGrid(lattice=lattice, deltas=np.maximum(np.diff(ghat, axis=1), 0.0), coarse=coarse,
+                  h_lo=alpha * xs, h_hi=np.minimum(1.0 - alpha * (1.0 - xs), eta * xs),
+                  box_lo=coarse / (2.0 * eta), box_hi=coarse * (2.0 / alpha), v0=ghat[:, 0])
+    return grid, xs
 
 
 def _power_product(U, k):
@@ -196,74 +188,73 @@ def _power_product(U, k):
     return np.exp((total - logU) / (k - 1.0) - ((k - 2.0) / (k - 1.0)) * logU)
 
 
-def fixed_point_map(U, V, cell):
+def fixed_point_map(U, V, grid, cols):
     """One application of the discretized map phi^(tau) to the positive k x l
-    state U with left-boundary k-vector V, on the window ``cell``."""
+    state U of the window ``cols`` of ``grid``, with left-boundary k-vector V.
+
+    Each column is V plus a running sum of nonnegative terms, since
+    1 - H >= alpha*(1 - x) > 0, clipped to a nondecreasing, non-empty box: the
+    result lies in its box and never decreases, from V across a window seam too.
+    """
     H = _power_product(U, U.shape[0])
-    H.clip(cell.h_lo, cell.h_hi, out=H)
-    integ = np.cumsum(cell.deltas / np.subtract(1.0, H, out=H), axis=1)
+    H.clip(grid.h_lo[cols], grid.h_hi[cols], out=H)
+    integ = np.cumsum(grid.deltas[:, cols] / np.subtract(1.0, H, out=H), axis=1)
     integ += V[:, None]
-    return integ.clip(cell.box_lo, cell.box_hi, out=integ)
+    return integ.clip(grid.box_lo[:, cols], grid.box_hi[:, cols], out=integ)
 
 
 def run_fixed_point(grid):
     """Iterate the discretized map on each window until it settles.
 
-    Each window starts from its coarse U, clipped to the box and made
-    monotone, with the last column of the window before as its left
+    Each window starts from its coarse U, which lies in its box and never
+    decreases, with the last column of the window before as its left
     boundary, and maps until the sup-norm step falls below ``FP_TOL``; a
     window that has not settled after ``FP_MAX_STEPS`` raises EstimationError
     naming the micro point with the largest last step. Returns (U,
-    diagnostics): ``U`` is the k x total matrix of U estimates at the
-    windows' micro points in order. Diagnostics list per window the number
-    of steps (``fp_steps``), the last step (``fp_gaps``) and the share of its
-    state within ``np.isclose`` of a box bound (``clip_rates``), and count the
-    state entries more than 1e-9 outside their box or below their left
-    neighbour in the same window (``box_violations``). A bidder that wins no
+    diagnostics): ``U`` is the k x M matrix of U estimates at the micro
+    points. Diagnostics list per window the number of steps (``fp_steps``),
+    the last step (``fp_gaps``) and the share of its state within
+    ``np.isclose`` of a box bound (``clip_rates``). A bidder that wins no
     price up to a micro point has an empty state box there (coarse U = 0):
     EstimationError.
     """
-    empty = np.hstack([cell.coarse for cell in grid.cells]) <= 0.0
+    xs = grid.lattice[1:]
+    empty = grid.coarse <= 0.0
     if empty.any():
         i = int(np.flatnonzero(empty.any(axis=1))[0])
-        x = float(np.concatenate([cell.xs for cell in grid.cells])[empty[i]].max())
+        x = float(xs[empty[i]].max())
         raise EstimationError(
             f"bidder {i + 1} wins no price up to x={x:.6g}, so its state box there is empty",
             diagnostics={"bidder": i + 1, "x": x})
-    V, all_U, steps, gaps = grid.v0, [], [], []
-    for cell in grid.cells:
-        U = np.maximum.accumulate(np.clip(cell.coarse, cell.box_lo, cell.box_hi), axis=1)
+    U = np.empty_like(grid.coarse)
+    V, steps, gaps = grid.v0, [], []
+    for start in range(0, U.shape[1], WINDOW_CELLS):
+        cols = slice(start, start + WINDOW_CELLS)
+        W = grid.coarse[:, cols]
         for step in range(1, FP_MAX_STEPS + 1):
-            prev, U = U, fixed_point_map(U, V, cell)
-            gap = float(np.max(np.abs(U - prev)))
+            prev, W = W, fixed_point_map(W, V, grid, cols)
+            gap = float(np.max(np.abs(W - prev)))
             if gap < FP_TOL:
                 break
         else:
-            x = float(cell.xs[np.argmax(np.abs(U - prev).max(axis=0))])
+            x = float(xs[cols][np.argmax(np.abs(W - prev).max(axis=0))])
             raise EstimationError(
                 f"the fixed point did not settle within {FP_MAX_STEPS} steps at x={x:.6g} "
                 f"(last step {gap:.3g})", diagnostics={"x": x, "fp_gap": gap})
         steps.append(step)
         gaps.append(gap)
-        all_U.append(U)
-        V = U[:, -1].copy()
-    U = np.hstack(all_U)
-    box_lo = np.hstack([cell.box_lo for cell in grid.cells])
-    box_hi = np.hstack([cell.box_hi for cell in grid.cells])
-    counts = np.asarray(grid.micro_counts)
-    starts = np.cumsum(counts) - counts
-    at_bound = (np.isclose(U, box_lo) | np.isclose(U, box_hi)).sum(axis=0)
-    outside = (U < box_lo - 1e-9) | (U > box_hi + 1e-9)
-    falls = np.diff(U, axis=1) < -1e-9
-    falls[:, starts[1:] - 1] = False  # a step from one window into the next
+        U[:, cols] = W
+        V = W[:, -1]
+    cuts = grid.cuts
+    at_bound = (np.isclose(U, grid.box_lo) | np.isclose(U, grid.box_hi)).sum(axis=0)
+    clip_rates = np.add.reduceat(at_bound, cuts[:-1]) / (U.shape[0] * np.diff(cuts))
     diagnostics = {
         "T": grid.T,
-        "macro_endpoints": grid.endpoints.tolist(),
+        "macro_endpoints": grid.lattice[cuts].tolist(),
         "total_micro_points": int(U.shape[1]),
         "fp_steps": steps,
         "fp_gaps": gaps,
-        "clip_rates": (np.add.reduceat(at_bound, starts) / (U.shape[0] * counts)).tolist(),
-        "box_violations": int(outside.sum() + falls.sum()),
+        "clip_rates": clip_rates.tolist(),
     }
     return U, diagnostics
 
