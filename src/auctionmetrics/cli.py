@@ -11,6 +11,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import fp_estimator, harness, io
 from .auction_sim import (
     make_fp_partial_oracle,
@@ -118,13 +120,12 @@ def _cmd_estimate_fp_density(args):
         raise ValidationError(f"need 0 <= p <= 1 - h for the grid [p, 1 - h], "
                               f"not p = {args.p}, h = {args.h}")
     cdfs = io.io_read_cdfs(args.cdf)
-    import numpy as np
-
+    grid = np.linspace(args.p, 1.0 - args.h, args.grid)
+    xs = [io.fmt_float(v) for v in grid]
     out = []
     for F in cdfs:
         est = fp_estimator.estimate_density(F, args.h)
-        grid = np.linspace(args.p, 1.0 - args.h, args.grid)
-        out.append({"x": [io.fmt_float(v) for v in grid],
+        out.append({"x": xs,
                     "density": [io.fmt_float(v) for v in est.eval(grid)]})
     Path(args.out).write_text(json.dumps({"version": 1, "densities": out}, indent=2))
 

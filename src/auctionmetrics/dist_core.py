@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, check_grid_size, check_number, check_window
+from .errors import ValidationError, check_number, check_window
 
 STEP = "step"
 LINEAR = "linear"
@@ -403,12 +403,11 @@ class BoundedDensityModel:
         out = t.clip(0.0, 1.0, out=t)
         return float(out[0]) if scalar else out
 
-    def to_cdf(self, n_grid=4097):
-        """A piecewise-linear PiecewiseCdf approximation on a fine grid."""
-        check_number("n_grid", n_grid, 2, integer=True)
-        check_grid_size(f"the grid of n_grid = {n_grid}", n_grid, 1.0)
+    def to_cdf(self):
+        """A piecewise-linear PiecewiseCdf approximation on 4,097 evenly spaced
+        points of [0, 1] and the knots."""
         # a last knot up to 1e-12 past 1 is read at 1
-        xs = np.union1d(np.linspace(0.0, 1.0, n_grid), np.minimum(self.knots, 1.0))
+        xs = np.union1d(np.linspace(0.0, 1.0, 4097), np.minimum(self.knots, 1.0))
         vals = self.cdf(xs)
         vals[-1] = 1.0
         return PiecewiseCdf(xs, vals, interpolation=LINEAR, is_full_cdf=True)

@@ -255,7 +255,8 @@ def run_convergence(config):
 
     The truth CDFs are built once, before any cell. Cells are handed to the
     pool largest n first, so that the sweep does not end on its slowest cells;
-    rows and diagnostics keep the (n, seed) order.
+    rows and diagnostics keep the (n, seed) order. A cell's ValidationError
+    ends the sweep, as on ``estimate-*``; other errors stay in its diagnostics.
     """
     cells = [(n, s) for n in config.n_schedule for s in range(config.seeds)]
     largest_first = sorted(cells, key=lambda cell: -cell[0])
@@ -265,6 +266,8 @@ def run_convergence(config):
         try:
             cell_rows, diag = _run_cell(config, *cell)
             return cell_rows, {"diagnostics": diag}
+        except ValidationError:
+            raise
         except Exception as exc:  # cell isolation: record, don't abort
             return [], {"error": f"{type(exc).__name__}: {exc}"}
 

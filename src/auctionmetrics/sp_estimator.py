@@ -105,10 +105,10 @@ class SpGrid:
 
     ``lattice[0] = nu``. Column m of the other arrays belongs to the micro
     point ``lattice[m + 1]``: the k x M G-hat increments over the cell that
-    it closes (``deltas``), the coarse U (``coarse``) and the state box
-    (``box_lo``, ``box_hi``), and the clip bounds of H (``h_lo``, ``h_hi``).
-    ``v0`` is G-hat at nu. Windows are column slices of ``WINDOW_CELLS``
-    (the last one shorter); ``cuts`` are their first columns, then M.
+    it closes (``deltas``), the coarse U (``coarse``) and the clip bounds of
+    H (``h_lo``, ``h_hi``). ``v0`` is G-hat at nu. Windows are column slices
+    of ``WINDOW_CELLS`` (the last one shorter); ``cuts`` are their first
+    columns, then M.
     """
 
     lattice: np.ndarray
@@ -116,8 +116,6 @@ class SpGrid:
     coarse: np.ndarray
     h_lo: np.ndarray
     h_hi: np.ndarray
-    box_lo: np.ndarray
-    box_hi: np.ndarray
     v0: np.ndarray
 
     @property
@@ -164,20 +162,19 @@ def _build_grid(ghat_list, coarse_list, params):
     The lattice nu + m*micro_delta runs up to its first point at or past
     1 - theta. This is the only place the pipeline evaluates G-hat and the
     coarse U, each once on the lattice. The micro points are every lattice
-    point after nu. alpha <= 1 <= eta order both bounds without a guard:
-    alpha*x <= 1 - alpha*(1 - x) and alpha*x <= eta*x for H (at alpha = 1 the
-    first may round an ulp below x, where 1 - H is fl(1 - x) all the same),
-    and coarse/(2*eta) <= 2*coarse/alpha for the state.
+    point after nu. alpha <= 1 <= eta order H's clip bounds without a guard:
+    alpha*x <= 1 - alpha*(1 - x) and alpha*x <= eta*x (at alpha = 1 the first
+    may round an ulp below x, where 1 - H is fl(1 - x) all the same).
     """
-    delta, nu, alpha, eta = params.micro_delta, params.nu, params.alpha, params.eta
+    delta, nu, alpha = params.micro_delta, params.nu, params.alpha
     lattice = nu + delta * np.arange(math.ceil((1.0 - params.theta - nu) / delta) + 2)
     lattice = lattice[:int(np.searchsorted(lattice, 1.0 - params.theta - 1e-12)) + 1]
     ghat = np.vstack([g.eval(lattice) for g in ghat_list])
     xs = lattice[1:]
     coarse = np.vstack([c.eval(xs) for c in coarse_list])
     grid = SpGrid(lattice=lattice, deltas=np.maximum(np.diff(ghat, axis=1), 0.0), coarse=coarse,
-                  h_lo=alpha * xs, h_hi=np.minimum(1.0 - alpha * (1.0 - xs), eta * xs),
-                  box_lo=coarse / (2.0 * eta), box_hi=coarse * (2.0 / alpha), v0=ghat[:, 0])
+                  h_lo=alpha * xs, h_hi=np.minimum(1.0 - alpha * (1.0 - xs), params.eta * xs),
+                  v0=ghat[:, 0])
     return grid, xs
 
 
@@ -192,30 +189,33 @@ def fixed_point_map(U, V, grid, cols):
     """One application of the discretized map phi^(tau) to the positive k x l
     state U of the window ``cols`` of ``grid``, with left-boundary k-vector V.
 
-    Each column is V plus a running sum of nonnegative terms, since
-    1 - H >= alpha*(1 - x) > 0, clipped to a nondecreasing, non-empty box: the
-    result lies in its box and never decreases, from V across a window seam too.
+    H <= 1 - alpha*(1 - x), so 1 - H >= alpha*(1 - x) > 0 and each column is V
+    plus a running sum of terms at least the G-hat increments: the result never
+    decreases, across a window seam too, and is at least G-hat >= 1/n (checked
+    by ``run_fixed_point``), so the next H is finite. Under ``SpParams.desk``
+    it, like the coarse start, is at most (8/(7*alpha))*coarse: delta <= theta/8
+    and every lattice x has 1 - x > 7*theta/8, so a price Y in the cell ending
+    at x has (1 - Y)/(1 - x) <= 8/7, and the floor theta/8 of ``coarse_U``
+    never binds at those prices.
     """
     H = _power_product(U, U.shape[0])
     H.clip(grid.h_lo[cols], grid.h_hi[cols], out=H)
     integ = np.cumsum(grid.deltas[:, cols] / np.subtract(1.0, H, out=H), axis=1)
     integ += V[:, None]
-    return integ.clip(grid.box_lo[:, cols], grid.box_hi[:, cols], out=integ)
+    return integ
 
 
 def run_fixed_point(grid):
     """Iterate the discretized map on each window until it settles.
 
-    Each window starts from its coarse U, which lies in its box and never
-    decreases, with the last column of the window before as its left
-    boundary, and maps until the sup-norm step falls below ``FP_TOL``; a
-    window that has not settled after ``FP_MAX_STEPS`` raises EstimationError
-    naming the micro point with the largest last step. Returns (U,
-    diagnostics): ``U`` is the k x M matrix of U estimates at the micro
-    points. Diagnostics list per window the number of steps (``fp_steps``),
-    the last step (``fp_gaps``) and the share of its state within
-    ``np.isclose`` of a box bound (``clip_rates``). A bidder that wins no
-    price up to a micro point has an empty state box there (coarse U = 0):
+    Each window starts from its coarse U, with the last column of the window
+    before as its left boundary, and maps until the sup-norm step falls below
+    ``FP_TOL``; a window that has not settled after ``FP_MAX_STEPS`` raises
+    EstimationError naming the micro point with the largest last step.
+    Returns (U, diagnostics): ``U`` is the k x M matrix of U estimates at the
+    micro points. Diagnostics list per window the number of steps
+    (``fp_steps``) and the last step (``fp_gaps``). A bidder that wins no
+    price up to a micro point has U = 0 there, where H is undefined:
     EstimationError.
     """
     xs = grid.lattice[1:]
@@ -224,8 +224,8 @@ def run_fixed_point(grid):
         i = int(np.flatnonzero(empty.any(axis=1))[0])
         x = float(xs[empty[i]].max())
         raise EstimationError(
-            f"bidder {i + 1} wins no price up to x={x:.6g}, so its state box there is empty",
-            diagnostics={"bidder": i + 1, "x": x})
+            f"bidder {i + 1} wins no price up to x={x:.6g}, so its U is 0 there and H "
+            "is undefined", diagnostics={"bidder": i + 1, "x": x})
     U = np.empty_like(grid.coarse)
     V, steps, gaps = grid.v0, [], []
     for start in range(0, U.shape[1], WINDOW_CELLS):
@@ -245,16 +245,12 @@ def run_fixed_point(grid):
         gaps.append(gap)
         U[:, cols] = W
         V = W[:, -1]
-    cuts = grid.cuts
-    at_bound = (np.isclose(U, grid.box_lo) | np.isclose(U, grid.box_hi)).sum(axis=0)
-    clip_rates = np.add.reduceat(at_bound, cuts[:-1]) / (U.shape[0] * np.diff(cuts))
     diagnostics = {
         "T": grid.T,
-        "macro_endpoints": grid.lattice[cuts].tolist(),
+        "macro_endpoints": grid.lattice[grid.cuts].tolist(),
         "total_micro_points": int(U.shape[1]),
         "fp_steps": steps,
         "fp_gaps": gaps,
-        "clip_rates": clip_rates.tolist(),
     }
     return U, diagnostics
 

@@ -180,7 +180,8 @@ def test_09_sp_end_to_end_sup_error_and_diagnostics():
         cdfs, diag = estimate_sp(s, 0.5, 2.0, 0.1)
         err = max(kolmogorov(F, T, 0.0, 1.0) for F, T in zip(cdfs, truths))
         params = SpParams(**diag["params"])
-        assert_state_in_box_and_monotone(_build_grid(*sample_pieces(s, params), params)[0])
+        assert_state_in_box_and_monotone(_build_grid(*sample_pieces(s, params), params)[0],
+                                         params)
         assert diag["isotonic_repair_total"] <= 0.02
         hits += err <= 0.1
     assert hits >= 8

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -374,7 +375,7 @@ def benchmark_families():
 @pytest.mark.parametrize("kind, digest", [
     ("fp-effective", "76cca5deada7f00b7278c1dedf9a043bb2364328397afb1f928dfc69d2009601"),
     ("fp-value", "2f9714c8ec1dcf45904ddc0c9dfc6c648c5b0b4b1d2708295b4ef06e3398ba6c"),
-    ("sp", "5573362c806c04ddc302820fde3a43f70e4a5101103e11d73d968d7ff255c822"),
+    ("sp", "1f9d6b4a15ce2059b4d3280ed0038530d169ee3ef3f10c5133884e66a7102d30"),
     ("fp-full", "2487f2a4bffdeff8daab474cf3c003f1d1989195b8c97ffdc938e7514b58f5e4"),
 ])
 def test_benchmark_family_reports_are_pinned(kind, digest):
@@ -386,7 +387,9 @@ def test_benchmark_family_reports_are_pinned(kind, digest):
     # their fixed point replaced the contraction budget grid: its CDFs move by
     # up to about 2e-6 and its diagnostics list windows, not intervals. It was
     # re-pinned again (50ce1c85... before) when the always-0 box_violations key
-    # left the diagnostics: the new digest is the old report with that key popped
+    # left the diagnostics: the new digest is the old report with that key
+    # popped. So was the next (5573362c... before) when the state box left the
+    # fixed point, with its always-0 clip_rates key popped the same way
     model, metric, (lo, hi), args = benchmark_families()[kind]
     report = run_convergence(ExperimentConfig(
         model=model, estimator=kind, n_schedule=[2000, 5000], seeds=2, metric=metric,
@@ -397,11 +400,14 @@ def test_benchmark_family_reports_are_pinned(kind, digest):
 
 
 def test_convergence_isolates_failing_cells():
-    # gamma too large for eps makes the estimator config invalid per cell
-    cfg = sweep_config(estimator_args={"p": 0.3, "gamma": 0.09, "eps": 0.09})
+    # an estimator failure stays in its cell: at n = 50 the sp trim
+    # 4/(alpha*sqrt(n)) is above 1/2, and the cells at n = 20000 still score
+    cfg = sweep_config(estimator="sp", n_schedule=[50, 20000], support_lo=0.02,
+                       support_hi=0.98, estimator_args={"alpha": 1.0, "eta": 1.0, "eps": 0.1})
     report = run_convergence(cfg)
-    assert report.rows == []
-    assert all("error" in d for d in report.diagnostics)
+    assert [(d["n"], d["error"].split(":")[:2]) for d in report.diagnostics if "error" in d] == \
+        [(50, ["EstimationError", " n = 50 is too small"])] * 2
+    assert [(r["n"], r["bidder"]) for r in report.rows] == [(20000, i) for i in (1, 2)] * 2
 
 
 def equilibrium_model():
@@ -425,6 +431,17 @@ SWEEPS = {
     "sp-partial": (uniform_model(), "kolmogorov", (0.5, 1.0),
                    {"p": 0.5, "gamma": 0.5, "eps": 0.2}),
 }
+
+
+@pytest.mark.parametrize("kind", sorted(ESTIMATORS))
+def test_readme_names_every_diagnostics_key(kind):
+    # the bundle of each estimate-* command carries these keys; README.md
+    # names each in backticks, so that a key added or dropped shows here
+    model, _, _, args = SWEEPS[kind]
+    entry = ESTIMATORS[kind]
+    _, diagnostics = entry.run(harness._observe(entry.observes, model, 5000, 0), args, 0)
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    assert [key for key in diagnostics if f"`{key}`" not in readme] == []
 
 
 @pytest.mark.parametrize("kind", sorted(ESTIMATORS))
@@ -658,7 +675,6 @@ def _bad_arguments():
     probe = {"p": 0.5, "gamma": 0.5, "eps": 0.2}
     fp_log, sp_log = simulate_fp(model, 200, 0), simulate_sp(model, 200, 0)
     staircase = PiecewiseCdf([0.2, 0.5, 0.9], [0.3, 0.6, 1.0], interpolation="step")
-    density = BoundedDensityModel(knots=[0.0, 1.0], density=[1.0, 1.0], alpha_lo=0.5, eta_hi=2.0)
     return {
         "fp-partial p None": (lambda: fp_partial_estimate(fp_oracle, **{**probe, "p": None}),
                               "p must be a number, not NoneType"),
@@ -727,12 +743,6 @@ def _bad_arguments():
                                 "v must be finite numbers"),
         "best_response v str": (lambda: best_response(staircase, "a"),
                                 "v must be finite numbers"),
-        "to_cdf n_grid -1": (lambda: density.to_cdf(-1), "n_grid must be >= 2, not -1"),
-        "to_cdf n_grid 2.5": (lambda: density.to_cdf(2.5), "n_grid must be an integer, not float"),
-        # 2^50 points, 8 PiB
-        "to_cdf n_grid above the cap": (
-            lambda: density.to_cdf(2 ** 50),
-            f"the grid of n_grid = {2 ** 50} would hold 1.13e+15 points, {CAP}"),
         # a step of eps/4 over [0.2, 1]: 3.2e14 points, 2.6 PB
         "fp-value grid above the cap": (
             lambda: estimate_value_cdf_effective(
@@ -1035,6 +1045,23 @@ def test_cli_sweep_rejects_a_bad_config_before_any_cell(case, tmp_path, model_fi
     path = sweep_file(tmp_path, model_file, **kw)
     code, err = main_exit(["sweep", "--config", path, "--out", tmp_path / "r.json"], capsys)
     assert code == 2 and message in err
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("kind, args, message", [
+    ("sp", {"alpha": 1.5, "eta": 2.0, "eps": 0.1},
+     "need 0 < alpha <= 1 <= eta (a bid density on [0, 1] integrates to 1), "
+     "not alpha = 1.5, eta = 2.0"),
+    ("fp-effective", {"p": 0.3, "gamma": 0.09, "eps": 0.09}, "eps must be in (0, 0.045], not 0.09"),
+], ids=["sp bounds no density meets", "fp-effective eps above gamma/2"])
+def test_cli_sweep_exits_2_on_arguments_the_estimator_refuses(kind, args, message, tmp_path,
+                                                              model_file, capsys):
+    # estimate-sp and estimate-fp exit 2 on these arguments; each sweep cell
+    # raised the same ValidationError, and the sweep exited 0 with no rows
+    path = sweep_file(tmp_path, model_file, estimator=kind, estimator_args=args,
+                      n_schedule=[500, 2000], seeds=2)
+    code, err = main_exit(["sweep", "--config", path, "--out", tmp_path / "r.json"], capsys)
+    assert (code, err.strip()) == (2, f"error: {message}")
     assert not (tmp_path / "r.json").exists()
 
 

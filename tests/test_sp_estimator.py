@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -192,7 +191,7 @@ def test_grid_postconditions():
     assert 1 <= grid.micro_counts[-1] <= WINDOW_CELLS
     # the micro points are the lattice after nu, one column of each array apiece
     assert xs.tobytes() == grid.lattice[1:].tobytes()
-    for name in ("deltas", "coarse", "box_lo", "box_hi"):
+    for name in ("deltas", "coarse"):
         assert getattr(grid, name).shape == (2, xs.size)
     assert grid.h_lo.shape == grid.h_hi.shape == xs.shape
 
@@ -219,8 +218,8 @@ def test_grid_micro_points_cover_interval():
 def windowed_build_grid(ghat_list, coarse_list, params):
     """The windows built one at a time: each evaluates G-hat and the coarse U
     on its own WINDOW_CELLS points from a running-sum start, until a window
-    ends at or past 1 - theta, with the guards that once kept the upper H
-    clip bound and state box bound from falling below the lower ones.
+    ends at or past 1 - theta, with the guard that once kept the upper H
+    clip bound from falling below the lower one.
     Returns (endpoints, cells), each cell a dict of its arrays."""
     delta = params.micro_delta
     x_prev = params.nu
@@ -233,10 +232,8 @@ def windowed_build_grid(ghat_list, coarse_list, params):
         coarse = np.vstack([c.eval(xs) for c in coarse_list])
         h_lo = params.alpha * xs
         h_hi = np.minimum(1.0 - params.alpha * (1.0 - xs), params.eta * xs)
-        box_lo = coarse / (2.0 * params.eta)
         cells.append(dict(xs=xs, deltas=deltas, coarse=coarse, h_lo=h_lo,
-                          h_hi=np.maximum(h_hi, h_lo), box_lo=box_lo,
-                          box_hi=np.maximum(coarse * (2.0 / params.alpha), box_lo)))
+                          h_hi=np.maximum(h_hi, h_lo)))
         x_prev = x_prev + l * delta
         endpoints.append(x_prev)
     return np.asarray(endpoints), cells
@@ -268,9 +265,8 @@ def test_lattice_grid_matches_the_windowed_build(case):
         np.testing.assert_allclose(xs[cols], want["xs"], rtol=0, atol=ulps)
         for name in ("h_lo", "h_hi"):
             np.testing.assert_allclose(getattr(grid, name)[cols], want[name], rtol=1e-12)
-        # no point within ulps of a price reads the other side of it on these
-        # logs, and the box guard never binds
-        for name in ("deltas", "coarse", "box_lo", "box_hi"):
+        # no point within ulps of a price reads the other side of it on these logs
+        for name in ("deltas", "coarse"):
             assert np.array_equal(getattr(grid, name)[:, cols], want[name])
     if case == "bounded3-stall":
         _, diag = estimate_sp(s, alpha, eta, 0.1)
@@ -292,7 +288,7 @@ def population_pieces(k=2):
 
 def late_bidder_log(n=20000, seed=0):
     """Bidder 1 bids uniformly on [0.2, 1], bidder 2 on [0, 1]: bidder 2 wins
-    no price below 0.2, a valid log on which the state box is empty."""
+    no price below 0.2, a valid log on which its U is 0 below 0.2."""
     late = PiecewiseCdf([0.2, 1.0], [0.0, 1.0], interpolation="linear")
     return simulate_sp(AuctionModel(bid_dists=[late, uniform_cdf()]), n, seed)
 
@@ -306,11 +302,18 @@ def test_estimate_sp_names_a_bidder_that_wins_no_low_price():
     assert 0.19 < info.value.diagnostics["x"] < 0.2
 
 
-def assert_state_in_box_and_monotone(grid):
-    """``run_fixed_point``'s U lies in [box_lo, box_hi] and never decreases,
+def state_box(grid, params):
+    """(coarse/(2*eta), 2*coarse/alpha): the state box the fixed point once
+    clipped each iterate to, which no iterate left on any log tried."""
+    return grid.coarse / (2.0 * params.eta), grid.coarse * (2.0 / params.alpha)
+
+
+def assert_state_in_box_and_monotone(grid, params):
+    """``run_fixed_point``'s U lies in its state box and never decreases,
     within a window and across its seams; returns the diagnostics."""
     U, diag = run_fixed_point(grid)
-    assert np.all(grid.box_lo <= U) and np.all(U <= grid.box_hi)
+    box_lo, box_hi = state_box(grid, params)
+    assert np.all(box_lo <= U) and np.all(U <= box_hi)
     assert np.all(np.diff(U, axis=1) >= 0.0)
     return diag
 
@@ -318,11 +321,11 @@ def assert_state_in_box_and_monotone(grid):
 @pytest.mark.parametrize("case", ["bounded2", "bounded3"])
 def test_fixed_point_output_stays_in_box_and_monotone(case):
     # at alpha = eta = 1 the H clip is [x, x] and the state is never read;
-    # these logs, at alpha 0.5 and eta 2, iterate it over several windows
+    # these logs, at alpha 0.5 and eta 2, iterate it over several windows,
+    # and the unclipped iterates never leave the box
     model = {"bounded2": bounded2_model(), "bounded3": bounded3_model()}[case]
     for n, seed in ((5000, 1), (20000, 0), (200000, 2)):
-        grid, _ = log_grid(model, n, seed, 0.5, 2.0)
-        diag = assert_state_in_box_and_monotone(grid)
+        diag = assert_state_in_box_and_monotone(*log_grid(model, n, seed, 0.5, 2.0))
         assert diag["T"] > 1 and max(diag["fp_steps"]) > 2
         assert max(diag["fp_gaps"]) < FP_TOL
 
@@ -330,14 +333,14 @@ def test_fixed_point_output_stays_in_box_and_monotone(case):
 def column_contractions(s, alpha, eta, eps, pairs, seed):
     """(micro points, ratios) of ``estimate_sp`` on s: per micro point m, the
     largest sup-norm ratio |phi_m(a) - phi_m(b)| / |a - b| over ``pairs``
-    random state pairs of its box of column m's own map
-    u -> clip(S_{m-1} + Delta_m / (1 - H(u))), the step the implicit scan
-    solves, where S_{m-1} is the running sum before m at the solved state.
+    random state pairs of its state box of column m's own map
+    u -> S_{m-1} + Delta_m / (1 - H(u)), the step the implicit scan solves,
+    where S_{m-1} is the running sum before m at the solved state.
     All columns draw their pairs together from one generator seeded ``seed``."""
     params = SpParams.desk(alpha, eta, eps, n=s.n)
     grid, xs = _build_grid(*sample_pieces(s, params), params)
     U, _ = run_fixed_point(grid)
-    box_lo, box_hi = grid.box_lo, grid.box_hi
+    box_lo, box_hi = state_box(grid, params)
 
     def terms(state):
         H = np.clip(_power_product(state, state.shape[0]), grid.h_lo, grid.h_hi)
@@ -352,7 +355,7 @@ def column_contractions(s, alpha, eta, eps, pairs, seed):
     ratios = np.zeros(xs.size)
     for _ in range(pairs):
         a, b = (box_lo + rng.random(U.shape) * (box_hi - box_lo) for _ in range(2))
-        fa, fb = (np.clip(S_prev + terms(state), box_lo, box_hi) for state in (a, b))
+        fa, fb = (S_prev + terms(state) for state in (a, b))
         dist = np.max(np.abs(a - b), axis=0)
         moved = dist >= 1e-12
         ratio = np.max(np.abs(fa - fb), axis=0)[moved] / dist[moved]
@@ -489,17 +492,19 @@ def test_estimate_sp_is_pinned_per_seed():
     # and 98344d70.../513817c8... (bounded). Re-pinned when the always-0
     # box_violations key left the diagnostics; the CDF-only digests held, and
     # each digest is the one before (bea26a38... and f903b423...) taken with
-    # that key popped
+    # that key popped. Re-pinned when the state box left the fixed point: it
+    # never bound, the CDF-only digests held, and each digest is the one
+    # before (30a177f2... and f159b597...) taken with clip_rates popped
     cdfs, diag = estimate_sp(simulate_sp(uniform_model(), 100000, 59), 1.0, 1.0, 0.1)
     assert estimate_digest(cdfs, {}) == (
         "a1dfb8d431c00de5ee74438090726b58849648b838d091101d32c9593cc88cbe")
     assert estimate_digest(cdfs, diag) == (
-        "30a177f2caa54f534b951a22b1645fe21ad51f4daedbe8890c38591db8d40899")
+        "43615efc7d9dd1c837779f59ef38d201bb453e4046385de3bad1c87fa22a4db6")
     cdfs, diag = estimate_sp(simulate_sp(bounded2_model(), 200000, 0), 0.5, 2.0, 0.1)
     assert estimate_digest(cdfs, {}) == (
         "d5ddf2422236f827d8569330978e825558d0345963ff34638c2d465c72379628")
     assert estimate_digest(cdfs, diag) == (
-        "f159b59720b8c6e6b36e3c70613fe32d0376f85427e8b24c1203958370c2bc95")
+        "41b67bf877865cbdbc7bf6d596c1c80b9c08a30871aab0da89e27bc7de038a21")
 
 
 def test_estimate_sp_converges_to_uniform():
@@ -576,21 +581,24 @@ def test_estimate_sp_samples_the_contraction_of_each_lone_cell(n, seed):
 
 
 def reference_fixed_point_map(U, V, cell):
-    """``fixed_point_map`` as it was, clipping through ``np.clip``."""
+    """``fixed_point_map`` as it was, clipping H and the state box through
+    ``np.clip``."""
     H = np.clip(_power_product(U, U.shape[0]), cell["h_lo"][None, :], cell["h_hi"][None, :])
     integ = np.cumsum(cell["deltas"] / (1.0 - H), axis=1)
     return np.clip(V[:, None] + integ, cell["box_lo"], cell["box_hi"])
 
 
-def reference_fixed_point(grid):
-    """(U, fp_steps, fp_gaps, clip_rates) of a per-window loop on copies of
-    each window's arrays: the start clipped to the box and made monotone, a
-    gap at every step until it is below FP_TOL, and each window's clip rate
-    on its own state and box."""
-    V, all_U, steps, gaps, clip_rates = grid.v0, [], [], [], []
+def reference_fixed_point(grid, params):
+    """(U, fp_steps, fp_gaps) of a per-window loop on copies of each window's
+    arrays and state box: the start clipped to the box and made monotone,
+    every iterate clipped to it, and a gap at every step until it is below
+    FP_TOL."""
+    box_lo, box_hi = state_box(grid, params)
+    V, all_U, steps, gaps = grid.v0, [], [], []
     for start, stop in zip(grid.cuts[:-1], grid.cuts[1:]):
         cell = {name: getattr(grid, name)[..., start:stop].copy()
-                for name in ("deltas", "coarse", "h_lo", "h_hi", "box_lo", "box_hi")}
+                for name in ("deltas", "coarse", "h_lo", "h_hi")}
+        cell.update(box_lo=box_lo[:, start:stop].copy(), box_hi=box_hi[:, start:stop].copy())
         U = np.maximum.accumulate(np.clip(cell["coarse"], cell["box_lo"], cell["box_hi"]),
                                   axis=1)
         step, gap = 0, math.inf
@@ -602,18 +610,17 @@ def reference_fixed_point(grid):
             assert step <= FP_MAX_STEPS
         steps.append(step)
         gaps.append(gap)
-        at_bound = (np.isclose(U, cell["box_lo"]) | np.isclose(U, cell["box_hi"]))
-        clip_rates.append(float(at_bound.mean()))
         all_U.append(U)
         V = U[:, -1].copy()
-    return np.hstack(all_U), steps, gaps, clip_rates
+    return np.hstack(all_U), steps, gaps
 
 
-def assert_fixed_point_matches_the_reference(grid):
+def assert_fixed_point_matches_the_reference(grid, params):
+    # equal bytes: the clips the reference keeps bind nowhere on the log
     U, diag = run_fixed_point(grid)
-    want_U, *want = reference_fixed_point(grid)
+    want_U, *want = reference_fixed_point(grid, params)
     assert U.tobytes() == want_U.tobytes()
-    assert [diag["fp_steps"], diag["fp_gaps"], diag["clip_rates"]] == want
+    assert [diag["fp_steps"], diag["fp_gaps"]] == want
     return diag
 
 
@@ -631,20 +638,8 @@ def test_fixed_point_diagnostics_equal_the_per_interval_loop(case):
                          for n in (2000, 20000) for seed in range(3)],
             "one-cell": [(bounded2_model(), n, seed, 0.5, 2.0) for n, seed in ONE_CELL_LOGS]}
     for log in logs[case]:
-        grid, _ = log_grid(*log)
-        diag = assert_fixed_point_matches_the_reference(grid)
+        diag = assert_fixed_point_matches_the_reference(*log_grid(*log))
         assert min(diag["fp_steps"]) >= 1
-
-
-def test_fixed_point_diagnostics_equal_the_per_interval_loop_on_binding_boxes():
-    # the state box binds on none of the logs above (every clip rate is 0).
-    # Narrowed to [coarse/1.05, 1.05*coarse], a box that still holds the
-    # coarse U and never decreases, it binds in some windows and not in others
-    grid, _ = log_grid(bounded2_model(), 20000, 1, 0.5, 2.0)
-    diag = assert_fixed_point_matches_the_reference(
-        dataclasses.replace(grid, box_lo=grid.coarse / 1.05, box_hi=grid.coarse * 1.05))
-    rates = diag["clip_rates"]
-    assert min(rates) == 0.0 and max(rates) == 1.0 and any(0.0 < r < 1.0 for r in rates)
 
 
 @pytest.mark.parametrize("n, seed", [(20000, 0), ONE_CELL_LOGS[0]])
@@ -669,10 +664,12 @@ def test_fixed_point_raises_naming_x_when_a_window_does_not_settle(monkeypatch):
     assert info.value.diagnostics["x"] in xs[:WINDOW_CELLS]
 
 
-def column_scan(grid):
+def column_scan(grid, params):
     """U of the implicit scan U_m = clip(S_{m-1} + Delta_m / (1 - H(U_m))),
-    S_m = S_{m-1} + Delta_m / (1 - H(U_m)), solved one column at a time by
-    iterating that column's own map until it repeats (at most 200 times)."""
+    S_m = S_{m-1} + Delta_m / (1 - H(U_m)), the clip to the state box, solved
+    one column at a time by iterating that column's own map until it repeats
+    (at most 200 times)."""
+    box_lo, box_hi = state_box(grid, params)
     V, out = grid.v0, []
     for start, stop in zip(grid.cuts[:-1], grid.cuts[1:]):
         S = V.copy()
@@ -683,9 +680,9 @@ def column_scan(grid):
                             grid.h_lo[m], grid.h_hi[m])
                 return grid.deltas[:, m] / (1.0 - H)
 
-            u = np.clip(grid.coarse[:, m], grid.box_lo[:, m], grid.box_hi[:, m])
+            u = np.clip(grid.coarse[:, m], box_lo[:, m], box_hi[:, m])
             for _ in range(200):
-                new = np.clip(S + step(u), grid.box_lo[:, m], grid.box_hi[:, m])
+                new = np.clip(S + step(u), box_lo[:, m], box_hi[:, m])
                 if np.array_equal(new, u):
                     break
                 u = new
@@ -697,12 +694,12 @@ def column_scan(grid):
 
 @pytest.mark.parametrize("case", ["bounded2", "bounded3", "uniform3"])
 def test_windows_equal_the_column_by_column_scan(case):
-    grid, _ = log_grid(*{"bounded2": (bounded2_model(), 5000, 1, 0.5, 2.0),
-                         "bounded3": (bounded3_model(), 20000, 0, 0.5, 2.0),
-                         "uniform3": (uniform_model(3), 20000, 2, 1.0, 1.0)}[case])
+    grid, params = log_grid(*{"bounded2": (bounded2_model(), 5000, 1, 0.5, 2.0),
+                              "bounded3": (bounded3_model(), 20000, 0, 0.5, 2.0),
+                              "uniform3": (uniform_model(3), 20000, 2, 1.0, 1.0)}[case])
     U, diag = run_fixed_point(grid)
     assert diag["T"] > 1
-    np.testing.assert_allclose(U, column_scan(grid), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(U, column_scan(grid, params), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [2000, 20000])
