@@ -27,7 +27,6 @@ from .dist_core import (
 )
 from .errors import AuctionMetricsError, EstimationError, ValidationError
 from .fp_estimator import (
-    FpEstimatorConfig,
     estimate_bid_cdf_effective,
     estimate_bid_cdf_full,
     estimate_density,
@@ -35,7 +34,6 @@ from .fp_estimator import (
     full_support_params,
 )
 from .fp_value import (
-    ValueEstimatorConfig,
     best_response,
     estimate_value_cdf_effective,
 )
@@ -56,7 +54,6 @@ __all__ = [
     "EstimationError",
     "ExperimentConfig",
     "ExperimentReport",
-    "FpEstimatorConfig",
     "InverseBidProfile",
     "LINEAR",
     "PiecewiseCdf",
@@ -65,7 +62,6 @@ __all__ = [
     "SpParams",
     "StepFunction",
     "ValidationError",
-    "ValueEstimatorConfig",
     "best_response",
     "dkw_band",
     "empirical_cdf",

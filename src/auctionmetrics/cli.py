@@ -124,9 +124,8 @@ def _cmd_estimate_fp_density(args):
     xs = [io.fmt_float(v) for v in grid]
     out = []
     for F in cdfs:
-        est = fp_estimator.estimate_density(F, args.h)
-        out.append({"x": xs,
-                    "density": [io.fmt_float(v) for v in est.eval(grid)]})
+        density = fp_estimator.estimate_density(F, args.h, grid)
+        out.append({"x": xs, "density": [io.fmt_float(v) for v in density]})
     Path(args.out).write_text(json.dumps({"version": 1, "densities": out}, indent=2))
 
 

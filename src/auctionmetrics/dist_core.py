@@ -204,7 +204,7 @@ class PiecewiseCdf:
             raise ValidationError("at least one breakpoint is required")
         if np.any(np.diff(bp) <= 0):
             raise ValidationError("breakpoints must be strictly ascending")
-        if bp[0] < -_MONOTONE_TOL or bp[-1] > 1 + _MONOTONE_TOL:
+        if bp[0] < -_MONOTONE_TOL:
             raise ValidationError("breakpoints must lie in [0,1]")
         if np.any(np.diff(vals) < -_MONOTONE_TOL):
             raise ValidationError("values must be nondecreasing")

@@ -23,31 +23,9 @@ from .dist_core import STEP, PiecewiseCdf, StepFunction, run_ends, staircase
 from .errors import EstimationError, ValidationError, check_grid_size, check_number
 
 
-@dataclass(frozen=True)
-class FpEstimatorConfig:
-    """Effective-support estimation parameters.
-
-    (p, gamma) declare Pr(Y <= p) >= gamma; eps is the target sup accuracy on
-    [p, 1] (valid range (0, gamma/2]). The empirical denominator is clipped
-    at ``floor`` = gamma/2.
-    """
-
-    p: float
-    gamma: float
-    eps: float
-
-    def __post_init__(self):
-        check_number("p", self.p, 0.0, 1.0)
-        check_number("gamma", self.gamma, 0.0, 1.0, "(]")
-        check_number("eps", self.eps, 0.0, self.gamma / 2.0 + 1e-12, "(]")
-
-    @property
-    def floor(self):
-        return self.gamma / 2.0
-
-
-def estimate_ghat(samples, i, config):
-    """The weighted tail sum G-hat_i from a first-price sample set.
+def estimate_ghat(samples, i, gamma):
+    """The weighted tail sum G-hat_i from a first-price sample set, each
+    denominator H-hat(Y_j) clipped at gamma/2.
 
     G-hat_i(x), the sum over Y_j >= x, is the left limit (``eval_left``) of
     the returned step function: it is the total weight below the first price
@@ -56,7 +34,7 @@ def estimate_ghat(samples, i, config):
     own weight.
     """
     samples.require(FORMAT_FP)
-    return _tail_sum(samples, samples.wins(i), config.floor)
+    return _tail_sum(samples, samples.wins(i), gamma / 2.0)
 
 
 def _tail_sum(samples, won, floor):
@@ -89,15 +67,24 @@ def _ghat_to_cdf(ghat):
     return PiecewiseCdf(bp, vals, interpolation=STEP, is_full_cdf=True)
 
 
-def estimate_bid_cdf_effective(samples, config):
-    """Per-bidder staircase estimates F-hat_i = exp(-G-hat_i), and diagnostics."""
-    cdfs = [_ghat_to_cdf(estimate_ghat(samples, i, config)) for i in range(1, samples.k + 1)]
-    return cdfs, {"n": samples.n, "p": config.p, "gamma": config.gamma, "eps": config.eps,
-                  "h_floor": config.floor}
+def estimate_bid_cdf_effective(samples, p, gamma, eps=None):
+    """Per-bidder staircase estimates F-hat_i = exp(-G-hat_i), and diagnostics.
+
+    (p, gamma) declare Pr(Y <= p) >= gamma; eps is the target sup accuracy on
+    [p, 1], in (0, gamma/2] and gamma/2 by default. p and eps are checked and
+    echoed but move no estimate; the denominators are clipped at gamma/2.
+    """
+    check_number("p", p, 0.0, 1.0)
+    check_number("gamma", gamma, 0.0, 1.0, "(]")
+    eps = gamma / 2.0 if eps is None else eps
+    check_number("eps", eps, 0.0, gamma / 2.0 + 1e-12, "(]")
+    cdfs = [_ghat_to_cdf(estimate_ghat(samples, i, gamma)) for i in range(1, samples.k + 1)]
+    return cdfs, {"n": samples.n, "p": p, "gamma": gamma, "eps": eps, "h_floor": gamma / 2.0}
 
 
 def full_support_params(k, lam, eps):
-    """Plug-in (eta, p, gamma) for the full-support reduction."""
+    """Plug-in (eta, gamma) for the full-support reduction: the effective
+    support starts at p = eta."""
     check_number("lambda", lam, 0.0, bounds="()")
     check_number("eps", eps, 0.0, 1.0, "()")
     eta = eps / 2.0
@@ -107,7 +94,7 @@ def full_support_params(k, lam, eps):
             "effective-support mass (lambda*eps/2)^k underflows; "
             "increase eps or reduce the number of bidders"
         )
-    return eta, eta, gamma
+    return eta, gamma
 
 
 def _zero_below(F, cut):
@@ -120,36 +107,22 @@ def _zero_below(F, cut):
 def estimate_bid_cdf_full(samples, lam, eps):
     """Full-support estimation: effective-support run plus a zero extension.
 
-    Uses eta = eps/2, p = eta, gamma = (lam*eta)^k; the returned staircases
+    Uses p = eta = eps/2 and gamma = (lam*eta)^k; the returned staircases
     are zeroed below eta, targeting Wasserstein error <= eps. The diagnostics
     are the effective-support run's, with ``eps`` the Wasserstein target.
     """
-    eta, p, gamma = full_support_params(samples.k, lam, eps)
-    cdfs, diag = estimate_bid_cdf_effective(samples, FpEstimatorConfig(p, gamma, gamma / 2.0))
+    eta, gamma = full_support_params(samples.k, lam, eps)
+    cdfs, diag = estimate_bid_cdf_effective(samples, eta, gamma)
     return [_zero_below(F, eta) for F in cdfs], {**diag, "lambda": lam, "eps": eps, "eta": eta}
 
 
-@dataclass(eq=False)
-class DensityEstimate:
-    """Forward-difference density (F(x+h) - F(x))/h.
-
-    Piecewise constant whenever the input CDF is a staircase.
-    """
-
-    cdf: PiecewiseCdf
-    h: float
-
-    def eval(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        hi = self.cdf.eval(np.minimum(x + self.h, 1.0))
-        lo = self.cdf.eval(x)
-        out = (hi - lo) / self.h
-        return float(out) if x.ndim == 0 else out
-
-
-def estimate_density(fhat_cdf, h):
-    """Forward-difference density estimator with bandwidth h."""
-    return DensityEstimate(cdf=fhat_cdf, h=check_number("h", h, 0.0, bounds="()"))
+def estimate_density(F, h, x):
+    """The forward-difference density (F(min(x + h, 1)) - F(x))/h at scalar or
+    array ``x``, with bandwidth h; piecewise constant whenever F is a staircase."""
+    check_number("h", h, 0.0, bounds="()")
+    x = np.asarray(x, dtype=np.float64)
+    out = (F.eval(np.minimum(x + h, 1.0)) - F.eval(x)) / h
+    return float(out) if x.ndim == 0 else out
 
 
 # -- partial observations ---------------------------------------------------

@@ -14,46 +14,12 @@ compounding k-1 separate CDF errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dist_core import STEP, PiecewiseCdf, _as_array, window_grid
 from .errors import check_grid_size, check_number, check_window
-from .fp_estimator import FpEstimatorConfig, _ghat_to_cdf, _tail_sum, estimate_ghat
+from .fp_estimator import _ghat_to_cdf, _tail_sum, estimate_ghat
 from .isotonic import pav_nondecreasing
-
-
-@dataclass(frozen=True)
-class ValueEstimatorConfig:
-    """Parameters for value-CDF estimation on an effective support.
-
-    (p, gamma) declare prod_i F_i(p) >= gamma; zeta caps the value densities
-    and lipschitz, when present, names the Lipschitz case of the guarantee.
-    Both are validated but move nothing. Best responses are searched on
-    [0, 1]; the value grid on [p, 1] has step min(eps/4, 0.005) and at most
-    ``MAX_GRID_POINTS`` points (``errors.check_grid_size``).
-    """
-
-    p: float
-    gamma: float
-    eps: float
-    zeta: float
-    lipschitz: float | None = None
-
-    def __post_init__(self):
-        check_number("p", self.p, 0.0, 1.0)
-        check_number("gamma", self.gamma, 0.0, 1.0, "(]")
-        check_number("eps", self.eps, 0.0, 1.0, "()")
-        check_number("zeta", self.zeta, 0.0, bounds="()")
-        if self.lipschitz is not None:
-            check_number("lipschitz", self.lipschitz, 0.0, bounds="()")
-        check_grid_size(f"the value grid of p = {self.p:g} and eps = {self.eps:g}",
-                        1.0 - self.p, self.v_grid_step)
-
-    @property
-    def v_grid_step(self):
-        return min(self.eps / 4.0, 0.005)
 
 
 def best_response(prod, v, lo=0.0, hi=1.0):
@@ -91,33 +57,46 @@ def best_response(prod, v, lo=0.0, hi=1.0):
     return float(out[0]) if np.ndim(v) == 0 else out.reshape(values.shape)
 
 
-def _compose_value_cdf(fhat_i, prod_i, config):
-    """G-hat_i staircase on the value grid via best-response inversion."""
-    dv = config.v_grid_step
-    grid = np.minimum(np.arange(config.p, 1.0 + dv / 2.0, dv), 1.0)
+def _compose_value_cdf(fhat_i, prod_i, p, dv):
+    """G-hat_i staircase on the value grid from p to 1 at step dv via
+    best-response inversion."""
+    grid = np.minimum(np.arange(p, 1.0 + dv / 2.0, dv), 1.0)
     repaired, adjustment = pav_nondecreasing(fhat_i.eval(best_response(prod_i, grid)))
     repaired = np.clip(repaired, 0.0, 1.0)
     cdf = PiecewiseCdf(grid, repaired, interpolation=STEP, is_full_cdf=False)
     return cdf, adjustment
 
 
-def estimate_value_cdf_effective(samples, config):
+def estimate_value_cdf_effective(samples, p, gamma, eps, zeta, lipschitz=None):
     """Per-bidder value-CDF estimates from first-price observations.
+
+    (p, gamma) declare prod_i F_i(p) >= gamma, and the tail sums clip their
+    denominators at gamma/2. zeta caps the value densities and lipschitz,
+    when given, names the Lipschitz case of the guarantee; both are checked
+    but move nothing. Best responses are searched on [0, 1]; the value grid
+    on [p, 1] has step min(eps/4, 0.005) and at most ``MAX_GRID_POINTS``
+    points (``errors.check_grid_size``).
 
     Returns (list of staircases, diagnostics). Each staircase is 0 below p.
     """
+    check_number("p", p, 0.0, 1.0)
+    check_number("gamma", gamma, 0.0, 1.0, "(]")
+    check_number("eps", eps, 0.0, 1.0, "()")
+    check_number("zeta", zeta, 0.0, bounds="()")
+    if lipschitz is not None:
+        check_number("lipschitz", lipschitz, 0.0, bounds="()")
+    dv = min(eps / 4.0, 0.005)
+    check_grid_size(f"the value grid of p = {p:g} and eps = {eps:g}", 1.0 - p, dv)
     k = samples.k
-    fp_config = FpEstimatorConfig(p=config.p, gamma=config.gamma, eps=config.gamma / 2.0)
-    fhats = [_ghat_to_cdf(estimate_ghat(samples, i, fp_config)) for i in range(1, k + 1)]
+    fhats = [_ghat_to_cdf(estimate_ghat(samples, i, gamma)) for i in range(1, k + 1)]
     cdfs = []
     repairs = []
     for i, fhat_i in enumerate(fhats, start=1):
         # two-agent relabeling: the "rest" pseudo-bidder wins when Z != i; for
         # k = 2 that mask is the other bidder's win mask, so the product is its F-hat
         prod_i = fhats[2 - i] if k == 2 else _ghat_to_cdf(
-            _tail_sum(samples, samples.ranked[1] != i, fp_config.floor))
-        cdf, adjustment = _compose_value_cdf(fhat_i, prod_i, config)
+            _tail_sum(samples, samples.ranked[1] != i, gamma / 2.0))
+        cdf, adjustment = _compose_value_cdf(fhat_i, prod_i, p, dv)
         cdfs.append(cdf)
         repairs.append(adjustment)
-    return cdfs, {"isotonic_repairs": repairs, "grid_step": config.v_grid_step}
-
+    return cdfs, {"isotonic_repairs": repairs, "grid_step": dv}

@@ -50,23 +50,17 @@ class Estimator:
     truth: str = BID
 
 
-def _fp_config(args):
-    return fp_estimator.FpEstimatorConfig(args["p"], args["gamma"],
-                                          args.get("eps", args["gamma"] / 2.0))
-
-
 # Argument keys are the estimators' parameter names.
 ESTIMATORS = {
     "fp-effective": Estimator(
         FORMAT_FP, ("p", "gamma"), ("eps",),
-        lambda s, a, seed: fp_estimator.estimate_bid_cdf_effective(s, _fp_config(a))),
+        lambda s, a, seed: fp_estimator.estimate_bid_cdf_effective(s, **a)),
     "fp-full": Estimator(
         FORMAT_FP, ("lambda", "eps"), (),
         lambda s, a, seed: fp_estimator.estimate_bid_cdf_full(s, a["lambda"], a["eps"])),
     "fp-value": Estimator(
         FORMAT_FP, ("p", "gamma", "eps", "zeta"), ("lipschitz",),
-        lambda s, a, seed: fp_value.estimate_value_cdf_effective(
-            s, fp_value.ValueEstimatorConfig(**a)), VALUE),
+        lambda s, a, seed: fp_value.estimate_value_cdf_effective(s, **a), VALUE),
     "sp": Estimator(
         FORMAT_SP, ("alpha", "eta", "eps"), (),
         lambda s, a, seed: sp_estimator.estimate_sp(s, **a)),

@@ -27,13 +27,12 @@ from auctionmetrics.dist_core import (
     wasserstein1,
 )
 from auctionmetrics.fp_estimator import (
-    FpEstimatorConfig,
     estimate_bid_cdf_effective,
     estimate_bid_cdf_full,
     estimate_density,
     fp_partial_estimate,
 )
-from auctionmetrics.fp_value import ValueEstimatorConfig, estimate_value_cdf_effective
+from auctionmetrics.fp_value import estimate_value_cdf_effective
 from auctionmetrics.harness import run_lower_bound_experiment
 from auctionmetrics.sp_estimator import (
     FP_MAX_STEPS,
@@ -65,12 +64,12 @@ def test_01_identification_identity_exact():
 
 def test_02_fp_effective_support_sup_error():
     # target sup error 0.05 on [0.3, 1] at n = 3e5, in at least 9/10 seeds
-    cfg = FpEstimatorConfig(p=0.3, gamma=0.09, eps=0.045)
     m = uniform_model()
     grid = np.linspace(0.3, 1.0, 400)
     hits = 0
     for seed in range(10):
-        cdfs, _ = estimate_bid_cdf_effective(simulate_fp(m, 300000, seed), cfg)
+        cdfs, _ = estimate_bid_cdf_effective(simulate_fp(m, 300000, seed),
+                                             p=0.3, gamma=0.09, eps=0.045)
         err = max(np.max(np.abs(F.eval(grid) - grid)) for F in cdfs)
         hits += err <= 0.05
     assert hits >= 9
@@ -92,10 +91,9 @@ def test_04_density_l1_error_bounded_by_bandwidth():
     # error on [0.1, 0.98] must stay below L*h = 0.04
     grid = np.linspace(0, 1, 8193)
     F = PiecewiseCdf(grid, grid ** 2, interpolation="linear")
-    d = estimate_density(F, 0.02)
     xs = np.linspace(0.1, 0.98, 4001)
     trapz = getattr(np, "trapezoid", None) or np.trapz
-    l1 = float(trapz(np.abs(d.eval(xs) - 2 * xs), xs))
+    l1 = float(trapz(np.abs(estimate_density(F, 0.02, xs) - 2 * xs), xs))
     assert l1 <= 0.04 + 1e-6
 
 
@@ -104,11 +102,10 @@ def test_05_value_estimation_recovers_uniform_values():
     # 0.1 on [0.3, 1] at n = 2e5, in at least 8/10 seeds
     half = PiecewiseCdf([0.0, 0.5], [0.0, 1.0], interpolation="linear")
     m = AuctionModel(bid_dists=[half, half])
-    cfg = ValueEstimatorConfig(p=0.2, gamma=0.04, eps=0.1, zeta=1.0,
-                               lipschitz=1.0)
     hits = 0
     for seed in range(10):
-        cdfs, _ = estimate_value_cdf_effective(simulate_fp(m, 200000, seed), cfg)
+        cdfs, _ = estimate_value_cdf_effective(simulate_fp(m, 200000, seed), p=0.2,
+                                               gamma=0.04, eps=0.1, zeta=1.0, lipschitz=1.0)
         err = kolmogorov(cdfs[0], UNIFORM, 0.3, 1.0)
         hits += err <= 0.1
     assert hits >= 8

@@ -68,6 +68,10 @@ def test_rejects_a_step_breakpoint_above_one():
     # 1.0, and a Kolmogorov distance of 0.2 from the same staircase ending at 1
     with pytest.raises(ValidationError, match=r"exceed 1, and the last is 1\.000000000001$"):
         PiecewiseCdf([0.3, 1 + 1e-12], [0.8, 1.0])
+    # one check for every breakpoint above 1, however far
+    with pytest.raises(ValidationError, match=r"^a step CDF's breakpoints must not exceed 1, "
+                                              r"and the last is 1\.5$"):
+        PiecewiseCdf([0, 1.5], [0, 1])
     with pytest.raises(ValidationError, match="must not exceed 1"):
         sub_cdf([0.3, 1 + 1e-12], [0.2, 0.5])
     assert PiecewiseCdf([0.3, 1.0], [0.8, 1.0]).eval(1.0) == 1.0

@@ -26,8 +26,6 @@ from auctionmetrics.dist_core import (
 )
 from auctionmetrics.errors import ValidationError
 from auctionmetrics.fp_estimator import (
-    DensityEstimate,
-    FpEstimatorConfig,
     _ghat_to_cdf,
     _OracleBudget,
     _tail_sum,
@@ -66,40 +64,45 @@ def test_identification_recovers_power_law():
         assert val == pytest.approx(x * x, abs=1e-6)
 
 
-# -- config ---------------------------------------------------------------------
-
-
-def test_config_eps_range():
-    FpEstimatorConfig(p=0.3, gamma=0.09, eps=0.045)
-    with pytest.raises(ValidationError):
-        FpEstimatorConfig(p=0.3, gamma=0.09, eps=0.05)  # above gamma/2
-    with pytest.raises(ValidationError):
-        FpEstimatorConfig(p=0.3, gamma=1.2, eps=0.1)
-
-
-@pytest.mark.parametrize("key", ["p", "gamma", "eps"])
-def test_config_rejects_a_field_that_is_not_a_number(key):
-    # a bare TypeError from the range comparisons before
-    args = {"p": 0.3, "gamma": 0.09, "eps": 0.045}
-    for value, kind in ((None, "NoneType"), ("0.3", "str"), (True, "bool")):
-        with pytest.raises(ValidationError, match=f"{key} must be a number, not {kind}"):
-            FpEstimatorConfig(**{**args, key: value})
-
-
-def test_config_default_floor_is_half_gamma():
-    assert FpEstimatorConfig(p=0.3, gamma=0.2, eps=0.1).floor == 0.1
-    # the floor is gamma/2, not a setting
-    with pytest.raises(TypeError):
-        FpEstimatorConfig(p=0.3, gamma=0.2, eps=0.1, h_floor=0.05)
-
-
-# -- empirical pieces ------------------------------------------------------------
+# -- arguments -------------------------------------------------------------------
 
 
 def hand_sample():
     # y sorted: 0.2(z=1), 0.4(z=2), 0.6(z=1), 0.8(z=1)
     return SampleSet(y=np.array([0.6, 0.2, 0.8, 0.4]),
                      z=np.array([1, 1, 1, 2]), k=2, auction=FORMAT_FP)
+
+
+def test_config_eps_range():
+    estimate_bid_cdf_effective(hand_sample(), p=0.3, gamma=0.09, eps=0.045)
+    with pytest.raises(ValidationError):
+        estimate_bid_cdf_effective(hand_sample(), p=0.3, gamma=0.09, eps=0.05)  # above gamma/2
+    with pytest.raises(ValidationError):
+        estimate_bid_cdf_effective(hand_sample(), p=0.3, gamma=1.2, eps=0.1)
+
+
+@pytest.mark.parametrize("key", ["p", "gamma", "eps"])
+def test_config_rejects_a_field_that_is_not_a_number(key):
+    # a bare TypeError from the range comparisons before; an eps of None is
+    # the default gamma/2
+    args = {"p": 0.3, "gamma": 0.09, "eps": 0.045}
+    for value, kind in ((None, "NoneType"), ("0.3", "str"), (True, "bool")):
+        if key == "eps" and value is None:
+            continue
+        with pytest.raises(ValidationError, match=f"{key} must be a number, not {kind}"):
+            estimate_bid_cdf_effective(hand_sample(), **{**args, key: value})
+
+
+def test_config_default_floor_is_half_gamma():
+    for eps in ({}, {"eps": None}):
+        _, diag = estimate_bid_cdf_effective(hand_sample(), p=0.3, gamma=0.2, **eps)
+        assert diag["h_floor"] == diag["eps"] == 0.1
+    # the floor is gamma/2, not a setting
+    with pytest.raises(TypeError):
+        estimate_bid_cdf_effective(hand_sample(), p=0.3, gamma=0.2, eps=0.1, h_floor=0.05)
+
+
+# -- empirical pieces ------------------------------------------------------------
 
 
 def test_empirical_H_hand_values():
@@ -122,8 +125,7 @@ def test_empirical_Hi_is_sub_cdf():
 def test_ghat_hand_computed_oracle():
     # frozen oracle: with floor = 0.1, weights are 1/(n * Hhat(Y_j)) with
     # Hhat(0.2, 0.4, 0.6, 0.8) = (0.25, 0.5, 0.75, 1.0)
-    cfg = FpEstimatorConfig(p=0.2, gamma=0.2, eps=0.1)
-    g = estimate_ghat(hand_sample(), 1, cfg)
+    g = estimate_ghat(hand_sample(), 1, 0.2)
     w = 1.0 / (4 * np.array([0.25, 0.75, 1.0]))  # bidder-1 prices 0.2, 0.6, 0.8
     assert g.eval_left(0.0) == pytest.approx(w.sum())
     assert g.eval_left(0.2) == pytest.approx(w.sum())        # includes equality
@@ -136,15 +138,13 @@ def test_ghat_hand_computed_oracle():
 
 
 def test_ghat_floor_clips_small_denominators():
-    cfg = FpEstimatorConfig(p=0.2, gamma=0.8, eps=0.4)  # floor = 0.4
-    g = estimate_ghat(hand_sample(), 1, cfg)
+    g = estimate_ghat(hand_sample(), 1, 0.8)  # floor = 0.4
     w = 1.0 / (4 * np.array([0.4, 0.75, 1.0]))
     assert g.eval_left(0.0) == pytest.approx(w.sum())
 
 
 def test_ghat_to_cdf_staircase_properties():
-    cfg = FpEstimatorConfig(p=0.2, gamma=0.2, eps=0.1)
-    F = _ghat_to_cdf(estimate_ghat(hand_sample(), 1, cfg))
+    F = _ghat_to_cdf(estimate_ghat(hand_sample(), 1, 0.2))
     assert F.is_full_cdf
     assert F.eval(1.0) == 1.0
     assert np.all(np.diff(F.values) >= 0)
@@ -181,34 +181,31 @@ def test_ghat_left_limit_matches_the_old_tail_sum(prices, winners, extra):
     # a 20-point price grid gives tied prices; a bidder may never win
     y = np.asarray(prices, dtype=np.float64) / 20.0
     s = SampleSet(y=y, z=winners[:y.size], k=3, auction=FORMAT_FP)
-    cfg = FpEstimatorConfig(p=0.2, gamma=0.2, eps=0.1)
     x = np.concatenate([y, np.nextafter(y, -1.0), np.nextafter(y, 2.0), [-0.5, 0.0, 1.0, 1.5],
                         extra])
     for i in (1, 2, 3):
-        ys, suffix = reference_ghat(s, i, cfg.floor)
+        ys, suffix = reference_ghat(s, i, 0.1)  # gamma = 0.2
         want = reference_ghat_eval(ys, suffix, x)
-        assert estimate_ghat(s, i, cfg).eval_left(x).tobytes() == want.tobytes()
+        assert estimate_ghat(s, i, 0.2).eval_left(x).tobytes() == want.tobytes()
         # the rest sum of fp_value, against G-hat_2 of the old relabelled
         # two-agent set, in which agent 2 wins where bidder i does not
         rest = SampleSet(y=s.y, z=np.where(s.z == i, 1, 2), k=2, auction=FORMAT_FP)
-        want = reference_ghat_eval(*reference_ghat(rest, 2, cfg.floor), x)
-        got = _tail_sum(s, s.ranked[1] != i, cfg.floor).eval_left(x)
+        want = reference_ghat_eval(*reference_ghat(rest, 2, 0.1), x)
+        got = _tail_sum(s, s.ranked[1] != i, 0.1).eval_left(x)
         assert got.tobytes() == want.tobytes()
 
 
 def test_estimate_ghat_rejects_a_second_price_sample_set():
-    cfg = FpEstimatorConfig(p=0.2, gamma=0.2, eps=0.1)
     with pytest.raises(ValidationError, match="'fp' sample set"):
-        estimate_ghat(simulate_sp(uniform_model(), 50, 1), 1, cfg)
+        estimate_ghat(simulate_sp(uniform_model(), 50, 1), 1, 0.2)
 
 
 def test_effective_estimator_converges_to_uniform():
     m = uniform_model()
-    cfg = FpEstimatorConfig(p=0.3, gamma=0.09, eps=0.045)
     errs = []
     for n in (2000, 32000):
         s = simulate_fp(m, n, 11)
-        cdfs, _ = estimate_bid_cdf_effective(s, cfg)
+        cdfs, _ = estimate_bid_cdf_effective(s, p=0.3, gamma=0.09, eps=0.045)
         errs.append(max(kolmogorov(F, uniform_cdf(), 0.3, 1.0) for F in cdfs))
     assert errs[1] < errs[0]
     assert errs[1] < 0.03
@@ -220,8 +217,7 @@ def test_effective_estimator_asymmetric_model():
     F1 = type(F2)(sq, sq ** 2, interpolation="linear")
     m = AuctionModel(bid_dists=[F1, F2])
     s = simulate_fp(m, 100000, 3)
-    cfg = FpEstimatorConfig(p=0.4, gamma=0.1, eps=0.05)
-    cdfs, _ = estimate_bid_cdf_effective(s, cfg)
+    cdfs, _ = estimate_bid_cdf_effective(s, p=0.4, gamma=0.1, eps=0.05)
     grid = np.linspace(0.4, 1.0, 200)
     assert np.max(np.abs(cdfs[0].eval(grid) - grid ** 2)) < 0.03
     assert np.max(np.abs(cdfs[1].eval(grid) - grid)) < 0.03
@@ -231,8 +227,8 @@ def test_effective_estimator_asymmetric_model():
 
 
 def test_full_support_params_values():
-    eta, p, gamma = full_support_params(2, 1.0, 0.2)
-    assert eta == p == 0.1
+    eta, gamma = full_support_params(2, 1.0, 0.2)
+    assert eta == 0.1
     assert gamma == pytest.approx(0.01)
 
 
@@ -282,7 +278,8 @@ def test_zero_below_matches_the_keep_first_construction():
         cut = rng.choice([*inside, float(np.round(rng.random(), 2)), 0.0, -0.0, 1.0])
         cases.append((F, float(cut)))
     s = simulate_fp(uniform_model(3), 3000, 4)
-    cdfs, _ = estimate_bid_cdf_effective(s, FpEstimatorConfig(*full_support_params(3, 1.0, 0.3)))
+    # the full-support run: p = eta = 0.15 and gamma = (lambda*eta)^3
+    cdfs, _ = estimate_bid_cdf_effective(s, *full_support_params(3, 1.0, 0.3))
     cases += [(F, 0.15) for F in cdfs] + [(F, float(F.breakpoints[3])) for F in cdfs]
     for F, cut in cases:
         got, want = _zero_below(F, cut), keep_first_zero_below(F, cut)
@@ -296,23 +293,24 @@ def test_zero_below_matches_the_keep_first_construction():
 
 def test_density_forward_difference_exact():
     F = uniform_cdf()
-    d = estimate_density(F, 0.1)
     xs = np.linspace(0.2, 0.9, 50)
-    np.testing.assert_allclose(d.eval(xs), 1.0, atol=1e-12)
+    np.testing.assert_allclose(estimate_density(F, 0.1, xs), 1.0, atol=1e-12)
+    # x + h is cut at 1, and a scalar x gives a float
+    density = estimate_density(F, 0.1, 0.95)
+    assert isinstance(density, float) and density == pytest.approx(0.5)
 
 
 def test_density_quadratic_cdf():
     grid = np.linspace(0, 1, 4097)
     F = type(uniform_cdf())(grid, grid ** 2, interpolation="linear")
-    d = estimate_density(F, 0.02)
     # (F(x+h)-F(x))/h = 2x + h exactly for F = x^2
     for x in (0.1, 0.5, 0.9):
-        assert d.eval(x) == pytest.approx(2 * x + 0.02, abs=1e-4)
+        assert estimate_density(F, 0.02, x) == pytest.approx(2 * x + 0.02, abs=1e-4)
 
 
 def test_density_rejects_nonpositive_bandwidth():
     with pytest.raises(ValidationError):
-        estimate_density(uniform_cdf(), 0.0)
+        estimate_density(uniform_cdf(), 0.0, 0.5)
 
 
 # -- noisy binary search ------------------------------------------------------------

@@ -9,11 +9,7 @@ from auctionmetrics import fp_value
 from auctionmetrics.auction_sim import AuctionModel, SampleSet, simulate_fp
 from auctionmetrics.dist_core import BoundedDensityModel, PiecewiseCdf, kolmogorov, uniform_cdf
 from auctionmetrics.errors import ValidationError
-from auctionmetrics.fp_value import (
-    ValueEstimatorConfig,
-    best_response,
-    estimate_value_cdf_effective,
-)
+from auctionmetrics.fp_value import best_response, estimate_value_cdf_effective
 
 
 def fine_uniform_staircase(m=2001):
@@ -21,34 +17,41 @@ def fine_uniform_staircase(m=2001):
     return PiecewiseCdf(grid, grid, interpolation="step", is_full_cdf=True)
 
 
+def small_log():
+    half = PiecewiseCdf([0.0, 0.5], [0.0, 1.0], interpolation="linear")
+    return simulate_fp(AuctionModel(bid_dists=[half, half]), 200, 1)
+
+
 def test_config_validation():
     with pytest.raises(ValidationError):
-        ValueEstimatorConfig(p=0.2, gamma=0.0, eps=0.1, zeta=1.0)
+        estimate_value_cdf_effective(small_log(), p=0.2, gamma=0.0, eps=0.1, zeta=1.0)
     with pytest.raises(ValidationError):
-        ValueEstimatorConfig(p=0.2, gamma=0.1, eps=0.1, zeta=-1.0)
-    cfg = ValueEstimatorConfig(p=0.2, gamma=0.1, eps=0.1, zeta=1.0)
-    assert cfg.v_grid_step == 0.005  # min(eps/4, 0.005)
+        estimate_value_cdf_effective(small_log(), p=0.2, gamma=0.1, eps=0.1, zeta=-1.0)
+    for eps, step in ((0.1, 0.005), (0.01, 0.0025)):
+        _, diag = estimate_value_cdf_effective(small_log(), p=0.2, gamma=0.1, eps=eps, zeta=1.0)
+        assert diag["grid_step"] == step
 
 
 @pytest.mark.parametrize("key, value", [("zeta", math.nan), ("zeta", math.inf),
                                         ("lipschitz", math.inf)])
 def test_config_rejects_a_zeta_or_lipschitz_that_is_not_finite_and_positive(key, value):
-    # the registry refuses these at the CLI; the config refuses them for
+    # the registry refuses these at the CLI; the estimator refuses them for
     # Python callers
     args = {"p": 0.2, "gamma": 0.1, "eps": 0.1, "zeta": 1.0, key: value}
     with pytest.raises(ValidationError, match=key):
-        ValueEstimatorConfig(**args)
+        estimate_value_cdf_effective(small_log(), **args)
 
 
 @pytest.mark.parametrize("key", ["p", "gamma", "eps", "zeta", "lipschitz"])
 def test_config_rejects_a_field_that_is_not_a_number(key):
-    # a bare TypeError from the range comparisons before
+    # a bare TypeError from the range comparisons before; a lipschitz of
+    # None is the general case
     args = {"p": 0.2, "gamma": 0.1, "eps": 0.1, "zeta": 1.0, key: "1"}
     with pytest.raises(ValidationError, match=f"{key} must be a number, not str"):
-        ValueEstimatorConfig(**args)
+        estimate_value_cdf_effective(small_log(), **args)
     if key != "lipschitz":
         with pytest.raises(ValidationError, match=f"{key} must be a number, not NoneType"):
-            ValueEstimatorConfig(**{**args, key: None})
+            estimate_value_cdf_effective(small_log(), **{**args, key: None})
 
 
 def test_best_response_calculus_oracle():
@@ -145,7 +148,7 @@ def test_best_response_names_a_value_that_is_not_a_finite_number():
 
 
 def value_models():
-    """(model, config) of the benchmark's fp-value model half2 and of its
+    """(model, estimator arguments) of the benchmark's fp-value model half2 and of its
     4097-knot bounded3 model."""
     half = PiecewiseCdf([0.0, 0.5], [0.0, 1.0], interpolation="linear")
     rising = BoundedDensityModel(knots=[0.0, 1.0], density=[0.75, 1.25],
@@ -154,22 +157,22 @@ def value_models():
                                   alpha_lo=0.5, eta_hi=2.0).to_cdf()
     return {
         "half2": (AuctionModel(bid_dists=[half, half]),
-                  ValueEstimatorConfig(p=0.2, gamma=0.04, eps=0.1, zeta=1.0, lipschitz=1.0)),
+                  {"p": 0.2, "gamma": 0.04, "eps": 0.1, "zeta": 1.0, "lipschitz": 1.0}),
         "bounded3": (AuctionModel(bid_dists=[rising, falling, rising]),
-                     ValueEstimatorConfig(p=0.4, gamma=0.05, eps=0.1, zeta=1.0)),
+                     {"p": 0.4, "gamma": 0.05, "eps": 0.1, "zeta": 1.0}),
     }
 
 
 @pytest.mark.parametrize("name", ["half2", "bounded3"])
 def test_value_cdfs_equal_those_of_the_per_value_scan(name, monkeypatch):
     # 25 logs per model, n from 50 to 2e4: the same CDF and diagnostics bytes
-    model, config = value_models()[name]
+    model, args = value_models()[name]
     for seed in range(25):
         s = simulate_fp(model, (50, 200, 2000, 20000)[seed % 4], seed)
-        fast = estimate_digest(*estimate_value_cdf_effective(s, config))
+        fast = estimate_digest(*estimate_value_cdf_effective(s, **args))
         with monkeypatch.context() as patched:
             patched.setattr(fp_value, "best_response", reference_best_response)
-            assert estimate_digest(*estimate_value_cdf_effective(s, config)) == fast
+            assert estimate_digest(*estimate_value_cdf_effective(s, **args)) == fast
 
 
 def test_k2_products_are_the_other_bidders_estimates(monkeypatch):
@@ -177,20 +180,20 @@ def test_k2_products_are_the_other_bidders_estimates(monkeypatch):
     # estimator hands its F-hat to the best response as the product: the
     # same arrays as the relabelled tail sum's, on logs with and without
     # tied prices (a 200-point price grid), n from 50 to 2e4
-    from auctionmetrics.fp_estimator import FpEstimatorConfig, _ghat_to_cdf, _tail_sum
+    from auctionmetrics.fp_estimator import _ghat_to_cdf, _tail_sum
 
-    model, config = value_models()["half2"]
-    floor = FpEstimatorConfig(p=config.p, gamma=config.gamma, eps=config.gamma / 2.0).floor
+    model, args = value_models()["half2"]
+    floor = args["gamma"] / 2.0
     seen = []
     compose = fp_value._compose_value_cdf
     monkeypatch.setattr(fp_value, "_compose_value_cdf",
-                        lambda fhat, prod, cfg: seen.append(prod) or compose(fhat, prod, cfg))
+                        lambda fhat, prod, p, dv: seen.append(prod) or compose(fhat, prod, p, dv))
     for seed in range(12):
         s = simulate_fp(model, (50, 200, 2000, 20000)[seed % 4], seed)
         if seed % 3 == 0:
             s = SampleSet(y=np.round(s.y * 200.0) / 200.0, z=s.z, k=2, auction=s.auction)
         seen.clear()
-        estimate_value_cdf_effective(s, config)
+        estimate_value_cdf_effective(s, **args)
         for i, prod in enumerate(seen, start=1):
             want = _ghat_to_cdf(_tail_sum(s, s.ranked[1] != i, floor))
             assert prod.breakpoints.tobytes() == want.breakpoints.tobytes()
@@ -206,8 +209,8 @@ def test_value_estimation_recovers_uniform_values():
     half = PiecewiseCdf([0.0, 0.5], [0.0, 1.0], interpolation="linear")
     m = AuctionModel(bid_dists=[half, half])
     s = simulate_fp(m, 100000, 17)
-    cfg = ValueEstimatorConfig(p=0.2, gamma=0.04, eps=0.1, zeta=1.0, lipschitz=1.0)
-    cdfs, diag = estimate_value_cdf_effective(s, cfg)
+    cdfs, diag = estimate_value_cdf_effective(s, p=0.2, gamma=0.04, eps=0.1, zeta=1.0,
+                                              lipschitz=1.0)
     err = kolmogorov(cdfs[0], uniform_cdf(), 0.3, 1.0)
     assert err <= 0.05
     assert len(diag["isotonic_repairs"]) == 2
@@ -217,8 +220,7 @@ def test_value_estimates_are_monotone_staircases():
     half = PiecewiseCdf([0.0, 0.5], [0.0, 1.0], interpolation="linear")
     m = AuctionModel(bid_dists=[half, half])
     s = simulate_fp(m, 20000, 23)
-    cfg = ValueEstimatorConfig(p=0.2, gamma=0.04, eps=0.1, zeta=1.0)
-    cdfs, _ = estimate_value_cdf_effective(s, cfg)
+    cdfs, _ = estimate_value_cdf_effective(s, p=0.2, gamma=0.04, eps=0.1, zeta=1.0)
     for F in cdfs:
         assert np.all(np.diff(F.values) >= 0)
         assert F.breakpoints[0] == pytest.approx(0.2)
@@ -238,21 +240,19 @@ def test_value_estimates_are_pinned_per_seed():
     half = PiecewiseCdf([0.0, 0.5], [0.0, 1.0], interpolation="linear")
     two3 = PiecewiseCdf([0.0, 2 / 3], [0.0, 1.0], interpolation="linear")
     s = simulate_fp(AuctionModel(bid_dists=[half, half]), 20000, 31)
-    # lipschitz moves nothing: the two configs give one digest
-    lipschitz = ValueEstimatorConfig(p=0.2, gamma=0.04, eps=0.1, zeta=1.0, lipschitz=1.0)
-    assert estimate_digest(*estimate_value_cdf_effective(s, lipschitz)) == (
+    # lipschitz moves nothing: the two calls give one digest
+    general = {"p": 0.2, "gamma": 0.04, "eps": 0.1, "zeta": 1.0}
+    assert estimate_digest(*estimate_value_cdf_effective(s, **general, lipschitz=1.0)) == (
         "ef36dfe3345cac7c2dd3743a300e421f26db8e2f10a017bc73618ce0d1b8adad")
-    general = ValueEstimatorConfig(p=0.2, gamma=0.04, eps=0.1, zeta=1.0)
-    assert estimate_digest(*estimate_value_cdf_effective(s, general)) == (
+    assert estimate_digest(*estimate_value_cdf_effective(s, **general)) == (
         "ef36dfe3345cac7c2dd3743a300e421f26db8e2f10a017bc73618ce0d1b8adad")
     # the full-support reduction's general case at lambda 1, eps 0.4 (eta 0.2):
     # p = 8*eta/11 and gamma = p^k
     s = simulate_fp(AuctionModel(bid_dists=[half, half]), 20000, 37)
     p = 8.0 * 0.2 / 11.0
-    full = ValueEstimatorConfig(p=p, gamma=p ** 2, eps=0.4, zeta=1.0)
-    assert estimate_digest(*estimate_value_cdf_effective(s, full)) == (
+    assert estimate_digest(*estimate_value_cdf_effective(s, p, p ** 2, 0.4, 1.0)) == (
         "a14a6aecf31123b63a6285e45d7f94ce0802404bfeea5b6fed8fa698f089e225")
     s = simulate_fp(AuctionModel(bid_dists=[two3] * 3), 20000, 41)
-    k3 = ValueEstimatorConfig(p=0.3, gamma=0.05, eps=0.1, zeta=1.0, lipschitz=1.0)
-    assert estimate_digest(*estimate_value_cdf_effective(s, k3)) == (
+    assert estimate_digest(*estimate_value_cdf_effective(
+            s, p=0.3, gamma=0.05, eps=0.1, zeta=1.0, lipschitz=1.0)) == (
         "30b1d7a626829b45f1bf062f4b048e7bad98a53e100812962c3b407e7f472af4")

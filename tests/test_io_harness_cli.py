@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from auctionmetrics import cli, dist_core, fp_estimator, harness
+from auctionmetrics import cli, dist_core, fp_estimator, fp_value, harness, sp_estimator
 from auctionmetrics.auction_sim import (
     AuctionModel,
     lower_bound_fixture,
@@ -37,11 +38,7 @@ from auctionmetrics.fp_estimator import (
     estimate_density,
     fp_partial_estimate,
 )
-from auctionmetrics.fp_value import (
-    ValueEstimatorConfig,
-    best_response,
-    estimate_value_cdf_effective,
-)
+from auctionmetrics.fp_value import best_response, estimate_value_cdf_effective
 from auctionmetrics.harness import (
     ESTIMATORS,
     ExperimentConfig,
@@ -505,6 +502,47 @@ def test_every_registry_key_but_the_known_inert_ones_moves_an_estimate():
                      ("fp-value", "zeta"), ("fp-value", "lipschitz")}
 
 
+# the module and the name of the function each kind runs; fp-full is left
+# out, because its key "lambda" is a Python keyword and cannot be a parameter
+KEYWORD_RUNS = {
+    "fp-effective": (fp_estimator, "estimate_bid_cdf_effective"),
+    "fp-value": (fp_value, "estimate_value_cdf_effective"),
+    "sp": (sp_estimator, "estimate_sp"),
+    "fp-partial": (fp_estimator, "fp_partial_estimate"),
+    "sp-partial": (sp_estimator, "sp_partial_estimate"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KEYWORD_RUNS))
+def test_each_kind_runs_a_function_that_takes_its_keys_as_keywords(kind, monkeypatch):
+    # a key that parted from its parameter would not fail loudly: the run's
+    # TypeError is filed per cell by run_convergence, as a failed cell
+    assert set(KEYWORD_RUNS) == set(ESTIMATORS) - {"fp-full"}
+    entry = ESTIMATORS[kind]
+    module, name = KEYWORD_RUNS[kind]
+    signature = inspect.signature(getattr(module, name))
+    params = list(signature.parameters.values())[1:]  # after the log or oracle
+    keys = entry.required + entry.optional
+    by_name = {param.name: param for param in params}
+    for key in keys:
+        assert key in by_name, (kind, key)
+        assert by_name[key].kind in (by_name[key].POSITIONAL_OR_KEYWORD,
+                                     by_name[key].KEYWORD_ONLY), (kind, key)
+        assert (by_name[key].default is by_name[key].empty) == (key in entry.required), key
+    # any other parameter is a setting with a default: the cell seed of a
+    # probe kind, or its probe counts
+    others = [param.name for param in params if param.name not in keys]
+    assert all(by_name[other].default is not by_name[other].empty for other in others)
+    assert not others if entry.observes in (FORMAT_FP, FORMAT_SP) else "seed" in others
+    # and the run passes the argument keys, and the seed if taken, as keywords
+    calls = []
+    monkeypatch.setattr(module, name, lambda *a, **kw: calls.append((a, kw)) or ([], {}))
+    args = KEY_PROBES[kind][1]
+    entry.run("observation", args, 7)
+    seed = {"seed": 7} if "seed" in others else {}
+    assert calls == [(("observation",), {**args, **seed})]
+
+
 # configs a sweep used to run and file as estimator failures, or score with
 # the wrong measure (on the uniform model, which has no value_dists); each now
 # fails before any cell runs
@@ -700,9 +738,9 @@ def _bad_arguments():
                                 "lambda must be a number, not NoneType"),
         "fp-full lambda nan": (lambda: estimate_bid_cdf_full(fp_log, math.nan, 0.2),
                                "lambda must be finite, not nan"),
-        "density h None": (lambda: estimate_density(uniform_cdf(), None),
+        "density h None": (lambda: estimate_density(uniform_cdf(), None, 0.5),
                            "h must be a number, not NoneType"),
-        "density h nan": (lambda: estimate_density(uniform_cdf(), math.nan),
+        "density h nan": (lambda: estimate_density(uniform_cdf(), math.nan, 0.5),
                           "h must be finite, not nan"),
         "dkw delta None": (lambda: dkw_band(10, None), "delta must be a number, not NoneType"),
         "dkw n 2.5": (lambda: dkw_band(2.5, 0.05), "n must be an integer, not float"),
@@ -745,8 +783,8 @@ def _bad_arguments():
                                 "v must be finite numbers"),
         # a step of eps/4 over [0.2, 1]: 3.2e14 points, 2.6 PB
         "fp-value grid above the cap": (
-            lambda: estimate_value_cdf_effective(
-                fp_log, ValueEstimatorConfig(p=0.2, gamma=0.04, eps=1e-14, zeta=1.0)),
+            lambda: estimate_value_cdf_effective(fp_log, p=0.2, gamma=0.04, eps=1e-14,
+                                                 zeta=1.0),
             f"the value grid of p = 0.2 and eps = 1e-14 would hold 3.2e+14 points, {CAP}"),
         # 3 grids of (1 - gamma)/(gamma^2 eps/6) = 5.9e14 levels, 4.7 PB each
         "fp-partial grids above the cap": (
@@ -1178,11 +1216,11 @@ def test_cli_estimate_fp_density_differences_the_stored_bundle(tmp_path, fp_log,
                            "--grid", 64, "--out", density], capsys)
     assert code == 0, err
     fhats, _ = fp_estimator.estimate_bid_cdf_effective(
-        io_read_samples(fp_log, FORMAT_FP, 2), fp_estimator.FpEstimatorConfig(0.3, 0.09, 0.045))
+        io_read_samples(fp_log, FORMAT_FP, 2), p=0.3, gamma=0.09, eps=0.045)
     x = np.linspace(0.3, 1.0 - 0.1, 64)
     assert json.loads(density.read_text())["densities"] == [
         {"x": [fmt_float(v) for v in x],
-         "density": [fmt_float(v) for v in fp_estimator.estimate_density(F, 0.1).eval(x)]}
+         "density": [fmt_float(v) for v in fp_estimator.estimate_density(F, 0.1, x)]}
         for F in fhats]
 
 
